@@ -15,9 +15,9 @@ from .diagram import (DiagramError, basic_degrees, classify, diagram_name,
                       diagram_symbol, group_order, parse_symbol)
 from .group import CapExceeded, enumerate_group, reflection_classes
 from .homology import reduced_betti
-from .verify import (DEFAULT_CAP, GroupContext, run_suite, verify_counts,
-                     verify_monomial, verify_orlik, verify_theorem_A,
-                     verify_theorem_B)
+from .verify import (DEFAULT_CAP, GroupContext, SuiteError, run_suite,
+                     verify_counts, verify_monomial, verify_orlik,
+                     verify_theorem_A, verify_theorem_B)
 from .walls import milnor_wall_search, recognize_milnor_fiber, wall
 
 
@@ -28,6 +28,16 @@ def _print_report(rep, as_json: bool):
         print("%s %s: predicted=%s computed=%s -> %s"
               % (rep.theorem, rep.symbol, rep.predicted, rep.computed,
                  rep.status))
+
+
+def _monomial_params(text: str) -> tuple[int, int]:
+    """The m,n of a 'verify monomial' argument such as 3,2."""
+    try:
+        m, n = (int(x) for x in text.split(","))
+    except ValueError:
+        raise DiagramError("monomial expects m,n like 3,2, got %r"
+                           % text) from None
+    return m, n
 
 
 def main(argv=None) -> int:
@@ -73,7 +83,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return _dispatch(args)
-    except DiagramError as e:
+    except (DiagramError, SuiteError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except CapExceeded as e:
@@ -133,7 +143,7 @@ def _dispatch(args) -> int:
 
     if args.command == "verify":
         if args.theorem == "monomial":
-            m, n = (int(x) for x in args.symbol.replace(" ", "").split(","))
+            m, n = _monomial_params(args.symbol)
             rep = verify_monomial(m, n, cap=args.cap)
         else:
             d = parse_symbol(args.symbol)

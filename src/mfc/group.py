@@ -12,6 +12,7 @@ have length ~|G| (see notes in the repository docs).
 from __future__ import annotations
 
 import os
+import tempfile
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -399,34 +400,47 @@ def _cache_path(d: Diagram, cache_dir: str) -> str:
 
 
 def save_group_cache(t: GroupTable, cache_dir: str) -> str:
+    """Write the generator tables; a unique temporary name and an atomic
+    rename keep concurrent writers from clobbering each other."""
     os.makedirs(cache_dir, exist_ok=True)
     path = _cache_path(t.diagram, cache_dir)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("MFC-GROUP v1 %s %d\n" % (cache_key_string(t.diagram), t.order))
-        for col in t.right:
-            fh.write(" ".join(map(str, col)) + "\n")
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".mfc-group-",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write("MFC-GROUP v1 %s %d\n"
+                     % (cache_key_string(t.diagram), t.order))
+            for col in t.right:
+                fh.write(" ".join(map(str, col)) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path
 
 
 def _load_cached(d: Diagram, cache_dir: str, expected: int) -> GroupTable | None:
+    """The cached table of d, or None (a miss) unless the file parses and
+    its columns are permutations satisfying every defining relation."""
     path = _cache_path(d, cache_dir)
-    if not os.path.exists(path):
+    try:
+        with open(path) as fh:
+            header = fh.readline().split()
+            if header != ["MFC-GROUP", "v1", cache_key_string(d),
+                          str(expected)]:
+                return None
+            right = [[int(x) for x in fh.readline().split()]
+                     for _ in range(d.rank)]
+    except (OSError, ValueError):
         return None
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 4 or header[0] != "MFC-GROUP" or header[1] != "v1":
-            return None
-        if header[2] != cache_key_string(d) or int(header[3]) != expected:
-            return None
-        right = []
-        for _ in range(d.rank):
-            right.append([int(x) for x in fh.readline().split()])
     for col in right:
         if len(col) != expected or sorted(col) != list(range(expected)):
             return None
-    return GroupTable(d, right)
+    try:
+        t = GroupTable(d, right)
+    except ValueError:
+        return None  # generator action not transitive
+    return t if check_relations(t) else None
 
 
 # ---------------------------------------------------------------------------

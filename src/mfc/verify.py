@@ -36,6 +36,10 @@ EXPLICIT_ORLIK_ORDER = 240
 DETAIL_ROW_LIMIT = 16
 
 
+class SuiteError(ValueError):
+    """A suite spec that cannot be run: unreadable, not JSON, or malformed."""
+
+
 @dataclass
 class TheoremReport:
     symbol: str
@@ -600,7 +604,7 @@ def run_entry(entry: dict, cap: int, deep: bool = False,
         elif c == "join":
             rep = verify_join(d, cap)
         else:
-            raise ValueError("unknown check %r" % c)
+            raise SuiteError("unknown check %r" % c)
         if timings:
             rep.timing_ms = int((time.monotonic() - t0) * 1000)
         reports.append(rep)
@@ -609,6 +613,26 @@ def run_entry(entry: dict, cap: int, deep: bool = False,
 
 def _run_entry_star(args):
     return [r.to_jsonable() for r in run_entry(*args)]
+
+
+def _check_entry(e) -> None:
+    """Reject a suite entry that names neither a symbol nor an m,n pair,
+    or whose "checks" is not a list of names."""
+    if isinstance(e, dict):
+        checks = e.get("checks", [])
+        if not (isinstance(checks, list)
+                and all(isinstance(c, str) for c in checks)):
+            raise SuiteError("suite entry %s: \"checks\" must be a list of "
+                             "names" % json.dumps(e))
+        if "monomial" in e:
+            mn = e["monomial"]
+            if (isinstance(mn, list) and len(mn) == 2
+                    and all(isinstance(x, int) for x in mn)):
+                return
+        elif isinstance(e.get("symbol"), str):
+            return
+    raise SuiteError("suite entry %s needs a \"symbol\" string or a "
+                     "\"monomial\" pair [m, n]" % json.dumps(e))
 
 
 def run_suite(spec: dict | str, deep: bool = False, cap: int = DEFAULT_CAP,
@@ -620,12 +644,19 @@ def run_suite(spec: dict | str, deep: bool = False, cap: int = DEFAULT_CAP,
         if spec == "default":
             spec = default_suite(deep=deep)
         else:
-            with open(spec) as fh:
-                spec = json.load(fh)
-    if spec.get("mfc_suite") != 1:
-        raise ValueError("suite file must declare \"mfc_suite\": 1")
+            try:
+                with open(spec) as fh:
+                    spec = json.load(fh)
+            except (OSError, ValueError) as e:
+                raise SuiteError("cannot read suite file: %s" % e) from None
+    if not isinstance(spec, dict) or spec.get("mfc_suite") != 1:
+        raise SuiteError("suite file must declare \"mfc_suite\": 1")
     allow_skip = bool(spec.get("allow_skip", True))
-    entries = spec["entries"]
+    entries = spec.get("entries")
+    if not isinstance(entries, list):
+        raise SuiteError("suite file must hold a list of \"entries\"")
+    for e in entries:
+        _check_entry(e)
     results: list[list[dict]] = []
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

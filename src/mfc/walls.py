@@ -17,7 +17,7 @@ from .diagram import (Diagram, basic_degrees, canonical_key, classify,
                       has_forbidden_subdiagram)
 from .group import (ConjugacyClasses, GroupTable, conjugacy_classes,
                     enumerate_group, parabolic_cosets, reflection_classes)
-from .homology import BettiResult, reduced_betti
+from .homology import BettiResult, _n_components, reduced_betti
 from .isomorphism import Isomorphism, find_isomorphism, verify_isomorphism
 
 THEOREM_A_FORBIDDEN = ("D4", "F4", "H4", "G25", "G26")
@@ -186,25 +186,6 @@ def _model_complex(d: Diagram, cap: int) -> tuple[GroupTable, TypedComplex]:
     return t, cx
 
 
-def _n_components(s: TypedComplex) -> int:
-    n = s.n_vertices
-    if n == 0:
-        return 0
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (u, v) in s.simplices(1):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    return len({find(v) for v in range(n)})
-
-
 def predicted_bouquet_count(d: Diagram) -> int:
     """Bouquet size for the Milnor fiber complex of d: product over
     components of (smallest degree - 1)^rank."""
@@ -214,17 +195,42 @@ def predicted_bouquet_count(d: Diagram) -> int:
     return out
 
 
-def recognize_milnor_fiber(s: TypedComplex, rank: int,
-                           cap: int = 200_000) -> RecognitionVerdict:
+def _chamber_count(s: TypedComplex, rank: int) -> int:
+    """Chambers of s read as a rank-`rank` complex: its (rank-1)-simplices,
+    or the empty simplex alone at rank 0."""
+    return 1 if rank == 0 and s.dim == -1 else len(s.simplices(rank - 1))
+
+
+def _euler_excludes(s: TypedComplex, rank: int,
+                    candidates: list[Diagram]) -> bool:
+    """True when no candidate can be recognized for s, by the Euler
+    characteristic alone: a Milnor fiber complex has its reduced homology
+    in degree rank-1 only, so its reduced Euler characteristic is
+    (-1)^(rank-1) times the bouquet count.  Exact, and no boundary matrix
+    is built."""
+    reduced_chi = s.euler_characteristic() - 1
+    want = reduced_chi if (rank - 1) % 2 == 0 else -reduced_chi
+    return all(predicted_bouquet_count(d) != want for d in candidates)
+
+
+def recognize_milnor_fiber(s: TypedComplex, rank: int, cap: int = 200_000,
+                           *, candidates: list[Diagram] | None = None
+                           ) -> RecognitionVerdict:
     """Decide whether s is the Milnor fiber complex of some rank-`rank`
     admissible diagram: chamber-count candidates, bouquet filter, then
-    exact type-free isomorphism."""
-    chambers = 1 if rank == 0 and s.dim == -1 else len(s.simplices(rank - 1))
-    candidates = enumerate_admissible(rank, chambers)
+    exact type-free isomorphism.
+
+    ``candidates`` spares the enumeration when the caller already holds
+    the admissible diagrams for s's chamber count.
+    """
+    chambers = _chamber_count(s, rank)
+    if candidates is None:
+        candidates = enumerate_admissible(rank, chambers)
     if not candidates:
         return RecognitionVerdict("not-mfc", rank, chambers, None, None,
                                   "no-admissible-factorization")
-    if rank >= 2 and _n_components(s) != 1:
+    comps = _n_components(s) if rank >= 2 else 1
+    if comps != 1:
         # every Milnor fiber complex of rank >= 2 is connected (chamber
         # complexes are gallery connected), so reduced b_0 > 0 rejects all
         # candidates without running the boundary matrices
@@ -232,7 +238,7 @@ def recognize_milnor_fiber(s: TypedComplex, rank: int,
                                    predicted_bouquet_count(d))
                    for d in candidates]
         return RecognitionVerdict("not-mfc", rank, chambers,
-                                  {0: _n_components(s) - 1}, None,
+                                  {0: comps - 1}, None,
                                   "betti-mismatch-all", reports)
     betti = reduced_betti(s)
     survivors = []
@@ -317,7 +323,8 @@ def milnor_wall_search(c: TypedComplex, action: GroupComplexAction, r: int,
                        ) -> MilnorWallCertificate | None:
     """First certificate over all 2^n type families, descending by family
     size (so non-proper Milnor walls are found first), lexicographic
-    within a size."""
+    within a size.  Families whose Euler characteristic rules out every
+    candidate are skipped before any homology is computed."""
     n = action.table.ngens
     if wall_cx is None:
         wall_cx = wall(c, action, r)
@@ -327,7 +334,11 @@ def milnor_wall_search(c: TypedComplex, action: GroupComplexAction, r: int,
             sub = _wall_family_subcomplex(wall_cx, n, missing)
             if sub.dim != n - 2:
                 continue
-            verdict = recognize_milnor_fiber(sub, n - 1, cap=cap)
+            candidates = enumerate_admissible(n - 1, _chamber_count(sub, n - 1))
+            if _euler_excludes(sub, n - 1, candidates):
+                continue
+            verdict = recognize_milnor_fiber(sub, n - 1, cap=cap,
+                                             candidates=candidates)
             if verdict.recognized:
                 family = tuple(frozenset(x for x in range(n) if x != s)
                                for s in missing)

@@ -150,3 +150,52 @@ def test_group_cache_roundtrip(tmp_path, tables):
         assert third.right == direct.right
     finally:
         del os.environ["MFC_CACHE_DIR"]
+
+
+def _cache_file(tmp_path):
+    (path,) = [p for p in tmp_path.iterdir() if p.name.startswith("mfc-group-")]
+    return path
+
+
+def test_group_cache_garbled_file_is_a_miss(tmp_path):
+    d = parse_symbol("B3")
+    direct = enumerate_group(d)
+    save_group_cache(direct, str(tmp_path))
+    path = _cache_file(tmp_path)
+    lines = path.read_text().split("\n")
+    lines[1] = lines[1].replace(" ", " x", 1)
+    path.write_text("\n".join(lines))
+    again = enumerate_group(d, cache_dir=str(tmp_path))
+    assert again.right == direct.right
+    # the miss rewrote a valid file
+    assert enumerate_group(d, cache_dir=str(tmp_path)).right == direct.right
+
+
+def test_group_cache_rejects_wrong_group(tmp_path):
+    # columns that are permutations of the right size but break the
+    # defining relations: one generator replaced by a cyclic shift
+    d = parse_symbol("B3")
+    direct = enumerate_group(d)
+    save_group_cache(direct, str(tmp_path))
+    path = _cache_file(tmp_path)
+    lines = path.read_text().split("\n")
+    n = direct.order
+    lines[1] = " ".join(str((x + 1) % n) for x in range(n))
+    path.write_text("\n".join(lines))
+    again = enumerate_group(d, cache_dir=str(tmp_path))
+    assert again.right == direct.right
+    assert check_relations(again)
+
+
+def test_group_cache_write_uses_private_temp_name(tmp_path):
+    # a stale or foreign "<path>.tmp" does not block the write, and no
+    # temporary file is left behind
+    d = parse_symbol("A3")
+    t = enumerate_group(d)
+    path = save_group_cache(t, str(tmp_path))
+    os.remove(path)
+    os.mkdir(path + ".tmp")
+    assert save_group_cache(t, str(tmp_path)) == path
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        sorted([os.path.basename(path), os.path.basename(path) + ".tmp"])
+    assert enumerate_group(d, cache_dir=str(tmp_path)).right == t.right

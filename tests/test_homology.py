@@ -1,11 +1,14 @@
 from fractions import Fraction
+from math import prod
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfc.complexes import TypedComplex, milnor_fiber_complex
 from mfc.diagram import parse_symbol
 from mfc.group import enumerate_group
-from mfc.homology import boundary_columns, rank_and_factors, reduced_betti
+from mfc.homology import (_dense_diagonalize, boundary_columns,
+                          rank_and_factors, reduced_betti)
 
 
 def build(sym):
@@ -125,3 +128,40 @@ def test_dim1_shortcut_matches_matrix_route():
         f_0, f_1 = cx.f_vector()
         assert b.get(0) == f_0 - r0 - r1
         assert b.get(1) == f_1 - r1
+
+
+# small integer matrices as sparse columns; entries up to 4 in absolute
+# value, so columns without a unit entry reach the dense fallback
+_ENTRY = st.integers(-4, 4).filter(bool)
+
+
+@st.composite
+def _int_columns(draw):
+    n_rows = draw(st.integers(1, 6))
+    n_cols = draw(st.integers(1, 6))
+    cols = [draw(st.dictionaries(st.integers(0, n_rows - 1), _ENTRY,
+                                 max_size=n_rows))
+            for _ in range(n_cols)]
+    return cols, n_rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_columns())
+def test_rank_and_factors_is_exact(matrix):
+    cols, n_rows = matrix
+    snapshot = [dict(c) for c in cols]
+    rank, factors = rank_and_factors(cols, n_rows)
+    assert cols == snapshot  # the input columns are left untouched
+    assert rank == rank_over_Q(cols, n_rows) == len(factors)
+    assert all(f > 0 for f in factors)
+    # the product of the invariant factors is a matrix invariant (the gcd
+    # of the maximal nonzero minors); compare with a dense diagonalization
+    dense = [[col.get(r, 0) for col in cols] for r in range(n_rows)]
+    assert prod(factors) == prod(d for d in _dense_diagonalize(dense) if d)
+
+
+def test_h4_sphere():
+    # 14,400 chambers; the Coxeter complex of H4 is a 3-sphere
+    b = reduced_betti(build("H4"))
+    assert b.betti == {-1: 0, 0: 0, 1: 0, 2: 0, 3: 1}
+    assert b.torsion_free

@@ -173,3 +173,28 @@ def test_cli_suite(tmp_path, capsys):
     assert main(["suite", str(path), "--out", str(tmp_path / "rep")]) == 0
     out = capsys.readouterr().out
     assert "agree" in out
+
+
+def test_cli_usage_errors_exit_2(tmp_path, capsys):
+    no_marker = tmp_path / "no-marker.json"
+    no_marker.write_text(json.dumps({"entries": []}))
+    bad_check = tmp_path / "bad-check.json"
+    bad_check.write_text(json.dumps(
+        {"mfc_suite": 1, "entries": [{"symbol": "A3", "checks": ["Z"]}]}))
+    not_json = tmp_path / "not-json.json"
+    not_json.write_text("{")
+    bad_entries = []
+    for i, entry in enumerate([{"checks": ["A"]}, {"monomial": [3]}, "A3",
+                               {"symbol": "A3", "checks": 5}]):
+        path = tmp_path / ("bad-entry-%d.json" % i)
+        path.write_text(json.dumps({"mfc_suite": 1, "entries": [entry]}))
+        bad_entries.append(["suite", str(path)])
+    for argv in (["verify", "monomial", "3"],
+                 ["verify", "monomial", "3,x"],
+                 ["suite", str(tmp_path / "missing.json")],
+                 ["suite", str(no_marker)],
+                 ["suite", str(bad_check)],
+                 ["suite", str(not_json)], *bad_entries):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv

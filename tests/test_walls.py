@@ -1,11 +1,12 @@
 import pytest
 
 from mfc.complexes import TypedComplex, milnor_fiber_complex
-from mfc.diagram import diagram_name, parse_symbol
+from mfc.diagram import diagram_name, enumerate_admissible, parse_symbol
 from mfc.group import enumerate_group, reflection_classes
 from mfc.homology import reduced_betti
-from mfc.walls import (ParabolicData, chamber_count_check, fixed_space_dim,
-                       fixed_subcomplex, generated_subcomplex,
+from mfc.walls import (ParabolicData, _chamber_count, _euler_excludes,
+                       _wall_family_subcomplex, chamber_count_check,
+                       fixed_space_dim, fixed_subcomplex, generated_subcomplex,
                        milnor_wall_search, recognize_milnor_fiber, wall)
 
 
@@ -215,6 +216,32 @@ def test_milnor_wall_search_coxeter_nonproper():
         for rep, _members in reflection_classes(t):
             cert = milnor_wall_search(cx, act, rep)
             assert cert is not None and not cert.proper, sym
+
+
+def test_euler_prefilter_is_exact():
+    # the wall search skips a family when the Euler characteristic rules
+    # out every candidate; recognition must then fail on that family too
+    from itertools import combinations
+    excluded = 0
+    for sym in ("B3", "H3", "G25", "G26", "D4"):
+        t, cx, act = setup(sym)
+        n = t.ngens
+        for rep, _members in reflection_classes(t):
+            w = wall(cx, act, rep)
+            for size in range(1, n + 1):
+                for missing in combinations(range(n), size):
+                    sub = _wall_family_subcomplex(w, n, missing)
+                    if sub.dim != n - 2:
+                        continue
+                    cands = enumerate_admissible(n - 1,
+                                                 _chamber_count(sub, n - 1))
+                    if _euler_excludes(sub, n - 1, cands):
+                        excluded += 1
+                        v = recognize_milnor_fiber(sub, n - 1)
+                        assert v.reason in ("no-admissible-factorization",
+                                            "betti-mismatch-all"), \
+                            (sym, rep, missing)
+    assert excluded > 0
 
 
 def test_chamber_count_check_examples():
