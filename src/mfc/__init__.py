@@ -11,17 +11,16 @@ from .diagram import (Diagram, DiagramError, GroupId, NotAdmissible,
                       diagram_symbol, diagrams_isomorphic, enumerate_admissible,
                       group_order, has_forbidden_subdiagram, parse_symbol)
 from .group import (CapExceeded, CosetPartition, GroupTable, conjugacy_classes,
-                    conjugate_element, enumerate_group, parabolic_cosets,
-                    reflection_classes, reflections)
+                    enumerate_group, parabolic_cosets, reflection_classes,
+                    reflections)
 from .complexes import (GroupComplexAction, TypedComplex, export_complex,
-                        f_vector, import_complex, join, link,
-                        milnor_fiber_complex, monomial_flag_complex)
+                        import_complex, join, link, milnor_fiber_complex,
+                        monomial_flag_complex)
 from .homology import BettiResult, reduced_betti
 from .isomorphism import Isomorphism, find_isomorphism, verify_isomorphism
 from .walls import (MilnorWallCertificate, ParabolicData, RecognitionVerdict,
-                    chamber_count_check, fixed_space_dim, fixed_subcomplex,
-                    generated_subcomplex, milnor_wall_search,
-                    recognize_milnor_fiber, wall)
+                    chamber_count_check, fixed_subcomplex,
+                    milnor_wall_search, recognize_milnor_fiber, wall)
 from .verify import (GroupContext, TheoremReport, default_suite, run_suite,
                      verify_counts, verify_join, verify_monomial,
                      verify_orlik, verify_theorem_A, verify_theorem_B)

@@ -9,8 +9,8 @@ so identical builds produce identical complexes.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 
 from .diagram import Diagram
 from .group import GroupTable, parabolic_cosets
@@ -93,53 +93,45 @@ class TypedComplex:
     # -- derived complexes ---------------------------------------------------
 
     def subcomplex(self, simplices) -> "TypedComplex":
-        """Closure of the given simplices, reindexed to fresh vertex ids.
+        """Closure of the given simplices of this complex, reindexed to
+        fresh vertex ids; vertex_names record the original ids."""
+        return self._reindexed(_face_closure(simplices))
 
-        vertex_names records the original ids.
-        """
-        keep = set()
-        for s in simplices:
-            s = tuple(sorted(s))
-            keep.add(s)
-        # close under faces
-        by_dim: dict[int, set] = {}
-        stack = list(keep)
-        seen = set(keep)
-        while stack:
-            s = stack.pop()
-            if s:
-                by_dim.setdefault(len(s) - 1, set()).add(s)
-            for v in s:
-                f = tuple(x for x in s if x != v)
-                if f and f not in seen:
-                    seen.add(f)
-                    stack.append(f)
-        verts = sorted(by_dim.get(0, ()), key=lambda s: s[0])
-        old_ids = [s[0] for s in verts]
-        remap = {old: new for new, old in enumerate(old_ids)}
-        new_by_dim = {
-            k: [tuple(sorted(remap[v] for v in s)) for s in ss]
-            for k, ss in by_dim.items()}
+    def induced(self, vertices) -> "TypedComplex":
+        """Full subcomplex on the given vertex ids, reindexed like
+        subcomplex."""
+        keep = set(vertices)
+        return self._reindexed({k: [s for s in ss if keep.issuperset(s)]
+                                for k, ss in self.by_dim.items()})
+
+    def _reindexed(self, by_dim) -> "TypedComplex":
+        # the remap preserves vertex order, so sorted tuples stay sorted
+        old_ids = sorted(s[0] for s in by_dim.get(0, ()))
+        new_id = dict(zip(old_ids, range(len(old_ids)))).__getitem__
         names = [self.vertex_names[v] if self.vertex_names else v for v in old_ids]
         return TypedComplex([self.vertex_types[v] for v in old_ids],
-                            new_by_dim, vertex_names=names)
+                            {k: [tuple(map(new_id, s)) for s in ss]
+                             for k, ss in by_dim.items()},
+                            vertex_names=names)
 
     @classmethod
     def from_facets(cls, vertex_types, facets, vertex_names=None) -> "TypedComplex":
-        by_dim: dict[int, set] = {}
-        seen = set()
-        stack = [tuple(sorted(f)) for f in facets]
-        seen.update(stack)
-        while stack:
-            s = stack.pop()
-            if s:
-                by_dim.setdefault(len(s) - 1, set()).add(s)
-            for v in s:
-                f = tuple(x for x in s if x != v)
-                if f and f not in seen:
-                    seen.add(f)
-                    stack.append(f)
-        return cls(vertex_types, by_dim, vertex_names=vertex_names)
+        return cls(vertex_types, _face_closure(tuple(sorted(f)) for f in facets),
+                   vertex_names=vertex_names)
+
+
+def _face_closure(simplices) -> dict[int, set]:
+    """Every nonempty face of the given simplices (sorted vertex tuples),
+    by dimension: each dimension's codimension-1 faces, top down."""
+    by_dim: dict[int, set] = {}
+    for s in simplices:
+        if s:
+            by_dim.setdefault(len(s) - 1, set()).add(s)
+    for k in range(max(by_dim, default=0), 0, -1):
+        faces = by_dim.setdefault(k - 1, set())
+        for s in by_dim.get(k, ()):
+            faces.update(combinations(s, k))
+    return by_dim
 
 
 @dataclass
@@ -181,13 +173,10 @@ def milnor_fiber_complex(t: GroupTable, d: Diagram | None = None,
         d = t.diagram
     n = t.ngens
     R = list(range(n))
-    nelts = t.order
-    vmaps = []
+    vmaps = [parabolic_cosets(t, [x for x in R if x != r]) for r in R]
     offsets = []
     off = 0
-    for r in R:
-        part = parabolic_cosets(t, [x for x in R if x != r])
-        vmaps.append(part)
+    for part in vmaps:
         offsets.append(off)
         off += part.n_blocks
     nverts = off
@@ -199,21 +188,21 @@ def milnor_fiber_complex(t: GroupTable, d: Diagram | None = None,
 
     by_dim: dict[int, list] = {}
     total = 0
-    # subsets of R by bitmask; I nonempty
+    # subsets of R by bitmask; I nonempty.  Offsets increase with the
+    # type, so each simplex comes out as a sorted tuple.
     for mask in range(1, 1 << n):
         I = [r for r in R if mask >> r & 1]
         J = [r for r in R if not mask >> r & 1]
-        part = parabolic_cosets(t, J)
+        part = vmaps[I[0]] if len(I) == 1 else parabolic_cosets(t, J)
         total += part.n_blocks
         if total > simplex_cap:
             raise SimplexCapExceeded(
                 "complex would exceed %d simplices" % simplex_cap)
-        lst = by_dim.setdefault(len(I) - 1, [])
-        vblocks = [vmaps[r].block_of for r in I]
-        offs = [offsets[r] for r in I]
-        for g in part.reps:
-            lst.append(tuple(sorted(offs[k] + vblocks[k][g]
-                                    for k in range(len(I)))))
+        cols = []
+        for r in I:
+            bl, off_r = vmaps[r].block_of, offsets[r]
+            cols.append([off_r + bl[g] for g in part.reps])
+        by_dim.setdefault(len(I) - 1, []).extend(zip(*cols))
     cx = TypedComplex(vertex_types, by_dim, vertex_names=vertex_names)
     perms = []
     for i in range(n):
@@ -226,10 +215,6 @@ def milnor_fiber_complex(t: GroupTable, d: Diagram | None = None,
                 perm[offr + bl[g]] = offr + bl[lam[g]]
         perms.append(perm)
     return cx, GroupComplexAction(t, perms)
-
-
-def f_vector(c: TypedComplex) -> tuple[int, ...]:
-    return c.f_vector()
 
 
 def join(a: TypedComplex, b: TypedComplex) -> TypedComplex:

@@ -714,13 +714,19 @@ def enumerate_admissible(rank: int, order: int,
                          irreducible_only: bool = False) -> list[Diagram]:
     """All admissible diagrams (up to isomorphism) with the exact rank and
     degree product, as disjoint unions of table rows."""
+    return list(_admissible(rank, order, bool(irreducible_only)))
+
+
+@lru_cache(maxsize=4096)
+def _admissible(rank: int, order: int,
+                irreducible_only: bool) -> tuple[Diagram, ...]:
     if rank < 0 or order < 1:
-        return []
+        return ()
     if rank == 0:
-        return [EMPTY_DIAGRAM] if order == 1 else []
+        return (EMPTY_DIAGRAM,) if order == 1 else ()
     if irreducible_only:
         found = [diagram_of(g) for g in _irreducible_ids(rank, order)]
-        return sorted(found, key=canonical_key)
+        return tuple(sorted(found, key=canonical_key))
 
     results = {}
 
@@ -744,4 +750,4 @@ def enumerate_admissible(rank: int, order: int,
                     rec(rank_left - r, order_left // o, k, chosen + [comp])
 
     rec(rank, order, None, [])
-    return [results[k] for k in sorted(results)]
+    return tuple(results[k] for k in sorted(results))

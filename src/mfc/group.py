@@ -156,12 +156,6 @@ class GroupTable:
             k += 1
         return k
 
-    def power(self, g: int, k: int) -> int:
-        x = 0
-        for _ in range(k):
-            x = self.mul(x, g)
-        return x
-
     def left_perm(self, g: int) -> list[int]:
         """Permutation x -> g*x, composed from generator left actions."""
         w = self.word(g)
@@ -179,11 +173,6 @@ def _invert(col: list[int]) -> list[int]:
     for x, y in enumerate(col):
         out[y] = x
     return out
-
-
-def conjugate_element(t: GroupTable, g: int, h: int) -> int:
-    """h g h^{-1} via table lookups."""
-    return t.conjugate(g, h)
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +455,8 @@ def parabolic_cosets(t: GroupTable, I) -> CosetPartition:
     generated by the generator indices in I."""
     I = tuple(sorted(set(I)))
     n = t.order
+    if not I:
+        return CosetPartition(I, list(range(n)), list(range(n)), 1)
     block_of = [-1] * n
     reps = []
     cols = [t.right[i] for i in I]

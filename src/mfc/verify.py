@@ -19,12 +19,12 @@ from .diagram import (Diagram, basic_degrees, canonical_key, classify,
                       group_id, group_order, has_forbidden_subdiagram,
                       parse_symbol)
 from .group import (CapExceeded, GroupTable, conjugacy_classes,
-                    enumerate_group, reflection_classes)
+                    enumerate_group, parabolic_cosets, reflection_classes)
 from .homology import reduced_betti
 from .isomorphism import find_isomorphism
 from .walls import (ParabolicData, THEOREM_A_FORBIDDEN, THEOREM_B_FORBIDDEN,
                     chamber_count_check, fixed_subcomplex, milnor_wall_search,
-                    predicted_bouquet_count, recognize_milnor_fiber, wall)
+                    predicted_bouquet_count, recognize_milnor_fiber)
 
 DEFAULT_CAP = 200_000
 SNF_SIMPLEX_LIMIT = 50_000
@@ -72,7 +72,7 @@ class GroupContext:
         self.complex, self.action = milnor_fiber_complex(self.table)
         self._pdata = None
         self._refl_classes = None
-        self._walls = {}
+        self._fixed = {}
 
     @property
     def pdata(self) -> ParabolicData:
@@ -87,10 +87,14 @@ class GroupContext:
                 self.table, self.diagram, self.pdata.classes)
         return self._refl_classes
 
+    def fixed_of(self, g: int) -> TypedComplex:
+        """The fixed subcomplex of element g, built once."""
+        if g not in self._fixed:
+            self._fixed[g] = fixed_subcomplex(self.complex, self.action, g)
+        return self._fixed[g]
+
     def wall_of(self, rep: int) -> TypedComplex:
-        if rep not in self._walls:
-            self._walls[rep] = wall(self.complex, self.action, rep)
-        return self._walls[rep]
+        return self.fixed_of(rep)
 
 
 def _skipped(symbol, theorem, exc) -> TheoremReport:
@@ -287,7 +291,7 @@ def verify_orlik(d: Diagram, cap: int = DEFAULT_CAP,
                 p = ctx.pdata.fixed_dim(cid) + 1
                 want = (d1 - 1) ** p
                 if explicit_all or p >= 2:
-                    sub = fixed_subcomplex(ctx.complex, ctx.action, rep)
+                    sub = ctx.fixed_of(rep)
                     b = reduced_betti(sub)
                     ok = (b.concentrated_value(p - 1) == want
                           and sub.dim + 1 == p
@@ -386,7 +390,7 @@ def verify_monomial(m: int, n: int, cap: int = DEFAULT_CAP) -> TheoremReport:
                 k, _block = cx.vertex_names[vid]
                 offsets.setdefault(k, vid)
             for k in range(n):
-                part = ctx.pdata.partitions[_mask_without(n, k)]
+                part = parabolic_cosets(t, [j for j in range(n) if j != k])
                 off = offsets[k]
                 for block, g in enumerate(part.reps):
                     img = base[k]
@@ -437,16 +441,12 @@ def verify_monomial(m: int, n: int, cap: int = DEFAULT_CAP) -> TheoremReport:
         details["wall_recursion"] = rows
     else:
         for rep, _members in ctx.refl_classes:
-            if fixed_subcomplex(ctx.complex, ctx.action, rep).dim != -1:
+            if ctx.fixed_of(rep).dim != -1:
                 recursion_ok = False
     details["wall_recursion_ok"] = recursion_ok
     computed = ok and recursion_ok
     return TheoremReport(sym, "monomial", True, computed,
                          "agree" if computed else "disagree", details)
-
-
-def _mask_without(n: int, k: int) -> int:
-    return ((1 << n) - 1) ^ (1 << k)
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +487,8 @@ def verify_join(d: Diagram, cap: int = DEFAULT_CAP) -> TheoremReport:
             g_union = 0
             for letter in fctx.table.word(rep):
                 g_union = ctx.table.right[idx[letter]][g_union]
-            w_union = wall(ctx.complex, ctx.action, g_union)
-            w_factor = wall(fctx.complex, fctx.action, rep)
+            w_union = ctx.wall_of(g_union)
+            w_factor = fctx.wall_of(rep)
             expected = None
             for fj, fctx2 in enumerate(factor_ctx):
                 piece = w_factor if fj == fi else fctx2.complex
@@ -615,15 +615,24 @@ def _run_entry_star(args):
     return [r.to_jsonable() for r in run_entry(*args)]
 
 
+_SYMBOL_CHECKS = ("counts", "orlik", "A", "B", "join")
+_MONOMIAL_CHECKS = ("monomial",)
+
+
 def _check_entry(e) -> None:
     """Reject a suite entry that names neither a symbol nor an m,n pair,
-    or whose "checks" is not a list of names."""
+    or whose "checks" is not a list of known check names."""
     if isinstance(e, dict):
         checks = e.get("checks", [])
         if not (isinstance(checks, list)
                 and all(isinstance(c, str) for c in checks)):
             raise SuiteError("suite entry %s: \"checks\" must be a list of "
                              "names" % json.dumps(e))
+        known = _MONOMIAL_CHECKS if "monomial" in e else _SYMBOL_CHECKS
+        for c in checks:
+            if c not in known:
+                raise SuiteError("suite entry %s: unknown check %r"
+                                 % (json.dumps(e), c))
         if "monomial" in e:
             mn = e["monomial"]
             if (isinstance(mn, list) and len(mn) == 2

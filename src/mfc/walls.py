@@ -16,7 +16,7 @@ from .diagram import (Diagram, basic_degrees, canonical_key, classify,
                       diagram_name, enumerate_admissible, group_order,
                       has_forbidden_subdiagram)
 from .group import (ConjugacyClasses, GroupTable, conjugacy_classes,
-                    enumerate_group, parabolic_cosets, reflection_classes)
+                    enumerate_group, reflection_classes)
 from .homology import BettiResult, _n_components, reduced_betti
 from .isomorphism import Isomorphism, find_isomorphism, verify_isomorphism
 
@@ -30,16 +30,12 @@ THEOREM_B_FORBIDDEN = ("D4", "F4", "H4")
 
 def fixed_subcomplex(c: TypedComplex, action: GroupComplexAction,
                      g: int) -> TypedComplex:
-    """All simplices with g(sigma) = sigma setwise (= pointwise, which the
-    tests verify independently); vertex ids remapped, originals kept in
-    vertex_names."""
+    """All simplices with g(sigma) = sigma setwise; vertex ids remapped,
+    originals kept in vertex_names.  The action preserves types and the
+    vertices of a simplex have distinct types, so setwise is pointwise:
+    this is the full subcomplex on the fixed vertices."""
     perm = action.vertex_perm(g)
-    fixed = []
-    for k in sorted(c.by_dim):
-        for s in c.by_dim[k]:
-            if tuple(sorted(perm[v] for v in s)) == s:
-                fixed.append(s)
-    return c.subcomplex(fixed)
+    return c.induced(v for v, w in enumerate(perm) if v == w)
 
 
 def wall(c: TypedComplex, action: GroupComplexAction, r: int) -> TypedComplex:
@@ -47,25 +43,13 @@ def wall(c: TypedComplex, action: GroupComplexAction, r: int) -> TypedComplex:
     return fixed_subcomplex(c, action, r)
 
 
-def fixed_space_dim(c: TypedComplex, action: GroupComplexAction, g: int,
-                    prebuilt: TypedComplex | None = None) -> int:
-    """dim V^g computed combinatorially as dim(fixed subcomplex) + 1."""
-    sub = prebuilt if prebuilt is not None else fixed_subcomplex(c, action, g)
-    return sub.dim + 1
-
-
-def generated_subcomplex(c: TypedComplex, simplices) -> TypedComplex:
-    """Closure of a family of simplices of c under taking faces."""
-    return c.subcomplex(simplices)
-
-
 # ---------------------------------------------------------------------------
 # exact per-class fixed-simplex counts (fixed parabolic cosets)
 # ---------------------------------------------------------------------------
 
 class ParabolicData:
-    """Partitions into parabolic cosets for every proper subset of R, plus
-    per-class intersection counts with each parabolic subgroup.
+    """Order of every proper standard parabolic subgroup G_J, plus its
+    intersection count with each conjugacy class.
 
     A coset hG_J is fixed by g iff h^{-1} g h lies in G_J, and the number
     of fixed cosets is |C_G(g)| * |cls(g) ∩ G_J| / |G_J|.
@@ -75,31 +59,38 @@ class ParabolicData:
         self.table = t
         self.classes = classes if classes is not None else conjugacy_classes(t)
         n = t.ngens
-        self.partitions = {}
+        class_of = self.classes.class_of
+        self.subgroup_orders = {}
         self.intersections = {}
         for mask in range(1 << n):
             if mask == (1 << n) - 1 and n > 0:
                 continue  # J = R never labels a simplex
-            J = [i for i in range(n) if mask >> i & 1]
-            part = parabolic_cosets(t, J)
-            self.partitions[mask] = part
+            # G_J is the orbit of the identity under J's generators
+            cols = [t.right[i] for i in range(n) if mask >> i & 1]
+            members = {0}
+            stack = [0]
+            while stack:
+                x = stack.pop()
+                for col in cols:
+                    y = col[x]
+                    if y not in members:
+                        members.add(y)
+                        stack.append(y)
             counts = [0] * self.classes.n_classes
-            block_of = part.block_of
-            class_of = self.classes.class_of
-            for e in range(t.order):
-                if block_of[e] == 0:
-                    counts[class_of[e]] += 1
+            for e in members:
+                counts[class_of[e]] += 1
+            self.subgroup_orders[mask] = len(members)
             self.intersections[mask] = counts
 
     def fixed_coset_count(self, class_id: int, mask: int) -> int:
         t = self.table
         cls_size = self.classes.sizes[class_id]
         centralizer = t.order // cls_size
-        part = self.partitions[mask]
+        order = self.subgroup_orders[mask]
         num = centralizer * self.intersections[mask][class_id]
-        if num % part.block_size:
+        if num % order:
             raise RuntimeError("non-integral fixed-coset count")
-        return num // part.block_size
+        return num // order
 
     def fixed_f_vector(self, class_id: int) -> dict[int, int]:
         """f_{k-1}(Delta^g) for k = 0..n, keyed by dimension k-1."""

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfc.complexes import (SimplexCapExceeded, TypedComplex, export_complex,
                            import_complex, join, link, milnor_fiber_complex,
@@ -170,3 +172,45 @@ def test_from_facets_closes_faces():
     assert c.f_vector() == (3, 3, 1)
     assert c.contains(())
     assert c.chambers() == ((0, 1, 2),)
+
+
+def _dfs_closure(simplices) -> set:
+    """Every nonempty face, by a depth-first walk dropping one vertex at
+    a time."""
+    seen = {tuple(sorted(s)) for s in simplices if s}
+    stack = list(seen)
+    while stack:
+        s = stack.pop()
+        for v in s:
+            f = tuple(x for x in s if x != v)
+            if f and f not in seen:
+                seen.add(f)
+                stack.append(f)
+    return seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=5),
+                max_size=6),
+       st.data())
+def test_face_closure_matches_dfs(facets, data):
+    c = TypedComplex.from_facets([v % 3 for v in range(8)], facets)
+    closed = _dfs_closure(facets)
+    assert {s for ss in c.by_dim.values() for s in ss} == closed
+    assert all(len(s) == k + 1 for k, ss in c.by_dim.items() for s in ss)
+    # a subfamily's closure, renumbered in the order of the old vertex ids
+    family = data.draw(st.lists(st.sampled_from(sorted(closed)), max_size=5)
+                       if closed else st.just([]))
+    sub = c.subcomplex(family)
+    want = _dfs_closure(family)
+    old_ids = sorted({v for s in want for v in s})
+    assert sub.vertex_names == tuple(old_ids)
+    assert sub.vertex_types == tuple(v % 3 for v in old_ids)
+    assert {tuple(old_ids[v] for v in s)
+            for ss in sub.by_dim.values() for s in ss} == want
+    # the full subcomplex on a vertex set keeps exactly the simplices in it
+    keep = data.draw(st.sets(st.integers(0, 7)))
+    full = c.induced(keep)
+    assert {tuple(full.vertex_names[v] for v in s)
+            for ss in full.by_dim.values() for s in ss} == \
+        {s for s in closed if set(s) <= keep}

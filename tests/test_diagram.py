@@ -189,3 +189,12 @@ def test_degree_table_invariants():
         assert (degs[0] == 2) == (sym in coxeter), sym
         if len(degs) >= 2:
             assert degs[0] < degs[1], sym
+
+
+def test_enumerate_admissible_returns_fresh_lists():
+    first = enumerate_admissible(2, 72)
+    first.append(None)
+    again = enumerate_admissible(2, 72)
+    assert None not in again and again == first[:-1]
+    assert enumerate_admissible(2, 72, irreducible_only=True) == \
+        enumerate_admissible(2, 72, True)

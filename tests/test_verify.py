@@ -1,12 +1,14 @@
+import hashlib
 import json
 
 import pytest
 
+import mfc.verify
 from mfc.cli import main
 from mfc.diagram import parse_symbol
-from mfc.verify import (default_suite, run_suite, verify_counts,
-                        verify_monomial, verify_orlik, verify_theorem_A,
-                        verify_theorem_B)
+from mfc.verify import (GroupContext, SuiteError, default_suite, run_entry,
+                        run_suite, verify_counts, verify_monomial,
+                        verify_orlik, verify_theorem_A, verify_theorem_B)
 
 SMALL_SUITE = {
     "mfc_suite": 1,
@@ -198,3 +200,43 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_unknown_check_rejected_before_any_entry_runs(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_entry called before validation")
+
+    monkeypatch.setattr(mfc.verify, "run_entry", no_run)
+    for bad in ({"symbol": "A3", "checks": ["Z"]},
+                {"symbol": "A3", "checks": ["monomial"]},
+                {"monomial": [2, 2], "checks": ["A"]}):
+        spec = {"mfc_suite": 1,
+                "entries": [{"symbol": "E6", "checks": ["A"]}, bad]}
+        with pytest.raises(SuiteError, match="unknown check"):
+            run_suite(spec)
+        with pytest.raises(SuiteError, match="unknown check"):
+            run_suite(spec, jobs=2)
+
+
+def test_fixed_subcomplexes_built_once():
+    ctx = GroupContext(parse_symbol("B3"))
+    rep = ctx.refl_classes[0][0]
+    assert ctx.wall_of(rep) is ctx.fixed_of(rep)
+    verify_orlik(parse_symbol("B3"), ctx=ctx)
+    assert ctx.fixed_of(rep) is ctx.wall_of(rep)
+
+
+# sha256 of the reports below, as produced before the parabolic and
+# fixed-subcomplex constructions were rewritten; a change in any verdict,
+# count, certificate or detail row changes it
+PINNED_ENTRIES = [{"symbol": s, "checks": ["counts", "orlik", "A", "B"]}
+                  for s in ("B3", "H3", "G25", "G(3,1,2)")]
+PINNED_SHA256 = \
+    "0852da41e6d11ed89b7b24d11f75926b6e6709b0da10b6fc0389ec67605142ff"
+
+
+def test_report_bytes_pinned():
+    reports = [r.to_jsonable() for e in PINNED_ENTRIES
+               for r in run_entry(e, 200_000)]
+    blob = json.dumps(reports, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == PINNED_SHA256

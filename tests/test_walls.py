@@ -2,12 +2,16 @@ import pytest
 
 from mfc.complexes import TypedComplex, milnor_fiber_complex
 from mfc.diagram import diagram_name, enumerate_admissible, parse_symbol
-from mfc.group import enumerate_group, reflection_classes
+from mfc.group import enumerate_group, parabolic_cosets, reflection_classes
 from mfc.homology import reduced_betti
 from mfc.walls import (ParabolicData, _chamber_count, _euler_excludes,
                        _wall_family_subcomplex, chamber_count_check,
-                       fixed_space_dim, fixed_subcomplex, generated_subcomplex,
-                       milnor_wall_search, recognize_milnor_fiber, wall)
+                       fixed_subcomplex, milnor_wall_search,
+                       recognize_milnor_fiber, wall)
+
+# groups for the property tests of walls and parabolic data: real,
+# complex, monomial and dihedral, ranks 2 and 3
+PROPERTY_GROUPS = ("B3", "H3", "G25", "G(3,1,3)", "I2(7)")
 
 
 def setup(sym):
@@ -83,6 +87,10 @@ def test_conjugate_wall_is_translated_wall():
 
 
 def test_fixed_space_dim(g25):
+    # dim V^g is the dimension of the fixed subcomplex plus one
+    def fixed_space_dim(cx, act, g):
+        return fixed_subcomplex(cx, act, g).dim + 1
+
     t, cx, act = g25
     assert fixed_space_dim(cx, act, 0) == 3
     rep = reflection_classes(t)[0][0]
@@ -95,6 +103,50 @@ def test_fixed_space_dim(g25):
                if cls.sizes[c] == 1 and cls.reps[c] != 0]
     assert len(central) == 1
     assert fixed_space_dim(cx, act, central[0]) == 0
+
+
+def test_fixed_subcomplex_matches_setwise_filter():
+    # the old construction: keep every simplex whose image, sorted, is
+    # itself, and renumber its vertices in increasing order
+    for sym in PROPERTY_GROUPS:
+        t, cx, act = setup(sym)
+        for g in range(t.order):
+            perm = act.vertex_perm(g)
+            fixed = [s for k in range(cx.dim + 1) for s in cx.simplices(k)
+                     if tuple(sorted(perm[v] for v in s)) == s]
+            old_ids = sorted(s[0] for s in fixed if len(s) == 1)
+            new_id = {v: i for i, v in enumerate(old_ids)}
+            want = {}
+            for s in fixed:
+                want.setdefault(len(s) - 1, []).append(
+                    tuple(sorted(new_id[v] for v in s)))
+            sub = fixed_subcomplex(cx, act, g)
+            assert sub.by_dim == {k: tuple(sorted(v))
+                                  for k, v in want.items()}, (sym, g)
+            assert sub.vertex_types == tuple(cx.vertex_types[v]
+                                             for v in old_ids)
+            assert sub.vertex_names == tuple(cx.vertex_names[v]
+                                             for v in old_ids)
+
+
+def test_parabolic_data_is_block_zero_of_cosets():
+    # |G_J| and |cls ∩ G_J| are the size and class counts of the block of
+    # the identity in the coset partition of G_J
+    for sym in PROPERTY_GROUPS:
+        t, _cx, _act = setup(sym)
+        pdata = ParabolicData(t)
+        n = t.ngens
+        proper = [m for m in range(1 << n) if m != (1 << n) - 1]
+        assert sorted(pdata.subgroup_orders) == proper
+        assert sorted(pdata.intersections) == proper
+        for mask in proper:
+            part = parabolic_cosets(t, [i for i in range(n) if mask >> i & 1])
+            counts = [0] * pdata.classes.n_classes
+            for e in range(t.order):
+                if part.block_of[e] == 0:
+                    counts[pdata.classes.class_of[e]] += 1
+            assert pdata.subgroup_orders[mask] == part.block_size, (sym, mask)
+            assert pdata.intersections[mask] == counts, (sym, mask)
 
 
 def test_count_formula_matches_explicit_subcomplexes():
@@ -112,11 +164,12 @@ def test_count_formula_matches_explicit_subcomplexes():
 
 
 def test_generated_subcomplex():
+    # the face closure of a family of simplices
     _t, cx, _act = setup("2[3]2")
-    assert generated_subcomplex(cx, cx.simplices(1)).f_vector() == cx.f_vector()
-    assert generated_subcomplex(cx, []).dim == -1
+    assert cx.subcomplex(cx.simplices(1)).f_vector() == cx.f_vector()
+    assert cx.subcomplex([]).dim == -1
     edge = cx.simplices(1)[0]
-    path = generated_subcomplex(cx, [edge])
+    path = cx.subcomplex([edge])
     assert path.f_vector() == (2, 1)
 
 
