@@ -218,12 +218,25 @@ def test_unknown_check_rejected_before_any_entry_runs(monkeypatch):
             run_suite(spec, jobs=2)
 
 
-def test_fixed_subcomplexes_built_once():
-    ctx = GroupContext(parse_symbol("B3"))
+def test_fixed_subcomplexes_built_once(monkeypatch):
+    # counts, A and B build the walls; orlik reuses them for the
+    # reflection classes and adds the other classes
+    built = []
+    real = mfc.verify.fixed_subcomplex
+
+    def counting(c, action, g):
+        built.append(g)
+        return real(c, action, g)
+
+    monkeypatch.setattr(mfc.verify, "fixed_subcomplex", counting)
+    d = parse_symbol("B3")
+    ctx = GroupContext(d)
+    for check in (verify_counts, verify_theorem_A, verify_theorem_B,
+                  verify_orlik):
+        assert check(d, ctx=ctx).status == "agree"
+    assert len(built) == len(set(built)) == ctx.pdata.classes.n_classes - 1
     rep = ctx.refl_classes[0][0]
     assert ctx.wall_of(rep) is ctx.fixed_of(rep)
-    verify_orlik(parse_symbol("B3"), ctx=ctx)
-    assert ctx.fixed_of(rep) is ctx.wall_of(rep)
 
 
 # sha256 of the reports below, as produced before the parabolic and
