@@ -3,10 +3,18 @@
 ``enumerate_group`` realizes the group of a diagram as its right regular
 action: a permutation of element ids per generator, with element 0 the
 identity and ids assigned breadth-first from the identity in generator
-order.  The general engine is Todd-Coxeter coset enumeration over the
-trivial subgroup (HLT scanning with coincidence handling); cyclic and
-dihedral diagrams use direct constructions because their braid relators
-have length ~|G| (see notes in the repository docs).
+order.  That numbering depends only on the group and its generators, so
+every construction below ends in the same canonical table.
+
+* An irreducible diagram of rank >= 2 is built by induction from its
+  largest maximal parabolic subgroup H = G_J: Todd-Coxeter coset
+  enumeration (HLT scanning with coincidence handling) over H gives the
+  action on the |G|/|H| cosets, and the Schreier elements of a Schreier
+  transversal, identified in H's own table, give the regular action on
+  pairs (h, coset).  H's table is built the same way, down to rank 1.
+* A reducible diagram is the direct product of its component groups.
+* Cyclic and dihedral diagrams use direct constructions, because their
+  braid relators have length ~|G|.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import tempfile
 from collections import deque
 from dataclasses import dataclass, field
 
-from .diagram import (Diagram, basic_degrees, cache_key_string, classify,
+from .diagram import (Diagram, cache_key_string, components_with_indices,
                       diagram_name, group_order)
 
 DEFAULT_CAP = 200_000
@@ -45,81 +53,56 @@ class GroupTable:
 
     def _standardize(self):
         """Renumber breadth-first from the identity with fixed generator order,
-        then derive words, left actions and inverses."""
+        recording each element's BFS parent and last letter in the new ids,
+        then derive left actions and inverses in one pass over the ids."""
         n = self.order
         ng = self.ngens
-        if ng == 0:
-            self.words = [()]
-            self.left = []
-            self.right_inv = []
-            self.inv = [0]
-            self.bfs_order = [0]
-            return
+        right = self.right
+        # parent links give shortest words without materializing them (they
+        # can have length ~|G|); every id below is an int object of new_id
         new_id = [-1] * n
         new_id[0] = 0
-        order_bfs = [0]
-        dq = deque([0])
-        right = self.right
-        while dq:
-            x = dq.popleft()
+        order = [0]
+        parent = [0]
+        last = [0]
+        for x in order:
+            px = new_id[x]
             for i in range(ng):
                 y = right[i][x]
                 if new_id[y] < 0:
-                    new_id[y] = len(order_bfs)
-                    order_bfs.append(y)
-                    dq.append(y)
-        if len(order_bfs) != n:
+                    new_id[y] = len(order)
+                    order.append(y)
+                    parent.append(px)
+                    last.append(i)
+        if len(order) != n:
             raise ValueError("generator action not transitive")
-        self.right = [[0] * n for _ in range(ng)]
-        for i in range(ng):
-            old = right[i]
-            new_col = self.right[i]
-            for x in range(n):
-                new_col[new_id[x]] = new_id[old[x]]
-        right = self.right
-        # BFS again on the renumbered table: parent links give shortest
-        # words without materializing them (they can have length ~|G|)
-        parent = [-1] * n
-        last = [0] * n
-        parent[0] = 0
-        bfs = [0]
-        dq = deque([0])
-        while dq:
-            x = dq.popleft()
-            for i in range(ng):
-                y = right[i][x]
-                if parent[y] < 0:
-                    parent[y] = x
-                    last[y] = i
-                    bfs.append(y)
-                    dq.append(y)
+        # new column k is new_id[old[order[k]]]; ids[k] is the int k
+        right = [list(map(new_id.__getitem__, map(old.__getitem__, order)))
+                 for old in right]
+        ids = list(map(new_id.__getitem__, order))
+        del order, new_id
+        right_inv = [_invert(col, ids) for col in right]
+        # x = p * r_l gives r_i * x = (r_i * p) * r_l, and ids grow along
+        # parent links.  A shortest word of x starts with some r_j, so
+        # x = r_j * q for an earlier q, and x^-1 = q^-1 * r_j^-1 is set
+        # while q is visited.
+        left = [[col[0]] * n for col in right]
+        inv = [0] * n
+        pairs = tuple(zip(left, right_inv))
+        for x in range(n):
+            if x:
+                rl = right[last[x]]
+                p = parent[x]
+                for lam in left:
+                    lam[x] = rl[lam[p]]
+            ix = inv[x]
+            for lam, rinv in pairs:
+                inv[lam[x]] = rinv[ix]
+        self.right = right
         self.parent = parent
         self.last_letter = last
-        self.bfs_order = bfs
-        # left multiplication by each generator: l_g(x * r_j) = l_g(x) * r_j
-        self.left = []
-        for i in range(ng):
-            lam = [0] * n
-            lam[0] = right[i][0]
-            seen = bytearray(n)
-            seen[0] = 1
-            dq = deque([0])
-            while dq:
-                x = dq.popleft()
-                lx = lam[x]
-                for j in range(ng):
-                    y = right[j][x]
-                    if not seen[y]:
-                        seen[y] = 1
-                        lam[y] = right[j][lx]
-                        dq.append(y)
-            self.left.append(lam)
-        self.right_inv = [_invert(col) for col in right]
-        # inv(parent * r_j) = r_j^{-1} * inv(parent), via inverted left tables
-        left_inv = [_invert(col) for col in self.left]
-        inv = [0] * n
-        for x in bfs[1:]:
-            inv[x] = left_inv[last[x]][inv[parent[x]]]
+        self.left = left
+        self.right_inv = right_inv
         self.inv = inv
 
     def word(self, x: int) -> tuple[int, ...]:
@@ -156,27 +139,17 @@ class GroupTable:
             k += 1
         return k
 
-    def left_perm(self, g: int) -> list[int]:
-        """Permutation x -> g*x, composed from generator left actions."""
-        w = self.word(g)
-        if not w:
-            return list(range(self.order))
-        cur = list(self.left[w[-1]])
-        for letter in reversed(w[:-1]):
-            lam = self.left[letter]
-            cur = [lam[x] for x in cur]
-        return cur
 
-
-def _invert(col: list[int]) -> list[int]:
+def _invert(col: list[int], ids: list[int]) -> list[int]:
+    """The inverse permutation, holding the int objects of ids."""
     out = [0] * len(col)
-    for x, y in enumerate(col):
+    for x, y in zip(ids, col):
         out[y] = x
     return out
 
 
 # ---------------------------------------------------------------------------
-# Todd-Coxeter over the trivial subgroup
+# Todd-Coxeter coset enumeration
 # ---------------------------------------------------------------------------
 
 def _relators(d: Diagram) -> list[list[int]]:
@@ -197,19 +170,28 @@ def _relators(d: Diagram) -> list[list[int]]:
     return rels
 
 
-def todd_coxeter(d: Diagram, cap: int) -> list[list[int]]:
-    """HLT coset enumeration of the trivial subgroup; returns the right
-    regular action of the generators as permutations of 0..|G|-1."""
+def todd_coxeter(d: Diagram, cap: int, subgroup=()) -> list[list[int]]:
+    """HLT coset enumeration of the right cosets of the subgroup generated
+    by the generators in ``subgroup``; coset 0 is the subgroup itself.
+    Returns the right action of each generator as a permutation of the
+    coset ids 0..index-1; the default trivial subgroup gives the right
+    regular action."""
     ngens = d.rank
     if ngens == 0:
         return []
     width = 2 * ngens
     inv_letter = [ngens + i for i in range(ngens)] + list(range(ngens))
-    rels = _relators(d)
     limit = max(4 * cap, cap + 10_000)
 
-    table: list[list] = [[None] * width]
-    p = [0]  # union-find for coincidences
+    # cols[x][c] is coset c times letter x, -1 while undefined
+    cols: list[list[int]] = [[-1] for _ in range(width)]
+    p = [0]  # union-find for coincidences; p[c] == c iff c is live
+    for j in subgroup:
+        cols[j][0] = 0
+        cols[inv_letter[j]][0] = 0
+    # per relator: the column of each letter, and of its inverse
+    scans = [([cols[x] for x in w], [cols[inv_letter[x]] for x in w])
+             for w in _relators(d)]
 
     def rep(x: int) -> int:
         r = x
@@ -233,85 +215,77 @@ def todd_coxeter(d: Diagram, cap: int) -> list[list[int]]:
     def process_coincidences():
         while pending:
             gamma = pending.popleft()  # newly dead coset
-            row = table[gamma]
             for x in range(width):
-                delta = row[x]
-                if delta is None:
+                col, icol = cols[x], cols[inv_letter[x]]
+                delta = col[gamma]
+                if delta < 0:
                     continue
-                table[delta][inv_letter[x]] = None
+                icol[delta] = -1
                 mu = rep(gamma)
                 nu = rep(delta)
-                tmu = table[mu]
-                if tmu[x] is not None:
-                    merge(nu, tmu[x])
-                elif table[nu][inv_letter[x]] is not None:
-                    merge(mu, table[nu][inv_letter[x]])
+                if col[mu] >= 0:
+                    merge(nu, col[mu])
+                elif icol[nu] >= 0:
+                    merge(mu, icol[nu])
                 else:
-                    tmu[x] = nu
-                    table[nu][inv_letter[x]] = mu
-
-    def define(alpha: int, x: int) -> int:
-        if len(table) > limit:
-            raise CapExceeded("coset table grew past %d rows" % limit)
-        beta = len(table)
-        table.append([None] * width)
-        p.append(beta)
-        table[alpha][x] = beta
-        table[beta][inv_letter[x]] = alpha
-        return beta
-
-    def scan_and_fill(alpha: int, word: list[int]):
-        f, b = alpha, alpha
-        i, j = 0, len(word) - 1
-        while True:
-            while i <= j:
-                nxt = table[f][word[i]]
-                if nxt is None:
-                    break
-                f = nxt
-                i += 1
-            if i > j:
-                if f != b:
-                    merge(f, b)
-                    process_coincidences()
-                return
-            while j >= i:
-                prv = table[b][inv_letter[word[j]]]
-                if prv is None:
-                    break
-                b = prv
-                j -= 1
-            if j < i:
-                merge(f, b)
-                process_coincidences()
-                return
-            if j == i:
-                table[f][word[i]] = b
-                table[b][inv_letter[word[i]]] = f
-                return
-            define(f, word[i])
+                    col[mu] = nu
+                    icol[nu] = mu
 
     alpha = 0
-    while alpha < len(table):
-        if rep(alpha) != alpha:
+    while alpha < len(p):
+        if p[alpha] != alpha:
             alpha += 1
             continue
-        for w in rels:
-            scan_and_fill(alpha, w)
-            if rep(alpha) != alpha:
+        for fw, bw in scans:
+            # scan the relator from alpha, filling in its last gap or
+            # defining a new coset while two or more letters are missing
+            f = b = alpha
+            i, j = 0, len(fw) - 1
+            while True:
+                while i <= j:
+                    nxt = fw[i][f]
+                    if nxt < 0:
+                        break
+                    f = nxt
+                    i += 1
+                if i > j:
+                    if f != b:
+                        merge(f, b)
+                        process_coincidences()
+                    break
+                while j >= i:
+                    prv = bw[j][b]
+                    if prv < 0:
+                        break
+                    b = prv
+                    j -= 1
+                if j < i:
+                    merge(f, b)
+                    process_coincidences()
+                    break
+                if j == i:
+                    fw[i][f] = b
+                    bw[i][b] = f
+                    break
+                beta = len(p)
+                if beta > limit:
+                    raise CapExceeded("coset table grew past %d rows" % limit)
+                for col in cols:
+                    col.append(-1)
+                p.append(beta)
+                fw[i][f] = beta
+                bw[i][beta] = f
+            if p[alpha] != alpha:
                 break
         alpha += 1
 
-    live = [x for x in range(len(table)) if rep(x) == x]
+    live = [x for x in range(len(p)) if p[x] == x]
     index = {x: k for k, x in enumerate(live)}
-    right = [[0] * len(live) for _ in range(ngens)]
-    for k, x in enumerate(live):
-        row = table[x]
-        for i in range(ngens):
-            y = row[i]
-            if y is None:
-                raise RuntimeError("incomplete coset table")
-            right[i][k] = index[rep(y)]
+    right = []
+    for col in cols[:ngens]:
+        if any(col[x] < 0 for x in live):
+            raise RuntimeError("incomplete coset table")
+        right.append([index[rep(col[x])] for x in live])
     return right
 
 
@@ -368,17 +342,167 @@ def enumerate_group(d: Diagram, cap: int = DEFAULT_CAP,
 def _build(d: Diagram, cap: int, expected: int) -> GroupTable:
     n = d.rank
     if n == 0:
-        t = GroupTable(d, [])
+        right = []
     elif n == 1:
-        t = GroupTable(d, _cyclic_right(d.orders[0]))
+        right = _cyclic_right(d.orders[0])
     elif n == 2 and d.orders == (2, 2):
-        t = GroupTable(d, _dihedral_right(d.m(0, 1), 0))
+        right = _dihedral_right(d.m(0, 1), 0)
     else:
-        t = GroupTable(d, todd_coxeter(d, cap))
+        comps = components_with_indices(d)
+        if len(comps) > 1:
+            right = _product_right(d, comps, cap)
+        else:
+            right = _induced_right(d, cap)
+    t = GroupTable(d, right)
     if t.order != expected:
         raise RuntimeError("enumerated order %d != classified order %d for %s"
                            % (t.order, expected, diagram_name(d)))
     return t
+
+
+def _product_right(d: Diagram, comps, cap: int) -> list[list[int]]:
+    """Regular action of the direct product of the components: element
+    (x_1, ..., x_k) is numbered in mixed radix, the first component most
+    significant.  (Inducing from a maximal parabolic would not be faithful
+    here: it contains a whole component, a normal subgroup.)"""
+    tables = [_build(cd, cap, group_order(cd)) for cd, _idx in comps]
+    total = 1
+    for t in tables:
+        total *= t.order
+    ids = list(range(total))
+    right: list[list[int]] = [[] for _ in range(d.rank)]
+    stride = total
+    for t, (_cd, idx) in zip(tables, comps):
+        size = t.order
+        block = stride
+        stride //= size
+        for k, r in zip(idx, t.right):
+            col = right[k]
+            for outer in range(0, total, block):
+                for x in range(size):
+                    y = outer + r[x] * stride
+                    col += ids[y:y + stride]
+    return right
+
+
+def _induced_right(d: Diagram, cap: int) -> list[list[int]]:
+    """Regular action of an irreducible group G from its largest maximal
+    parabolic subgroup H = G_J.
+
+    With a Schreier transversal t_c of the right cosets c = H t_c, element
+    h t_c has id c*|H| + h, and (h t_c) r_i = (h s) t_{c r_i} with the
+    Schreier element s = t_c r_i t_{c r_i}^-1 in H.  Each s is identified
+    in H's table by its images of a few base cosets, which tell H's
+    elements apart when G acts faithfully on the cosets of H.  For an
+    irreducible G it does: the core of H is normal and fixes H's nonzero
+    fixed space, so the core's own fixed space is a nonzero G-stable
+    subspace, hence everything, and the core is trivial.  The checks
+    below stay anyway.
+    """
+    n = d.rank
+    best = -1
+    for k in range(n):
+        sub_j = tuple(j for j in range(n) if j != k)
+        order_j = group_order(d.induced(sub_j))
+        if order_j > best:
+            best, J = order_j, sub_j
+    h_table = _build(d.induced(J), cap, best)
+    cos = todd_coxeter(d, cap, J)
+    index = len(cos[0])
+    n_h = h_table.order
+    cos_inv = [_invert(col, range(index)) for col in cos]
+
+    # Schreier tree over the cosets in generator order: t_c = t_p r_l
+    t_parent = [-1] * index
+    t_letter = [0] * index
+    t_parent[0] = 0
+    order = [0]
+    for c in order:
+        for i in range(n):
+            y = cos[i][c]
+            if t_parent[y] < 0:
+                t_parent[y] = c
+                t_letter[y] = i
+                order.append(y)
+
+    # images of coset b under every h in H, along H's parent links
+    h_cols = [cos[j] for j in J]
+    h_parent, h_last = h_table.parent, h_table.last_letter
+
+    def images(b: int) -> list[int]:
+        img = [b] * n_h
+        for h in range(1, n_h):
+            img[h] = h_cols[h_last[h]][img[h_parent[h]]]
+        return img
+
+    # base: each coset that tells more of H's elements apart is added
+    base, base_imgs = [], []
+    n_keys = 1
+    for b in range(1, index):
+        if n_keys == n_h:
+            break
+        img = images(b)
+        keys = len(set(zip(*base_imgs, img)))
+        if keys > n_keys:
+            base.append(b)
+            base_imgs.append(img)
+            n_keys = keys
+    if n_keys != n_h:
+        raise RuntimeError("%s does not act faithfully on the cosets of "
+                           "its parabolic subgroup %r" % (diagram_name(d), J))
+    lookup = {key: h for h, key in enumerate(zip(*base_imgs))}
+
+    # b t_c for every base coset b and coset c, along the Schreier tree
+    base_t = []
+    for b in base:
+        bt = [b] * index
+        for c in order[1:]:
+            bt[c] = cos[t_letter[c]][bt[t_parent[c]]]
+        base_t.append(bt)
+
+    def schreier_element(c: int, i: int) -> int:
+        c2 = cos[i][c]
+        key = []
+        for bt in base_t:
+            x = cos[i][bt[c]]
+            y = c2
+            while y:  # apply t_{c2}^-1, one tree edge at a time
+                x = cos_inv[t_letter[y]][x]
+                y = t_parent[y]
+            key.append(x)
+        h = lookup.get(tuple(key))
+        if h is None:
+            raise RuntimeError("Schreier element of %s not found in its "
+                               "parabolic subgroup %r" % (diagram_name(d), J))
+        return h
+
+    # right multiplication of H by s, composed along s's parent links from
+    # the nearest cached ancestor
+    h_right = h_table.right
+    right_mul = {0: list(range(n_h))}
+
+    def right_mul_of(s: int) -> list[int]:
+        path = []
+        while s not in right_mul:
+            path.append(s)
+            s = h_parent[s]
+        perm = right_mul[s]
+        for s in reversed(path):
+            col = h_right[h_last[s]]
+            perm = [col[x] for x in perm]
+            right_mul[s] = perm
+        return perm
+
+    ids = list(range(index * n_h))
+    right = []
+    for i in range(n):
+        col: list[int] = []
+        for c in range(index):
+            off = cos[i][c] * n_h
+            col += map(ids[off:off + n_h].__getitem__,
+                       right_mul_of(schreier_element(c, i)))
+        right.append(col)
+    return right
 
 
 def _cache_path(d: Diagram, cache_dir: str) -> str:
@@ -485,7 +609,7 @@ def parabolic_cosets(t: GroupTable, I) -> CosetPartition:
     return CosetPartition(I, block_of, reps, size)
 
 
-def reflections(t: GroupTable, d: Diagram | None = None) -> list[int]:
+def reflections(t: GroupTable) -> list[int]:
     """All non-identity elements conjugate to a power of a generator,
     as a sorted list of element ids."""
     seed = set()
@@ -556,12 +680,12 @@ def conjugacy_classes(t: GroupTable) -> ConjugacyClasses:
     return ConjugacyClasses(class_of, reps, sizes)
 
 
-def reflection_classes(t: GroupTable, d: Diagram | None = None,
+def reflection_classes(t: GroupTable,
                        classes: ConjugacyClasses | None = None
                        ) -> list[tuple[int, list[int]]]:
     """(representative, sorted class members) for each conjugacy class of
     reflections, in order of representative id."""
-    refl = reflections(t, d)
+    refl = reflections(t)
     if classes is None:
         classes = conjugacy_classes(t)
     by_class: dict[int, list[int]] = {}

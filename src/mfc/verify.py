@@ -83,8 +83,8 @@ class GroupContext:
     @property
     def refl_classes(self):
         if self._refl_classes is None:
-            self._refl_classes = reflection_classes(
-                self.table, self.diagram, self.pdata.classes)
+            self._refl_classes = reflection_classes(self.table,
+                                                    self.pdata.classes)
         return self._refl_classes
 
     def fixed_of(self, g: int) -> TypedComplex:
@@ -454,14 +454,15 @@ def verify_monomial(m: int, n: int, cap: int = DEFAULT_CAP) -> TheoremReport:
 # of products)
 # ---------------------------------------------------------------------------
 
-def verify_join(d: Diagram, cap: int = DEFAULT_CAP) -> TheoremReport:
+def verify_join(d: Diagram, cap: int = DEFAULT_CAP,
+                ctx: GroupContext | None = None) -> TheoremReport:
     """For a reducible diagram: the complex is the join of the factor
     complexes (type-respecting); each wall is the join with one factor
     replaced by its wall; the Milnor-wall property matches factorwise."""
     sym = diagram_name(d)
     comps = components_with_indices(d)
     try:
-        ctx = GroupContext(d, cap)
+        ctx = ctx or GroupContext(d, cap)
     except CapExceeded as e:
         return _skipped(sym, "join", e)
     details = {}
@@ -602,7 +603,7 @@ def run_entry(entry: dict, cap: int, deep: bool = False,
         elif c == "orlik":
             rep = verify_orlik(d, cap, ctx=ctx)
         elif c == "join":
-            rep = verify_join(d, cap)
+            rep = verify_join(d, cap, ctx=ctx)
         else:
             raise SuiteError("unknown check %r" % c)
         if timings:

@@ -417,7 +417,7 @@ def chamber_count_check(c: TypedComplex, action: GroupComplexAction,
     eq8_rows = []
     eq8 = True
     if refl is None:
-        refl = reflection_classes(t, d, pdata.classes)
+        refl = reflection_classes(t, pdata.classes)
     for rep, _members in refl:
         cid = pdata.classes.class_of[rep]
         got = 1 if n == 1 else sum(count_of(cid, j) for j in masks_by_size[n - 1])

@@ -1,12 +1,14 @@
+import hashlib
 import os
 
 import pytest
 
-from mfc.diagram import basic_degrees, parse_symbol
-from mfc.group import (CapExceeded, GroupTable, check_relations,
-                       conjugacy_classes, enumerate_group, parabolic_cosets,
-                       reflection_classes, reflections, save_group_cache,
-                       todd_coxeter)
+from mfc.diagram import (basic_degrees, components_with_indices,
+                         enumerate_admissible, group_order, parse_symbol)
+from mfc.group import (DEFAULT_CAP, CapExceeded, GroupTable, _induced_right,
+                       check_relations, conjugacy_classes, enumerate_group,
+                       parabolic_cosets, reflection_classes, reflections,
+                       save_group_cache, todd_coxeter)
 
 FIXTURES = ["1", "2", "Z6", "2[3]2", "I2(5)", "I2(8)", "3[3]3", "2[4]3",
             "A3", "B3", "H3", "G25", "3[4]3", "2[4]6", "2[3]2 + 4", "D4"]
@@ -35,8 +37,7 @@ def test_regular_action_is_faithful(tables):
     for sym in ("2[3]2", "3[3]3", "Z6", "I2(5)"):
         t = tables[sym]
         for g in range(1, t.order):
-            perm = t.left_perm(g)
-            assert all(perm[x] != x for x in range(t.order)), (sym, g)
+            assert all(t.mul(g, x) != x for x in range(t.order)), (sym, g)
 
 
 def test_enumerate_examples():
@@ -113,6 +114,75 @@ def test_fast_paths_match_todd_coxeter():
             [slow.word(x) for x in range(slow.order)], sym
 
 
+def _regular_equivalence_diagrams():
+    """Every irreducible admissible diagram of rank 2-4 and order <= 2000
+    but the dihedral ones (a direct construction, checked above), every
+    reducible one of order <= 200, and three larger reducible sums."""
+    out = []
+    for rank in (2, 3, 4):
+        for order in range(2, 2001):
+            out += [d for d in enumerate_admissible(rank, order, True)
+                    if d.orders != (2, 2)]
+            if order <= 200:
+                out += [d for d in enumerate_admissible(rank, order)
+                        if len(components_with_indices(d)) > 1]
+    return out + [parse_symbol(s)
+                  for s in ("2[3]2 + 4", "D4 + 2", "3[3]3 + 2[3]2")]
+
+
+def test_induced_tables_match_todd_coxeter():
+    diagrams = _regular_equivalence_diagrams()
+    assert len(diagrams) > 1000
+    for d in diagrams:
+        fast = enumerate_group(d)
+        slow = GroupTable(d, todd_coxeter(d, DEFAULT_CAP))
+        assert fast.right == slow.right, d
+        assert fast.parent == slow.parent, d
+        assert fast.left == slow.left, d
+        assert fast.inv == slow.inv, d
+
+
+def test_todd_coxeter_over_parabolic_subgroups(tables):
+    for sym in ("B3", "H3", "G25", "D4", "F4"):
+        d = parse_symbol(sym)
+        n = d.rank
+        for mask in range((1 << n) - 1):
+            J = tuple(i for i in range(n) if mask >> i & 1)
+            cos = todd_coxeter(d, DEFAULT_CAP, J)
+            index = group_order(d) // group_order(d.induced(J))
+            assert len(cos) == n, (sym, J)
+            assert all(sorted(col) == list(range(index)) for col in cos), \
+                (sym, J)
+            assert all(cos[j][0] == 0 for j in J), (sym, J)
+
+
+def test_induction_refuses_an_unfaithful_coset_action():
+    # the largest maximal parabolic of 2[3]2 + 3 picked first is <r_1, r_2>,
+    # which holds the whole normal factor <r_2> = Z3
+    with pytest.raises(RuntimeError, match="faithfully"):
+        _induced_right(parse_symbol("2[3]2 + 3"), DEFAULT_CAP)
+
+
+def _right_sha256(t):
+    blob = "\n".join(" ".join(map(str, col)) for col in t.right)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+# sha256 of the standardized right columns, computed when tables were still
+# built by Todd-Coxeter over the trivial subgroup
+E6_RIGHT_SHA256 = \
+    "f2a3695c0697f5f39b121c5d4a9026e5b048e00ebb0f93daec7211318f35147c"
+G32_RIGHT_SHA256 = \
+    "b3a67f24ac933ed2c8ffc15b4dbaf3d06be74ec64b6abe2e1182697d327c4e3c"
+
+
+@pytest.mark.deep
+def test_g32_table_pinned():
+    t = enumerate_group(parse_symbol("G32"))
+    assert t.order == 155520
+    assert _right_sha256(t) == G32_RIGHT_SHA256
+
+
 def test_deterministic_rebuild(tables):
     for sym in ("G25", "H3", "2[4]6"):
         a = enumerate_group(parse_symbol(sym))
@@ -135,6 +205,7 @@ def test_e6_enumerates_within_default_cap():
     assert t.order == 51840
     assert len(reflections(t)) == 36
     assert check_relations(t, sample=40)
+    assert _right_sha256(t) == E6_RIGHT_SHA256
 
 
 def test_group_cache_roundtrip(tmp_path, tables):

@@ -239,6 +239,21 @@ def test_fixed_subcomplexes_built_once(monkeypatch):
     assert ctx.wall_of(rep) is ctx.fixed_of(rep)
 
 
+def test_join_entry_reuses_its_context(monkeypatch):
+    built = []
+
+    class CountingContext(GroupContext):
+        def __init__(self, d, cap=200_000):
+            built.append(d)
+            super().__init__(d, cap)
+
+    monkeypatch.setattr(mfc.verify, "GroupContext", CountingContext)
+    (rep,) = run_entry({"symbol": "2[3]2 + 3", "checks": ["join"]}, 200_000)
+    assert rep.status == "agree"
+    # the union once, then each of its two factors
+    assert [d.rank for d in built] == [3, 2, 1]
+
+
 # sha256 of the reports below, as produced before the parabolic and
 # fixed-subcomplex constructions were rewritten; a change in any verdict,
 # count, certificate or detail row changes it
