@@ -142,7 +142,7 @@ def test_induced_tables_match_todd_coxeter():
         assert fast.inv == slow.inv, d
 
 
-def test_todd_coxeter_over_parabolic_subgroups(tables):
+def test_todd_coxeter_over_parabolic_subgroups():
     for sym in ("B3", "H3", "G25", "D4", "F4"):
         d = parse_symbol(sym)
         n = d.rank
