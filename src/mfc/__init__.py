@@ -20,7 +20,7 @@ from .homology import BettiResult, reduced_betti
 from .isomorphism import Isomorphism, find_isomorphism, verify_isomorphism
 from .walls import (MilnorWallCertificate, ParabolicData, RecognitionVerdict,
                     chamber_count_check, fixed_subcomplex,
-                    milnor_wall_search, recognize_milnor_fiber, wall)
+                    milnor_wall_search, recognize_milnor_fiber)
 from .verify import (GroupContext, TheoremReport, default_suite, run_suite,
                      verify_counts, verify_join, verify_monomial,
                      verify_orlik, verify_theorem_A, verify_theorem_B)

@@ -13,12 +13,11 @@ import sys
 from .complexes import export_complex, milnor_fiber_complex
 from .diagram import (DiagramError, basic_degrees, classify, diagram_name,
                       diagram_symbol, group_order, parse_symbol)
-from .group import CapExceeded, enumerate_group, reflection_classes
+from .group import CapExceeded, enumerate_group
 from .homology import reduced_betti
 from .verify import (DEFAULT_CAP, GroupContext, SuiteError, run_suite,
                      verify_counts, verify_monomial, verify_orlik,
                      verify_theorem_A, verify_theorem_B)
-from .walls import milnor_wall_search, recognize_milnor_fiber, wall
 
 
 def _print_report(rep, as_json: bool):
@@ -125,10 +124,9 @@ def _dispatch(args) -> int:
         for idx, (rep, members) in enumerate(classes):
             if args.klass is not None and idx != args.klass:
                 continue
-            w = ctx.wall_of(rep)
-            v = recognize_milnor_fiber(w, ctx.table.ngens - 1, cap=args.cap)
-            cert = milnor_wall_search(ctx.complex, ctx.action, rep,
-                                      cap=args.cap, wall_cx=w)
+            w = ctx.fixed_of(rep)
+            v = ctx.verdict_of(rep)
+            cert = ctx.certificate_of(rep)
             print("class %d: rep=%d size=%d order=%d" %
                   (idx, rep, len(members), ctx.table.element_order(rep)))
             print("  wall f-vector: %s" % (list(w.f_vector()),))

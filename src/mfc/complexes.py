@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .diagram import Diagram
 from .group import GroupTable, parabolic_cosets
 
 DEFAULT_SIMPLEX_CAP = 2_000_000
@@ -160,7 +159,7 @@ class GroupComplexAction:
         return tuple(sorted(perm[v] for v in simplex))
 
 
-def milnor_fiber_complex(t: GroupTable, d: Diagram | None = None,
+def milnor_fiber_complex(t: GroupTable,
                          simplex_cap: int = DEFAULT_SIMPLEX_CAP
                          ) -> tuple[TypedComplex, GroupComplexAction]:
     """Coset complex of all proper standard parabolics of t's group.
@@ -169,8 +168,6 @@ def milnor_fiber_complex(t: GroupTable, d: Diagram | None = None,
     g<R - I> is its vertex set {g<R - {r}> : r in I}; chambers biject
     with group elements.  The action is left translation.
     """
-    if d is None:
-        d = t.diagram
     n = t.ngens
     R = list(range(n))
     vmaps = [parabolic_cosets(t, [x for x in R if x != r]) for r in R]
@@ -186,33 +183,31 @@ def milnor_fiber_complex(t: GroupTable, d: Diagram | None = None,
         vertex_types.extend([r] * vmaps[r].n_blocks)
         vertex_names.extend((r, b) for b in range(vmaps[r].n_blocks))
 
+    # chamber[r][g] is the type-r vertex of g's chamber, one int object per
+    # vertex id.  The simplex of g<R - I> is g's chamber restricted to the
+    # types in I, so the simplices of type I are those restrictions.
+    ids = list(range(nverts))
+    chamber = [list(map(ids[offsets[r]:].__getitem__, vmaps[r].block_of))
+               for r in R]
     by_dim: dict[int, list] = {}
     total = 0
-    # subsets of R by bitmask; I nonempty.  Offsets increase with the
-    # type, so each simplex comes out as a sorted tuple.
+    # offsets increase with the type, so each simplex is a sorted tuple
     for mask in range(1, 1 << n):
-        I = [r for r in R if mask >> r & 1]
-        J = [r for r in R if not mask >> r & 1]
-        part = vmaps[I[0]] if len(I) == 1 else parabolic_cosets(t, J)
-        total += part.n_blocks
+        simplices = set(zip(*(chamber[r] for r in R if mask >> r & 1)))
+        total += len(simplices)
         if total > simplex_cap:
             raise SimplexCapExceeded(
                 "complex would exceed %d simplices" % simplex_cap)
-        cols = []
-        for r in I:
-            bl, off_r = vmaps[r].block_of, offsets[r]
-            cols.append([off_r + bl[g] for g in part.reps])
-        by_dim.setdefault(len(I) - 1, []).extend(zip(*cols))
+        by_dim.setdefault(bin(mask).count("1") - 1, []).extend(simplices)
     cx = TypedComplex(vertex_types, by_dim, vertex_names=vertex_names)
     perms = []
     for i in range(n):
         lam = t.left[i]
         perm = [0] * nverts
         for r in R:
-            bl = vmaps[r].block_of
-            offr = offsets[r]
+            ch = chamber[r]
             for g in vmaps[r].reps:
-                perm[offr + bl[g]] = offr + bl[lam[g]]
+                perm[ch[g]] = ch[lam[g]]
         perms.append(perm)
     return cx, GroupComplexAction(t, perms)
 

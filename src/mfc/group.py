@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 import tempfile
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .diagram import (Diagram, cache_key_string, components_with_indices,
                       diagram_name, group_order)
@@ -152,22 +152,41 @@ def _invert(col: list[int], ids: list[int]) -> list[int]:
 # Todd-Coxeter coset enumeration
 # ---------------------------------------------------------------------------
 
-def _relators(d: Diagram) -> list[list[int]]:
-    """Relator words over the letter alphabet gens + formal inverses.
-
-    Letters 0..n-1 are the generators, n+i is the inverse of i.
-    """
+def _relations(d: Diagram):
+    """The defining relations as (lhs, rhs) word pairs over the generator
+    indices: each power r_i^{o_i} = 1, then each braid relation
+    r_i r_j r_i ... = r_j r_i r_j ... (m_ij letters a side)."""
     n = d.rank
-    rels = []
     for i in range(n):
-        rels.append([i] * d.orders[i])
+        yield [i] * d.orders[i], []
     for i in range(n):
         for j in range(i + 1, n):
             m = d.m(i, j)
-            braid_ij = [i if k % 2 == 0 else j for k in range(m)]
-            braid_ji = [j if k % 2 == 0 else i for k in range(m)]
-            rels.append(braid_ij + [n + x for x in reversed(braid_ji)])
-    return rels
+            yield ([i if k % 2 == 0 else j for k in range(m)],
+                   [j if k % 2 == 0 else i for k in range(m)])
+
+
+def _relators(d: Diagram) -> list[list[int]]:
+    """Relator words lhs * rhs^-1 over the letter alphabet gens + formal
+    inverses: letters 0..n-1 are the generators, n+i is the inverse of i.
+    """
+    n = d.rank
+    return [lhs + [n + x for x in reversed(rhs)]
+            for lhs, rhs in _relations(d)]
+
+
+def check_relations(d: Diagram, perms: list[list[int]]) -> bool:
+    """True when the permutations (one per generator, acting on the right)
+    satisfy every defining relation of d at every point."""
+    points = list(range(len(perms[0]))) if perms else []
+
+    def image(word):
+        img = points
+        for i in word:
+            img = list(map(perms[i].__getitem__, img))
+        return img
+
+    return all(image(lhs) == image(rhs) for lhs, rhs in _relations(d))
 
 
 def todd_coxeter(d: Diagram, cap: int, subgroup=()) -> list[list[int]]:
@@ -549,11 +568,12 @@ def _load_cached(d: Diagram, cache_dir: str, expected: int) -> GroupTable | None
     for col in right:
         if len(col) != expected or sorted(col) != list(range(expected)):
             return None
+    if not check_relations(d, right):
+        return None
     try:
-        t = GroupTable(d, right)
+        return GroupTable(d, right)
     except ValueError:
         return None  # generator action not transitive
-    return t if check_relations(t) else None
 
 
 # ---------------------------------------------------------------------------
@@ -695,31 +715,3 @@ def reflection_classes(t: GroupTable,
     for cid in sorted(by_class, key=lambda c: classes.reps[c]):
         out.append((classes.reps[cid], sorted(by_class[cid])))
     return out
-
-
-def check_relations(t: GroupTable, sample: int | None = None) -> bool:
-    """Verify the defining relations on the regular action (all points, or a
-    deterministic sample of that many)."""
-    d = t.diagram
-    n = t.order
-    pts = range(n) if sample is None or sample >= n else range(0, n, max(1, n // sample))
-
-    def run(word, x):
-        for i in word:
-            x = t.right[i][x]
-        return x
-
-    for i in range(t.ngens):
-        w = [i] * d.orders[i]
-        for x in pts:
-            if run(w, x) != x:
-                return False
-    for i in range(t.ngens):
-        for j in range(i + 1, t.ngens):
-            m = d.m(i, j)
-            w1 = [i if k % 2 == 0 else j for k in range(m)]
-            w2 = [j if k % 2 == 0 else i for k in range(m)]
-            for x in pts:
-                if run(w1, x) != run(w2, x):
-                    return False
-    return True

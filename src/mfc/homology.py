@@ -32,11 +32,6 @@ class BettiResult:
     def get(self, k: int) -> int:
         return self.betti.get(k, 0)
 
-    def as_tuple(self, up_to: int | None = None) -> tuple[int, ...]:
-        """(b_0, ..., b_k) in reduced degrees 0..k."""
-        top = max(self.betti, default=0) if up_to is None else up_to
-        return tuple(self.get(k) for k in range(top + 1))
-
     def concentrated_value(self, degree: int) -> int | None:
         """The value in ``degree`` if all other reduced degrees vanish."""
         for k, v in self.betti.items():

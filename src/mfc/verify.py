@@ -12,17 +12,17 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .complexes import (GroupComplexAction, TypedComplex, join,
-                        milnor_fiber_complex, monomial_flag_complex)
-from .diagram import (Diagram, basic_degrees, canonical_key, classify,
-                      components_with_indices, diagram_name, diagram_symbol,
-                      group_id, group_order, has_forbidden_subdiagram,
-                      parse_symbol)
-from .group import (CapExceeded, GroupTable, conjugacy_classes,
-                    enumerate_group, parabolic_cosets, reflection_classes)
+from .complexes import (TypedComplex, join, milnor_fiber_complex,
+                        monomial_flag_complex)
+from .diagram import (Diagram, basic_degrees, canonical_key,
+                      components_with_indices, diagram_name, group_order,
+                      has_forbidden_subdiagram, parse_symbol)
+from .group import (CapExceeded, check_relations, enumerate_group,
+                    parabolic_cosets, reflection_classes)
 from .homology import reduced_betti
 from .isomorphism import find_isomorphism
-from .walls import (ParabolicData, THEOREM_A_FORBIDDEN, THEOREM_B_FORBIDDEN,
+from .walls import (MilnorWallCertificate, ParabolicData, RecognitionVerdict,
+                    THEOREM_A_FORBIDDEN, THEOREM_B_FORBIDDEN, _model_complex,
                     chamber_count_check, fixed_subcomplex, milnor_wall_search,
                     predicted_bouquet_count, recognize_milnor_fiber)
 
@@ -60,7 +60,9 @@ class TheoremReport:
 
 
 class GroupContext:
-    """Everything verifiers need for one diagram, built once."""
+    """Everything verifiers need for one diagram, built once: the table,
+    the complex, the parabolic data and classes, and per element its fixed
+    subcomplex, and for a reflection its wall's verdict and certificate."""
 
     def __init__(self, d: Diagram, cap: int = DEFAULT_CAP):
         self.diagram = d
@@ -73,6 +75,8 @@ class GroupContext:
         self._pdata = None
         self._refl_classes = None
         self._fixed = {}
+        self._verdicts = {}
+        self._certificates = {}
 
     @property
     def pdata(self) -> ParabolicData:
@@ -93,8 +97,21 @@ class GroupContext:
             self._fixed[g] = fixed_subcomplex(self.complex, self.action, g)
         return self._fixed[g]
 
-    def wall_of(self, rep: int) -> TypedComplex:
-        return self.fixed_of(rep)
+    def verdict_of(self, r: int) -> RecognitionVerdict:
+        """Whether the wall of reflection r is a Milnor fiber complex of
+        rank n-1, decided once."""
+        if r not in self._verdicts:
+            self._verdicts[r] = recognize_milnor_fiber(
+                self.fixed_of(r), self.table.ngens - 1)
+        return self._verdicts[r]
+
+    def certificate_of(self, r: int) -> MilnorWallCertificate | None:
+        """The Milnor-wall certificate of reflection r's wall (None when
+        no type family has one), searched once."""
+        if r not in self._certificates:
+            self._certificates[r] = milnor_wall_search(
+                self.fixed_of(r), self.table.ngens, r, self.verdict_of(r))
+        return self._certificates[r]
 
 
 def _skipped(symbol, theorem, exc) -> TheoremReport:
@@ -123,15 +140,15 @@ def verify_theorem_A(d: Diagram, cap: int = DEFAULT_CAP,
         # fixed-point free, so only the empty simplex is fixed
         n_classes = len(ctx.refl_classes)
         if n_classes:
-            verdict = recognize_milnor_fiber(TypedComplex([], {}), 0, cap=cap)
+            verdict = ctx.verdict_of(ctx.refl_classes[0][0])
             computed = verdict.recognized
             details["classes"].append({
                 "rep": "all", "count": n_classes,
                 "verdict": verdict.to_jsonable()})
     else:
         for rep, _members in ctx.refl_classes:
-            w = ctx.wall_of(rep)
-            verdict = recognize_milnor_fiber(w, ctx.table.ngens - 1, cap=cap)
+            w = ctx.fixed_of(rep)
+            verdict = ctx.verdict_of(rep)
             details["classes"].append({"rep": rep,
                                        "wall_f": list(w.f_vector()),
                                        "verdict": verdict.to_jsonable()})
@@ -157,14 +174,16 @@ def verify_theorem_B(d: Diagram, cap: int = DEFAULT_CAP,
         if n_classes:
             # the {empty} subcomplex is the trivial group's complex of
             # dimension n-2 = -1: a non-proper certificate for every class
-            details["classes"].append({"rep": "all", "count": n_classes,
-                                       "certificate": {"diagram": "1",
-                                                       "proper": False}})
+            cert = ctx.certificate_of(ctx.refl_classes[0][0])
+            computed = cert is not None
+            details["classes"].append({
+                "rep": "all", "count": n_classes,
+                "certificate": None if cert is None else
+                {"diagram": diagram_name(cert.diagram),
+                 "proper": cert.proper}})
     else:
         for rep, _members in ctx.refl_classes:
-            w = ctx.wall_of(rep)
-            cert = milnor_wall_search(ctx.complex, ctx.action, rep,
-                                      cap=cap, wall_cx=w)
+            cert = ctx.certificate_of(rep)
             row = {"rep": rep}
             if cert is None:
                 row["certificate"] = None
@@ -205,8 +224,7 @@ def verify_counts(d: Diagram, cap: int = DEFAULT_CAP,
     computed = chamber_ok
     predicted: object = True
     if irreducible and n >= 1:
-        rpt = chamber_count_check(ctx.complex, ctx.action, ctx.table, d,
-                                  pdata=ctx.pdata, refl=ctx.refl_classes)
+        rpt = chamber_count_check(ctx.pdata, d, ctx.refl_classes)
         # Eq (8) from explicitly built walls, per reflection class
         eq8_explicit = True
         prefix = 1
@@ -217,8 +235,8 @@ def verify_counts(d: Diagram, cap: int = DEFAULT_CAP,
             if n == 1:
                 got = 1
             else:
-                got = ctx.wall_of(rep).f_vector()[n - 2] \
-                    if ctx.wall_of(rep).dim >= n - 2 else 0
+                got = ctx.fixed_of(rep).f_vector()[n - 2] \
+                    if ctx.fixed_of(rep).dim >= n - 2 else 0
             if got != prefix or len(wall_rows) < DETAIL_ROW_LIMIT:
                 wall_rows.append({"rep": rep, "chambers": got,
                                   "expected": prefix})
@@ -256,11 +274,11 @@ def verify_counts(d: Diagram, cap: int = DEFAULT_CAP,
 # ---------------------------------------------------------------------------
 
 def verify_orlik(d: Diagram, cap: int = DEFAULT_CAP,
-                 ctx: GroupContext | None = None,
-                 all_classes: bool | None = None) -> TheoremReport:
+                 ctx: GroupContext | None = None) -> TheoremReport:
     """Reduced Betti of Delta^g concentrated in degree p-1 with value
-    (d_1 - 1)^p (irreducible groups; product formula for Delta itself
-    in general), plus torsion-freeness wherever the homology ran."""
+    (d_1 - 1)^p (irreducible groups of rank 2 and 3, every class; the
+    product formula for Delta itself in general), plus torsion-freeness
+    wherever the homology ran."""
     sym = diagram_name(d)
     try:
         ctx = ctx or GroupContext(d, cap)
@@ -277,45 +295,42 @@ def verify_orlik(d: Diagram, cap: int = DEFAULT_CAP,
                         "torsion_free": bt.torsion_free}
     if not delta_ok:
         computed = False
-    if irreducible and n >= 1:
-        if all_classes is None:
-            all_classes = 2 <= n <= 3
+    if irreducible and 2 <= n <= 3:
         d1 = basic_degrees(d)[0]
-        if all_classes and n >= 2:
-            explicit_all = n >= 3 or ctx.order <= EXPLICIT_ORLIK_ORDER
-            rows = []
-            for cid in range(ctx.pdata.classes.n_classes):
-                rep = ctx.pdata.classes.reps[cid]
-                if rep == 0:
-                    continue  # identity handled as Delta above
-                p = ctx.pdata.fixed_dim(cid) + 1
-                want = (d1 - 1) ** p
-                if explicit_all or p >= 2:
-                    sub = ctx.fixed_of(rep)
-                    b = reduced_betti(sub)
-                    ok = (b.concentrated_value(p - 1) == want
-                          and sub.dim + 1 == p
-                          and (b.torsion_free
-                               or sub.n_simplices() > SNF_SIMPLEX_LIMIT))
-                    rows.append({"rep": rep, "p": p, "want": want,
-                                 "betti": {str(k): v for k, v in sorted(b.betti.items())},
-                                 "torsion_free": b.torsion_free, "holds": ok})
+        explicit_all = n >= 3 or ctx.order <= EXPLICIT_ORLIK_ORDER
+        rows = []
+        for cid in range(ctx.pdata.classes.n_classes):
+            rep = ctx.pdata.classes.reps[cid]
+            if rep == 0:
+                continue  # identity handled as Delta above
+            counts = ctx.pdata.fixed_counts(cid)
+            p = max(k for k in range(n + 1) if counts[k])
+            want = (d1 - 1) ** p
+            if explicit_all or p >= 2:
+                sub = ctx.fixed_of(rep)
+                b = reduced_betti(sub)
+                ok = (b.concentrated_value(p - 1) == want
+                      and sub.dim + 1 == p
+                      and (b.torsion_free
+                           or sub.n_simplices() > SNF_SIMPLEX_LIMIT))
+                rows.append({"rep": rep, "p": p, "want": want,
+                             "betti": {str(k): v for k, v in sorted(b.betti.items())},
+                             "torsion_free": b.torsion_free, "holds": ok})
+            else:
+                # p <= 1 here: the fixed complex is f_0 points (or {empty}),
+                # so its reduced homology is determined by the exact counts
+                if p == 0:
+                    ok = want == 1
                 else:
-                    # p <= 1 here: the fixed complex is f_0 points (or {empty}),
-                    # so its reduced homology is determined by the exact counts
-                    fvg = ctx.pdata.fixed_f_vector(cid)
-                    if p == 0:
-                        ok = want == 1
-                    else:
-                        ok = fvg.get(0, 0) == want + 1 and fvg.get(1, 0) == 0
-                    rows.append({"rep": rep, "p": p, "want": want,
-                                 "from_counts": True, "holds": ok})
-                if not rows[-1]["holds"]:
-                    computed = False
-            failing = [r for r in rows if not r["holds"]]
-            details["n_classes"] = len(rows)
-            details["classes"] = failing + [r for r in rows if r["holds"]][
-                :max(0, DETAIL_ROW_LIMIT - len(failing))]
+                    ok = counts[1] == want + 1 and counts[2] == 0
+                rows.append({"rep": rep, "p": p, "want": want,
+                             "from_counts": True, "holds": ok})
+            if not rows[-1]["holds"]:
+                computed = False
+        failing = [r for r in rows if not r["holds"]]
+        details["n_classes"] = len(rows)
+        details["classes"] = failing + [r for r in rows if r["holds"]][
+            :max(0, DETAIL_ROW_LIMIT - len(failing))]
     status = "agree" if computed else "disagree"
     return TheoremReport(sym, "orlik", True, computed, status, details)
 
@@ -323,29 +338,6 @@ def verify_orlik(d: Diagram, cap: int = DEFAULT_CAP,
 # ---------------------------------------------------------------------------
 # monomial flag model (equivariant isomorphism + wall recursion)
 # ---------------------------------------------------------------------------
-
-def _flag_relators_hold(m: int, n: int, perms: list[list[int]],
-                        d: Diagram) -> bool:
-    nv = len(perms[0]) if perms else 0
-
-    def run(word, x):
-        for g in word:
-            x = perms[g][x]
-        return x
-
-    for i in range(n):
-        w = [i] * d.orders[i]
-        if any(run(w, x) != x for x in range(nv)):
-            return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            mm = d.m(i, j)
-            w1 = [i if k % 2 == 0 else j for k in range(mm)]
-            w2 = [j if k % 2 == 0 else i for k in range(mm)]
-            if any(run(w1, x) != run(w2, x) for x in range(nv)):
-                return False
-    return True
-
 
 def verify_monomial(m: int, n: int, cap: int = DEFAULT_CAP) -> TheoremReport:
     """Equivariant isomorphism between the coset model of G(m,1,n) and the
@@ -363,7 +355,7 @@ def verify_monomial(m: int, n: int, cap: int = DEFAULT_CAP) -> TheoremReport:
 
     # the monomial generators satisfy the presentation, and both models
     # have the same chamber count = |G|: words then transport elements
-    if not _flag_relators_hold(m, n, perms, d):
+    if not check_relations(d, perms):
         ok = False
         details["relators"] = False
     if fc.f_vector() != ctx.complex.f_vector():
@@ -430,11 +422,10 @@ def verify_monomial(m: int, n: int, cap: int = DEFAULT_CAP) -> TheoremReport:
     recursion_ok = True
     sub_d = parse_symbol("G(%d,1,%d)" % (m, n - 1)) if n >= 2 else None
     if n >= 2:
-        model = milnor_fiber_complex(enumerate_group(sub_d, cap=cap))[0]
+        _t, model = _model_complex(sub_d)
         rows = []
         for rep, _members in ctx.refl_classes:
-            w = ctx.wall_of(rep)
-            iso = find_isomorphism(w, model)
+            iso = find_isomorphism(ctx.fixed_of(rep), model)
             rows.append({"rep": rep, "isomorphic": iso is not None})
             if iso is None:
                 recursion_ok = False
@@ -471,8 +462,6 @@ def verify_join(d: Diagram, cap: int = DEFAULT_CAP,
     joined = None
     for fctx in factor_ctx:
         joined = fctx.complex if joined is None else join(joined, fctx.complex)
-    if len(factor_ctx) == 1:
-        joined = factor_ctx[0].complex
     iso = find_isomorphism(joined, ctx.complex, respect_types=True)
     details["join_isomorphism"] = iso is not None
     if iso is None:
@@ -488,32 +477,23 @@ def verify_join(d: Diagram, cap: int = DEFAULT_CAP,
             g_union = 0
             for letter in fctx.table.word(rep):
                 g_union = ctx.table.right[idx[letter]][g_union]
-            w_union = ctx.wall_of(g_union)
-            w_factor = fctx.wall_of(rep)
             expected = None
             for fj, fctx2 in enumerate(factor_ctx):
-                piece = w_factor if fj == fi else fctx2.complex
+                piece = fctx.fixed_of(rep) if fj == fi else fctx2.complex
                 expected = piece if expected is None else join(expected, piece)
-            if len(factor_ctx) == 1:
-                expected = w_factor
-            iso_w = find_isomorphism(expected, w_union, respect_types=True)
+            iso_w = find_isomorphism(expected, ctx.fixed_of(g_union),
+                                     respect_types=True)
             wall_rows.append({"factor": fi, "rep": rep,
                               "isomorphic": iso_w is not None})
             if iso_w is None:
                 ok = False
             # Milnor-wall property transfers between union and factor
-            cert_union = milnor_wall_search(ctx.complex, ctx.action, g_union,
-                                            cap=cap, wall_cx=w_union)
-            if fctx.table.ngens <= 1:
-                cert_factor_exists = True
-            else:
-                cert_factor = milnor_wall_search(fctx.complex, fctx.action,
-                                                 rep, cap=cap, wall_cx=w_factor)
-                cert_factor_exists = cert_factor is not None
+            cert_union = ctx.certificate_of(g_union) is not None
+            cert_factor = fctx.certificate_of(rep) is not None
             milnor_rows.append({"factor": fi, "rep": rep,
-                                "union": cert_union is not None,
-                                "factor_wall": cert_factor_exists})
-            if (cert_union is not None) != cert_factor_exists:
+                                "union": cert_union,
+                                "factor_wall": cert_factor})
+            if cert_union != cert_factor:
                 ok = False
     details["walls"] = wall_rows
     details["milnor"] = milnor_rows

@@ -15,9 +15,9 @@ from .complexes import (GroupComplexAction, TypedComplex, milnor_fiber_complex)
 from .diagram import (Diagram, basic_degrees, canonical_key, classify,
                       diagram_name, enumerate_admissible, group_order,
                       has_forbidden_subdiagram)
-from .group import (ConjugacyClasses, GroupTable, conjugacy_classes,
-                    enumerate_group, reflection_classes)
-from .homology import BettiResult, _n_components, reduced_betti
+from .group import (DEFAULT_CAP, GroupTable, conjugacy_classes,
+                    enumerate_group)
+from .homology import _n_components, reduced_betti
 from .isomorphism import Isomorphism, find_isomorphism, verify_isomorphism
 
 THEOREM_A_FORBIDDEN = ("D4", "F4", "H4", "G25", "G26")
@@ -38,11 +38,6 @@ def fixed_subcomplex(c: TypedComplex, action: GroupComplexAction,
     return c.induced(v for v, w in enumerate(perm) if v == w)
 
 
-def wall(c: TypedComplex, action: GroupComplexAction, r: int) -> TypedComplex:
-    """The wall of a reflection: its fixed subcomplex."""
-    return fixed_subcomplex(c, action, r)
-
-
 # ---------------------------------------------------------------------------
 # exact per-class fixed-simplex counts (fixed parabolic cosets)
 # ---------------------------------------------------------------------------
@@ -55,9 +50,9 @@ class ParabolicData:
     of fixed cosets is |C_G(g)| * |cls(g) ∩ G_J| / |G_J|.
     """
 
-    def __init__(self, t: GroupTable, classes: ConjugacyClasses | None = None):
+    def __init__(self, t: GroupTable):
         self.table = t
-        self.classes = classes if classes is not None else conjugacy_classes(t)
+        self.classes = conjugacy_classes(t)
         n = t.ngens
         class_of = self.classes.class_of
         self.subgroup_orders = {}
@@ -92,20 +87,16 @@ class ParabolicData:
             raise RuntimeError("non-integral fixed-coset count")
         return num // order
 
-    def fixed_f_vector(self, class_id: int) -> dict[int, int]:
-        """f_{k-1}(Delta^g) for k = 0..n, keyed by dimension k-1."""
+    def fixed_counts(self, class_id: int) -> list[int]:
+        """f_{-1}, ..., f_{n-1} of the fixed subcomplex of the class: entry
+        k counts the fixed simplices with k vertices."""
         n = self.table.ngens
-        out = {-1: 1}
         full = (1 << n) - 1
+        counts = [1] + [0] * n
         for mask_i in range(1, 1 << n):
-            k = bin(mask_i).count("1")
-            out[k - 1] = out.get(k - 1, 0) + \
+            counts[bin(mask_i).count("1")] += \
                 self.fixed_coset_count(class_id, full ^ mask_i)
-        return {k: v for k, v in out.items() if v or k == -1}
-
-    def fixed_dim(self, class_id: int) -> int:
-        fv = self.fixed_f_vector(class_id)
-        return max(k for k, v in fv.items() if v)
+        return counts
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +129,11 @@ class RecognitionVerdict:
     def recognized(self) -> bool:
         return self.outcome == "recognized"
 
-    def recheck(self, cap: int = 200_000) -> bool:
+    def recheck(self) -> bool:
         """Re-verify the stored isomorphism certificate from scratch."""
         if not self.recognized or self.certificate is None or self._complex is None:
             return False
-        _t, model = _model_complex(self.diagram, cap)
+        _t, model = _model_complex(self.diagram)
         return verify_isomorphism(self._complex, model, self.certificate.vertex_map)
 
     def to_jsonable(self):
@@ -164,13 +155,13 @@ _MODEL_CACHE_MAX = 4096
 _MODEL_ORDER_LIMIT = 20_000
 
 
-def _model_complex(d: Diagram, cap: int) -> tuple[GroupTable, TypedComplex]:
+def _model_complex(d: Diagram) -> tuple[GroupTable, TypedComplex]:
     """Group table + Milnor fiber complex for a candidate diagram, cached."""
     key = canonical_key(d)
     hit = _MODEL_CACHE.get(key)
     if hit is not None:
         return hit
-    t = enumerate_group(d, cap=max(cap, group_order(d)))
+    t = enumerate_group(d, cap=max(DEFAULT_CAP, group_order(d)))
     cx, _act = milnor_fiber_complex(t)
     if group_order(d) <= _MODEL_ORDER_LIMIT and len(_MODEL_CACHE) < _MODEL_CACHE_MAX:
         _MODEL_CACHE[key] = (t, cx)
@@ -204,8 +195,8 @@ def _euler_excludes(s: TypedComplex, rank: int,
     return all(predicted_bouquet_count(d) != want for d in candidates)
 
 
-def recognize_milnor_fiber(s: TypedComplex, rank: int, cap: int = 200_000,
-                           *, candidates: list[Diagram] | None = None
+def recognize_milnor_fiber(s: TypedComplex, rank: int, *,
+                           candidates: list[Diagram] | None = None
                            ) -> RecognitionVerdict:
     """Decide whether s is the Milnor fiber complex of some rank-`rank`
     admissible diagram: chamber-count candidates, bouquet filter, then
@@ -248,7 +239,7 @@ def recognize_milnor_fiber(s: TypedComplex, rank: int, cap: int = 200_000,
     first_cert = None
     first_diag = None
     for d, want in survivors:
-        _t, model = _model_complex(d, cap)
+        _t, model = _model_complex(d)
         iso = find_isomorphism(s, model)
         if iso is None:
             reports.append(CandidateReport(d, diagram_name(d),
@@ -280,8 +271,8 @@ class MilnorWallCertificate:
     verdict: RecognitionVerdict
     proper: bool                      # True when F is not the full family
 
-    def recheck(self, cap: int = 200_000) -> bool:
-        return self.verdict.recheck(cap)
+    def recheck(self) -> bool:
+        return self.verdict.recheck()
 
     def to_jsonable(self):
         return {"reflection": self.reflection,
@@ -295,41 +286,39 @@ def _wall_family_subcomplex(wall_cx: TypedComplex, n: int,
                             missing: tuple[int, ...]) -> TypedComplex:
     """Subcomplex generated by the wall simplices whose type is R - {s}
     for some s in `missing` (dimension n-2 simplices)."""
-    if n == 1:
-        # the family {R - {r}} = {∅} selects the empty simplex only
-        if missing:
-            return TypedComplex([], {})
-        return None  # unreachable: callers pass nonempty missing
-    selected = []
     want_types = {frozenset(x for x in range(n) if x != s) for s in missing}
-    for s in wall_cx.simplices(n - 2):
-        if wall_cx.type_of(s) in want_types:
-            selected.append(s)
+    selected = [s for s in wall_cx.simplices(n - 2)
+                if wall_cx.type_of(s) in want_types]
     return wall_cx.subcomplex(selected) if selected else TypedComplex([], {})
 
 
-def milnor_wall_search(c: TypedComplex, action: GroupComplexAction, r: int,
-                       cap: int = 200_000,
-                       wall_cx: TypedComplex | None = None
+def milnor_wall_search(wall_cx: TypedComplex, n: int, r: int,
+                       wall_verdict: RecognitionVerdict
                        ) -> MilnorWallCertificate | None:
-    """First certificate over all 2^n type families, descending by family
-    size (so non-proper Milnor walls are found first), lexicographic
-    within a size.  Families whose Euler characteristic rules out every
-    candidate are skipped before any homology is computed."""
-    n = action.table.ngens
-    if wall_cx is None:
-        wall_cx = wall(c, action, r)
+    """First certificate for the wall of reflection r of a rank-n complex,
+    over all 2^n type families, descending by family size (so non-proper
+    Milnor walls are found first), lexicographic within a size.
+
+    ``wall_verdict`` is the wall's own recognition at rank n-1; a family
+    that generates the whole wall takes it.  Other families whose Euler
+    characteristic rules out every candidate are skipped before any
+    homology is computed."""
     from itertools import combinations
+    wall_size = wall_cx.n_simplices()
     for size in range(n, 0, -1):
         for missing in combinations(range(n), size):
             sub = _wall_family_subcomplex(wall_cx, n, missing)
             if sub.dim != n - 2:
                 continue
-            candidates = enumerate_admissible(n - 1, _chamber_count(sub, n - 1))
-            if _euler_excludes(sub, n - 1, candidates):
-                continue
-            verdict = recognize_milnor_fiber(sub, n - 1, cap=cap,
-                                             candidates=candidates)
+            if sub.n_simplices() == wall_size:
+                verdict = wall_verdict
+            else:
+                candidates = enumerate_admissible(n - 1,
+                                                  _chamber_count(sub, n - 1))
+                if _euler_excludes(sub, n - 1, candidates):
+                    continue
+                verdict = recognize_milnor_fiber(sub, n - 1,
+                                                 candidates=candidates)
             if verdict.recognized:
                 family = tuple(frozenset(x for x in range(n) if x != s)
                                for s in missing)
@@ -359,7 +348,6 @@ class CountReport:
     item_i: bool
     item_ii: bool
     item_iii: bool
-    eq8_rows: list[tuple[int, int, int]]   # (reflection rep, f_{n-2}, expected)
     eq8_holds: bool
 
     @property
@@ -367,61 +355,41 @@ class CountReport:
         return self.item_i == self.item_ii == self.item_iii
 
 
-def chamber_count_check(c: TypedComplex, action: GroupComplexAction,
-                        t: GroupTable, d: Diagram,
-                        pdata: ParabolicData | None = None,
-                        refl: list | None = None,
-                        collect_rows: bool | None = None) -> CountReport:
+def chamber_count_check(pdata: ParabolicData, d: Diagram,
+                        refl: list) -> CountReport:
     """Per conjugacy class: p = fixed-space dimension proxy and the count
     f_{p-1}(Delta^g) against d_1...d_p; items (i)-(iii) of the
-    chamber-count equivalence; Eq-(8) per reflection class.
+    chamber-count equivalence; Eq-(8) per reflection class of ``refl``.
 
     Row objects are collected for failing classes always, and for all
-    classes only when the class count is modest (or collect_rows=True).
+    classes only when there are at most 512 classes.
     """
-    if pdata is None:
-        pdata = ParabolicData(t)
     degs = basic_degrees(d)
-    n = t.ngens
+    n = pdata.table.ngens
     prefix = [1]
     for dd in degs:
         prefix.append(prefix[-1] * dd)
     ncls = pdata.classes.n_classes
-    if collect_rows is None:
-        collect_rows = ncls <= 512
+    all_rows = ncls <= 512
     rows = []
     item_i = True
     item_ii = True
-    full = (1 << n) - 1
-    count_of = pdata.fixed_coset_count
-    masks_by_size = [[] for _ in range(n + 1)]
-    for mask_i in range(1, 1 << n):
-        masks_by_size[bin(mask_i).count("1")].append(full ^ mask_i)
-    for cid in range(ncls):
-        counts = [1] + [0] * n          # counts[k] = f_{k-1}
-        for k in range(1, n + 1):
-            for jmask in masks_by_size[k]:
-                counts[k] += count_of(cid, jmask)
+    counts_of = [pdata.fixed_counts(cid) for cid in range(ncls)]
+    for cid, counts in enumerate(counts_of):
         p = max(k for k in range(n + 1) if counts[k])
         ok = counts[p] == prefix[p]
         if not ok:
             item_ii = False
         if p == n - 2 and counts[n - 2] != prefix[n - 2]:
             item_i = False
-        if collect_rows or not ok:
+        if all_rows or not ok:
             fv = {k - 1: v for k, v in enumerate(counts) if v or k == 0}
             rows.append(ClassCountRow(pdata.classes.reps[cid],
                                       pdata.classes.sizes[cid], p, fv,
                                       prefix[p], ok))
     item_iii = not has_forbidden_subdiagram(d, THEOREM_B_FORBIDDEN)
-    eq8_rows = []
-    eq8 = True
-    if refl is None:
-        refl = reflection_classes(t, pdata.classes)
-    for rep, _members in refl:
-        cid = pdata.classes.class_of[rep]
-        got = 1 if n == 1 else sum(count_of(cid, j) for j in masks_by_size[n - 1])
-        eq8_rows.append((rep, got, prefix[n - 1]))
-        if got != prefix[n - 1]:
-            eq8 = False
-    return CountReport(rows, item_i, item_ii, item_iii, eq8_rows, eq8)
+    # Eq (8): a wall's chambers are its fixed simplices with n-1 vertices
+    class_of = pdata.classes.class_of
+    eq8 = all(counts_of[class_of[rep]][n - 1] == prefix[n - 1]
+              for rep, _members in refl)
+    return CountReport(rows, item_i, item_ii, item_iii, eq8)

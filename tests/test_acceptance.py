@@ -14,7 +14,6 @@ from mfc.diagram import diagram_name, parse_symbol
 from mfc.group import enumerate_group, reflection_classes
 from mfc.homology import reduced_betti
 from mfc.verify import GroupContext, run_suite, verify_theorem_A, verify_theorem_B
-from mfc.walls import milnor_wall_search, recognize_milnor_fiber, wall
 
 SUITE_TIME_BUDGET_S = 300
 
@@ -113,7 +112,7 @@ def test_criterion_4_theorem_A(suite):
         survivors = sorted(c[0] for c in v["candidates"]
                            if c[1] != "betti-mismatch")
         assert survivors == sorted(["G5", "G(6,1,2)"])
-        w = ctx.wall_of(rep)
+        w = ctx.fixed_of(rep)
         degrees = {}
         for (a, b) in w.simplices(1):
             degrees[a] = degrees.get(a, 0) + 1
@@ -239,7 +238,7 @@ def test_criterion_9_deep_g32():
     walls_ok = True
     betti_ok = True
     for rep, _members in classes:
-        w = ctx.wall_of(rep)
+        w = ctx.fixed_of(rep)
         if w.f_vector()[2] != 5184:
             walls_ok = False
         b = reduced_betti(w)

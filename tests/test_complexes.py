@@ -6,7 +6,7 @@ from mfc.complexes import (SimplexCapExceeded, TypedComplex, export_complex,
                            import_complex, join, link, milnor_fiber_complex,
                            monomial_flag_complex)
 from mfc.diagram import group_order, parse_symbol
-from mfc.group import enumerate_group
+from mfc.group import enumerate_group, parabolic_cosets
 from mfc.isomorphism import find_isomorphism
 
 
@@ -141,6 +141,46 @@ def test_monomial_flag_examples():
     assert fc.f_vector() == (5,)
     with pytest.raises(ValueError):
         monomial_flag_complex(1, 2)
+
+
+def _per_coset_complex(t):
+    """The coset complex built type subset by type subset: one coset
+    partition of G_{R - I} per nonempty I, each coset's vertices read off
+    its representative."""
+    n = t.ngens
+    R = list(range(n))
+    vmaps = [parabolic_cosets(t, [x for x in R if x != r]) for r in R]
+    offsets = [sum(p.n_blocks for p in vmaps[:r]) for r in R]
+    by_dim = {}
+    for mask in range(1, 1 << n):
+        I = [r for r in R if mask >> r & 1]
+        part = parabolic_cosets(t, [r for r in R if not mask >> r & 1])
+        cols = [[offsets[r] + vmaps[r].block_of[g] for g in part.reps]
+                for r in I]
+        by_dim.setdefault(len(I) - 1, []).extend(zip(*cols))
+    types = [r for r in R for _b in range(vmaps[r].n_blocks)]
+    names = [(r, b) for r in R for b in range(vmaps[r].n_blocks)]
+    perms = []
+    for i in range(n):
+        perm = [0] * len(types)
+        for r in R:
+            bl = vmaps[r].block_of
+            for g in vmaps[r].reps:
+                perm[offsets[r] + bl[g]] = offsets[r] + bl[t.left[i][g]]
+        perms.append(perm)
+    return TypedComplex(types, by_dim, vertex_names=names), perms
+
+
+def test_complex_matches_per_coset_construction():
+    # the walls tests' property groups, plus F4, a product, rank 1 and 0
+    for sym in ("B3", "H3", "G25", "G(3,1,3)", "I2(7)", "F4", "2[3]2 + 4",
+                "Z5", "1"):
+        t, cx, act = build(sym)
+        want, perms = _per_coset_complex(t)
+        assert cx.by_dim == want.by_dim, sym
+        assert cx.vertex_types == want.vertex_types, sym
+        assert cx.vertex_names == want.vertex_names, sym
+        assert act.gen_vertex_perms == perms, sym
 
 
 def test_simplex_cap():

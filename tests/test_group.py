@@ -29,7 +29,27 @@ def test_orders_match_degree_products(tables):
 
 def test_relations_hold(tables):
     for sym, t in tables.items():
-        assert check_relations(t), sym
+        assert check_relations(t.diagram, t.right), sym
+
+
+def test_relations_reject_a_wrong_flag_action():
+    # the flag model's monomial generators satisfy G(3,1,2)'s relations;
+    # with two images of one generator swapped they do not (a power
+    # relation breaks), nor with the generator conjugated by a point
+    # transposition (its order is kept, so a braid relation breaks)
+    from mfc.complexes import monomial_flag_complex
+    d = parse_symbol("G(3,1,2)")
+    _fc, perms = monomial_flag_complex(3, 2)
+    assert check_relations(d, perms)
+    swap = list(range(len(perms[0])))
+    swap[0], swap[-1] = swap[-1], 0  # a point and a 2-set
+    for i in range(len(perms)):
+        bad = [list(p) for p in perms]
+        bad[i][0], bad[i][1] = bad[i][1], bad[i][0]
+        assert not check_relations(d, bad), i
+        bad[i] = [swap[perms[i][swap[x]]] for x in range(len(swap))]
+        assert not check_relations(d, bad), i
+        assert check_relations(d.induced([i]), [bad[i]]), i
 
 
 def test_regular_action_is_faithful(tables):
@@ -204,7 +224,7 @@ def test_e6_enumerates_within_default_cap():
     t = enumerate_group(parse_symbol("E6"))
     assert t.order == 51840
     assert len(reflections(t)) == 36
-    assert check_relations(t, sample=40)
+    assert check_relations(t.diagram, t.right)
     assert _right_sha256(t) == E6_RIGHT_SHA256
 
 
@@ -255,7 +275,7 @@ def test_group_cache_rejects_wrong_group(tmp_path):
     path.write_text("\n".join(lines))
     again = enumerate_group(d, cache_dir=str(tmp_path))
     assert again.right == direct.right
-    assert check_relations(again)
+    assert check_relations(d, again.right)
 
 
 def test_group_cache_write_uses_private_temp_name(tmp_path):

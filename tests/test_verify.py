@@ -4,6 +4,7 @@ import json
 import pytest
 
 import mfc.verify
+import mfc.walls
 from mfc.cli import main
 from mfc.diagram import parse_symbol
 from mfc.verify import (GroupContext, SuiteError, default_suite, run_entry,
@@ -236,7 +237,31 @@ def test_fixed_subcomplexes_built_once(monkeypatch):
         assert check(d, ctx=ctx).status == "agree"
     assert len(built) == len(set(built)) == ctx.pdata.classes.n_classes - 1
     rep = ctx.refl_classes[0][0]
-    assert ctx.wall_of(rep) is ctx.fixed_of(rep)
+    assert ctx.certificate_of(rep).verdict is ctx.verdict_of(rep)
+
+
+def test_walls_recognized_once(monkeypatch):
+    # A recognizes every wall; B's search takes that verdict for the
+    # family that generates the whole wall instead of recognizing it again
+    seen = []
+    real = mfc.walls.recognize_milnor_fiber
+
+    def counting(s, rank, **kwargs):
+        seen.append(s.by_dim)
+        return real(s, rank, **kwargs)
+
+    monkeypatch.setattr(mfc.verify, "recognize_milnor_fiber", counting)
+    monkeypatch.setattr(mfc.walls, "recognize_milnor_fiber", counting)
+    for sym in ("B3", "G25"):
+        seen.clear()
+        d = parse_symbol(sym)
+        ctx = GroupContext(d)
+        verify_theorem_A(d, ctx=ctx)
+        verify_theorem_B(d, ctx=ctx)
+        # G25's two reflection classes have walls with equal simplices
+        walls = [ctx.fixed_of(rep).by_dim for rep, _m in ctx.refl_classes]
+        for w in walls:
+            assert seen.count(w) == walls.count(w), sym
 
 
 def test_join_entry_reuses_its_context(monkeypatch):

@@ -4,10 +4,11 @@ from mfc.complexes import TypedComplex, milnor_fiber_complex
 from mfc.diagram import diagram_name, enumerate_admissible, parse_symbol
 from mfc.group import enumerate_group, parabolic_cosets, reflection_classes
 from mfc.homology import reduced_betti
+from mfc.verify import GroupContext
 from mfc.walls import (ParabolicData, _chamber_count, _euler_excludes,
                        _wall_family_subcomplex, chamber_count_check,
                        fixed_subcomplex, milnor_wall_search,
-                       recognize_milnor_fiber, wall)
+                       recognize_milnor_fiber)
 
 # groups for the property tests of walls and parabolic data: real,
 # complex, monomial and dihedral, ranks 2 and 3
@@ -33,7 +34,7 @@ def g26():
 def test_fixed_subcomplex_identity_and_reflection():
     t, cx, act = setup("2[3]2")
     assert fixed_subcomplex(cx, act, 0).f_vector() == cx.f_vector()
-    w = wall(cx, act, t.gen_elements[0])
+    w = fixed_subcomplex(cx, act, t.gen_elements[0])
     assert w.f_vector() == (2,)
 
 
@@ -53,7 +54,7 @@ def test_fixed_setwise_implies_pointwise():
 def test_g25_wall_counts_and_betti(g25):
     t, cx, act = g25
     for rep, _members in reflection_classes(t):
-        w = wall(cx, act, rep)
+        w = fixed_subcomplex(cx, act, rep)
         assert w.f_vector()[1] == 54
         assert reduced_betti(w).concentrated_value(1) == 25
 
@@ -62,9 +63,9 @@ def test_walls_of_conjugate_reflections_isomorphic():
     from mfc.isomorphism import find_isomorphism
     t, cx, act = setup("G(3,1,2)")
     for rep, members in reflection_classes(t):
-        w0 = wall(cx, act, rep)
+        w0 = fixed_subcomplex(cx, act, rep)
         for other in members[:2]:
-            w1 = wall(cx, act, other)
+            w1 = fixed_subcomplex(cx, act, other)
             assert find_isomorphism(w0, w1) is not None
 
 
@@ -78,12 +79,12 @@ def test_conjugate_wall_is_translated_wall():
                 for k in range(w.dim + 1) for s in w.simplices(k)}
 
     for rep, _members in reflection_classes(t):
-        w_r = ambient_simplices(wall(cx, act, rep))
+        w_r = ambient_simplices(fixed_subcomplex(cx, act, rep))
         for h in (t.gen_elements[0], t.gen_elements[1], 5):
             conj = t.conjugate(rep, h)
             perm = act.vertex_perm(h)
             translated = {act.apply(perm, s) for s in w_r}
-            assert translated == ambient_simplices(wall(cx, act, conj))
+            assert translated == ambient_simplices(fixed_subcomplex(cx, act, conj))
 
 
 def test_fixed_space_dim(g25):
@@ -158,8 +159,8 @@ def test_count_formula_matches_explicit_subcomplexes():
             rep = pdata.classes.reps[cid]
             sub = fixed_subcomplex(cx, act, rep)
             explicit = {k: v for k, v in enumerate(sub.f_vector())}
-            counted = {k: v for k, v in pdata.fixed_f_vector(cid).items()
-                       if k >= 0}
+            counted = {k - 1: v for k, v in enumerate(pdata.fixed_counts(cid))
+                       if k and v}
             assert explicit == counted, (sym, rep)
 
 
@@ -176,7 +177,7 @@ def test_generated_subcomplex():
 def test_recognize_g25_wall(g25):
     t, cx, act = g25
     rep = reflection_classes(t)[0][0]
-    v = recognize_milnor_fiber(wall(cx, act, rep), 2)
+    v = recognize_milnor_fiber(fixed_subcomplex(cx, act, rep), 2)
     assert v.outcome == "not-mfc"
     assert v.reason == "betti-mismatch-all"
     assert sorted(c.name for c in v.candidates) == \
@@ -188,7 +189,7 @@ def test_recognize_g26_order3_wall(g26):
     # G5 and G(6,1,2), both eliminated by isomorphism (degree-4 vertex)
     t, cx, act = g26
     rep = t.gen_elements[0]
-    w = wall(cx, act, rep)
+    w = fixed_subcomplex(cx, act, rep)
     v = recognize_milnor_fiber(w, 2)
     assert v.outcome == "not-mfc" and v.reason == "isomorphism-failed-all"
     survivors = sorted(c.name for c in v.candidates
@@ -209,7 +210,7 @@ def test_recognize_g26_order2_wall(g26):
     # G(6,1,2) naming in the sources this build follows
     t, cx, act = g26
     rep = [r for r, _m in reflection_classes(t) if t.element_order(r) == 2][0]
-    v = recognize_milnor_fiber(wall(cx, act, rep), 2)
+    v = recognize_milnor_fiber(fixed_subcomplex(cx, act, rep), 2)
     assert v.recognized and diagram_name(v.diagram) == "G5"
     assert v.recheck()
 
@@ -217,7 +218,7 @@ def test_recognize_g26_order2_wall(g26):
 def test_recognize_monomial_wall_recursion():
     t, cx, act = setup("G(3,1,3)")
     for rep, _members in reflection_classes(t):
-        v = recognize_milnor_fiber(wall(cx, act, rep), 2)
+        v = recognize_milnor_fiber(fixed_subcomplex(cx, act, rep), 2)
         assert v.recognized and diagram_name(v.diagram) == "G(3,1,2)"
         assert v.recheck()
 
@@ -235,10 +236,10 @@ def test_recognition_rank0():
     assert v.recognized and v.diagram.rank == 0
 
 
-def test_milnor_wall_search_g25(g25):
-    t, cx, act = g25
-    rep = reflection_classes(t)[0][0]
-    cert = milnor_wall_search(cx, act, rep)
+def test_milnor_wall_search_g25():
+    ctx = GroupContext(parse_symbol("G25"))
+    rep = ctx.refl_classes[0][0]
+    cert = ctx.certificate_of(rep)
     assert cert is not None
     assert diagram_name(cert.diagram) == "G(3,1,2)"
     assert cert.proper
@@ -249,26 +250,57 @@ def test_milnor_wall_search_g25(g25):
 def test_milnor_wall_search_rank1():
     # walls of a rank-1 complex are {empty}; the singleton family selects
     # the empty simplex, a complex of the trivial group at dimension -1
-    t, cx, act = setup("Z5")
-    cert = milnor_wall_search(cx, act, 1)
+    ctx = GroupContext(parse_symbol("Z5"))
+    cert = ctx.certificate_of(1)
     assert cert is not None
     assert cert.diagram.rank == 0
     assert not cert.proper
 
 
 def test_milnor_wall_search_d4_none():
-    t, cx, act = setup("D4")
-    for rep, _members in reflection_classes(t):
-        assert milnor_wall_search(cx, act, rep) is None
+    ctx = GroupContext(parse_symbol("D4"))
+    for rep, _members in ctx.refl_classes:
+        assert ctx.certificate_of(rep) is None
 
 
 def test_milnor_wall_search_coxeter_nonproper():
     # Coxeter groups only have non-proper certificates (their walls are spheres)
     for sym in ("A3", "B3", "H3", "A4"):
-        t, cx, act = setup(sym)
-        for rep, _members in reflection_classes(t):
-            cert = milnor_wall_search(cx, act, rep)
+        ctx = GroupContext(parse_symbol(sym))
+        for rep, _members in ctx.refl_classes:
+            cert = ctx.certificate_of(rep)
             assert cert is not None and not cert.proper, sym
+
+
+def test_walls_are_their_full_family_subcomplex():
+    # every wall is pure: its codimension-1 simplices of the full type
+    # family generate all of it, so the search's first family is the wall
+    for sym in PROPERTY_GROUPS + ("D4", "F4"):
+        t, cx, act = setup(sym)
+        n = t.ngens
+        for rep, _members in reflection_classes(t):
+            w = fixed_subcomplex(cx, act, rep)
+            full = _wall_family_subcomplex(w, n, tuple(range(n)))
+            assert full.by_dim == w.by_dim, (sym, rep)
+            assert full.vertex_types == w.vertex_types, (sym, rep)
+
+
+def test_milnor_wall_search_impure_wall():
+    # a family that misses part of the wall is recognized on its own,
+    # not given the wall's verdict: an isolated vertex added to a B3 wall
+    # makes the wall disconnected, and the full family still certifies
+    t, cx, act = setup("B3")
+    rep = reflection_classes(t)[0][0]
+    w = fixed_subcomplex(cx, act, rep)
+    impure = TypedComplex(w.vertex_types + (0,),
+                          {0: w.simplices(0) + ((w.n_vertices,),),
+                           1: w.simplices(1)})
+    wall_verdict = recognize_milnor_fiber(impure, 2)
+    assert not wall_verdict.recognized
+    cert = milnor_wall_search(impure, 3, rep, wall_verdict)
+    assert cert is not None and not cert.proper
+    assert cert.verdict is not wall_verdict and cert.verdict.recognized
+    assert cert.recheck()
 
 
 def test_euler_prefilter_is_exact():
@@ -280,7 +312,7 @@ def test_euler_prefilter_is_exact():
         t, cx, act = setup(sym)
         n = t.ngens
         for rep, _members in reflection_classes(t):
-            w = wall(cx, act, rep)
+            w = fixed_subcomplex(cx, act, rep)
             for size in range(1, n + 1):
                 for missing in combinations(range(n), size):
                     sub = _wall_family_subcomplex(w, n, missing)
@@ -298,20 +330,22 @@ def test_euler_prefilter_is_exact():
 
 
 def test_chamber_count_check_examples():
-    t, cx, act = setup("3[3]3")
-    rpt = chamber_count_check(cx, act, t, t.diagram)
+    def check(sym):
+        ctx = GroupContext(parse_symbol(sym))
+        return ctx.table, chamber_count_check(ctx.pdata, ctx.diagram,
+                                              ctx.refl_classes)
+
+    t, rpt = check("3[3]3")
     row = [r for r in rpt.rows if r.class_rep == t.gen_elements[0]][0]
     assert row.f_vector[0] == 4  # fixed vertex count = d_1 = 4
     assert rpt.item_i and rpt.item_ii and rpt.item_iii and rpt.eq8_holds
 
-    t, cx, act = setup("D4")
-    rpt = chamber_count_check(cx, act, t, t.diagram)
+    _t, rpt = check("D4")
     assert not rpt.item_i and not rpt.item_ii and not rpt.item_iii
     assert rpt.equivalent
     assert any(r.p == 2 and r.f_vector.get(1, 0) != 8 for r in rpt.rows)
 
-    t, cx, act = setup("G(3,1,3)")
-    rpt = chamber_count_check(cx, act, t, t.diagram)
+    _t, rpt = check("G(3,1,3)")
     assert rpt.item_i and rpt.item_ii and rpt.item_iii and rpt.equivalent
 
 
@@ -324,6 +358,6 @@ def test_wall_join_reduction():
     tb, cb, ab = setup("2")
     rep = ta.gen_elements[0]
     g_union = t.right[0][0]  # same generator embeds as index 0
-    w_union = wall(cx, act, g_union)
-    expected = join(wall(ca, aa, rep), cb)
+    w_union = fixed_subcomplex(cx, act, g_union)
+    expected = join(fixed_subcomplex(ca, aa, rep), cb)
     assert find_isomorphism(expected, w_union, respect_types=True) is not None
