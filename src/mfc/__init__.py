@@ -6,16 +6,14 @@ the wall classification theorems mechanically.
 """
 
 from .diagram import (Diagram, DiagramError, GroupId, NotAdmissible,
-                      basic_degrees, canonical_form, classify,
+                      basic_degrees, classify,
                       classify_component, connected_components, diagram_name,
-                      diagram_symbol, diagrams_isomorphic, enumerate_admissible,
-                      group_order, has_forbidden_subdiagram, parse_symbol)
+                      diagram_symbol, enumerate_admissible, group_order,
+                      has_forbidden_subdiagram, parse_symbol)
 from .group import (CapExceeded, CosetPartition, GroupTable, conjugacy_classes,
-                    enumerate_group, parabolic_cosets, reflection_classes,
-                    reflections)
-from .complexes import (GroupComplexAction, TypedComplex, export_complex,
-                        import_complex, join, link, milnor_fiber_complex,
-                        monomial_flag_complex)
+                    enumerate_group, parabolic_cosets, reflection_classes)
+from .complexes import (GroupComplexAction, TypedComplex, export_complex, join,
+                        milnor_fiber_complex, monomial_flag_complex)
 from .homology import BettiResult, reduced_betti
 from .isomorphism import Isomorphism, find_isomorphism, verify_isomorphism
 from .walls import (MilnorWallCertificate, ParabolicData, RecognitionVerdict,

@@ -15,18 +15,16 @@ from .diagram import (DiagramError, basic_degrees, classify, diagram_name,
                       diagram_symbol, group_order, parse_symbol)
 from .group import CapExceeded, enumerate_group
 from .homology import reduced_betti
-from .verify import (DEFAULT_CAP, GroupContext, SuiteError, run_suite,
-                     verify_counts, verify_monomial, verify_orlik,
-                     verify_theorem_A, verify_theorem_B)
+from .verify import DEFAULT_CAP, GroupContext, SuiteError, run_suite
 
 
-def _print_report(rep, as_json: bool):
+def _print_report(rep: dict, as_json: bool):
     if as_json:
-        print(json.dumps(rep.to_jsonable(), indent=1, sort_keys=True))
+        print(json.dumps(rep, indent=1, sort_keys=True))
     else:
         print("%s %s: predicted=%s computed=%s -> %s"
-              % (rep.theorem, rep.symbol, rep.predicted, rep.computed,
-                 rep.status))
+              % (rep["theorem"], rep["symbol"], rep["predicted"],
+                 rep["computed"], rep["status"]))
 
 
 def _monomial_params(text: str) -> tuple[int, int]:
@@ -141,19 +139,14 @@ def _dispatch(args) -> int:
 
     if args.command == "verify":
         if args.theorem == "monomial":
-            m, n = _monomial_params(args.symbol)
-            rep = verify_monomial(m, n, cap=args.cap)
+            entry = {"monomial": list(_monomial_params(args.symbol))}
         else:
-            d = parse_symbol(args.symbol)
-            fn = {"A": verify_theorem_A, "B": verify_theorem_B,
-                  "counts": verify_counts, "orlik": verify_orlik}[args.theorem]
-            rep = fn(d, args.cap)
-        _print_report(rep, args.json)
-        if rep.status == "disagree":
-            return 1
-        if rep.status == "skipped":
-            return 3
-        return 0
+            entry = {"symbol": args.symbol}
+        entry["checks"] = [args.theorem]
+        code, bundle = run_suite({"mfc_suite": 1, "allow_skip": False,
+                                  "entries": [entry]}, cap=args.cap)
+        _print_report(bundle["entries"][0], args.json)
+        return code
 
     if args.command == "suite":
         code, bundle = run_suite(args.file, deep=args.deep, cap=args.cap,

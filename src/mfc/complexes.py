@@ -1,4 +1,4 @@
-"""Typed chamber complexes: the coset model, joins, links, flag models.
+"""Typed chamber complexes: the coset model, joins, flag models.
 
 A TypedComplex stores every simplex explicitly (the empty simplex is
 implicit) as a sorted tuple of vertex ids; each vertex carries a type
@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .group import GroupTable, parabolic_cosets
+from .group import CapExceeded, GroupTable, parabolic_cosets
 
 DEFAULT_SIMPLEX_CAP = 2_000_000
 
 
-class SimplexCapExceeded(RuntimeError):
-    pass
+class SimplexCapExceeded(CapExceeded):
+    """A complex would hold more simplices than the simplex cap."""
 
 
 class TypedComplex:
@@ -227,28 +227,6 @@ def join(a: TypedComplex, b: TypedComplex) -> TypedComplex:
     return TypedComplex(types, by_dim)
 
 
-def link(c: TypedComplex, simplex) -> TypedComplex:
-    """Link with inherited types; vertex_names keep the ambient ids."""
-    s = tuple(sorted(simplex))
-    if s and not c.contains(s):
-        raise KeyError("simplex %r not in complex" % (s,))
-    if not s:
-        return c
-    sset = set(s)
-    k0 = len(s)
-    members = []
-    for k in sorted(c.by_dim):
-        if k + 1 <= k0 - 1:
-            continue
-        for tau in c.by_dim[k]:
-            if sset.issubset(tau):
-                rest = tuple(v for v in tau if v not in sset)
-                if rest:
-                    members.append(rest)
-    out = c.subcomplex(members) if members else TypedComplex([], {})
-    return out
-
-
 def monomial_flag_complex(m: int, n: int,
                           simplex_cap: int = DEFAULT_SIMPLEX_CAP
                           ) -> tuple[TypedComplex, list[list[int]]]:
@@ -314,7 +292,7 @@ def monomial_flag_complex(m: int, n: int,
 
 
 # ---------------------------------------------------------------------------
-# MFC-COMPLEX facet export / import
+# MFC-COMPLEX facet export
 # ---------------------------------------------------------------------------
 
 def _type_token(t) -> str:
@@ -331,30 +309,3 @@ def export_complex(c: TypedComplex, path: str) -> None:
             fh.write("v: %d %s\n" % (v, _type_token(c.vertex_types[v])))
         for f in facets:
             fh.write("f: %s\n" % " ".join(map(str, f)))
-
-
-def import_complex(path: str) -> TypedComplex:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if header[:2] != ["MFC-COMPLEX", "v1"]:
-            raise ValueError("bad MFC-COMPLEX header")
-        nv, nf = int(header[2]), int(header[3])
-        types: dict[int, object] = {}
-        facets = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("v:"):
-                _v, vid, tok = line.split(None, 2)
-                parts = tok.split(".")
-                val = tuple(int(p) if p.lstrip("-").isdigit() else p for p in parts)
-                types[int(vid)] = val[0] if len(val) == 1 else val
-            elif line.startswith("f:"):
-                facets.append(tuple(int(x) for x in line.split()[1:]))
-            else:
-                raise ValueError("bad MFC-COMPLEX line %r" % line)
-    if len(types) != nv or len(facets) != nf:
-        raise ValueError("MFC-COMPLEX count mismatch")
-    vertex_types = [types[v] for v in range(nv)]
-    return TypedComplex.from_facets(vertex_types, facets)

@@ -448,18 +448,6 @@ def canonical_key(d: Diagram) -> tuple:
     return tuple(sorted(_component_key(c) for c in connected_components(d)))
 
 
-def canonical_form(d: Diagram) -> Diagram:
-    """Representative diagram with canonically ordered components."""
-    out = EMPTY_DIAGRAM
-    for (orders, edges) in canonical_key(d):
-        out = out + Diagram(orders, edges)
-    return out
-
-
-def diagrams_isomorphic(a: Diagram, b: Diagram) -> bool:
-    return canonical_key(a) == canonical_key(b)
-
-
 def diagram_name(d: Diagram) -> str:
     """Display name: component GroupId names joined with '+'."""
     if d.rank == 0:
@@ -592,16 +580,6 @@ def diagram_symbol(d: Diagram) -> str:
         else:
             parts.append(classify_component(comp).name)
     return "+".join(parts)
-
-
-def cache_key_string(d: Diagram) -> str:
-    """Whitespace-free canonical encoding usable as a cache key."""
-    key = canonical_key(d)
-    comps = []
-    for orders, edges in key:
-        comps.append("V:%s;E:%s" % (",".join(map(str, orders)),
-                                    ",".join("%d-%d:%d" % e for e in edges)))
-    return "|".join(comps) if comps else "V:;E:"
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,11 @@ every construction below ends in the same canonical table.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from collections import deque
 from dataclasses import dataclass
 
-from .diagram import (Diagram, cache_key_string, components_with_indices,
-                      diagram_name, group_order)
+from .diagram import (Diagram, components_with_indices, diagram_name,
+                      group_order)
 
 DEFAULT_CAP = 200_000
 
@@ -332,30 +330,18 @@ def _dihedral_right(q: int, first: int) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# public constructor plus cache
+# public constructor
 # ---------------------------------------------------------------------------
 
-def enumerate_group(d: Diagram, cap: int = DEFAULT_CAP,
-                    cache_dir: str | None = None) -> GroupTable:
+def enumerate_group(d: Diagram, cap: int = DEFAULT_CAP) -> GroupTable:
     """Realize the diagram's group as a GroupTable.
 
-    Raises CapExceeded when the classified order exceeds ``cap``.  With
-    ``cache_dir`` (or $MFC_CACHE_DIR) set, generator tables are persisted
-    keyed by the diagram's canonical form.
+    Raises CapExceeded when the classified order exceeds ``cap``.
     """
     expected = group_order(d)
     if expected > cap:
         raise CapExceeded("group order %d exceeds cap %d" % (expected, cap))
-    if cache_dir is None:
-        cache_dir = os.environ.get("MFC_CACHE_DIR") or None
-    if cache_dir:
-        cached = _load_cached(d, cache_dir, expected)
-        if cached is not None:
-            return cached
-    t = _build(d, cap, expected)
-    if cache_dir:
-        save_group_cache(t, cache_dir)
-    return t
+    return _build(d, cap, expected)
 
 
 def _build(d: Diagram, cap: int, expected: int) -> GroupTable:
@@ -524,58 +510,6 @@ def _induced_right(d: Diagram, cap: int) -> list[list[int]]:
     return right
 
 
-def _cache_path(d: Diagram, cache_dir: str) -> str:
-    import hashlib
-    key = cache_key_string(d)
-    h = hashlib.sha256(key.encode()).hexdigest()[:24]
-    return os.path.join(cache_dir, "mfc-group-%s.txt" % h)
-
-
-def save_group_cache(t: GroupTable, cache_dir: str) -> str:
-    """Write the generator tables; a unique temporary name and an atomic
-    rename keep concurrent writers from clobbering each other."""
-    os.makedirs(cache_dir, exist_ok=True)
-    path = _cache_path(t.diagram, cache_dir)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".mfc-group-",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write("MFC-GROUP v1 %s %d\n"
-                     % (cache_key_string(t.diagram), t.order))
-            for col in t.right:
-                fh.write(" ".join(map(str, col)) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    return path
-
-
-def _load_cached(d: Diagram, cache_dir: str, expected: int) -> GroupTable | None:
-    """The cached table of d, or None (a miss) unless the file parses and
-    its columns are permutations satisfying every defining relation."""
-    path = _cache_path(d, cache_dir)
-    try:
-        with open(path) as fh:
-            header = fh.readline().split()
-            if header != ["MFC-GROUP", "v1", cache_key_string(d),
-                          str(expected)]:
-                return None
-            right = [[int(x) for x in fh.readline().split()]
-                     for _ in range(d.rank)]
-    except (OSError, ValueError):
-        return None
-    for col in right:
-        if len(col) != expected or sorted(col) != list(range(expected)):
-            return None
-    if not check_relations(d, right):
-        return None
-    try:
-        return GroupTable(d, right)
-    except ValueError:
-        return None  # generator action not transitive
-
-
 # ---------------------------------------------------------------------------
 # parabolic cosets, reflections, conjugacy classes
 # ---------------------------------------------------------------------------
@@ -629,40 +563,6 @@ def parabolic_cosets(t: GroupTable, I) -> CosetPartition:
     return CosetPartition(I, block_of, reps, size)
 
 
-def reflections(t: GroupTable) -> list[int]:
-    """All non-identity elements conjugate to a power of a generator,
-    as a sorted list of element ids."""
-    seed = set()
-    for i in range(t.ngens):
-        x = t.gen_elements[i]
-        while x != 0:
-            seed.add(x)
-            x = t.right[i][x]
-    out = set()
-    stack = list(seed)
-    conj_tables = _generator_conjugations(t)
-    while stack:
-        x = stack.pop()
-        if x in out:
-            continue
-        out.add(x)
-        for tab in conj_tables:
-            y = tab[x]
-            if y not in out:
-                stack.append(y)
-    return sorted(out)
-
-
-def _generator_conjugations(t: GroupTable) -> list[list[int]]:
-    """Per generator i, the table x -> r_i x r_i^{-1}."""
-    tables = []
-    for i in range(t.ngens):
-        ri_inv = t.right_inv[i]
-        li = t.left[i]
-        tables.append([li[ri_inv[x]] for x in range(t.order)])
-    return tables
-
-
 @dataclass
 class ConjugacyClasses:
     class_of: list[int]
@@ -677,7 +577,9 @@ class ConjugacyClasses:
 def conjugacy_classes(t: GroupTable) -> ConjugacyClasses:
     """Orbits of conjugation; representatives are the smallest element ids."""
     n = t.order
-    conj = _generator_conjugations(t)
+    # per generator i, the table x -> r_i x r_i^{-1}
+    conj = [[li[ri_inv[x]] for x in range(n)]
+            for li, ri_inv in zip(t.left, t.right_inv)]
     class_of = [-1] * n
     reps, sizes = [], []
     for x in range(n):
@@ -704,14 +606,20 @@ def reflection_classes(t: GroupTable,
                        classes: ConjugacyClasses | None = None
                        ) -> list[tuple[int, list[int]]]:
     """(representative, sorted class members) for each conjugacy class of
-    reflections, in order of representative id."""
-    refl = reflections(t)
+    reflections, in order of representative id: the classes that hold a
+    non-identity power of a generator."""
     if classes is None:
         classes = conjugacy_classes(t)
-    by_class: dict[int, list[int]] = {}
-    for x in refl:
-        by_class.setdefault(classes.class_of[x], []).append(x)
-    out = []
-    for cid in sorted(by_class, key=lambda c: classes.reps[c]):
-        out.append((classes.reps[cid], sorted(by_class[cid])))
-    return out
+    class_of = classes.class_of
+    members: dict[int, list[int]] = {}
+    for i in range(t.ngens):
+        x = t.gen_elements[i]
+        while x != 0:
+            members[class_of[x]] = []
+            x = t.right[i][x]
+    for x, cid in enumerate(class_of):
+        found = members.get(cid)
+        if found is not None:
+            found.append(x)
+    # class ids are numbered in the order of their representatives
+    return [(classes.reps[cid], members[cid]) for cid in sorted(members)]

@@ -17,8 +17,8 @@ from .complexes import (TypedComplex, join, milnor_fiber_complex,
 from .diagram import (Diagram, basic_degrees, canonical_key,
                       components_with_indices, diagram_name, group_order,
                       has_forbidden_subdiagram, parse_symbol)
-from .group import (CapExceeded, check_relations, enumerate_group,
-                    parabolic_cosets, reflection_classes)
+from .group import (DEFAULT_CAP, CapExceeded, check_relations,
+                    enumerate_group, parabolic_cosets, reflection_classes)
 from .homology import reduced_betti
 from .isomorphism import find_isomorphism
 from .walls import (MilnorWallCertificate, ParabolicData, RecognitionVerdict,
@@ -26,7 +26,6 @@ from .walls import (MilnorWallCertificate, ParabolicData, RecognitionVerdict,
                     chamber_count_check, fixed_subcomplex, milnor_wall_search,
                     predicted_bouquet_count, recognize_milnor_fiber)
 
-DEFAULT_CAP = 200_000
 SNF_SIMPLEX_LIMIT = 50_000
 # explicit per-class subcomplex homology: always at rank >= 3 (orders are
 # small there); at rank <= 2 only for small orders, since every
@@ -114,25 +113,15 @@ class GroupContext:
         return self._certificates[r]
 
 
-def _skipped(symbol, theorem, exc) -> TheoremReport:
-    return TheoremReport(symbol, theorem, None, None, "skipped",
-                         {"cap": str(exc)})
-
-
 # ---------------------------------------------------------------------------
 # Theorem A / Theorem B
 # ---------------------------------------------------------------------------
 
-def verify_theorem_A(d: Diagram, cap: int = DEFAULT_CAP,
-                     ctx: GroupContext | None = None) -> TheoremReport:
+def verify_theorem_A(ctx: GroupContext) -> TheoremReport:
     """Every wall is again a Milnor fiber complex iff no forbidden
     subdiagram of type D4/F4/H4/G25/G26."""
-    sym = diagram_name(d)
-    predicted = not has_forbidden_subdiagram(d, THEOREM_A_FORBIDDEN)
-    try:
-        ctx = ctx or GroupContext(d, cap)
-    except CapExceeded as e:
-        return _skipped(sym, "A", e)
+    sym = diagram_name(ctx.diagram)
+    predicted = not has_forbidden_subdiagram(ctx.diagram, THEOREM_A_FORBIDDEN)
     details = {"classes": []}
     computed = True
     if ctx.table.ngens <= 1:
@@ -158,15 +147,10 @@ def verify_theorem_A(d: Diagram, cap: int = DEFAULT_CAP,
     return TheoremReport(sym, "A", predicted, computed, status, details)
 
 
-def verify_theorem_B(d: Diagram, cap: int = DEFAULT_CAP,
-                     ctx: GroupContext | None = None) -> TheoremReport:
+def verify_theorem_B(ctx: GroupContext) -> TheoremReport:
     """Every wall is a Milnor wall iff no subdiagram of type D4/F4/H4."""
-    sym = diagram_name(d)
-    predicted = not has_forbidden_subdiagram(d, THEOREM_B_FORBIDDEN)
-    try:
-        ctx = ctx or GroupContext(d, cap)
-    except CapExceeded as e:
-        return _skipped(sym, "B", e)
+    sym = diagram_name(ctx.diagram)
+    predicted = not has_forbidden_subdiagram(ctx.diagram, THEOREM_B_FORBIDDEN)
     details = {"classes": []}
     computed = True
     if ctx.table.ngens <= 1:
@@ -199,17 +183,13 @@ def verify_theorem_B(d: Diagram, cap: int = DEFAULT_CAP,
 # counts (chamber counts plus the fixed-space count equivalence)
 # ---------------------------------------------------------------------------
 
-def verify_counts(d: Diagram, cap: int = DEFAULT_CAP,
-                  ctx: GroupContext | None = None) -> TheoremReport:
+def verify_counts(ctx: GroupContext) -> TheoremReport:
     """f_{n-1}(Delta) = d_1...d_n always; for irreducible diagrams also the
     per-class count identities (i)/(ii) against predicate (iii), and the
     wall count f_{n-2}(Delta^r) = d_1...d_{n-1} both from coset counting
     and from the explicitly built walls."""
+    d = ctx.diagram
     sym = diagram_name(d)
-    try:
-        ctx = ctx or GroupContext(d, cap)
-    except CapExceeded as e:
-        return _skipped(sym, "counts", e)
     degs = basic_degrees(d)
     n = ctx.table.ngens
     product = 1
@@ -273,17 +253,13 @@ def verify_counts(d: Diagram, cap: int = DEFAULT_CAP,
 # Orlik bouquet checks
 # ---------------------------------------------------------------------------
 
-def verify_orlik(d: Diagram, cap: int = DEFAULT_CAP,
-                 ctx: GroupContext | None = None) -> TheoremReport:
+def verify_orlik(ctx: GroupContext) -> TheoremReport:
     """Reduced Betti of Delta^g concentrated in degree p-1 with value
     (d_1 - 1)^p (irreducible groups of rank 2 and 3, every class; the
     product formula for Delta itself in general), plus torsion-freeness
     wherever the homology ran."""
+    d = ctx.diagram
     sym = diagram_name(d)
-    try:
-        ctx = ctx or GroupContext(d, cap)
-    except CapExceeded as e:
-        return _skipped(sym, "orlik", e)
     n = ctx.table.ngens
     irreducible = len(components_with_indices(d)) == 1
     want_top = predicted_bouquet_count(d)
@@ -339,16 +315,17 @@ def verify_orlik(d: Diagram, cap: int = DEFAULT_CAP,
 # monomial flag model (equivariant isomorphism + wall recursion)
 # ---------------------------------------------------------------------------
 
-def verify_monomial(m: int, n: int, cap: int = DEFAULT_CAP) -> TheoremReport:
+def verify_monomial(ctx: GroupContext) -> TheoremReport:
     """Equivariant isomorphism between the coset model of G(m,1,n) and the
     flag complex of labeled coordinate subsets, plus the wall recursion
-    onto G(m,1,n-1)."""
+    onto G(m,1,n-1).  ctx is the context of the diagram of G(m,1,n) as
+    parse_symbol gives it: n is its rank, m its last generator's order."""
+    d = ctx.diagram
+    n = d.rank
+    m = d.orders[-1] if n else 0
     sym = "G(%d,1,%d)" % (m, n)
-    d = parse_symbol(sym)
-    try:
-        ctx = GroupContext(d, cap)
-    except CapExceeded as e:
-        return _skipped(sym, "monomial", e)
+    if n == 0 or d != parse_symbol(sym):
+        raise ValueError("%s is not a G(m,1,n) diagram" % diagram_name(d))
     fc, perms = monomial_flag_complex(m, n)
     details = {}
     ok = True
@@ -445,20 +422,15 @@ def verify_monomial(m: int, n: int, cap: int = DEFAULT_CAP) -> TheoremReport:
 # of products)
 # ---------------------------------------------------------------------------
 
-def verify_join(d: Diagram, cap: int = DEFAULT_CAP,
-                ctx: GroupContext | None = None) -> TheoremReport:
+def verify_join(ctx: GroupContext) -> TheoremReport:
     """For a reducible diagram: the complex is the join of the factor
     complexes (type-respecting); each wall is the join with one factor
     replaced by its wall; the Milnor-wall property matches factorwise."""
-    sym = diagram_name(d)
-    comps = components_with_indices(d)
-    try:
-        ctx = ctx or GroupContext(d, cap)
-    except CapExceeded as e:
-        return _skipped(sym, "join", e)
+    sym = diagram_name(ctx.diagram)
+    comps = components_with_indices(ctx.diagram)
     details = {}
     ok = True
-    factor_ctx = [GroupContext(cd, cap) for cd, _idx in comps]
+    factor_ctx = [GroupContext(cd, ctx.cap) for cd, _idx in comps]
     joined = None
     for fctx in factor_ctx:
         joined = fctx.complex if joined is None else join(joined, fctx.complex)
@@ -555,37 +527,37 @@ def default_suite(deep: bool = False) -> dict:
     return out
 
 
-def run_entry(entry: dict, cap: int, deep: bool = False,
+# check name -> verifier name.  run_entry looks the verifier up in this
+# module's namespace when it calls it, so a wrapper installed there (a
+# tracer, a test's monkeypatch) is the one that runs.
+_CHECKS = {"counts": "verify_counts", "orlik": "verify_orlik",
+           "A": "verify_theorem_A", "B": "verify_theorem_B",
+           "join": "verify_join", "monomial": "verify_monomial"}
+
+
+def run_entry(entry: dict, cap: int,
               timings: bool = False) -> list[TheoremReport]:
-    reports = []
+    """Build the entry's GroupContext once and run each of its checks on
+    it; every check is reported skipped when the group or its complex is
+    over a cap.  A monomial entry [m, n] is the group G(m,1,n)."""
+    _check_entry(entry)
     if "monomial" in entry:
-        m, n = entry["monomial"]
-        t0 = time.monotonic()
-        rep = verify_monomial(m, n, cap=cap)
-        if timings:
-            rep.timing_ms = int((time.monotonic() - t0) * 1000)
-        return [rep]
-    d = parse_symbol(entry["symbol"])
-    checks = entry.get("checks", ["counts", "A", "B"])
-    ctx = None
+        sym = "G(%d,1,%d)" % tuple(entry["monomial"])
+        d = parse_symbol(sym)
+        checks = entry.get("checks", ["monomial"])
+    else:
+        d = parse_symbol(entry["symbol"])
+        sym = diagram_name(d)
+        checks = entry.get("checks", ["counts", "A", "B"])
     try:
         ctx = GroupContext(d, cap)
     except CapExceeded as e:
-        return [_skipped(diagram_name(d), c, e) for c in checks]
+        return [TheoremReport(sym, c, None, None, "skipped", {"cap": str(e)})
+                for c in checks]
+    reports = []
     for c in checks:
         t0 = time.monotonic()
-        if c == "A":
-            rep = verify_theorem_A(d, cap, ctx=ctx)
-        elif c == "B":
-            rep = verify_theorem_B(d, cap, ctx=ctx)
-        elif c == "counts":
-            rep = verify_counts(d, cap, ctx=ctx)
-        elif c == "orlik":
-            rep = verify_orlik(d, cap, ctx=ctx)
-        elif c == "join":
-            rep = verify_join(d, cap, ctx=ctx)
-        else:
-            raise SuiteError("unknown check %r" % c)
+        rep = globals()[_CHECKS[c]](ctx)
         if timings:
             rep.timing_ms = int((time.monotonic() - t0) * 1000)
         reports.append(rep)
@@ -596,22 +568,18 @@ def _run_entry_star(args):
     return [r.to_jsonable() for r in run_entry(*args)]
 
 
-_SYMBOL_CHECKS = ("counts", "orlik", "A", "B", "join")
-_MONOMIAL_CHECKS = ("monomial",)
-
-
 def _check_entry(e) -> None:
     """Reject a suite entry that names neither a symbol nor an m,n pair,
-    or whose "checks" is not a list of known check names."""
+    or whose "checks" is not a list of known check names ("monomial" is
+    the one check of a monomial entry)."""
     if isinstance(e, dict):
         checks = e.get("checks", [])
         if not (isinstance(checks, list)
                 and all(isinstance(c, str) for c in checks)):
             raise SuiteError("suite entry %s: \"checks\" must be a list of "
                              "names" % json.dumps(e))
-        known = _MONOMIAL_CHECKS if "monomial" in e else _SYMBOL_CHECKS
         for c in checks:
-            if c not in known:
+            if c not in _CHECKS or (c == "monomial") != ("monomial" in e):
                 raise SuiteError("suite entry %s: unknown check %r"
                                  % (json.dumps(e), c))
         if "monomial" in e:
@@ -652,10 +620,10 @@ def run_suite(spec: dict | str, deep: bool = False, cap: int = DEFAULT_CAP,
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_entry_star,
-                                    [(e, cap, deep, timings) for e in entries]))
+                                    [(e, cap, timings) for e in entries]))
     else:
         for e in entries:
-            results.append([r.to_jsonable() for r in run_entry(e, cap, deep, timings)])
+            results.append([r.to_jsonable() for r in run_entry(e, cap, timings)])
     flat = [r for rs in results for r in rs]
     summary = {"agree": sum(1 for r in flat if r["status"] == "agree"),
                "disagree": sum(1 for r in flat if r["status"] == "disagree"),

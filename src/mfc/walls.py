@@ -350,10 +350,6 @@ class CountReport:
     item_iii: bool
     eq8_holds: bool
 
-    @property
-    def equivalent(self) -> bool:
-        return self.item_i == self.item_ii == self.item_iii
-
 
 def chamber_count_check(pdata: ParabolicData, d: Diagram,
                         refl: list) -> CountReport:

@@ -244,8 +244,8 @@ def test_criterion_9_deep_g32():
         b = reduced_betti(w)
         if b.concentrated_value(2) != 1331 or not b.torsion_free:
             betti_ok = False
-    ra = verify_theorem_A(parse_symbol("G32"), ctx=ctx)
-    rb = verify_theorem_B(parse_symbol("G32"), ctx=ctx)
+    ra = verify_theorem_A(ctx)
+    rb = verify_theorem_B(ctx)
     cert_diagrams = {row["certificate"]["diagram"]
                      for row in rb.details["classes"]
                      if row["certificate"] is not None}

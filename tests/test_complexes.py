@@ -3,8 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfc.complexes import (SimplexCapExceeded, TypedComplex, export_complex,
-                           import_complex, join, link, milnor_fiber_complex,
-                           monomial_flag_complex)
+                           join, milnor_fiber_complex, monomial_flag_complex)
 from mfc.diagram import group_order, parse_symbol
 from mfc.group import enumerate_group, parabolic_cosets
 from mfc.isomorphism import find_isomorphism
@@ -108,15 +107,6 @@ def test_join_matches_union_diagram():
     assert iso is not None and iso.type_map is not None
 
 
-def test_link_trivial_cases(a3):
-    _t, cx, _act = a3
-    assert link(cx, ()) is cx
-    chamber = cx.simplices(cx.dim)[0]
-    assert link(cx, chamber).dim == -1
-    with pytest.raises(KeyError):
-        link(cx, (0, 1, 2, 3, 4))
-
-
 def test_link_of_vertex_is_parabolic_complex():
     # link of a type-r vertex is the complex of the
     # parabolic on the remaining generators, type-respectingly
@@ -127,7 +117,11 @@ def test_link_of_vertex_is_parabolic_complex():
             v = cx.vertex_types.index(r)
             sub = d.induced([x for x in range(d.rank) if x != r])
             model = milnor_fiber_complex(enumerate_group(sub))[0]
-            iso = find_isomorphism(link(cx, (v,)), model, respect_types=True)
+            # the link of v: each simplex through v with v removed
+            link = cx.subcomplex(tuple(x for x in s if x != v)
+                                 for k in range(1, cx.dim + 1)
+                                 for s in cx.simplices(k) if v in s)
+            iso = find_isomorphism(link, model, respect_types=True)
             assert iso is not None, (sym, r)
 
 
@@ -189,22 +183,37 @@ def test_simplex_cap():
         milnor_fiber_complex(t, simplex_cap=100)
 
 
-def test_export_import_roundtrip(tmp_path, a3):
-    _t, cx, _act = a3
-    path = str(tmp_path / "a3.mfc")
+def _exported_lines(cx, path):
+    """The header, the v: lines split into fields and the f: lines as
+    vertex tuples of the MFC-COMPLEX file written for cx."""
     export_complex(cx, path)
-    back = import_complex(path)
-    assert back.f_vector() == cx.f_vector()
-    assert back.vertex_types == cx.vertex_types
-    assert back.by_dim == cx.by_dim
+    with open(path) as fh:
+        header, *lines = fh.read().splitlines()
+    verts = [ln.split() for ln in lines if ln.startswith("v: ")]
+    facets = [tuple(int(x) for x in ln.split()[1:])
+              for ln in lines if ln.startswith("f: ")]
+    assert len(verts) + len(facets) == len(lines)
+    return header, verts, facets
+
+
+def test_export_import_roundtrip(tmp_path, a3):
+    # the written vertex types and facets read back as the complex's own
+    _t, cx, _act = a3
+    header, verts, facets = _exported_lines(cx, str(tmp_path / "a3.mfc"))
+    assert header == "MFC-COMPLEX v1 14 24"
+    assert verts == [["v:", str(v), str(r)]
+                     for v, r in enumerate(cx.vertex_types)]
+    assert tuple(facets) == cx.chambers()
+    assert TypedComplex.from_facets(cx.vertex_types, facets).by_dim == cx.by_dim
 
 
 def test_export_import_tagged_types(tmp_path):
+    # a join tags each type with its factor: (0, r) is written "0.r"
     j = join(build("A1")[1], build("Z3")[1])
-    path = str(tmp_path / "join.mfc")
-    export_complex(j, path)
-    back = import_complex(path)
-    assert back.vertex_types == j.vertex_types
+    _h, verts, facets = _exported_lines(j, str(tmp_path / "join.mfc"))
+    assert [tok for _v, _id, tok in verts] == \
+        ["%d.%d" % ty for ty in j.vertex_types]
+    assert tuple(facets) == j.chambers()
 
 
 def test_from_facets_closes_faces():

@@ -1,5 +1,4 @@
 import hashlib
-import os
 
 import pytest
 
@@ -7,8 +6,7 @@ from mfc.diagram import (basic_degrees, components_with_indices,
                          enumerate_admissible, group_order, parse_symbol)
 from mfc.group import (DEFAULT_CAP, CapExceeded, GroupTable, _induced_right,
                        check_relations, conjugacy_classes, enumerate_group,
-                       parabolic_cosets, reflection_classes, reflections,
-                       save_group_cache, todd_coxeter)
+                       parabolic_cosets, reflection_classes, todd_coxeter)
 
 FIXTURES = ["1", "2", "Z6", "2[3]2", "I2(5)", "I2(8)", "3[3]3", "2[4]3",
             "A3", "B3", "H3", "G25", "3[4]3", "2[4]6", "2[3]2 + 4", "D4"]
@@ -88,11 +86,57 @@ def test_parabolic_cosets(tables):
             assert cp.n_blocks * cp.block_size == t.order, (sym, I)
 
 
+def n_reflections(t):
+    return sum(len(members) for _rep, members in reflection_classes(t))
+
+
 def test_reflection_counts(tables):
     # |reflections| = sum of (d_i - 1): independent check on the enumeration
     for sym, t in tables.items():
         degs = basic_degrees(parse_symbol(sym))
-        assert len(reflections(t)) == sum(x - 1 for x in degs), sym
+        assert n_reflections(t) == sum(x - 1 for x in degs), sym
+
+
+def _closure_reflection_classes(t, classes):
+    """Reference: the generators' non-identity powers closed under
+    conjugation by each generator, grouped by conjugacy class."""
+    conj = [[t.left[i][t.right_inv[i][x]] for x in range(t.order)]
+            for i in range(t.ngens)]
+    seen = [False] * t.order
+    stack = []
+    for i in range(t.ngens):
+        x = t.gen_elements[i]
+        while x != 0:
+            seen[x] = True
+            stack.append(x)
+            x = t.right[i][x]
+    while stack:
+        x = stack.pop()
+        for tab in conj:
+            y = tab[x]
+            if not seen[y]:
+                seen[y] = True
+                stack.append(y)
+    by_class = {}
+    for x in range(t.order):
+        if seen[x]:
+            by_class.setdefault(classes.class_of[x], []).append(x)
+    return [(classes.reps[cid], by_class[cid])
+            for cid in sorted(by_class, key=classes.reps.__getitem__)]
+
+
+def test_reflection_classes_match_conjugation_closure():
+    from mfc.verify import default_suite
+    symbols = [e["symbol"] for e in default_suite()["entries"]
+               if "symbol" in e]
+    diagrams = [d for d in map(parse_symbol, symbols)
+                if group_order(d) <= 2000]
+    assert len(diagrams) > 3000
+    for d in diagrams + [parse_symbol("E6")]:
+        t = enumerate_group(d)
+        classes = conjugacy_classes(t)
+        assert reflection_classes(t, classes) == \
+            _closure_reflection_classes(t, classes), d
 
 
 def test_reflection_class_examples(tables):
@@ -223,70 +267,6 @@ def test_e6_enumerates_within_default_cap():
     # the largest branched diagram under the default cap (order 51840)
     t = enumerate_group(parse_symbol("E6"))
     assert t.order == 51840
-    assert len(reflections(t)) == 36
+    assert n_reflections(t) == 36
     assert check_relations(t.diagram, t.right)
     assert _right_sha256(t) == E6_RIGHT_SHA256
-
-
-def test_group_cache_roundtrip(tmp_path, tables):
-    d = parse_symbol("G25")
-    direct = enumerate_group(d)
-    save_group_cache(direct, str(tmp_path))
-    again = enumerate_group(d, cache_dir=str(tmp_path))
-    assert again.right == direct.right
-    # env-var driven cache
-    os.environ["MFC_CACHE_DIR"] = str(tmp_path)
-    try:
-        third = enumerate_group(d)
-        assert third.right == direct.right
-    finally:
-        del os.environ["MFC_CACHE_DIR"]
-
-
-def _cache_file(tmp_path):
-    (path,) = [p for p in tmp_path.iterdir() if p.name.startswith("mfc-group-")]
-    return path
-
-
-def test_group_cache_garbled_file_is_a_miss(tmp_path):
-    d = parse_symbol("B3")
-    direct = enumerate_group(d)
-    save_group_cache(direct, str(tmp_path))
-    path = _cache_file(tmp_path)
-    lines = path.read_text().split("\n")
-    lines[1] = lines[1].replace(" ", " x", 1)
-    path.write_text("\n".join(lines))
-    again = enumerate_group(d, cache_dir=str(tmp_path))
-    assert again.right == direct.right
-    # the miss rewrote a valid file
-    assert enumerate_group(d, cache_dir=str(tmp_path)).right == direct.right
-
-
-def test_group_cache_rejects_wrong_group(tmp_path):
-    # columns that are permutations of the right size but break the
-    # defining relations: one generator replaced by a cyclic shift
-    d = parse_symbol("B3")
-    direct = enumerate_group(d)
-    save_group_cache(direct, str(tmp_path))
-    path = _cache_file(tmp_path)
-    lines = path.read_text().split("\n")
-    n = direct.order
-    lines[1] = " ".join(str((x + 1) % n) for x in range(n))
-    path.write_text("\n".join(lines))
-    again = enumerate_group(d, cache_dir=str(tmp_path))
-    assert again.right == direct.right
-    assert check_relations(d, again.right)
-
-
-def test_group_cache_write_uses_private_temp_name(tmp_path):
-    # a stale or foreign "<path>.tmp" does not block the write, and no
-    # temporary file is left behind
-    d = parse_symbol("A3")
-    t = enumerate_group(d)
-    path = save_group_cache(t, str(tmp_path))
-    os.remove(path)
-    os.mkdir(path + ".tmp")
-    assert save_group_cache(t, str(tmp_path)) == path
-    assert sorted(p.name for p in tmp_path.iterdir()) == \
-        sorted([os.path.basename(path), os.path.basename(path) + ".tmp"])
-    assert enumerate_group(d, cache_dir=str(tmp_path)).right == t.right

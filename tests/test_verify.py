@@ -7,8 +7,8 @@ import mfc.verify
 import mfc.walls
 from mfc.cli import main
 from mfc.diagram import parse_symbol
-from mfc.verify import (GroupContext, SuiteError, default_suite, run_entry,
-                        run_suite, verify_counts, verify_monomial,
+from mfc.verify import (DEFAULT_CAP, GroupContext, SuiteError, default_suite,
+                        run_entry, run_suite, verify_counts, verify_monomial,
                         verify_orlik, verify_theorem_A, verify_theorem_B)
 
 SMALL_SUITE = {
@@ -23,8 +23,12 @@ SMALL_SUITE = {
 }
 
 
+def context(sym):
+    return GroupContext(parse_symbol(sym))
+
+
 def test_reports_have_schema_fields():
-    rep = verify_theorem_A(parse_symbol("A3"))
+    rep = verify_theorem_A(context("A3"))
     blob = rep.to_jsonable()
     assert blob["theorem"] == "A" and blob["status"] == "agree"
     assert "timing_ms" not in blob  # byte-reproducible by default
@@ -32,9 +36,9 @@ def test_reports_have_schema_fields():
 
 def test_predicted_side_is_diagram_only():
     # predicted values match the forbidden-subdiagram predicate directly
-    assert verify_theorem_A(parse_symbol("H3")).predicted is True
-    assert verify_theorem_A(parse_symbol("G26")).predicted is False
-    assert verify_theorem_B(parse_symbol("D4")).predicted is False
+    assert verify_theorem_A(context("H3")).predicted is True
+    assert verify_theorem_A(context("G26")).predicted is False
+    assert verify_theorem_B(context("D4")).predicted is False
 
 
 def test_run_suite_deterministic_bytes():
@@ -98,8 +102,22 @@ def test_default_suite_contents():
 
 
 def test_skipped_report_for_large_groups():
-    rep = verify_theorem_A(parse_symbol("E7"))
-    assert rep.status == "skipped"
+    (rep,) = run_entry({"symbol": "E7", "checks": ["A"]}, DEFAULT_CAP)
+    assert (rep.symbol, rep.theorem, rep.status) == ("E7", "A", "skipped")
+
+
+def test_simplex_cap_is_a_cap_skip(monkeypatch, capsys):
+    # a complex over the simplex cap skips its checks like a group over the
+    # order cap: exit 3 where skips are not allowed, never a traceback
+    real = mfc.verify.milnor_fiber_complex
+    monkeypatch.setattr(mfc.verify, "milnor_fiber_complex",
+                        lambda t: real(t, simplex_cap=100))
+    assert main(["verify", "A", "H3"]) == 3
+    assert capsys.readouterr().out.rstrip().endswith("-> skipped")
+    spec = {"mfc_suite": 1, "allow_skip": False,
+            "entries": [{"symbol": "H3", "checks": ["counts", "A"]}]}
+    code, bundle = run_suite(spec)
+    assert code == 3 and bundle["summary"]["skipped"] == 2
 
 
 def test_verdicts_invariant_under_symbol_reversal():
@@ -107,16 +125,20 @@ def test_verdicts_invariant_under_symbol_reversal():
     # not depend on the choice of end
     for fn in (verify_theorem_A, verify_theorem_B, verify_counts):
         for sym, rev in (("3[3]3[4]2", "2[4]3[3]3"), ("2[4]3", "3[4]2")):
-            a, b = fn(parse_symbol(sym)), fn(parse_symbol(rev))
+            a, b = fn(context(sym)), fn(context(rev))
             assert (a.predicted, a.computed, a.status) == \
                 (b.predicted, b.computed, b.status), (fn.__name__, sym)
 
 
 def test_monomial_wider_range():
     for m, n in ((4, 2), (4, 3)):
-        rep = verify_monomial(m, n)
-        assert rep.status == "agree", (m, n)
+        rep = verify_monomial(context("G(%d,1,%d)" % (m, n)))
+        assert (rep.symbol, rep.status) == ("G(%d,1,%d)" % (m, n), "agree")
         assert rep.details["equivariant_isomorphism"]
+    # m and n are read off the diagram in parse_symbol's numbering
+    for sym in ("A3", "3[4]2"):
+        with pytest.raises(ValueError):
+            verify_monomial(context(sym))
 
 
 def test_jobs_parallel_matches_serial():
@@ -142,8 +164,11 @@ def test_cli_classify_error(capsys):
 def test_cli_build_and_export(tmp_path, capsys):
     path = str(tmp_path / "a3.mfc")
     assert main(["build", "A3", "--export", path]) == 0
-    from mfc.complexes import import_complex
-    assert import_complex(path).f_vector() == (14, 36, 24)
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    # f-vector (14, 36, 24): 14 vertices and 24 chambers
+    assert lines[0] == "MFC-COMPLEX v1 14 24"
+    assert [ln[:2] for ln in lines[1:]] == ["v:"] * 14 + ["f:"] * 24
 
 
 def test_cli_walls(capsys):
@@ -230,11 +255,10 @@ def test_fixed_subcomplexes_built_once(monkeypatch):
         return real(c, action, g)
 
     monkeypatch.setattr(mfc.verify, "fixed_subcomplex", counting)
-    d = parse_symbol("B3")
-    ctx = GroupContext(d)
+    ctx = context("B3")
     for check in (verify_counts, verify_theorem_A, verify_theorem_B,
                   verify_orlik):
-        assert check(d, ctx=ctx).status == "agree"
+        assert check(ctx).status == "agree"
     assert len(built) == len(set(built)) == ctx.pdata.classes.n_classes - 1
     rep = ctx.refl_classes[0][0]
     assert ctx.certificate_of(rep).verdict is ctx.verdict_of(rep)
@@ -254,10 +278,9 @@ def test_walls_recognized_once(monkeypatch):
     monkeypatch.setattr(mfc.walls, "recognize_milnor_fiber", counting)
     for sym in ("B3", "G25"):
         seen.clear()
-        d = parse_symbol(sym)
-        ctx = GroupContext(d)
-        verify_theorem_A(d, ctx=ctx)
-        verify_theorem_B(d, ctx=ctx)
+        ctx = context(sym)
+        verify_theorem_A(ctx)
+        verify_theorem_B(ctx)
         # G25's two reflection classes have walls with equal simplices
         walls = [ctx.fixed_of(rep).by_dim for rep, _m in ctx.refl_classes]
         for w in walls:
