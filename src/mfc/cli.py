@@ -10,10 +10,10 @@ import argparse
 import json
 import sys
 
-from .complexes import export_complex, milnor_fiber_complex
+from .complexes import export_complex
 from .diagram import (DiagramError, basic_degrees, classify, diagram_name,
                       diagram_symbol, group_order, parse_symbol)
-from .group import CapExceeded, enumerate_group
+from .group import CapExceeded
 from .homology import reduced_betti
 from .verify import DEFAULT_CAP, GroupContext, SuiteError, run_suite
 
@@ -102,10 +102,9 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "build":
-        d = parse_symbol(args.symbol)
-        t = enumerate_group(d, cap=args.cap)
-        cx, _act = milnor_fiber_complex(t)
-        print("group order: %d" % t.order)
+        ctx = GroupContext(parse_symbol(args.symbol), args.cap)
+        cx = ctx.complex
+        print("group order: %d" % ctx.order)
         print("f-vector:    %s" % (list(cx.f_vector()),))
         b = reduced_betti(cx)
         print("reduced Betti: %s (torsion-free: %s)"

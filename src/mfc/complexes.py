@@ -10,8 +10,10 @@ so identical builds produce identical complexes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
+from .diagram import Diagram, group_order
 from .group import CapExceeded, GroupTable, parabolic_cosets
 
 DEFAULT_SIMPLEX_CAP = 2_000_000
@@ -54,12 +56,6 @@ class TypedComplex:
         if self._sets is None:
             self._sets = {k: set(v) for k, v in self.by_dim.items()}
         return self._sets
-
-    def contains(self, simplex) -> bool:
-        s = tuple(sorted(simplex))
-        if not s:
-            return True
-        return s in self._simplex_sets().get(len(s) - 1, ())
 
     def type_of(self, simplex) -> frozenset:
         return frozenset(self.vertex_types[v] for v in simplex)
@@ -159,6 +155,25 @@ class GroupComplexAction:
         return tuple(sorted(perm[v] for v in simplex))
 
 
+# GroupContext counts before it builds the table, and milnor_fiber_complex
+# counts the same diagram again right after
+@lru_cache(maxsize=64)
+def simplex_count(d: Diagram, simplex_cap: int) -> int:
+    """The number of nonempty simplices of d's Milnor fiber complex, from
+    group orders alone: the simplices of type I are the cosets of
+    G_{R-I}, so there are sum |G| / |G_{R-I}| over nonempty I.  Raises
+    SimplexCapExceeded when that is over simplex_cap."""
+    n = d.rank
+    order = group_order(d)
+    total = sum(order // group_order(d.induced(r for r in range(n)
+                                               if not mask >> r & 1))
+                for mask in range(1, 1 << n))
+    if total > simplex_cap:
+        raise SimplexCapExceeded(
+            "complex would exceed %d simplices" % simplex_cap)
+    return total
+
+
 def milnor_fiber_complex(t: GroupTable,
                          simplex_cap: int = DEFAULT_SIMPLEX_CAP
                          ) -> tuple[TypedComplex, GroupComplexAction]:
@@ -168,6 +183,7 @@ def milnor_fiber_complex(t: GroupTable,
     g<R - I> is its vertex set {g<R - {r}> : r in I}; chambers biject
     with group elements.  The action is left translation.
     """
+    simplex_count(t.diagram, simplex_cap)
     n = t.ngens
     R = list(range(n))
     vmaps = [parabolic_cosets(t, [x for x in R if x != r]) for r in R]
@@ -190,14 +206,9 @@ def milnor_fiber_complex(t: GroupTable,
     chamber = [list(map(ids[offsets[r]:].__getitem__, vmaps[r].block_of))
                for r in R]
     by_dim: dict[int, list] = {}
-    total = 0
     # offsets increase with the type, so each simplex is a sorted tuple
     for mask in range(1, 1 << n):
         simplices = set(zip(*(chamber[r] for r in R if mask >> r & 1)))
-        total += len(simplices)
-        if total > simplex_cap:
-            raise SimplexCapExceeded(
-                "complex would exceed %d simplices" % simplex_cap)
         by_dim.setdefault(bin(mask).count("1") - 1, []).extend(simplices)
     cx = TypedComplex(vertex_types, by_dim, vertex_names=vertex_names)
     perms = []

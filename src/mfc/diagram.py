@@ -3,9 +3,13 @@
 A diagram is a finite labeled graph: vertex i carries an integer order
 p_i >= 2 and an edge {i,j} carries a braid length m_ij >= 3 (a missing
 edge means m_ij = 2, i.e. the generators commute).  A diagram is
-*admissible* when every connected component matches one of the known
-finite irreducible Coxeter or Shephard groups; ``classify_component``
-is the single source of truth for that table.
+*admissible* when every connected component is isomorphic to a row of
+the classification table of finite irreducible Coxeter and Shephard
+groups.  The table has the families Zm, A_n, D_n, I2(q) and G(m,1,n),
+built by ``diagram_of``, and the exceptional rows in ``_EXCEPTIONAL``,
+each written once with its diagram and degrees.  ``classify_component``
+matches a diagram's ``canonical_key`` against these rows; degrees,
+parsing and enumeration read the same table.
 """
 
 from __future__ import annotations
@@ -141,32 +145,41 @@ class GroupId:
         return n
 
 
-# rank-2 Shephard groups keyed by (sorted vertex orders, edge label)
-_RANK2_EXCEPTIONAL = {
-    ((3, 3), 3): ("G4", (4, 6)),
-    ((3, 3), 4): ("G5", (6, 12)),
-    ((2, 3), 6): ("G6", (4, 12)),
-    ((4, 4), 3): ("G8", (8, 12)),
-    ((2, 4), 6): ("G9", (8, 24)),
-    ((3, 4), 4): ("G10", (12, 24)),
-    ((2, 3), 8): ("G14", (6, 24)),
-    ((5, 5), 3): ("G16", (20, 30)),
-    ((2, 5), 6): ("G17", (20, 60)),
-    ((3, 5), 4): ("G18", (30, 60)),
-    ((3, 3), 5): ("G20", (12, 30)),
-    ((2, 3), 10): ("G21", (12, 60)),
-}
+def _linear(orders, labels) -> Diagram:
+    return Diagram(tuple(orders),
+                   tuple((i, i + 1, m) for i, m in enumerate(labels) if m >= 3))
 
-_FIXED_DEGREES = {
-    "H3": (2, 6, 10),
-    "G25": (6, 9, 12),
-    "G26": (6, 12, 18),
-    "F4": (2, 6, 8, 12),
-    "H4": (2, 12, 20, 30),
-    "G32": (12, 18, 24, 30),
-    "E6": (2, 5, 6, 8, 9, 12),
-    "E7": (2, 6, 8, 10, 12, 14, 18),
-    "E8": (2, 8, 12, 14, 18, 20, 24, 30),
+
+def _forked(n: int, b: int) -> Diagram:
+    """The path 0..n-2 of 3-edges with vertex n-1 hung on vertex b."""
+    return Diagram((2,) * n, tuple((i, i + 1, 3) for i in range(n - 2))
+                   + ((b, n - 1, 3),))
+
+
+# the exceptional rows of the classification table: name -> (diagram,
+# basic degrees)
+_EXCEPTIONAL = {
+    "G4": (_linear((3, 3), (3,)), (4, 6)),
+    "G5": (_linear((3, 3), (4,)), (6, 12)),
+    "G6": (_linear((2, 3), (6,)), (4, 12)),
+    "G8": (_linear((4, 4), (3,)), (8, 12)),
+    "G9": (_linear((2, 4), (6,)), (8, 24)),
+    "G10": (_linear((3, 4), (4,)), (12, 24)),
+    "G14": (_linear((2, 3), (8,)), (6, 24)),
+    "G16": (_linear((5, 5), (3,)), (20, 30)),
+    "G17": (_linear((2, 5), (6,)), (20, 60)),
+    "G18": (_linear((3, 5), (4,)), (30, 60)),
+    "G20": (_linear((3, 3), (5,)), (12, 30)),
+    "G21": (_linear((2, 3), (10,)), (12, 60)),
+    "H3": (_linear((2, 2, 2), (3, 5)), (2, 6, 10)),
+    "G25": (_linear((3, 3, 3), (3, 3)), (6, 9, 12)),
+    "G26": (_linear((3, 3, 2), (3, 4)), (6, 12, 18)),
+    "F4": (_linear((2, 2, 2, 2), (3, 4, 3)), (2, 6, 8, 12)),
+    "H4": (_linear((2, 2, 2, 2), (3, 3, 5)), (2, 12, 20, 30)),
+    "G32": (_linear((3, 3, 3, 3), (3, 3, 3)), (12, 18, 24, 30)),
+    "E6": (_forked(6, 2), (2, 5, 6, 8, 9, 12)),
+    "E7": (_forked(7, 2), (2, 6, 8, 10, 12, 14, 18)),
+    "E8": (_forked(8, 2), (2, 8, 12, 14, 18, 20, 24, 30)),
 }
 
 # Shephard-Todd numbers for the Coxeter rows, accepted as input aliases
@@ -175,6 +188,8 @@ _ST_ALIASES = {"G23": "H3", "G28": "F4", "G30": "H4",
 
 
 def _degrees_of(family: str, params: tuple[int, ...]) -> tuple[int, ...]:
+    if family in _EXCEPTIONAL:
+        return _EXCEPTIONAL[family][1]
     if family == "cyclic":
         return (params[0],)
     if family == "dihedral":
@@ -188,11 +203,6 @@ def _degrees_of(family: str, params: tuple[int, ...]) -> tuple[int, ...]:
     if family == "monomial":
         m, n = params
         return tuple(m * k for k in range(1, n + 1))
-    if family in _FIXED_DEGREES:
-        return _FIXED_DEGREES[family]
-    for (key, (name, degs)) in _RANK2_EXCEPTIONAL.items():
-        if name == family:
-            return degs
     raise DiagramError("unknown family %r" % family)
 
 
@@ -200,14 +210,11 @@ def group_id(family: str, *params: int) -> GroupId:
     return GroupId(family, tuple(params), _degrees_of(family, tuple(params)))
 
 
-def _linear(orders, labels) -> Diagram:
-    return Diagram(tuple(orders),
-                   tuple((i, i + 1, m) for i, m in enumerate(labels) if m >= 3))
-
-
 def diagram_of(gid: GroupId) -> Diagram:
     """Canonical diagram for a classified group."""
     f, p = gid.family, gid.params
+    if f in _EXCEPTIONAL:
+        return _EXCEPTIONAL[f][0]
     if f == "cyclic":
         return Diagram((p[0],), ())
     if f == "dihedral":
@@ -216,32 +223,10 @@ def diagram_of(gid: GroupId) -> Diagram:
         n = p[0]
         return _linear((2,) * n, (3,) * (n - 1))
     if f == "D":
-        n = p[0]
-        edges = [(i, i + 1, 3) for i in range(n - 3)] + [(n - 3, n - 2, 3), (n - 3, n - 1, 3)]
-        return Diagram((2,) * n, tuple(edges))
+        return _forked(p[0], p[0] - 3)
     if f == "monomial":
         m, n = p
         return _linear((2,) * (n - 1) + (m,), (3,) * (n - 2) + (4,))
-    if f in ("E6", "E7", "E8"):
-        n = {"E6": 6, "E7": 7, "E8": 8}[f]
-        edges = [(i, i + 1, 3) for i in range(n - 2)] + [(2, n - 1, 3)]
-        return Diagram((2,) * n, tuple(edges))
-    if f == "H3":
-        return _linear((2, 2, 2), (3, 5))
-    if f == "H4":
-        return _linear((2, 2, 2, 2), (3, 3, 5))
-    if f == "F4":
-        return _linear((2, 2, 2, 2), (3, 4, 3))
-    if f == "G25":
-        return _linear((3, 3, 3), (3, 3))
-    if f == "G26":
-        return _linear((3, 3, 2), (3, 4))
-    if f == "G32":
-        return _linear((3, 3, 3, 3), (3, 3, 3))
-    for (key, (name, _degs)) in _RANK2_EXCEPTIONAL.items():
-        if name == f:
-            (p1, p2), q = key
-            return _linear((p1, p2), (q,))
     raise DiagramError("unknown family %r" % f)
 
 
@@ -280,106 +265,34 @@ def connected_components(d: Diagram) -> list[Diagram]:
     return [c for (c, _idx) in components_with_indices(d)]
 
 
-def _classify_path(orders, labels):
-    """Classify a path written as vertex orders + consecutive edge labels."""
-    n = len(orders)
-    if all(p == 2 for p in orders):
-        if all(m == 3 for m in labels):
-            return group_id("A", n)
-        if n >= 2 and labels[:-1] == (3,) * (n - 2) and labels[-1] == 4:
-            return group_id("monomial", 2, n)
-        if n in (3, 4) and labels[:-1] == (3,) * (n - 2) and labels[-1] == 5:
-            return group_id("H3" if n == 3 else "H4")
-        if n == 4 and labels == (3, 4, 3):
-            return group_id("F4")
-        return None
-    if orders[:-1] == (2,) * (n - 1) and orders[-1] >= 3 \
-            and labels == (3,) * (n - 2) + (4,):
-        return group_id("monomial", orders[-1], n)
-    if orders == (3, 3, 3) and labels == (3, 3):
-        return group_id("G25")
-    if orders == (3, 3, 2) and labels == (3, 4):
-        return group_id("G26")
-    if orders == (3, 3, 3, 3) and labels == (3, 3, 3):
-        return group_id("G32")
-    return None
+@lru_cache(maxsize=8192)
+def _row_key(family: str, *params: int) -> tuple:
+    return canonical_key(diagram_of(group_id(family, *params)))
 
 
 def classify_component(d: Diagram) -> GroupId:
-    """Match a connected nonempty diagram against the classification table."""
+    """The table row whose diagram is isomorphic to d: the exceptional row
+    with d's canonical key, or a family row whose parameters d itself
+    fixes (its rank, its largest vertex order, its one edge label at
+    rank 2).  A disconnected diagram matches no row."""
     n = d.rank
     if n == 0:
         raise DiagramError("empty diagram is not connected")
     if n == 1:
         return group_id("cyclic", d.orders[0])
-    degs = [len(d.neighbors(i)) for i in range(n)]
-    if n == 2:
-        q = d.m(0, 1)
-        if q == 2:
-            raise DiagramError("rank-2 component must be connected")
-        p = tuple(sorted(d.orders))
-        if p == (2, 2):
-            if q == 3:
-                return group_id("A", 2)
-            if q == 4:
-                return group_id("monomial", 2, 2)
-            return group_id("dihedral", q)
-        if q == 4 and p[0] == 2 and p[1] >= 3:
-            return group_id("monomial", p[1], 2)
-        hit = _RANK2_EXCEPTIONAL.get((p, q))
-        if hit is None:
-            raise NotAdmissible("no rank-2 group with symbol %d[%d]%d"
-                                % (d.orders[0], q, d.orders[1]))
-        return group_id(hit[0])
-    if max(degs) >= 3:
-        # branched: only the simply laced D/E trees are admissible
-        if max(degs) > 3 or degs.count(3) != 1:
-            raise NotAdmissible("branched diagram outside D/E families")
-        if any(p != 2 for p in d.orders) or any(m != 3 for (_i, _j, m) in d.edges):
-            raise NotAdmissible("branched diagram with nonminimal labels")
-        b = degs.index(3)
-        arms = []
-        for start in d.neighbors(b):
-            length, prev, cur = 1, b, start
-            while True:
-                nxt = [x for x in d.neighbors(cur) if x != prev]
-                if not nxt:
-                    break
-                if len(nxt) > 1:
-                    raise NotAdmissible("multiple branch vertices")
-                prev, cur = cur, nxt[0]
-                length += 1
-            arms.append(length)
-        arms.sort()
-        if arms[0] == 1 and arms[1] == 1:
-            return group_id("D", n)
-        if arms == [1, 2, 2]:
-            return group_id("E6")
-        if arms == [1, 2, 3]:
-            return group_id("E7")
-        if arms == [1, 2, 4]:
-            return group_id("E8")
-        raise NotAdmissible("branched tree outside D/E families")
-    if degs.count(1) != 2 or 0 in degs:
-        raise NotAdmissible("component with a cycle is not admissible")
-    # walk the path from one endpoint; try both orientations
-    start = degs.index(1)
-    order_seq, label_seq = [d.orders[start]], []
-    prev, cur = None, start
-    while True:
-        nxt = [x for x in d.neighbors(cur) if x != prev]
-        if not nxt:
-            break
-        prev, cur = cur, nxt[0]
-        label_seq.append(d.m(prev, cur))
-        order_seq.append(d.orders[cur])
-    for orders, labels in ((tuple(order_seq), tuple(label_seq)),
-                           (tuple(reversed(order_seq)), tuple(reversed(label_seq)))):
-        gid = _classify_path(orders, labels)
-        if gid is not None:
-            return gid
-    raise NotAdmissible("linear diagram %s / %s matches no table row"
-                        % (order_seq, label_seq))
+    rows = [("A", n), ("monomial", max(d.orders), n)]
+    if n == 2 and d.edges:
+        rows.append(("dihedral", d.edges[0][2]))
+    if n >= 4:
+        rows.append(("D", n))
+    key = canonical_key(d)
+    for row in rows:
+        if _row_key(*row) == key:
+            return group_id(*row)
+    if key in _EXCEPTIONAL_BY_KEY:
+        return group_id(_EXCEPTIONAL_BY_KEY[key])
+    raise NotAdmissible("diagram %s / %s matches no table row"
+                        % (d.orders, d.edges))
 
 
 def classify(d: Diagram) -> list[GroupId]:
@@ -407,45 +320,72 @@ def group_order(d: Diagram) -> int:
 # ---------------------------------------------------------------------------
 
 def _component_key(d: Diagram) -> tuple:
-    """Lexicographically minimal (orders, edges) encoding over relabelings.
+    """Lexicographically minimal (orders, edges) encoding over the
+    relabelings that sort the vertices by a local invariant.
 
-    Permutations are pruned by a local vertex invariant so even E8 stays
-    cheap; feasible at rank <= 8.
+    The slots are filled in order, depth first.  Giving each unplaced
+    vertex the first free slot of its invariant class bounds every edge
+    from below, so the sorted bounds are a lower bound on the key of any
+    completion, and a partial relabeling whose bound exceeds the best key
+    is dropped.  Paths and the D and E trees take polynomial time; a
+    diagram with many interchangeable vertices can still take factorial
+    time.
     """
     n = d.rank
-    inv = []
-    for i in range(n):
-        labels = tuple(sorted(d.m(i, j) for j in d.neighbors(i)))
-        inv.append((d.orders[i], len(labels), labels))
+    adj = [[] for _ in range(n)]
+    for (i, j, _m) in d.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    inv = [(d.orders[i], len(adj[i]),
+            tuple(sorted(m for (a, b, m) in d.edges if i in (a, b))))
+           for i in range(n)]
     target = sorted(inv)
-    classes = {}
-    for i, v in enumerate(inv):
-        classes.setdefault(v, []).append(i)
-    slots = {}
-    for v, members in classes.items():
-        slots[v] = [k for k in range(n) if target[k] == v]
+    first = {}
+    for k, v in enumerate(target):
+        first.setdefault(v, k)
+    cls = [first[v] for v in inv]
     best = None
-    class_lists = list(classes.items())
-    for assignment in itertools.product(
-            *[itertools.permutations(members) for (_v, members) in class_lists]):
-        perm = [None] * n
-        ok = True
-        for (v, _members), placed in zip(class_lists, assignment):
-            for slot, old in zip(slots[v], placed):
-                perm[slot] = old
-        pos = {old: new for new, old in enumerate(perm)}
-        key = (tuple(d.orders[old] for old in perm),
-               tuple(sorted((min(pos[i], pos[j]), max(pos[i], pos[j]), m)
-                            for (i, j, m) in d.edges)))
-        if best is None or key < best:
-            best = key
-    return best
+    stack = [()]
+    while stack:
+        perm = stack.pop()
+        placed = set(perm)
+        # a slot whose class has one vertex left takes it
+        while len(perm) < n:
+            left = [v for v in range(n)
+                    if cls[v] == first[target[len(perm)]] and v not in placed]
+            if len(left) > 1:
+                break
+            perm += (left[0],)
+            placed.add(left[0])
+        k = len(perm)
+        slot = [max(k, c) for c in cls]
+        for s, v in enumerate(perm):
+            slot[v] = s
+        if best is not None or k == n:
+            bound = sorted([(slot[i], slot[j], m) if slot[i] < slot[j]
+                            else (slot[j], slot[i], m)
+                            for (i, j, m) in d.edges])
+            if best is not None and bound > best:
+                continue
+            if k == n:
+                best = bound
+                continue
+        # the neighbours of the earliest slots first: a good bound comes soon
+        near = sorted([(min([slot[w] for w in adj[v]], default=n), v)
+                       for v in left])
+        stack.extend([perm + (v,) for _s, v in reversed(near)])
+    return (tuple(v[0] for v in target), tuple(best))
 
 
 @lru_cache(maxsize=8192)
 def canonical_key(d: Diagram) -> tuple:
     """Canonical encoding of the diagram up to vertex relabeling."""
     return tuple(sorted(_component_key(c) for c in connected_components(d)))
+
+
+# the exceptional rows by canonical key, for classify_component
+_EXCEPTIONAL_BY_KEY = {canonical_key(diag): name
+                       for name, (diag, _degs) in _EXCEPTIONAL.items()}
 
 
 def diagram_name(d: Diagram) -> str:
@@ -491,32 +431,19 @@ def _parse_term(term: str) -> Diagram:
         if mm < 2:
             raise DiagramError("Zm needs m >= 2")
         return Diagram((mm,), ())
-    m = re.match(r"^([ABDEFH])(\d+)$", up)
+    m = re.match(r"^([ABDEFGH])(\d+)$", up)
     if m:
         fam, n = m.group(1), int(m.group(2))
+        name = "%s%d" % (fam, n)
+        if name in _EXCEPTIONAL:
+            return _EXCEPTIONAL[name][0]
         if fam == "A" and n >= 1:
             return diagram_of(group_id("A", n)) if n >= 2 else Diagram((2,), ())
         if fam == "B" and n >= 2:
             return diagram_of(group_id("monomial", 2, n))
         if fam == "D" and n >= 4:
             return diagram_of(group_id("D", n))
-        if fam == "E" and n in (6, 7, 8):
-            return diagram_of(group_id("E%d" % n))
-        if fam == "F" and n == 4:
-            return diagram_of(group_id("F4"))
-        if fam == "H" and n in (3, 4):
-            return diagram_of(group_id("H%d" % n))
         raise DiagramError("unknown named diagram %r" % term)
-    m = re.match(r"^G(\d+)$", up)
-    if m:
-        name = "G%d" % int(m.group(1))
-        for (key, (nm, _d)) in _RANK2_EXCEPTIONAL.items():
-            if nm == name:
-                (p1, p2), q = key
-                return _linear((p1, p2), (q,))
-        if name in ("G25", "G26", "G32"):
-            return diagram_of(group_id(name))
-        raise DiagramError("group %s is not a Coxeter or Shephard group" % name)
     if _TERM_RE.match(t):
         parts = re.split(r"\[(\d+)\]", t)
         orders = tuple(int(x) for x in parts[0::2])
@@ -586,13 +513,9 @@ def diagram_symbol(d: Diagram) -> str:
 # forbidden subdiagrams
 # ---------------------------------------------------------------------------
 
-_FORBIDDEN_KEYS = {}
-
-
+@lru_cache(maxsize=None)
 def _forbidden_key(name: str):
-    if name not in _FORBIDDEN_KEYS:
-        _FORBIDDEN_KEYS[name] = canonical_key(parse_symbol(name))
-    return _FORBIDDEN_KEYS[name]
+    return canonical_key(parse_symbol(name))
 
 
 def has_forbidden_subdiagram(d: Diagram, families) -> bool:
@@ -624,56 +547,25 @@ def has_forbidden_subdiagram(d: Diagram, families) -> bool:
 # enumeration of admissible diagrams by rank and order
 # ---------------------------------------------------------------------------
 
-def _irreducible_ids(rank: int, order: int) -> list[GroupId]:
-    """All irreducible GroupIds with the given rank and group order."""
-    out = []
+@lru_cache(maxsize=4096)
+def _irreducible_ids(rank: int, order: int) -> tuple[GroupId, ...]:
+    """All irreducible GroupIds with the given rank and group order, one
+    per diagram: the rows that classify their own diagram."""
     if rank == 1:
-        if order >= 2:
-            out.append(group_id("cyclic", order))
-        return out
-    if rank == 2:
-        if order % 2 == 0 and order // 2 >= 3:
-            q = order // 2
-            if q == 3:
-                out.append(group_id("A", 2))
-            elif q == 4:
-                out.append(group_id("monomial", 2, 2))
-            else:
-                out.append(group_id("dihedral", q))
-        for (key, (name, degs)) in sorted(_RANK2_EXCEPTIONAL.items()):
-            if degs[0] * degs[1] == order:
-                out.append(group_id(name))
-        m = 2
-        while 2 * m * m <= order:
-            if 2 * m * m == order and m >= 3:
-                out.append(group_id("monomial", m, 2))
-            m += 1
+        rows = [group_id("cyclic", order)] if order >= 2 else []
     else:
-        n = rank
-        if factorial(n + 1) == order:
-            out.append(group_id("A", n))
-        if n >= 4 and 2 ** (n - 1) * factorial(n) == order:
-            out.append(group_id("D", n))
         m = 2
-        while m ** n * factorial(n) <= order:
-            if m ** n * factorial(n) == order:
-                out.append(group_id("monomial", m, n))
+        while m ** rank * factorial(rank) < order:
             m += 1
-        for name, degs in _FIXED_DEGREES.items():
-            if len(degs) == n:
-                o = 1
-                for dd in degs:
-                    o *= dd
-                if o == order:
-                    out.append(group_id(name))
-    # one GroupId per diagram isomorphism class
-    seen, uniq = set(), []
-    for gid in out:
-        k = canonical_key(diagram_of(gid))
-        if k not in seen:
-            seen.add(k)
-            uniq.append(gid)
-    return uniq
+        rows = [group_id("A", rank), group_id("monomial", m, rank)]
+        if rank == 2 and order % 2 == 0 and order >= 6:
+            rows.append(group_id("dihedral", order // 2))
+        if rank >= 4:
+            rows.append(group_id("D", rank))
+        rows += [group_id(name) for name, (diag, _degs) in _EXCEPTIONAL.items()
+                 if diag.rank == rank]
+    return tuple(gid for gid in rows if gid.order == order
+                 and classify_component(diagram_of(gid)) == gid)
 
 
 def _divisors(n: int) -> list[int]:
@@ -688,23 +580,18 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def enumerate_admissible(rank: int, order: int,
-                         irreducible_only: bool = False) -> list[Diagram]:
+def enumerate_admissible(rank: int, order: int) -> list[Diagram]:
     """All admissible diagrams (up to isomorphism) with the exact rank and
     degree product, as disjoint unions of table rows."""
-    return list(_admissible(rank, order, bool(irreducible_only)))
+    return list(_admissible(rank, order))
 
 
 @lru_cache(maxsize=4096)
-def _admissible(rank: int, order: int,
-                irreducible_only: bool) -> tuple[Diagram, ...]:
+def _admissible(rank: int, order: int) -> tuple[Diagram, ...]:
     if rank < 0 or order < 1:
         return ()
     if rank == 0:
         return (EMPTY_DIAGRAM,) if order == 1 else ()
-    if irreducible_only:
-        found = [diagram_of(g) for g in _irreducible_ids(rank, order)]
-        return tuple(sorted(found, key=canonical_key))
 
     results = {}
 

@@ -12,8 +12,9 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .complexes import (TypedComplex, join, milnor_fiber_complex,
-                        monomial_flag_complex)
+from .complexes import (DEFAULT_SIMPLEX_CAP, TypedComplex, join,
+                        milnor_fiber_complex, monomial_flag_complex,
+                        simplex_count)
 from .diagram import (Diagram, basic_degrees, canonical_key,
                       components_with_indices, diagram_name, group_order,
                       has_forbidden_subdiagram, parse_symbol)
@@ -26,7 +27,6 @@ from .walls import (MilnorWallCertificate, ParabolicData, RecognitionVerdict,
                     chamber_count_check, fixed_subcomplex, milnor_wall_search,
                     predicted_bouquet_count, recognize_milnor_fiber)
 
-SNF_SIMPLEX_LIMIT = 50_000
 # explicit per-class subcomplex homology: always at rank >= 3 (orders are
 # small there); at rank <= 2 only for small orders, since every
 # non-identity class fixes a complex of dimension <= 0 whose homology the
@@ -68,6 +68,7 @@ class GroupContext:
         self.order = group_order(d)
         if self.order > cap:
             raise CapExceeded("order %d over cap %d" % (self.order, cap))
+        simplex_count(d, DEFAULT_SIMPLEX_CAP)
         self.cap = cap
         self.table = enumerate_group(d, cap=cap)
         self.complex, self.action = milnor_fiber_complex(self.table)
@@ -286,9 +287,7 @@ def verify_orlik(ctx: GroupContext) -> TheoremReport:
                 sub = ctx.fixed_of(rep)
                 b = reduced_betti(sub)
                 ok = (b.concentrated_value(p - 1) == want
-                      and sub.dim + 1 == p
-                      and (b.torsion_free
-                           or sub.n_simplices() > SNF_SIMPLEX_LIMIT))
+                      and sub.dim + 1 == p and b.torsion_free)
                 rows.append({"rep": rep, "p": p, "want": want,
                              "betti": {str(k): v for k, v in sorted(b.betti.items())},
                              "torsion_free": b.torsion_free, "holds": ok})

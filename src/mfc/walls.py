@@ -195,19 +195,12 @@ def _euler_excludes(s: TypedComplex, rank: int,
     return all(predicted_bouquet_count(d) != want for d in candidates)
 
 
-def recognize_milnor_fiber(s: TypedComplex, rank: int, *,
-                           candidates: list[Diagram] | None = None
-                           ) -> RecognitionVerdict:
+def recognize_milnor_fiber(s: TypedComplex, rank: int) -> RecognitionVerdict:
     """Decide whether s is the Milnor fiber complex of some rank-`rank`
     admissible diagram: chamber-count candidates, bouquet filter, then
-    exact type-free isomorphism.
-
-    ``candidates`` spares the enumeration when the caller already holds
-    the admissible diagrams for s's chamber count.
-    """
+    exact type-free isomorphism."""
     chambers = _chamber_count(s, rank)
-    if candidates is None:
-        candidates = enumerate_admissible(rank, chambers)
+    candidates = enumerate_admissible(rank, chambers)
     if not candidates:
         return RecognitionVerdict("not-mfc", rank, chambers, None, None,
                                   "no-admissible-factorization")
@@ -317,8 +310,7 @@ def milnor_wall_search(wall_cx: TypedComplex, n: int, r: int,
                                                   _chamber_count(sub, n - 1))
                 if _euler_excludes(sub, n - 1, candidates):
                     continue
-                verdict = recognize_milnor_fiber(sub, n - 1,
-                                                 candidates=candidates)
+                verdict = recognize_milnor_fiber(sub, n - 1)
             if verdict.recognized:
                 family = tuple(frozenset(x for x in range(n) if x != s)
                                for s in missing)

@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfc.complexes import (SimplexCapExceeded, TypedComplex, export_complex,
-                           join, milnor_fiber_complex, monomial_flag_complex)
+from mfc.complexes import (DEFAULT_SIMPLEX_CAP, SimplexCapExceeded,
+                           TypedComplex, export_complex, join,
+                           milnor_fiber_complex, monomial_flag_complex,
+                           simplex_count)
 from mfc.diagram import group_order, parse_symbol
 from mfc.group import enumerate_group, parabolic_cosets
 from mfc.isomorphism import find_isomorphism
@@ -183,6 +185,17 @@ def test_simplex_cap():
         milnor_fiber_complex(t, simplex_cap=100)
 
 
+def test_simplex_count_matches_complex():
+    # the count from group orders alone is the built complex's
+    for sym in ("B3", "H3", "G25", "G26", "D4", "F4", "G(3,1,3)", "I2(7)",
+                "Z5", "2[3]2 + 4", "1"):
+        t, cx, _act = build(sym)
+        assert simplex_count(t.diagram, DEFAULT_SIMPLEX_CAP) == \
+            cx.n_simplices(), sym
+    with pytest.raises(SimplexCapExceeded):
+        simplex_count(parse_symbol("H3"), 100)
+
+
 def _exported_lines(cx, path):
     """The header, the v: lines split into fields and the f: lines as
     vertex tuples of the MFC-COMPLEX file written for cx."""
@@ -219,7 +232,6 @@ def test_export_import_tagged_types(tmp_path):
 def test_from_facets_closes_faces():
     c = TypedComplex.from_facets([0, 1, 2], [(0, 1, 2)])
     assert c.f_vector() == (3, 3, 1)
-    assert c.contains(())
     assert c.chambers() == ((0, 1, 2),)
 
 

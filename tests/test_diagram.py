@@ -1,12 +1,16 @@
+import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mfc.diagram import (Diagram, DiagramError, NotAdmissible, basic_degrees,
+from mfc.diagram import (EMPTY_DIAGRAM, Diagram, DiagramError, NotAdmissible,
+                         _component_key, _irreducible_ids, basic_degrees,
                          canonical_key, classify, classify_component,
-                         connected_components, diagram_name, diagram_symbol,
-                         enumerate_admissible, group_order,
-                         has_forbidden_subdiagram, parse_symbol)
+                         connected_components, diagram_name, diagram_of,
+                         diagram_symbol, enumerate_admissible, group_id,
+                         group_order, has_forbidden_subdiagram, parse_symbol)
 
 
 def names(diagrams):
@@ -144,7 +148,8 @@ def test_enumerate_admissible_rank2_order54():
 
 
 def test_enumerate_admissible_irreducible_filter():
-    found = enumerate_admissible(2, 72, irreducible_only=True)
+    found = [d for d in enumerate_admissible(2, 72)
+             if len(connected_components(d)) == 1]
     assert names(found) == sorted(["I2(36)", "G5", "G(6,1,2)"])
 
 
@@ -196,5 +201,161 @@ def test_enumerate_admissible_returns_fresh_lists():
     first.append(None)
     again = enumerate_admissible(2, 72)
     assert None not in again and again == first[:-1]
-    assert enumerate_admissible(2, 72, irreducible_only=True) == \
-        enumerate_admissible(2, 72, True)
+
+
+# ---------------------------------------------------------------------------
+# the classification table, pinned
+# ---------------------------------------------------------------------------
+
+_PINNED_SYMBOLS = (
+    ["A%d" % n for n in range(0, 10)] + ["B%d" % n for n in range(0, 9)]
+    + ["D%d" % n for n in range(2, 10)] + ["E%d" % n for n in range(5, 10)]
+    + ["F3", "F4", "F5", "H2", "H3", "H4", "H5"]
+    + ["G%d" % n for n in range(0, 40)]
+    + ["G04", "G4", "g5", "G023", "g28", "G30", "G35", "G36", "G37",
+       "G(1,1,3)", "G(2,1,1)", "G(3,1,1)", "G(3,1,2)", "G(4,1,3)",
+       "g(5,1,4)", "G(2,1,7)", "G(3,0,2)", "B(3,2)", "b(2,3)", "B(1,2)",
+       "I2(2)", "I2(3)", "I2(4)", "I2(6)", "i2(12)", "Z1", "Z2", "z7",
+       "Z_5", "Z0", "1", "2", "17", "3[3]3", "3[4]2", "2[4]3", "5[3]5",
+       "2[3]2[3]2[4]2", "2[4]2[3]2[3]2", "3[3]3[3]3[3]3", "2[3]2[5]2[3]2",
+       "2[3]2[3]2[3]2[5]2", "2[2]3[2]4", "4[3]4[4]2", "2[4]2[4]2",
+       "2 + D4", "G25 + 2[4]3", "H3+2", "I2(5) + I2(5)", "E6+A1",
+       "", "+", "3[3]", "x17", "1[3]2", "2[1]2", "3[3]2", "D", "B(2,3,4)"])
+
+
+def _pinned_outcomes():
+    """Outcome of every connected diagram of rank <= 3 with vertex orders
+    2..6 and labels {2,3,4,5,6,8,10}, then of the named symbols: the
+    classified name and degrees (and for a symbol its parsed diagram), or
+    "not admissible" for any DiagramError."""
+    labels = (2, 3, 4, 5, 6, 8, 10)
+    pairs = ((0, 1), (0, 2), (1, 2))
+    inputs = [((p,), ()) for p in range(2, 7)]
+    inputs += [((p, r), ((0, 1, q),)) for p in range(2, 7)
+               for r in range(2, 7) for q in labels[1:]]
+    for orders in itertools.product(range(2, 7), repeat=3):
+        for ms in itertools.product(labels, repeat=3):
+            edges = tuple((i, j, m) for (i, j), m in zip(pairs, ms) if m > 2)
+            if len(edges) >= 2:
+                inputs.append((orders, edges))
+    lines = []
+    for orders, edges in inputs:
+        try:
+            gid = classify_component(Diagram(orders, edges))
+            out = "%s %s" % (gid.name, gid.degrees)
+        except DiagramError:
+            out = "not admissible"
+        lines.append("%s %s: %s" % (orders, edges, out))
+    for sym in _PINNED_SYMBOLS:
+        try:
+            d = parse_symbol(sym)
+            out = "%s %s %s %s" % (diagram_name(d), basic_degrees(d),
+                                   d.orders, d.edges)
+        except DiagramError:
+            out = "not admissible"
+        lines.append("%r: %s" % (sym, out))
+    return lines
+
+
+# sha256 of the outcomes above
+PINNED_CLASSIFICATION = \
+    "f80d1dade87adae8df02a199829ffb796a4b1a4b7cae8500b920d7ec1b3b4e8a"
+
+
+def test_classification_pinned():
+    lines = _pinned_outcomes()
+    assert len(lines) == 40655 + len(_PINNED_SYMBOLS)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PINNED_CLASSIFICATION
+
+
+def _orders_at(rank):
+    """The group orders of every family row of this rank (with m <= 6 for
+    G(m,1,n)) and of every exceptional row."""
+    if rank <= 2:
+        return range(2, 2001)
+    rows = [group_id("A", rank), group_id("D", rank)]
+    rows += [group_id("monomial", m, rank) for m in range(2, 7)]
+    rows += [group_id(name) for name in ("H3", "G25", "G26", "F4", "H4",
+                                         "G32", "E6", "E7", "E8")]
+    return sorted({g.order for g in rows if g.rank == rank})
+
+
+# by rank, every irreducible GroupId that enumeration yields at ranks 1-8
+# for those orders
+ROWS = {rank: [gid for order in _orders_at(rank)
+               for gid in _irreducible_ids(rank, order)]
+        for rank in range(1, 9)}
+# a rank, then a row of that rank
+any_row = st.integers(1, 8).flatmap(lambda rank: st.sampled_from(ROWS[rank]))
+
+
+def test_rows_cover_the_table():
+    names = {gid.name for rows in ROWS.values() for gid in rows}
+    for name in ("Z2", "A2", "G(2,1,2)", "I2(5)", "G4", "G21", "A8", "D4",
+                 "D8", "G(6,1,8)", "H3", "H4", "F4", "G25", "G26", "G32",
+                 "E6", "E7", "E8"):
+        assert name in names, name
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_row, st.data())
+def test_classify_inverts_diagram_of(gid, data):
+    d = diagram_of(gid)
+    perm = data.draw(st.permutations(range(d.rank)))
+    assert classify_component(d.relabeled(perm)) == gid
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(any_row, min_size=1, max_size=3), st.data())
+def test_symbol_parse_roundtrip(gids, data):
+    d = EMPTY_DIAGRAM
+    for gid in gids:
+        d = d + diagram_of(gid)
+    d = d.relabeled(data.draw(st.permutations(range(d.rank))))
+    assert canonical_key(parse_symbol(diagram_symbol(d))) == canonical_key(d)
+
+
+def _brute_component_key(d):
+    """The least (orders, edges) encoding over every relabeling that
+    sorts the vertices by (order, degree, incident labels): the reference
+    for the branch and bound of _component_key."""
+    inv = [(d.orders[i], len(d.neighbors(i)),
+            tuple(sorted(d.m(i, j) for j in d.neighbors(i))))
+           for i in range(d.rank)]
+    target = sorted(inv)
+    classes = sorted(set(inv))
+    best = None
+    for choice in itertools.product(*[itertools.permutations(
+            [i for i in range(d.rank) if inv[i] == c]) for c in classes]):
+        perm = [v for placed in choice for v in placed]
+        assert [inv[v] for v in perm] == target
+        pos = {old: new for new, old in enumerate(perm)}
+        key = (tuple(d.orders[v] for v in perm),
+               tuple(sorted((min(pos[i], pos[j]), max(pos[i], pos[j]), m)
+                            for (i, j, m) in d.edges)))
+        best = key if best is None else min(best, key)
+    return best
+
+
+@st.composite
+def _graphs(draw):
+    """A diagram on 1-6 vertices of orders 2 and 3 with random edges."""
+    n = draw(st.integers(1, 6))
+    orders = tuple(draw(st.lists(st.sampled_from((2, 2, 3)),
+                                 min_size=n, max_size=n)))
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            labels = (2, 3, 4, 5) if orders[i] == orders[j] else (2, 4, 6)
+            m = draw(st.sampled_from(labels))
+            if m > 2:
+                edges.append((i, j, m))
+    return Diagram(orders, tuple(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs())
+def test_component_key_matches_brute_force(d):
+    for comp in connected_components(d):
+        assert _component_key(comp) == _brute_component_key(comp)

@@ -2,7 +2,8 @@ import hashlib
 
 import pytest
 
-from mfc.diagram import (basic_degrees, components_with_indices,
+from mfc.diagram import (_irreducible_ids, basic_degrees,
+                         components_with_indices, diagram_of,
                          enumerate_admissible, group_order, parse_symbol)
 from mfc.group import (DEFAULT_CAP, CapExceeded, GroupTable, _induced_right,
                        check_relations, conjugacy_classes, enumerate_group,
@@ -185,7 +186,7 @@ def _regular_equivalence_diagrams():
     out = []
     for rank in (2, 3, 4):
         for order in range(2, 2001):
-            out += [d for d in enumerate_admissible(rank, order, True)
+            out += [d for d in map(diagram_of, _irreducible_ids(rank, order))
                     if d.orders != (2, 2)]
             if order <= 200:
                 out += [d for d in enumerate_admissible(rank, order)

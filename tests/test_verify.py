@@ -120,6 +120,18 @@ def test_simplex_cap_is_a_cap_skip(monkeypatch, capsys):
     assert code == 3 and bundle["summary"]["skipped"] == 2
 
 
+def test_simplex_cap_skips_before_any_table(monkeypatch):
+    # D7 is under the order cap, but its complex (4,364,978 simplices) is
+    # over the simplex cap: the skip comes from group orders alone
+    def no_table(*args, **kw):
+        raise AssertionError("group table built for a certain skip")
+
+    monkeypatch.setattr(mfc.verify, "enumerate_group", no_table)
+    (rep,) = run_entry({"symbol": "D7", "checks": ["A"]}, 1_000_000)
+    assert (rep.symbol, rep.status) == ("D7", "skipped")
+    assert rep.details == {"cap": "complex would exceed 2000000 simplices"}
+
+
 def test_verdicts_invariant_under_symbol_reversal():
     # generator numbering runs left-to-right in the symbol; verdicts must
     # not depend on the choice of end
