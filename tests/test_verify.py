@@ -328,3 +328,22 @@ def test_report_bytes_pinned():
                for r in run_entry(e, 200_000)]
     blob = json.dumps(reports, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == PINNED_SHA256
+
+
+# sha256 of the counts and orlik reports of rank <= 2 groups, as produced
+# before the per-class fixed counts became a sparse per-group map: Z7 and
+# I2(7) run the explicit Orlik rows, I2(301) and G(20,1,2) read them off the
+# counts, Z600 has more than 512 classes (no holding class rows), and G8 is
+# an exceptional rank-2 group
+PINNED_RANK2_ENTRIES = [{"symbol": s, "checks": ["counts", "orlik"]}
+                        for s in ("Z7", "I2(7)", "I2(301)", "G(20,1,2)",
+                                  "Z600", "G8")]
+PINNED_RANK2_SHA256 = \
+    "7666731610193050e99831e66eb34e6b538ceeea6c0a9ef8f9573bd4bb9f7a92"
+
+
+def test_rank2_report_bytes_pinned():
+    reports = [r.to_jsonable() for e in PINNED_RANK2_ENTRIES
+               for r in run_entry(e, 200_000)]
+    blob = json.dumps(reports, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == PINNED_RANK2_SHA256
