@@ -257,7 +257,8 @@ def components_with_indices(d: Diagram) -> list[tuple[Diagram, tuple[int, ...]]]
                     seen[y] = True
                     stack.append(y)
         comp.sort()
-        out.append((d.induced(comp), tuple(comp)))
+        # a connected diagram is its own component: no copy to build
+        out.append((d if len(comp) == n else d.induced(comp), tuple(comp)))
     return out
 
 
@@ -266,8 +267,21 @@ def connected_components(d: Diagram) -> list[Diagram]:
 
 
 @lru_cache(maxsize=8192)
+def _row_invariants(family: str, *params: int) -> tuple:
+    return _sorted_invariants(diagram_of(group_id(family, *params)))
+
+
+@lru_cache(maxsize=8192)
 def _row_key(family: str, *params: int) -> tuple:
     return canonical_key(diagram_of(group_id(family, *params)))
+
+
+def _may_match(d: Diagram, rows) -> bool:
+    """Whether some exceptional row or one of the family rows `rows` has
+    d's sorted vertex invariants; if none does, d is no table row."""
+    inv = _sorted_invariants(d)
+    return (inv in _EXCEPTIONAL_INVARIANTS
+            or any(_row_invariants(*row) == inv for row in rows))
 
 
 def classify_component(d: Diagram) -> GroupId:
@@ -285,19 +299,28 @@ def classify_component(d: Diagram) -> GroupId:
         rows.append(("dihedral", d.edges[0][2]))
     if n >= 4:
         rows.append(("D", n))
-    key = canonical_key(d)
-    for row in rows:
-        if _row_key(*row) == key:
-            return group_id(*row)
-    if key in _EXCEPTIONAL_BY_KEY:
-        return group_id(_EXCEPTIONAL_BY_KEY[key])
+    # from rank 4 up the key search can take factorial time (below, it
+    # tries at most 3! relabelings): first rule out, by vertex invariants,
+    # a diagram that no candidate row can match
+    if n <= 3 or _may_match(d, rows):
+        key = canonical_key(d)
+        for row in rows:
+            if _row_key(*row) == key:
+                return group_id(*row)
+        if key in _EXCEPTIONAL_BY_KEY:
+            return group_id(_EXCEPTIONAL_BY_KEY[key])
     raise NotAdmissible("diagram %s / %s matches no table row"
                         % (d.orders, d.edges))
 
 
-def classify(d: Diagram) -> list[GroupId]:
-    """GroupIds of all connected components (empty list for the empty diagram)."""
-    return [classify_component(c) for c in connected_components(d)]
+@lru_cache(maxsize=256)
+def classify(d: Diagram) -> tuple[GroupId, ...]:
+    """GroupIds of all connected components (empty for the empty diagram).
+
+    Memoized, since every display name and degree list goes through it; a
+    few hundred diagrams cover one group's checks and their recognition
+    candidates, and a larger memo only keeps more diagrams alive."""
+    return tuple(classify_component(c) for c in connected_components(d))
 
 
 def basic_degrees(d: Diagram) -> tuple[int, ...]:
@@ -319,6 +342,21 @@ def group_order(d: Diagram) -> int:
 # canonical forms
 # ---------------------------------------------------------------------------
 
+def _vertex_invariants(d: Diagram) -> list[tuple]:
+    """Per vertex: its order, its degree and its sorted edge labels."""
+    labels = [[] for _ in range(d.rank)]
+    for (i, j, m) in d.edges:
+        labels[i].append(m)
+        labels[j].append(m)
+    return [(p, len(ls), tuple(sorted(ls)))
+            for p, ls in zip(d.orders, labels)]
+
+
+def _sorted_invariants(d: Diagram) -> tuple:
+    """The multiset of vertex invariants: equal for isomorphic diagrams."""
+    return tuple(sorted(_vertex_invariants(d)))
+
+
 def _component_key(d: Diagram) -> tuple:
     """Lexicographically minimal (orders, edges) encoding over the
     relabelings that sort the vertices by a local invariant.
@@ -336,9 +374,7 @@ def _component_key(d: Diagram) -> tuple:
     for (i, j, _m) in d.edges:
         adj[i].append(j)
         adj[j].append(i)
-    inv = [(d.orders[i], len(adj[i]),
-            tuple(sorted(m for (a, b, m) in d.edges if i in (a, b))))
-           for i in range(n)]
+    inv = _vertex_invariants(d)
     target = sorted(inv)
     first = {}
     for k, v in enumerate(target):
@@ -383,9 +419,12 @@ def canonical_key(d: Diagram) -> tuple:
     return tuple(sorted(_component_key(c) for c in connected_components(d)))
 
 
-# the exceptional rows by canonical key, for classify_component
+# the exceptional rows by canonical key, and their sorted vertex
+# invariants, for classify_component
 _EXCEPTIONAL_BY_KEY = {canonical_key(diag): name
                        for name, (diag, _degs) in _EXCEPTIONAL.items()}
+_EXCEPTIONAL_INVARIANTS = frozenset(_sorted_invariants(diag)
+                                    for diag, _degs in _EXCEPTIONAL.values())
 
 
 def diagram_name(d: Diagram) -> str:

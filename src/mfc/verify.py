@@ -22,8 +22,9 @@ from .group import (DEFAULT_CAP, CapExceeded, check_relations,
                     enumerate_group, parabolic_cosets, reflection_classes)
 from .homology import reduced_betti
 from .isomorphism import find_isomorphism
-from .walls import (MilnorWallCertificate, ParabolicData, RecognitionVerdict,
-                    THEOREM_A_FORBIDDEN, THEOREM_B_FORBIDDEN, _model_complex,
+from .walls import (DETAIL_ROW_LIMIT, MilnorWallCertificate, ParabolicData,
+                    RecognitionVerdict, THEOREM_A_FORBIDDEN,
+                    THEOREM_B_FORBIDDEN, _model_complex,
                     chamber_count_check, fixed_subcomplex, milnor_wall_search,
                     predicted_bouquet_count, recognize_milnor_fiber)
 
@@ -32,7 +33,6 @@ from .walls import (MilnorWallCertificate, ParabolicData, RecognitionVerdict,
 # non-identity class fixes a complex of dimension <= 0 whose homology the
 # exact coset counts already determine (cross-checked in the tests)
 EXPLICIT_ORLIK_ORDER = 240
-DETAIL_ROW_LIMIT = 16
 
 
 class SuiteError(ValueError):
@@ -223,8 +223,6 @@ def verify_counts(ctx: GroupContext) -> TheoremReport:
                                   "expected": prefix})
             if got != prefix:
                 eq8_explicit = False
-        shown = [r for r in rpt.rows if not r.holds]
-        shown += [r for r in rpt.rows if r.holds][:max(0, DETAIL_ROW_LIMIT - len(shown))]
         details.update({
             "item_i": rpt.item_i, "item_ii": rpt.item_ii,
             "item_iii": rpt.item_iii,
@@ -236,7 +234,7 @@ def verify_counts(ctx: GroupContext) -> TheoremReport:
                 {"rep": r.class_rep, "size": r.class_size, "p": r.p,
                  "f": {str(k): v for k, v in sorted(r.f_vector.items())},
                  "expected": r.expected, "holds": r.holds}
-                for r in shown],
+                for r in rpt.rows],
         })
         # agreement: chamber and wall counts exact (unconditional parts of
         # the theorem) and (i) iff (ii) iff (iii)
@@ -274,12 +272,11 @@ def verify_orlik(ctx: GroupContext) -> TheoremReport:
         computed = False
     if irreducible and 2 <= n <= 3:
         d1 = basic_degrees(d)[0]
+        classes = ctx.pdata.classes
         explicit_all = n >= 3 or ctx.order <= EXPLICIT_ORLIK_ORDER
-        rows = []
-        for cid in range(ctx.pdata.classes.n_classes):
-            rep = ctx.pdata.classes.reps[cid]
-            if rep == 0:
-                continue  # identity handled as Delta above
+
+        def row(cid: int) -> dict:
+            rep = classes.reps[cid]
             counts = ctx.pdata.fixed_counts(cid)
             p = max(k for k in range(n + 1) if counts[k])
             want = (d1 - 1) ** p
@@ -288,24 +285,35 @@ def verify_orlik(ctx: GroupContext) -> TheoremReport:
                 b = reduced_betti(sub)
                 ok = (b.concentrated_value(p - 1) == want
                       and sub.dim + 1 == p and b.torsion_free)
-                rows.append({"rep": rep, "p": p, "want": want,
-                             "betti": {str(k): v for k, v in sorted(b.betti.items())},
-                             "torsion_free": b.torsion_free, "holds": ok})
+                return {"rep": rep, "p": p, "want": want,
+                        "betti": {str(k): v for k, v in sorted(b.betti.items())},
+                        "torsion_free": b.torsion_free, "holds": ok}
+            # p <= 1 here: the fixed complex is f_0 points (or {empty}),
+            # so its reduced homology is determined by the exact counts
+            if p == 0:
+                ok = want == 1
             else:
-                # p <= 1 here: the fixed complex is f_0 points (or {empty}),
-                # so its reduced homology is determined by the exact counts
-                if p == 0:
-                    ok = want == 1
-                else:
-                    ok = counts[1] == want + 1 and counts[2] == 0
-                rows.append({"rep": rep, "p": p, "want": want,
-                             "from_counts": True, "holds": ok})
-            if not rows[-1]["holds"]:
-                computed = False
-        failing = [r for r in rows if not r["holds"]]
-        details["n_classes"] = len(rows)
-        details["classes"] = failing + [r for r in rows if r["holds"]][
-            :max(0, DETAIL_ROW_LIMIT - len(failing))]
+                ok = counts[1] == want + 1 and counts[2] == 0
+            return {"rep": rep, "p": p, "want": want,
+                    "from_counts": True, "holds": ok}
+
+        # class 0, the identity, is handled as Delta above.  Without
+        # explicit homology, a class outside the nontrivial counts has
+        # p = 0 and want = 1, so it holds: only its shown row is built
+        checked = range(classes.n_classes) if explicit_all \
+            else ctx.pdata.nontrivial_counts
+        rows = {cid: row(cid) for cid in checked if cid}
+        failing = [r for r in rows.values() if not r["holds"]]
+        shown = list(failing)
+        for cid in range(1, classes.n_classes):
+            if len(shown) >= DETAIL_ROW_LIMIT:
+                break
+            r = rows[cid] if cid in rows else row(cid)
+            if r["holds"]:
+                shown.append(r)
+        computed = computed and not failing
+        details["n_classes"] = classes.n_classes - 1
+        details["classes"] = shown
     status = "agree" if computed else "disagree"
     return TheoremReport(sym, "orlik", True, computed, status, details)
 

@@ -23,6 +23,9 @@ from .isomorphism import Isomorphism, find_isomorphism, verify_isomorphism
 THEOREM_A_FORBIDDEN = ("D4", "F4", "H4", "G25", "G26")
 THEOREM_B_FORBIDDEN = ("D4", "F4", "H4")
 
+# most per-class detail rows a report shows, failing rows first
+DETAIL_ROW_LIMIT = 16
+
 
 # ---------------------------------------------------------------------------
 # fixed subcomplexes
@@ -43,11 +46,14 @@ def fixed_subcomplex(c: TypedComplex, action: GroupComplexAction,
 # ---------------------------------------------------------------------------
 
 class ParabolicData:
-    """Order of every proper standard parabolic subgroup G_J, plus its
-    intersection count with each conjugacy class.
+    """Order of every proper standard parabolic subgroup G_J, its
+    intersection count with each conjugacy class it meets, and the
+    fixed-simplex counts of every class that meets some G_J.
 
     A coset hG_J is fixed by g iff h^{-1} g h lies in G_J, and the number
-    of fixed cosets is |C_G(g)| * |cls(g) ∩ G_J| / |G_J|.
+    of fixed cosets is |C_G(g)| * |cls(g) ∩ G_J| / |G_J|.  Only the terms
+    with cls(g) ∩ G_J nonempty are summed, once per group; a class that
+    meets no proper G_J fixes only the empty simplex.
     """
 
     def __init__(self, t: GroupTable):
@@ -55,11 +61,12 @@ class ParabolicData:
         self.classes = conjugacy_classes(t)
         n = t.ngens
         class_of = self.classes.class_of
+        sizes = self.classes.sizes
         self.subgroup_orders = {}
-        self.intersections = {}
-        for mask in range(1 << n):
-            if mask == (1 << n) - 1 and n > 0:
-                continue  # J = R never labels a simplex
+        self.intersections = {}   # mask -> {class id: |cls ∩ G_J|}, nonzero
+        fixed: dict[int, list[int]] = {}
+        # J = R is left out: G_R = G labels only the empty simplex
+        for mask in range((1 << n) - 1):
             # G_J is the orbit of the identity under J's generators
             cols = [t.right[i] for i in range(n) if mask >> i & 1]
             members = {0}
@@ -71,32 +78,29 @@ class ParabolicData:
                     if y not in members:
                         members.add(y)
                         stack.append(y)
-            counts = [0] * self.classes.n_classes
+            met: dict[int, int] = {}
             for e in members:
-                counts[class_of[e]] += 1
-            self.subgroup_orders[mask] = len(members)
-            self.intersections[mask] = counts
+                cid = class_of[e]
+                met[cid] = met.get(cid, 0) + 1
+            order = len(members)
+            k = n - bin(mask).count("1")   # vertices of a type-(R - J) simplex
+            for cid, m in met.items():
+                num = t.order // sizes[cid] * m
+                if num % order:
+                    raise RuntimeError("non-integral fixed-coset count")
+                fixed.setdefault(cid, [1] + [0] * n)[k] += num // order
+            self.subgroup_orders[mask] = order
+            self.intersections[mask] = met
+        # class id -> counts, ascending, for the classes that fix a
+        # nonempty simplex (those meeting some proper G_J, the identity too)
+        self.nontrivial_counts = {cid: tuple(c)
+                                  for cid, c in sorted(fixed.items())}
+        self._empty_only = (1,) + (0,) * n
 
-    def fixed_coset_count(self, class_id: int, mask: int) -> int:
-        t = self.table
-        cls_size = self.classes.sizes[class_id]
-        centralizer = t.order // cls_size
-        order = self.subgroup_orders[mask]
-        num = centralizer * self.intersections[mask][class_id]
-        if num % order:
-            raise RuntimeError("non-integral fixed-coset count")
-        return num // order
-
-    def fixed_counts(self, class_id: int) -> list[int]:
+    def fixed_counts(self, class_id: int) -> tuple[int, ...]:
         """f_{-1}, ..., f_{n-1} of the fixed subcomplex of the class: entry
         k counts the fixed simplices with k vertices."""
-        n = self.table.ngens
-        full = (1 << n) - 1
-        counts = [1] + [0] * n
-        for mask_i in range(1, 1 << n):
-            counts[bin(mask_i).count("1")] += \
-                self.fixed_coset_count(class_id, full ^ mask_i)
-        return counts
+        return self.nontrivial_counts.get(class_id, self._empty_only)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +340,7 @@ class ClassCountRow:
 
 @dataclass
 class CountReport:
-    rows: list[ClassCountRow]
+    rows: list[ClassCountRow]   # the detail rows shown: failing ones first
     item_i: bool
     item_ii: bool
     item_iii: bool
@@ -349,35 +353,39 @@ def chamber_count_check(pdata: ParabolicData, d: Diagram,
     f_{p-1}(Delta^g) against d_1...d_p; items (i)-(iii) of the
     chamber-count equivalence; Eq-(8) per reflection class of ``refl``.
 
-    Row objects are collected for failing classes always, and for all
-    classes only when there are at most 512 classes.
+    Only the classes in ``pdata.nontrivial_counts`` are evaluated: any
+    other class fixes just the empty simplex, so p = 0 and f_{-1} = 1 =
+    d_1...d_0, and it holds (and satisfies (i) at rank 2).  ``rows`` holds
+    the failing classes, then the first holding classes up to
+    DETAIL_ROW_LIMIT rows in all, each part in class-id order; with more
+    than 512 classes, only the failing ones.
     """
     degs = basic_degrees(d)
     n = pdata.table.ngens
     prefix = [1]
     for dd in degs:
         prefix.append(prefix[-1] * dd)
-    ncls = pdata.classes.n_classes
-    all_rows = ncls <= 512
-    rows = []
-    item_i = True
-    item_ii = True
-    counts_of = [pdata.fixed_counts(cid) for cid in range(ncls)]
-    for cid, counts in enumerate(counts_of):
+    classes = pdata.classes
+
+    def row(cid: int) -> ClassCountRow:
+        counts = pdata.fixed_counts(cid)
         p = max(k for k in range(n + 1) if counts[k])
-        ok = counts[p] == prefix[p]
-        if not ok:
-            item_ii = False
-        if p == n - 2 and counts[n - 2] != prefix[n - 2]:
-            item_i = False
-        if all_rows or not ok:
-            fv = {k - 1: v for k, v in enumerate(counts) if v or k == 0}
-            rows.append(ClassCountRow(pdata.classes.reps[cid],
-                                      pdata.classes.sizes[cid], p, fv,
-                                      prefix[p], ok))
+        fv = {k - 1: v for k, v in enumerate(counts) if v or k == 0}
+        return ClassCountRow(classes.reps[cid], classes.sizes[cid], p, fv,
+                             prefix[p], counts[p] == prefix[p])
+
+    failing = [r for r in map(row, pdata.nontrivial_counts) if not r.holds]
+    item_i = all(r.p != n - 2 for r in failing)
+    holding = []
+    if classes.n_classes <= 512:
+        for cid in range(classes.n_classes):
+            if len(failing) + len(holding) >= DETAIL_ROW_LIMIT:
+                break
+            r = row(cid)
+            if r.holds:
+                holding.append(r)
     item_iii = not has_forbidden_subdiagram(d, THEOREM_B_FORBIDDEN)
     # Eq (8): a wall's chambers are its fixed simplices with n-1 vertices
-    class_of = pdata.classes.class_of
-    eq8 = all(counts_of[class_of[rep]][n - 1] == prefix[n - 1]
+    eq8 = all(pdata.fixed_counts(classes.class_of[rep])[n - 1] == prefix[n - 1]
               for rep, _members in refl)
-    return CountReport(rows, item_i, item_ii, item_iii, eq8)
+    return CountReport(failing + holding, item_i, not failing, item_iii, eq8)

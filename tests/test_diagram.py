@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mfc.diagram
 from mfc.diagram import (EMPTY_DIAGRAM, Diagram, DiagramError, NotAdmissible,
                          _component_key, _irreducible_ids, basic_degrees,
                          canonical_key, classify, classify_component,
@@ -73,6 +74,33 @@ def test_classify_not_admissible():
     branched = Diagram((3, 3, 3, 3), ((0, 1, 3), (0, 2, 3), (0, 3, 3)))
     with pytest.raises(NotAdmissible):
         classify_component(branched)
+
+
+def test_classify_rejects_before_any_key(monkeypatch):
+    # a star with 8 leaves shares its sorted vertex invariants with no
+    # table row, so it is rejected without the (factorial) key search
+    def no_key(d):
+        raise AssertionError("canonical key computed")
+
+    monkeypatch.setattr(mfc.diagram, "_component_key", no_key)
+    star = Diagram((2,) * 9, tuple((0, j, 3) for j in range(1, 9)))
+    with pytest.raises(NotAdmissible):
+        classify_component(star)
+    with pytest.raises(NotAdmissible):
+        classify(star)
+
+
+def test_classify_is_cached(monkeypatch):
+    d = parse_symbol("2[3]2[4]2 + 3[3]3 + 5")
+    first = classify(d)
+    assert [g.name for g in first] == ["G(2,1,3)", "G4", "Z5"]
+
+    def no_components(d):
+        raise AssertionError("components recomputed")
+
+    monkeypatch.setattr(mfc.diagram, "components_with_indices", no_components)
+    assert classify(d) == first
+    assert diagram_name(d) == "G(2,1,3)+G4+Z5"
 
 
 def test_classify_reversal_invariance():

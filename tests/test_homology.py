@@ -160,6 +160,25 @@ def test_rank_and_factors_is_exact(matrix):
     assert prod(factors) == prod(d for d in _dense_diagonalize(dense) if d)
 
 
+@st.composite
+def _random_complexes(draw):
+    """The closure of up to six random facets on 1-7 vertices; every
+    vertex is a facet too, so the complex has all of them."""
+    n = draw(st.integers(1, 7))
+    facets = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1,
+                                   max_size=4), max_size=6))
+    return TypedComplex.from_facets(
+        [0] * n, [(v,) for v in range(n)] + [tuple(f) for f in facets])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_complexes())
+def test_euler_characteristic_is_alternating_betti_sum(c):
+    b = reduced_betti(c)
+    assert c.euler_characteristic() == \
+        1 + sum((-1) ** k * v for k, v in b.betti.items())
+
+
 def test_h4_sphere():
     # 14,400 chambers; the Coxeter complex of H4 is a 3-sphere
     b = reduced_betti(build("H4"))

@@ -1,3 +1,6 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from mfc.complexes import (TypedComplex, join, milnor_fiber_complex,
                            monomial_flag_complex)
 from mfc.diagram import parse_symbol
@@ -86,3 +89,36 @@ def test_empty_complexes():
     t = build("1")
     iso = find_isomorphism(t, t)
     assert iso is not None and iso.vertex_map == {}
+
+
+@st.composite
+def _relabeled_pairs(draw):
+    """A random complex (the closure of up to six facets on 1-7 vertices
+    with types in {0, 1, 2}, every vertex a facet) and a copy of it under
+    a random vertex relabeling, with the types carried along."""
+    n = draw(st.integers(1, 7))
+    types = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    facets = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1,
+                                   max_size=4), max_size=6))
+    a = TypedComplex.from_facets(
+        types, [(v,) for v in range(n)] + [tuple(f) for f in facets])
+    perm = draw(st.permutations(range(n)))
+    moved = [None] * n
+    for v in range(n):
+        moved[perm[v]] = types[v]
+    b = TypedComplex(moved, {k: [tuple(sorted(perm[v] for v in s))
+                                 for s in a.simplices(k)]
+                             for k in range(a.dim + 1)})
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(_relabeled_pairs())
+def test_isomorphism_survives_relabeling(pair):
+    a, b = pair
+    iso = find_isomorphism(a, b)
+    assert iso is not None
+    assert verify_isomorphism(a, b, iso.vertex_map)
+    typed = find_isomorphism(a, b, respect_types=True)
+    assert typed is not None
+    assert verify_isomorphism(a, b, typed.vertex_map, respect_types=True)

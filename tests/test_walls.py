@@ -147,21 +147,42 @@ def test_parabolic_data_is_block_zero_of_cosets():
                 if part.block_of[e] == 0:
                     counts[pdata.classes.class_of[e]] += 1
             assert pdata.subgroup_orders[mask] == part.block_size, (sym, mask)
-            assert pdata.intersections[mask] == counts, (sym, mask)
+            assert pdata.intersections[mask] == \
+                {cid: c for cid, c in enumerate(counts) if c}, (sym, mask)
 
 
 def test_count_formula_matches_explicit_subcomplexes():
-    for sym in ("A3", "G(3,1,2)", "I2(5)", "I2(6)", "Z6", "3[3]3", "B3",
+    # the per-group sparse counts equal the dense sum over every proper
+    # G_J of |C_G(g)| * |cls ∩ G_J| / |G_J|, and the f-vector of the
+    # explicitly built fixed subcomplex
+    seen_empty = False
+    for sym in ("Z6", "I2(5)", "I2(6)", "G(3,1,2)", "G4", "A3", "B3",
                 "2[3]2 + 4"):
         t, cx, act = setup(sym)
         pdata = ParabolicData(t)
+        n = t.ngens
+        full = (1 << n) - 1
         for cid in range(pdata.classes.n_classes):
+            dense = [1] + [0] * n
+            for mask_i in range(1, 1 << n):
+                num = (t.order // pdata.classes.sizes[cid]
+                       * pdata.intersections[full ^ mask_i].get(cid, 0))
+                order = pdata.subgroup_orders[full ^ mask_i]
+                assert num % order == 0, (sym, cid, mask_i)
+                dense[bin(mask_i).count("1")] += num // order
+            assert list(pdata.fixed_counts(cid)) == dense, (sym, cid)
+            assert (cid in pdata.nontrivial_counts) == any(dense[1:]), \
+                (sym, cid)
             rep = pdata.classes.reps[cid]
             sub = fixed_subcomplex(cx, act, rep)
             explicit = {k: v for k, v in enumerate(sub.f_vector())}
             counted = {k - 1: v for k, v in enumerate(pdata.fixed_counts(cid))
                        if k and v}
             assert explicit == counted, (sym, rep)
+            if sym == "I2(6)" and cid not in pdata.nontrivial_counts:
+                assert sub.dim == -1
+                seen_empty = True
+    assert seen_empty  # a rotation of I2(6) fixes only the empty simplex
 
 
 def test_generated_subcomplex():
