@@ -12,7 +12,7 @@ from .diagram import (Diagram, DiagramError, GroupId, NotAdmissible,
                       has_forbidden_subdiagram, parse_symbol)
 from .group import (CapExceeded, CosetPartition, GroupTable, conjugacy_classes,
                     enumerate_group, parabolic_cosets, reflection_classes)
-from .complexes import (GroupComplexAction, TypedComplex, export_complex, join,
+from .complexes import (ChamberSystem, TypedComplex, export_complex, join,
                         milnor_fiber_complex, monomial_flag_complex)
 from .homology import BettiResult, reduced_betti
 from .isomorphism import Isomorphism, find_isomorphism, verify_isomorphism

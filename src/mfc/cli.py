@@ -117,15 +117,16 @@ def _dispatch(args) -> int:
     if args.command == "walls":
         d = parse_symbol(args.symbol)
         ctx = GroupContext(d, args.cap)
-        classes = ctx.refl_classes
-        for idx, (rep, members) in enumerate(classes):
+        classes = ctx.pdata.classes
+        for idx, rep in enumerate(ctx.refl_classes):
             if args.klass is not None and idx != args.klass:
                 continue
             w = ctx.fixed_of(rep)
             v = ctx.verdict_of(rep)
             cert = ctx.certificate_of(rep)
             print("class %d: rep=%d size=%d order=%d" %
-                  (idx, rep, len(members), ctx.table.element_order(rep)))
+                  (idx, rep, classes.sizes[classes.class_of[rep]],
+                   ctx.table.element_order(rep)))
             print("  wall f-vector: %s" % (list(w.f_vector()),))
             print("  recognized as: %s" %
                   (diagram_name(v.diagram) if v.recognized else

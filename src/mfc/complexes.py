@@ -9,9 +9,9 @@ so identical builds produce identical complexes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 
 from .diagram import Diagram, group_order
 from .group import CapExceeded, GroupTable, parabolic_cosets
@@ -90,29 +90,27 @@ class TypedComplex:
     def subcomplex(self, simplices) -> "TypedComplex":
         """Closure of the given simplices of this complex, reindexed to
         fresh vertex ids; vertex_names record the original ids."""
-        return self._reindexed(_face_closure(simplices))
-
-    def induced(self, vertices) -> "TypedComplex":
-        """Full subcomplex on the given vertex ids, reindexed like
-        subcomplex."""
-        keep = set(vertices)
-        return self._reindexed({k: [s for s in ss if keep.issuperset(s)]
-                                for k, ss in self.by_dim.items()})
-
-    def _reindexed(self, by_dim) -> "TypedComplex":
-        # the remap preserves vertex order, so sorted tuples stay sorted
-        old_ids = sorted(s[0] for s in by_dim.get(0, ()))
-        new_id = dict(zip(old_ids, range(len(old_ids)))).__getitem__
-        names = [self.vertex_names[v] if self.vertex_names else v for v in old_ids]
-        return TypedComplex([self.vertex_types[v] for v in old_ids],
-                            {k: [tuple(map(new_id, s)) for s in ss]
-                             for k, ss in by_dim.items()},
-                            vertex_names=names)
+        return _reindexed(_face_closure(simplices), self.vertex_types,
+                          self.vertex_names)
 
     @classmethod
     def from_facets(cls, vertex_types, facets, vertex_names=None) -> "TypedComplex":
         return cls(vertex_types, _face_closure(tuple(sorted(f)) for f in facets),
                    vertex_names=vertex_names)
+
+
+def _reindexed(by_dim, vertex_types, vertex_names) -> TypedComplex:
+    """The complex of the simplices by_dim, given in the ids of a complex
+    with these vertex types and names, on fresh ids 0, 1, ... in the
+    order of the old ones; vertex_names record the old names (or ids)."""
+    # the remap preserves vertex order, so sorted tuples stay sorted
+    old_ids = sorted(s[0] for s in by_dim.get(0, ()))
+    new_id = dict(zip(old_ids, range(len(old_ids)))).__getitem__
+    names = [vertex_names[v] if vertex_names else v for v in old_ids]
+    return TypedComplex([vertex_types[v] for v in old_ids],
+                        {k: [tuple(map(new_id, s)) for s in ss]
+                         for k, ss in by_dim.items()},
+                        vertex_names=names)
 
 
 def _face_closure(simplices) -> dict[int, set]:
@@ -129,30 +127,87 @@ def _face_closure(simplices) -> dict[int, set]:
     return by_dim
 
 
-@dataclass
-class GroupComplexAction:
-    """Left-translation action on a coset complex.
+class ChamberSystem:
+    """The chambers of the coset complex of t's group, one per element,
+    and the group's left-translation action on them.
 
-    Permutations are stored for the generators; arbitrary elements
-    compose along the group's stored words.
+    ``chamber[r][x]`` is the type-r vertex of element x's chamber, the
+    coset x<R - {r}>, as a vertex id; the ids of type r follow those of
+    the types below r, block by block of ``parabolic_cosets``, so a
+    chamber restricted to some types, read in type order, is a sorted
+    vertex tuple.  ``gen_vertex_perms[i]`` is the vertex permutation of
+    generator i acting on the left.
+
+    Nothing else of the complex is stored.  The simplex of a coset
+    x<R - I> is x's chamber restricted to the types in I, and two elements
+    x, y restrict to the same simplex iff x^-1 y lies in
+    K_I = ∩_{r in I} G_{R - {r}}, the elements whose chamber shares the
+    identity chamber's type-r vertex for every r in I.  So the simplices
+    of type I are the left cosets of K_I, and there are |G| / |K_I| of
+    them (``f_vector``), whether or not K_I is the parabolic G_{R - I}.
+
+    ``vertex_reps[v]`` is the smallest element of the coset v, so g maps
+    a type-r vertex v to the type-r vertex of the chamber of
+    g * vertex_reps[v].
     """
 
-    table: GroupTable
-    gen_vertex_perms: list[list[int]]
+    def __init__(self, t: GroupTable):
+        self.table = t
+        n = t.ngens
+        R = range(n)
+        self.chamber: list[list[int]] = []
+        types: list[int] = []
+        names: list[tuple[int, int]] = []
+        reps: list[int] = []
+        perms: list[list[int]] = [[] for _ in R]
+        for r in R:
+            part = parabolic_cosets(t, [x for x in R if x != r])
+            # one int object per vertex id, shared by the chambers
+            ids = list(range(len(types), len(types) + part.n_blocks))
+            col = list(map(ids.__getitem__, part.block_of))
+            self.chamber.append(col)
+            types.extend([r] * part.n_blocks)
+            names.extend((r, b) for b in range(part.n_blocks))
+            reps.extend(part.reps)
+            for perm, lam in zip(perms, t.left):
+                perm.extend(col[lam[g]] for g in part.reps)
+        self.vertex_types = tuple(types)
+        self.vertex_names = tuple(names)
+        self.vertex_reps = reps
+        self.gen_vertex_perms = perms
 
-    def vertex_perm(self, g: int) -> list[int]:
-        w = self.table.word(g)
-        nv = len(self.gen_vertex_perms[0]) if self.gen_vertex_perms else 0
-        if not w:
-            return list(range(nv))
-        cur = list(self.gen_vertex_perms[w[-1]])
-        for letter in reversed(w[:-1]):
-            perm = self.gen_vertex_perms[letter]
-            cur = [perm[x] for x in cur]
-        return cur
+    def left_translation(self, g: int) -> list[int]:
+        """gx for every element x, in one pass along the table's parent
+        links: x = p r_l gives gx = (gp) r_l, and parents come first."""
+        t = self.table
+        out = [g] * t.order
+        right, parent, last = t.right, t.parent, t.last_letter
+        for x in range(1, t.order):
+            out[x] = right[last[x]][out[parent[x]]]
+        return out
 
-    def apply(self, perm: list[int], simplex) -> tuple:
-        return tuple(sorted(perm[v] for v in simplex))
+    def f_vector(self) -> tuple[int, ...]:
+        """(f_0, ..., f_{n-1}) of the complex, without building it: f_k is
+        the sum of |G| / |K_I| over the type sets I with k + 1 types."""
+        n = self.table.ngens
+        # the types r whose vertex each element's chamber shares with the
+        # identity chamber; only elements of some G_{R - {r}} have any
+        shared: dict[int, int] = {}
+        for r, col in enumerate(self.chamber):
+            for x in compress(range(len(col)), map(col[0].__eq__, col)):
+                shared[x] = shared.get(x, 0) | 1 << r
+        by_mask = Counter(shared.values())
+        fv = [0] * n
+        for types in range(1, 1 << n):
+            k_order = sum(c for m, c in by_mask.items() if m & types == types)
+            fv[bin(types).count("1") - 1] += self.table.order // k_order
+        return tuple(fv)
+
+    def subcomplex(self, simplices) -> TypedComplex:
+        """Closure of the given simplices of the complex, reindexed like
+        TypedComplex.subcomplex, so equal to the built complex's."""
+        return _reindexed(_face_closure(simplices), self.vertex_types,
+                          self.vertex_names)
 
 
 # GroupContext counts before it builds the table, and milnor_fiber_complex
@@ -175,52 +230,29 @@ def simplex_count(d: Diagram, simplex_cap: int) -> int:
 
 
 def milnor_fiber_complex(t: GroupTable,
-                         simplex_cap: int = DEFAULT_SIMPLEX_CAP
-                         ) -> tuple[TypedComplex, GroupComplexAction]:
-    """Coset complex of all proper standard parabolics of t's group.
+                         simplex_cap: int = DEFAULT_SIMPLEX_CAP,
+                         chambers: ChamberSystem | None = None
+                         ) -> tuple[TypedComplex, ChamberSystem]:
+    """Coset complex of all proper standard parabolics of t's group, and
+    its chamber system (``chambers``, or a new one when None).
 
     Vertices of type r are cosets g<R - {r}>; the simplex of a coset
     g<R - I> is its vertex set {g<R - {r}> : r in I}; chambers biject
     with group elements.  The action is left translation.
     """
     simplex_count(t.diagram, simplex_cap)
+    if chambers is None:
+        chambers = ChamberSystem(t)
     n = t.ngens
-    R = list(range(n))
-    vmaps = [parabolic_cosets(t, [x for x in R if x != r]) for r in R]
-    offsets = []
-    off = 0
-    for part in vmaps:
-        offsets.append(off)
-        off += part.n_blocks
-    nverts = off
-    vertex_types = []
-    vertex_names = []
-    for r in R:
-        vertex_types.extend([r] * vmaps[r].n_blocks)
-        vertex_names.extend((r, b) for b in range(vmaps[r].n_blocks))
-
-    # chamber[r][g] is the type-r vertex of g's chamber, one int object per
-    # vertex id.  The simplex of g<R - I> is g's chamber restricted to the
-    # types in I, so the simplices of type I are those restrictions.
-    ids = list(range(nverts))
-    chamber = [list(map(ids[offsets[r]:].__getitem__, vmaps[r].block_of))
-               for r in R]
     by_dim: dict[int, list] = {}
-    # offsets increase with the type, so each simplex is a sorted tuple
+    # the simplices of type I are the chambers restricted to the types in I
     for mask in range(1, 1 << n):
-        simplices = set(zip(*(chamber[r] for r in R if mask >> r & 1)))
+        simplices = set(zip(*(col for r, col in enumerate(chambers.chamber)
+                              if mask >> r & 1)))
         by_dim.setdefault(bin(mask).count("1") - 1, []).extend(simplices)
-    cx = TypedComplex(vertex_types, by_dim, vertex_names=vertex_names)
-    perms = []
-    for i in range(n):
-        lam = t.left[i]
-        perm = [0] * nverts
-        for r in R:
-            ch = chamber[r]
-            for g in vmaps[r].reps:
-                perm[ch[g]] = ch[lam[g]]
-        perms.append(perm)
-    return cx, GroupComplexAction(t, perms)
+    cx = TypedComplex(chambers.vertex_types, by_dim,
+                      vertex_names=chambers.vertex_names)
+    return cx, chambers
 
 
 def join(a: TypedComplex, b: TypedComplex) -> TypedComplex:

@@ -603,23 +603,18 @@ def conjugacy_classes(t: GroupTable) -> ConjugacyClasses:
 
 
 def reflection_classes(t: GroupTable,
-                       classes: ConjugacyClasses | None = None
-                       ) -> list[tuple[int, list[int]]]:
-    """(representative, sorted class members) for each conjugacy class of
-    reflections, in order of representative id: the classes that hold a
-    non-identity power of a generator."""
+                       classes: ConjugacyClasses | None = None) -> list[int]:
+    """The representative of each conjugacy class of reflections, in
+    class-id order (the order of the representatives): the classes that
+    hold a non-identity power of a generator.  ``classes.sizes`` gives
+    each class's size and ``classes.class_of`` its members."""
     if classes is None:
         classes = conjugacy_classes(t)
     class_of = classes.class_of
-    members: dict[int, list[int]] = {}
+    found = set()
     for i in range(t.ngens):
         x = t.gen_elements[i]
         while x != 0:
-            members[class_of[x]] = []
+            found.add(class_of[x])
             x = t.right[i][x]
-    for x, cid in enumerate(class_of):
-        found = members.get(cid)
-        if found is not None:
-            found.append(x)
-    # class ids are numbered in the order of their representatives
-    return [(classes.reps[cid], members[cid]) for cid in sorted(members)]
+    return [classes.reps[cid] for cid in sorted(found)]

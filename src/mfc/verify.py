@@ -12,14 +12,14 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .complexes import (DEFAULT_SIMPLEX_CAP, TypedComplex, join,
-                        milnor_fiber_complex, monomial_flag_complex,
+from .complexes import (DEFAULT_SIMPLEX_CAP, ChamberSystem, TypedComplex,
+                        join, milnor_fiber_complex, monomial_flag_complex,
                         simplex_count)
 from .diagram import (Diagram, basic_degrees, canonical_key,
                       components_with_indices, diagram_name, group_order,
                       has_forbidden_subdiagram, parse_symbol)
 from .group import (DEFAULT_CAP, CapExceeded, check_relations,
-                    enumerate_group, parabolic_cosets, reflection_classes)
+                    enumerate_group, reflection_classes)
 from .homology import reduced_betti
 from .isomorphism import find_isomorphism
 from .walls import (DETAIL_ROW_LIMIT, MilnorWallCertificate, ParabolicData,
@@ -60,8 +60,11 @@ class TheoremReport:
 
 class GroupContext:
     """Everything verifiers need for one diagram, built once: the table,
-    the complex, the parabolic data and classes, and per element its fixed
-    subcomplex, and for a reflection its wall's verdict and certificate."""
+    its chamber system, the parabolic data and classes, and per element
+    its fixed subcomplex, and for a reflection its wall's verdict and
+    certificate.  The fixed subcomplexes and the f-vector come from the
+    chambers; the full complex is built only when a check reads
+    ``complex`` (orlik, monomial, join, ``mfc build``)."""
 
     def __init__(self, d: Diagram, cap: int = DEFAULT_CAP):
         self.diagram = d
@@ -71,12 +74,21 @@ class GroupContext:
         simplex_count(d, DEFAULT_SIMPLEX_CAP)
         self.cap = cap
         self.table = enumerate_group(d, cap=cap)
-        self.complex, self.action = milnor_fiber_complex(self.table)
+        self.chambers = ChamberSystem(self.table)
+        self._complex = None
         self._pdata = None
         self._refl_classes = None
         self._fixed = {}
         self._verdicts = {}
         self._certificates = {}
+
+    @property
+    def complex(self) -> TypedComplex:
+        """The full Milnor fiber complex, built once from the chambers."""
+        if self._complex is None:
+            self._complex = milnor_fiber_complex(
+                self.table, chambers=self.chambers)[0]
+        return self._complex
 
     @property
     def pdata(self) -> ParabolicData:
@@ -85,7 +97,8 @@ class GroupContext:
         return self._pdata
 
     @property
-    def refl_classes(self):
+    def refl_classes(self) -> list[int]:
+        """The representatives of the reflection classes, in class order."""
         if self._refl_classes is None:
             self._refl_classes = reflection_classes(self.table,
                                                     self.pdata.classes)
@@ -94,7 +107,7 @@ class GroupContext:
     def fixed_of(self, g: int) -> TypedComplex:
         """The fixed subcomplex of element g, built once."""
         if g not in self._fixed:
-            self._fixed[g] = fixed_subcomplex(self.complex, self.action, g)
+            self._fixed[g] = fixed_subcomplex(self.chambers, g)
         return self._fixed[g]
 
     def verdict_of(self, r: int) -> RecognitionVerdict:
@@ -130,13 +143,13 @@ def verify_theorem_A(ctx: GroupContext) -> TheoremReport:
         # fixed-point free, so only the empty simplex is fixed
         n_classes = len(ctx.refl_classes)
         if n_classes:
-            verdict = ctx.verdict_of(ctx.refl_classes[0][0])
+            verdict = ctx.verdict_of(ctx.refl_classes[0])
             computed = verdict.recognized
             details["classes"].append({
                 "rep": "all", "count": n_classes,
                 "verdict": verdict.to_jsonable()})
     else:
-        for rep, _members in ctx.refl_classes:
+        for rep in ctx.refl_classes:
             w = ctx.fixed_of(rep)
             verdict = ctx.verdict_of(rep)
             details["classes"].append({"rep": rep,
@@ -159,7 +172,7 @@ def verify_theorem_B(ctx: GroupContext) -> TheoremReport:
         if n_classes:
             # the {empty} subcomplex is the trivial group's complex of
             # dimension n-2 = -1: a non-proper certificate for every class
-            cert = ctx.certificate_of(ctx.refl_classes[0][0])
+            cert = ctx.certificate_of(ctx.refl_classes[0])
             computed = cert is not None
             details["classes"].append({
                 "rep": "all", "count": n_classes,
@@ -167,7 +180,7 @@ def verify_theorem_B(ctx: GroupContext) -> TheoremReport:
                 {"diagram": diagram_name(cert.diagram),
                  "proper": cert.proper}})
     else:
-        for rep, _members in ctx.refl_classes:
+        for rep in ctx.refl_classes:
             cert = ctx.certificate_of(rep)
             row = {"rep": rep}
             if cert is None:
@@ -185,10 +198,11 @@ def verify_theorem_B(ctx: GroupContext) -> TheoremReport:
 # ---------------------------------------------------------------------------
 
 def verify_counts(ctx: GroupContext) -> TheoremReport:
-    """f_{n-1}(Delta) = d_1...d_n always; for irreducible diagrams also the
-    per-class count identities (i)/(ii) against predicate (iii), and the
-    wall count f_{n-2}(Delta^r) = d_1...d_{n-1} both from coset counting
-    and from the explicitly built walls."""
+    """f_{n-1}(Delta) = d_1...d_n always, with Delta's f-vector read off
+    the chambers (ChamberSystem.f_vector); for irreducible diagrams also
+    the per-class count identities (i)/(ii) against predicate (iii), and
+    the wall count f_{n-2}(Delta^r) = d_1...d_{n-1} both from coset
+    counting and from the explicitly built walls."""
     d = ctx.diagram
     sym = diagram_name(d)
     degs = basic_degrees(d)
@@ -196,7 +210,7 @@ def verify_counts(ctx: GroupContext) -> TheoremReport:
     product = 1
     for x in degs:
         product *= x
-    fv = ctx.complex.f_vector()
+    fv = ctx.chambers.f_vector()
     chambers = fv[n - 1] if n >= 1 else 1
     chamber_ok = chambers == product == ctx.table.order
     details = {"f_vector": list(fv), "degree_product": product,
@@ -211,18 +225,20 @@ def verify_counts(ctx: GroupContext) -> TheoremReport:
         prefix = 1
         for x in degs[:-1]:
             prefix *= x
-        wall_rows = []
-        for rep, _members in ctx.refl_classes:
-            if n == 1:
-                got = 1
-            else:
-                got = ctx.fixed_of(rep).f_vector()[n - 2] \
-                    if ctx.fixed_of(rep).dim >= n - 2 else 0
-            if got != prefix or len(wall_rows) < DETAIL_ROW_LIMIT:
-                wall_rows.append({"rep": rep, "chambers": got,
-                                  "expected": prefix})
-            if got != prefix:
-                eq8_explicit = False
+        if n == 1:
+            # every wall is the empty simplex alone: 1 = d_1...d_0 chamber
+            wall_rows = [{"rep": rep, "chambers": 1, "expected": prefix}
+                         for rep in ctx.refl_classes[:DETAIL_ROW_LIMIT]]
+        else:
+            wall_rows = []
+            for rep in ctx.refl_classes:
+                w = ctx.fixed_of(rep)
+                got = w.f_vector()[n - 2] if w.dim >= n - 2 else 0
+                if got != prefix or len(wall_rows) < DETAIL_ROW_LIMIT:
+                    wall_rows.append({"rep": rep, "chambers": got,
+                                      "expected": prefix})
+                if got != prefix:
+                    eq8_explicit = False
         details.update({
             "item_i": rpt.item_i, "item_ii": rpt.item_ii,
             "item_iii": rpt.item_iii,
@@ -359,20 +375,13 @@ def verify_monomial(ctx: GroupContext) -> TheoremReport:
                     details.setdefault("stabilizer_failures", []).append([k, j])
         cx = ctx.complex
         if ok:
-            # vertex (k, block): transport the block's representative element
+            # a type-k vertex: transport its coset's representative element
             # through the flag action, starting from the identity flag E_k
-            offsets = {}
-            for vid in range(cx.n_vertices):
-                k, _block = cx.vertex_names[vid]
-                offsets.setdefault(k, vid)
-            for k in range(n):
-                part = parabolic_cosets(t, [j for j in range(n) if j != k])
-                off = offsets[k]
-                for block, g in enumerate(part.reps):
-                    img = base[k]
-                    for letter in reversed(t.word(g)):
-                        img = perms[letter][img]
-                    vmap[off + block] = img
+            for vid, g in enumerate(ctx.chambers.vertex_reps):
+                img = base[cx.vertex_types[vid]]
+                for letter in reversed(t.word(g)):
+                    img = perms[letter][img]
+                vmap[vid] = img
             if sorted(vmap.values()) != list(range(fc.n_vertices)):
                 ok = False
                 details["vertex_bijection"] = False
@@ -391,7 +400,7 @@ def verify_monomial(ctx: GroupContext) -> TheoremReport:
     if ok:
         # equivariance on generators
         for j in range(n):
-            gp = ctx.action.gen_vertex_perms[j]
+            gp = ctx.chambers.gen_vertex_perms[j]
             for v in range(cx.n_vertices):
                 if vmap[gp[v]] != perms[j][vmap[v]]:
                     ok = False
@@ -408,14 +417,14 @@ def verify_monomial(ctx: GroupContext) -> TheoremReport:
     if n >= 2:
         _t, model = _model_complex(sub_d)
         rows = []
-        for rep, _members in ctx.refl_classes:
+        for rep in ctx.refl_classes:
             iso = find_isomorphism(ctx.fixed_of(rep), model)
             rows.append({"rep": rep, "isomorphic": iso is not None})
             if iso is None:
                 recursion_ok = False
         details["wall_recursion"] = rows
     else:
-        for rep, _members in ctx.refl_classes:
+        for rep in ctx.refl_classes:
             if ctx.fixed_of(rep).dim != -1:
                 recursion_ok = False
     details["wall_recursion_ok"] = recursion_ok
@@ -452,7 +461,7 @@ def verify_join(ctx: GroupContext) -> TheoremReport:
     milnor_rows = []
     for fi, (cd, idx) in enumerate(comps):
         fctx = factor_ctx[fi]
-        for rep, _members in fctx.refl_classes:
+        for rep in fctx.refl_classes:
             g_union = 0
             for letter in fctx.table.word(rep):
                 g_union = ctx.table.right[idx[letter]][g_union]
@@ -604,7 +613,8 @@ def run_suite(spec: dict | str, deep: bool = False, cap: int = DEFAULT_CAP,
               jobs: int = 1, out_dir: str | None = None,
               timings: bool = False) -> tuple[int, dict]:
     """Run a suite spec (dict, path to a JSON file, or the literal string
-    "default"); returns (exit_code, report bundle)."""
+    "default") in ``jobs`` processes, at most one per CPU; returns
+    (exit_code, report bundle)."""
     if isinstance(spec, str):
         if spec == "default":
             spec = default_suite(deep=deep)
@@ -622,6 +632,10 @@ def run_suite(spec: dict | str, deep: bool = False, cap: int = DEFAULT_CAP,
         raise SuiteError("suite file must hold a list of \"entries\"")
     for e in entries:
         _check_entry(e)
+    # a process pool starts all its workers at once
+    if not 1 <= jobs <= (os.cpu_count() or 1):
+        raise SuiteError("jobs must be between 1 and %d, the number of "
+                         "CPUs, got %r" % (os.cpu_count() or 1, jobs))
     results: list[list[dict]] = []
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

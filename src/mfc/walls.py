@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import (GroupComplexAction, TypedComplex, milnor_fiber_complex)
+from .complexes import ChamberSystem, TypedComplex, milnor_fiber_complex
 from .diagram import (Diagram, basic_degrees, canonical_key, classify,
                       diagram_name, enumerate_admissible, group_order,
                       has_forbidden_subdiagram)
@@ -31,14 +31,29 @@ DETAIL_ROW_LIMIT = 16
 # fixed subcomplexes
 # ---------------------------------------------------------------------------
 
-def fixed_subcomplex(c: TypedComplex, action: GroupComplexAction,
-                     g: int) -> TypedComplex:
-    """All simplices with g(sigma) = sigma setwise; vertex ids remapped,
-    originals kept in vertex_names.  The action preserves types and the
-    vertices of a simplex have distinct types, so setwise is pointwise:
-    this is the full subcomplex on the fixed vertices."""
-    perm = action.vertex_perm(g)
-    return c.induced(v for v, w in enumerate(perm) if v == w)
+def fixed_subcomplex(chambers: ChamberSystem, g: int) -> TypedComplex:
+    """All simplices with g(sigma) = sigma setwise, read off the chambers;
+    vertex ids and names as in the full subcomplex of the built complex on
+    g's fixed vertices.
+
+    The action preserves types and the vertices of a simplex have
+    distinct types, so setwise is pointwise.  Left translation by g
+    (``ChamberSystem.left_translation``, one pass over the elements
+    whatever the length of g's word) fixes the type-r vertex v iff v is
+    the type-r vertex of g * vertex_reps[v]'s chamber.  Every simplex is
+    a restriction of a chamber, so the fixed simplices are the faces of
+    the chambers restricted to their fixed vertices: each chamber is read
+    once as a tuple with None at its moved vertices, and the distinct
+    tuples, stripped of the Nones, close to the fixed subcomplex.
+    """
+    left = chambers.left_translation(g)
+    chamber = chambers.chamber
+    keep = [v if chamber[r][left[h]] == v else None
+            for v, (r, h) in enumerate(zip(chambers.vertex_types,
+                                           chambers.vertex_reps))]
+    restricted = set(zip(*(map(keep.__getitem__, col) for col in chamber)))
+    return chambers.subcomplex(tuple(v for v in s if v is not None)
+                               for s in restricted)
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +294,23 @@ class MilnorWallCertificate:
                 "verdict": self.verdict.to_jsonable()}
 
 
-def _wall_family_subcomplex(wall_cx: TypedComplex, n: int,
+def _facets_by_type(wall_cx: TypedComplex, n: int) -> dict[frozenset, list]:
+    """The wall's (n-2)-simplices by their type, each typed once."""
+    out: dict[frozenset, list] = {}
+    for s in wall_cx.simplices(n - 2):
+        out.setdefault(wall_cx.type_of(s), []).append(s)
+    return out
+
+
+def _wall_family_subcomplex(wall_cx: TypedComplex,
+                            facets_by_type: dict[frozenset, list], n: int,
                             missing: tuple[int, ...]) -> TypedComplex:
     """Subcomplex generated by the wall simplices whose type is R - {s}
-    for some s in `missing` (dimension n-2 simplices)."""
-    want_types = {frozenset(x for x in range(n) if x != s) for s in missing}
-    selected = [s for s in wall_cx.simplices(n - 2)
-                if wall_cx.type_of(s) in want_types]
+    for some s in `missing` (dimension n-2 simplices, by type as
+    ``_facets_by_type`` gives them)."""
+    selected = [f for s in missing
+                for f in facets_by_type.get(
+                    frozenset(x for x in range(n) if x != s), ())]
     return wall_cx.subcomplex(selected) if selected else TypedComplex([], {})
 
 
@@ -302,9 +327,10 @@ def milnor_wall_search(wall_cx: TypedComplex, n: int, r: int,
     homology is computed."""
     from itertools import combinations
     wall_size = wall_cx.n_simplices()
+    by_type = _facets_by_type(wall_cx, n)
     for size in range(n, 0, -1):
         for missing in combinations(range(n), size):
-            sub = _wall_family_subcomplex(wall_cx, n, missing)
+            sub = _wall_family_subcomplex(wall_cx, by_type, n, missing)
             if sub.dim != n - 2:
                 continue
             if sub.n_simplices() == wall_size:
@@ -348,10 +374,11 @@ class CountReport:
 
 
 def chamber_count_check(pdata: ParabolicData, d: Diagram,
-                        refl: list) -> CountReport:
+                        refl: list[int]) -> CountReport:
     """Per conjugacy class: p = fixed-space dimension proxy and the count
     f_{p-1}(Delta^g) against d_1...d_p; items (i)-(iii) of the
-    chamber-count equivalence; Eq-(8) per reflection class of ``refl``.
+    chamber-count equivalence; Eq-(8) per reflection class, given by its
+    representative in ``refl`` (none is looked at in rank 1).
 
     Only the classes in ``pdata.nontrivial_counts`` are evaluated: any
     other class fixes just the empty simplex, so p = 0 and f_{-1} = 1 =
@@ -385,7 +412,10 @@ def chamber_count_check(pdata: ParabolicData, d: Diagram,
             if r.holds:
                 holding.append(r)
     item_iii = not has_forbidden_subdiagram(d, THEOREM_B_FORBIDDEN)
-    # Eq (8): a wall's chambers are its fixed simplices with n-1 vertices
-    eq8 = all(pdata.fixed_counts(classes.class_of[rep])[n - 1] == prefix[n - 1]
-              for rep, _members in refl)
+    # Eq (8): a wall's chambers are its fixed simplices with n-1 vertices.
+    # At rank 1 that is the empty simplex alone, f_{-1} = 1 = d_1...d_0,
+    # for every class
+    eq8 = n == 1 or all(
+        pdata.fixed_counts(classes.class_of[rep])[n - 1] == prefix[n - 1]
+        for rep in refl)
     return CountReport(failing + holding, item_i, not failing, item_iii, eq8)

@@ -101,7 +101,7 @@ def test_criterion_4_theorem_A(suite):
     g26 = suite["by"][("A", "G26")]
     assert g26["predicted"] is False and g26["computed"] is False
     ctx = GroupContext(parse_symbol("G26"))
-    order3 = [rep for rep, _m in ctx.refl_classes
+    order3 = [rep for rep in ctx.refl_classes
               if ctx.table.element_order(rep) == 3]
     assert order3
     for rep in order3:
@@ -121,7 +121,7 @@ def test_criterion_4_theorem_A(suite):
     # machine-verified truth recorded: the order-2 wall of G26 is the
     # Milnor fiber complex of G5 (so Theorem A still computes False via
     # the order-3 classes)
-    order2 = [rep for rep, _m in ctx.refl_classes
+    order2 = [rep for rep in ctx.refl_classes
               if ctx.table.element_order(rep) == 2]
     row = next(r for r in g26["details"]["classes"] if r["rep"] == order2[0])
     assert row["verdict"]["outcome"] == "recognized"
@@ -237,7 +237,7 @@ def test_criterion_9_deep_g32():
     classes = ctx.refl_classes
     walls_ok = True
     betti_ok = True
-    for rep, _members in classes:
+    for rep in classes:
         w = ctx.fixed_of(rep)
         if w.f_vector()[2] != 5184:
             walls_ok = False

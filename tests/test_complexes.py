@@ -22,38 +22,38 @@ def a3():
 
 
 def test_a3_f_vector(a3):
-    _t, cx, _act = a3
+    _t, cx, _cs = a3
     assert cx.f_vector() == (14, 36, 24)
     assert cx.euler_characteristic() == 2
 
 
 def test_g312_shape():
-    _t, cx, _act = build("G(3,1,2)")
+    _t, cx, _cs = build("G(3,1,2)")
     assert cx.f_vector() == (15, 18)
     assert [cx.vertex_types.count(k) for k in (0, 1)] == [6, 9]
 
 
 def test_rank1_complex():
-    _t, cx, _act = build("Z5")
+    _t, cx, _cs = build("Z5")
     assert cx.f_vector() == (5,)
     assert cx.dim == 0
 
 
 def test_trivial_group_complex():
-    _t, cx, _act = build("1")
+    _t, cx, _cs = build("1")
     assert cx.dim == -1 and cx.f_vector() == ()
 
 
 def test_chambers_biject_with_group():
     for sym in ("A3", "G(3,1,2)", "H3", "2[3]2 + 4", "G25"):
-        t, cx, _act = build(sym)
+        t, cx, _cs = build(sym)
         assert len(cx.simplices(cx.dim)) == t.order == group_order(t.diagram)
 
 
 def test_chamber_adjacency_connected():
     # consecutive chambers sharing a codimension-1 face connect everything
     for sym in ("A3", "G(3,1,2)", "2[3]2 + 4"):
-        _t, cx, _act = build(sym)
+        _t, cx, _cs = build(sym)
         top = cx.simplices(cx.dim)
         index = {s: i for i, s in enumerate(top)}
         panels = {}
@@ -76,22 +76,44 @@ def test_chamber_adjacency_connected():
 
 def test_action_type_preserving_and_simply_transitive():
     for sym in ("A3", "G(3,1,2)", "3[3]3"):
-        t, cx, act = build(sym)
+        t, cx, cs = build(sym)
         chambers = set(cx.simplices(cx.dim))
+
+        def image(perm, s):
+            return tuple(sorted(perm[v] for v in s))
+
         for i in range(t.ngens):
-            perm = act.gen_vertex_perms[i]
+            perm = cs.gen_vertex_perms[i]
             for v in range(cx.n_vertices):
                 assert cx.vertex_types[perm[v]] == cx.vertex_types[v]
-            assert {act.apply(perm, s) for s in chambers} == chambers
-        # nonidentity elements move every chamber (simple transitivity)
+            assert {image(perm, s) for s in chambers} == chambers
+        # nonidentity elements move every chamber (simple transitivity);
+        # g's vertex permutation, composed along its word
         for g in range(1, min(t.order, 8)):
-            perm = act.vertex_perm(g)
-            assert all(act.apply(perm, s) != s for s in chambers), (sym, g)
+            perm = list(range(cx.n_vertices))
+            for letter in reversed(t.word(g)):
+                perm = [cs.gen_vertex_perms[letter][v] for v in perm]
+            assert all(image(perm, s) != s for s in chambers), (sym, g)
+
+
+def test_left_translation_is_left_multiplication():
+    # one pass along the parent links gives g * x for every x, and the
+    # chamber of g * x is g's image of the chamber of x
+    for sym in ("A3", "G(3,1,2)", "2[3]2 + 4", "Z5", "1"):
+        t, _cx, cs = build(sym)
+        for g in (0, t.order - 1, t.order // 2):
+            left = cs.left_translation(g)
+            assert left == [t.mul(g, x) for x in range(t.order)], (sym, g)
+        for i in range(t.ngens):
+            left = cs.left_translation(t.gen_elements[i])
+            perm = cs.gen_vertex_perms[i]
+            for col in cs.chamber:
+                assert [col[y] for y in left] == [perm[v] for v in col]
 
 
 def test_join_with_trivial_is_identity():
-    _t, cx, _act = build("2[3]2")
-    _t2, triv, _a2 = build("1")
+    _t, cx, _cs = build("2[3]2")
+    _t2, triv, _cs2 = build("1")
     j = join(cx, triv)
     assert j.f_vector() == cx.f_vector()
     assert find_isomorphism(j, cx) is not None
@@ -114,7 +136,7 @@ def test_link_of_vertex_is_parabolic_complex():
     # parabolic on the remaining generators, type-respectingly
     for sym in ("A3", "G(3,1,2)", "G26"):
         d = parse_symbol(sym)
-        t, cx, _act = build(sym)
+        t, cx, _cs = build(sym)
         for r in range(d.rank):
             v = cx.vertex_types.index(r)
             sub = d.induced([x for x in range(d.rank) if x != r])
@@ -171,12 +193,12 @@ def test_complex_matches_per_coset_construction():
     # the walls tests' property groups, plus F4, a product, rank 1 and 0
     for sym in ("B3", "H3", "G25", "G(3,1,3)", "I2(7)", "F4", "2[3]2 + 4",
                 "Z5", "1"):
-        t, cx, act = build(sym)
+        t, cx, cs = build(sym)
         want, perms = _per_coset_complex(t)
         assert cx.by_dim == want.by_dim, sym
         assert cx.vertex_types == want.vertex_types, sym
         assert cx.vertex_names == want.vertex_names, sym
-        assert act.gen_vertex_perms == perms, sym
+        assert cs.gen_vertex_perms == perms, sym
 
 
 def test_simplex_cap():
@@ -189,11 +211,34 @@ def test_simplex_count_matches_complex():
     # the count from group orders alone is the built complex's
     for sym in ("B3", "H3", "G25", "G26", "D4", "F4", "G(3,1,3)", "I2(7)",
                 "Z5", "2[3]2 + 4", "1"):
-        t, cx, _act = build(sym)
+        t, cx, _cs = build(sym)
         assert simplex_count(t.diagram, DEFAULT_SIMPLEX_CAP) == \
             cx.n_simplices(), sym
     with pytest.raises(SimplexCapExceeded):
         simplex_count(parse_symbol("H3"), 100)
+
+
+def test_chamber_f_vector_matches_complex():
+    # |G| / |K_I| summed by the size of I is the built complex's f-vector:
+    # every default-suite group of rank >= 3, and a spread of rank <= 2
+    from mfc.verify import default_suite
+    symbols = [e["symbol"] for e in default_suite()["entries"]
+               if "symbol" in e and parse_symbol(e["symbol"]).rank >= 3]
+    symbols += ["1", "Z2", "Z3", "Z97", "Z1000", "I2(3)", "I2(8)", "I2(31)",
+                "I2(500)", "G(2,1,2)", "G(5,1,2)", "G(12,1,2)", "G(31,1,2)",
+                "G4", "G8", "G21"]
+    for sym in symbols:
+        _t, cx, cs = build(sym)
+        assert cs.f_vector() == cx.f_vector(), sym
+
+
+@pytest.mark.deep
+def test_chamber_f_vector_matches_complex_default_suite():
+    from mfc.verify import default_suite
+    for e in default_suite()["entries"]:
+        if "symbol" in e:
+            _t, cx, cs = build(e["symbol"])
+            assert cs.f_vector() == cx.f_vector(), e["symbol"]
 
 
 def _exported_lines(cx, path):
@@ -211,7 +256,7 @@ def _exported_lines(cx, path):
 
 def test_export_import_roundtrip(tmp_path, a3):
     # the written vertex types and facets read back as the complex's own
-    _t, cx, _act = a3
+    _t, cx, _cs = a3
     header, verts, facets = _exported_lines(cx, str(tmp_path / "a3.mfc"))
     assert header == "MFC-COMPLEX v1 14 24"
     assert verts == [["v:", str(v), str(r)]
@@ -269,9 +314,3 @@ def test_face_closure_matches_dfs(facets, data):
     assert sub.vertex_types == tuple(v % 3 for v in old_ids)
     assert {tuple(old_ids[v] for v in s)
             for ss in sub.by_dim.values() for s in ss} == want
-    # the full subcomplex on a vertex set keeps exactly the simplices in it
-    keep = data.draw(st.sets(st.integers(0, 7)))
-    full = c.induced(keep)
-    assert {tuple(full.vertex_names[v] for v in s)
-            for ss in full.by_dim.values() for s in ss} == \
-        {s for s in closed if set(s) <= keep}

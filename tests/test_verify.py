@@ -109,9 +109,7 @@ def test_skipped_report_for_large_groups():
 def test_simplex_cap_is_a_cap_skip(monkeypatch, capsys):
     # a complex over the simplex cap skips its checks like a group over the
     # order cap: exit 3 where skips are not allowed, never a traceback
-    real = mfc.verify.milnor_fiber_complex
-    monkeypatch.setattr(mfc.verify, "milnor_fiber_complex",
-                        lambda t: real(t, simplex_cap=100))
+    monkeypatch.setattr(mfc.verify, "DEFAULT_SIMPLEX_CAP", 100)
     assert main(["verify", "A", "H3"]) == 3
     assert capsys.readouterr().out.rstrip().endswith("-> skipped")
     spec = {"mfc_suite": 1, "allow_skip": False,
@@ -151,6 +149,23 @@ def test_monomial_wider_range():
     for sym in ("A3", "3[4]2"):
         with pytest.raises(ValueError):
             verify_monomial(context(sym))
+
+
+def test_jobs_out_of_range_rejected_before_any_pool(monkeypatch, capsys):
+    # a pool would start every worker process at once: --jobs is bounded
+    # by the CPU count, and a bad value is a usage error
+    import concurrent.futures
+    import os
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("process pool created")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    for jobs in (0, -1, os.cpu_count() + 1, 100_000):
+        with pytest.raises(SuiteError, match="jobs"):
+            run_suite(dict(SMALL_SUITE), jobs=jobs)
+        assert main(["suite", "default", "--jobs", str(jobs)]) == 2
+        assert capsys.readouterr().err.startswith("error: jobs")
 
 
 def test_jobs_parallel_matches_serial():
@@ -262,9 +277,9 @@ def test_fixed_subcomplexes_built_once(monkeypatch):
     built = []
     real = mfc.verify.fixed_subcomplex
 
-    def counting(c, action, g):
+    def counting(chambers, g):
         built.append(g)
-        return real(c, action, g)
+        return real(chambers, g)
 
     monkeypatch.setattr(mfc.verify, "fixed_subcomplex", counting)
     ctx = context("B3")
@@ -272,8 +287,24 @@ def test_fixed_subcomplexes_built_once(monkeypatch):
                   verify_orlik):
         assert check(ctx).status == "agree"
     assert len(built) == len(set(built)) == ctx.pdata.classes.n_classes - 1
-    rep = ctx.refl_classes[0][0]
+    rep = ctx.refl_classes[0]
     assert ctx.certificate_of(rep).verdict is ctx.verdict_of(rep)
+
+
+def test_counts_and_walls_never_build_the_complex(monkeypatch):
+    # the f-vector and every wall come from the chambers; only the
+    # recognition models (walls' own binding) build a complex
+    def no_complex(*args, **kwargs):
+        raise AssertionError("full complex built")
+
+    monkeypatch.setattr(mfc.verify, "milnor_fiber_complex", no_complex)
+    for sym in ("H3", "G26"):
+        ctx = context(sym)
+        reports = [check(ctx) for check in (verify_counts, verify_theorem_A,
+                                            verify_theorem_B)]
+        assert [r.status for r in reports] == \
+            ["agree", "agree", "disagree" if sym == "G26" else "agree"]
+        assert ctx._complex is None
 
 
 def test_walls_recognized_once(monkeypatch):
@@ -294,7 +325,7 @@ def test_walls_recognized_once(monkeypatch):
         verify_theorem_A(ctx)
         verify_theorem_B(ctx)
         # G25's two reflection classes have walls with equal simplices
-        walls = [ctx.fixed_of(rep).by_dim for rep, _m in ctx.refl_classes]
+        walls = [ctx.fixed_of(rep).by_dim for rep in ctx.refl_classes]
         for w in walls:
             assert seen.count(w) == walls.count(w), sym
 

@@ -2,11 +2,13 @@ import pytest
 
 from mfc.complexes import TypedComplex, milnor_fiber_complex
 from mfc.diagram import diagram_name, enumerate_admissible, parse_symbol
-from mfc.group import enumerate_group, parabolic_cosets, reflection_classes
+from mfc.group import (conjugacy_classes, enumerate_group, parabolic_cosets,
+                       reflection_classes)
 from mfc.homology import reduced_betti
 from mfc.verify import GroupContext
 from mfc.walls import (ParabolicData, _chamber_count, _euler_excludes,
-                       _wall_family_subcomplex, chamber_count_check,
+                       _facets_by_type, _wall_family_subcomplex,
+                       chamber_count_check,
                        fixed_subcomplex, milnor_wall_search,
                        recognize_milnor_fiber)
 
@@ -17,8 +19,18 @@ PROPERTY_GROUPS = ("B3", "H3", "G25", "G(3,1,3)", "I2(7)")
 
 def setup(sym):
     t = enumerate_group(parse_symbol(sym))
-    cx, act = milnor_fiber_complex(t)
-    return t, cx, act
+    cx, cs = milnor_fiber_complex(t)
+    return t, cx, cs
+
+
+def vertex_perm(cs, g):
+    """The vertex permutation of g, composed along g's word from the
+    generators' permutations."""
+    perm = list(range(len(cs.vertex_types)))
+    for letter in reversed(cs.table.word(g)):
+        gen = cs.gen_vertex_perms[letter]
+        perm = [gen[v] for v in perm]
+    return perm
 
 
 @pytest.fixture(scope="module")
@@ -32,9 +44,9 @@ def g26():
 
 
 def test_fixed_subcomplex_identity_and_reflection():
-    t, cx, act = setup("2[3]2")
-    assert fixed_subcomplex(cx, act, 0).f_vector() == cx.f_vector()
-    w = fixed_subcomplex(cx, act, t.gen_elements[0])
+    t, cx, cs = setup("2[3]2")
+    assert fixed_subcomplex(cs, 0).f_vector() == cx.f_vector()
+    w = fixed_subcomplex(cs, t.gen_elements[0])
     assert w.f_vector() == (2,)
 
 
@@ -42,9 +54,9 @@ def test_fixed_setwise_implies_pointwise():
     # every simplex fixed setwise has all its
     # vertices fixed
     for sym in ("A3", "G(3,1,2)", "3[3]3", "B3"):
-        t, cx, act = setup(sym)
+        t, cx, cs = setup(sym)
         for g in range(1, min(t.order, 30)):
-            perm = act.vertex_perm(g)
+            perm = vertex_perm(cs, g)
             for k in range(cx.dim + 1):
                 for s in cx.simplices(k):
                     if tuple(sorted(perm[v] for v in s)) == s:
@@ -52,67 +64,68 @@ def test_fixed_setwise_implies_pointwise():
 
 
 def test_g25_wall_counts_and_betti(g25):
-    t, cx, act = g25
-    for rep, _members in reflection_classes(t):
-        w = fixed_subcomplex(cx, act, rep)
+    t, cx, cs = g25
+    for rep in reflection_classes(t):
+        w = fixed_subcomplex(cs, rep)
         assert w.f_vector()[1] == 54
         assert reduced_betti(w).concentrated_value(1) == 25
 
 
 def test_walls_of_conjugate_reflections_isomorphic():
     from mfc.isomorphism import find_isomorphism
-    t, cx, act = setup("G(3,1,2)")
-    for rep, members in reflection_classes(t):
-        w0 = fixed_subcomplex(cx, act, rep)
+    t, cx, cs = setup("G(3,1,2)")
+    class_of = conjugacy_classes(t).class_of
+    for rep in reflection_classes(t):
+        members = [x for x in range(t.order) if class_of[x] == class_of[rep]]
+        w0 = fixed_subcomplex(cs, rep)
         for other in members[:2]:
-            w1 = fixed_subcomplex(cx, act, other)
+            w1 = fixed_subcomplex(cs, other)
             assert find_isomorphism(w0, w1) is not None
 
 
 def test_conjugate_wall_is_translated_wall():
     # the fixed simplices of h r h^{-1} are exactly h applied to those of r
-    t, cx, act = setup("3[3]3")
+    t, cx, cs = setup("3[3]3")
     ambient_id = {nm: i for i, nm in enumerate(cx.vertex_names)}
 
     def ambient_simplices(w):
         return {tuple(sorted(ambient_id[w.vertex_names[v]] for v in s))
                 for k in range(w.dim + 1) for s in w.simplices(k)}
 
-    for rep, _members in reflection_classes(t):
-        w_r = ambient_simplices(fixed_subcomplex(cx, act, rep))
+    for rep in reflection_classes(t):
+        w_r = ambient_simplices(fixed_subcomplex(cs, rep))
         for h in (t.gen_elements[0], t.gen_elements[1], 5):
             conj = t.conjugate(rep, h)
-            perm = act.vertex_perm(h)
-            translated = {act.apply(perm, s) for s in w_r}
-            assert translated == ambient_simplices(fixed_subcomplex(cx, act, conj))
+            perm = vertex_perm(cs, h)
+            translated = {tuple(sorted(perm[v] for v in s)) for s in w_r}
+            assert translated == ambient_simplices(fixed_subcomplex(cs, conj))
 
 
 def test_fixed_space_dim(g25):
     # dim V^g is the dimension of the fixed subcomplex plus one
-    def fixed_space_dim(cx, act, g):
-        return fixed_subcomplex(cx, act, g).dim + 1
+    def fixed_space_dim(cs, g):
+        return fixed_subcomplex(cs, g).dim + 1
 
-    t, cx, act = g25
-    assert fixed_space_dim(cx, act, 0) == 3
-    rep = reflection_classes(t)[0][0]
-    assert fixed_space_dim(cx, act, rep) == 2
+    t, cx, cs = g25
+    assert fixed_space_dim(cs, 0) == 3
+    rep = reflection_classes(t)[0]
+    assert fixed_space_dim(cs, rep) == 2
     # H3 central -1 fixes only the empty simplex
-    t, cx, act = setup("H3")
-    from mfc.group import conjugacy_classes
+    t, cx, cs = setup("H3")
     cls = conjugacy_classes(t)
     central = [cls.reps[c] for c in range(cls.n_classes)
                if cls.sizes[c] == 1 and cls.reps[c] != 0]
     assert len(central) == 1
-    assert fixed_space_dim(cx, act, central[0]) == 0
+    assert fixed_space_dim(cs, central[0]) == 0
 
 
 def test_fixed_subcomplex_matches_setwise_filter():
     # the old construction: keep every simplex whose image, sorted, is
     # itself, and renumber its vertices in increasing order
     for sym in PROPERTY_GROUPS:
-        t, cx, act = setup(sym)
+        t, cx, cs = setup(sym)
         for g in range(t.order):
-            perm = act.vertex_perm(g)
+            perm = vertex_perm(cs, g)
             fixed = [s for k in range(cx.dim + 1) for s in cx.simplices(k)
                      if tuple(sorted(perm[v] for v in s)) == s]
             old_ids = sorted(s[0] for s in fixed if len(s) == 1)
@@ -121,13 +134,32 @@ def test_fixed_subcomplex_matches_setwise_filter():
             for s in fixed:
                 want.setdefault(len(s) - 1, []).append(
                     tuple(sorted(new_id[v] for v in s)))
-            sub = fixed_subcomplex(cx, act, g)
+            sub = fixed_subcomplex(cs, g)
             assert sub.by_dim == {k: tuple(sorted(v))
                                   for k, v in want.items()}, (sym, g)
             assert sub.vertex_types == tuple(cx.vertex_types[v]
                                              for v in old_ids)
             assert sub.vertex_names == tuple(cx.vertex_names[v]
                                              for v in old_ids)
+
+
+def test_fixed_subcomplex_matches_induced_on_fixed_vertices():
+    # the chamber route equals the full subcomplex of the built complex on
+    # the vertices that g's word-composed permutation fixes, for one
+    # element of every conjugacy class
+    for sym in ("B3", "H3", "G25", "G26", "D4", "F4", "G(3,1,3)", "I2(7)",
+                "Z5", "2[3]2 + 4", "1"):
+        t, cx, cs = setup(sym)
+        for g in conjugacy_classes(t).reps:
+            perm = vertex_perm(cs, g)
+            keep = {v for v, w in enumerate(perm) if v == w}
+            want = cx.subcomplex(s for k in range(cx.dim + 1)
+                                 for s in cx.simplices(k)
+                                 if keep.issuperset(s))
+            got = fixed_subcomplex(cs, g)
+            assert got.by_dim == want.by_dim, (sym, g)
+            assert got.vertex_types == want.vertex_types, (sym, g)
+            assert got.vertex_names == want.vertex_names, (sym, g)
 
 
 def test_parabolic_data_is_block_zero_of_cosets():
@@ -158,7 +190,7 @@ def test_count_formula_matches_explicit_subcomplexes():
     seen_empty = False
     for sym in ("Z6", "I2(5)", "I2(6)", "G(3,1,2)", "G4", "A3", "B3",
                 "2[3]2 + 4"):
-        t, cx, act = setup(sym)
+        t, cx, cs = setup(sym)
         pdata = ParabolicData(t)
         n = t.ngens
         full = (1 << n) - 1
@@ -174,7 +206,7 @@ def test_count_formula_matches_explicit_subcomplexes():
             assert (cid in pdata.nontrivial_counts) == any(dense[1:]), \
                 (sym, cid)
             rep = pdata.classes.reps[cid]
-            sub = fixed_subcomplex(cx, act, rep)
+            sub = fixed_subcomplex(cs, rep)
             explicit = {k: v for k, v in enumerate(sub.f_vector())}
             counted = {k - 1: v for k, v in enumerate(pdata.fixed_counts(cid))
                        if k and v}
@@ -196,9 +228,9 @@ def test_generated_subcomplex():
 
 
 def test_recognize_g25_wall(g25):
-    t, cx, act = g25
-    rep = reflection_classes(t)[0][0]
-    v = recognize_milnor_fiber(fixed_subcomplex(cx, act, rep), 2)
+    t, cx, cs = g25
+    rep = reflection_classes(t)[0]
+    v = recognize_milnor_fiber(fixed_subcomplex(cs, rep), 2)
     assert v.outcome == "not-mfc"
     assert v.reason == "betti-mismatch-all"
     assert sorted(c.name for c in v.candidates) == \
@@ -208,9 +240,9 @@ def test_recognize_g25_wall(g25):
 def test_recognize_g26_order3_wall(g26):
     # the order-3 generator wall: survivors after count+Betti are exactly
     # G5 and G(6,1,2), both eliminated by isomorphism (degree-4 vertex)
-    t, cx, act = g26
+    t, cx, cs = g26
     rep = t.gen_elements[0]
-    w = fixed_subcomplex(cx, act, rep)
+    w = fixed_subcomplex(cs, rep)
     v = recognize_milnor_fiber(w, 2)
     assert v.outcome == "not-mfc" and v.reason == "isomorphism-failed-all"
     survivors = sorted(c.name for c in v.candidates
@@ -229,17 +261,17 @@ def test_recognize_g26_order2_wall(g26):
     # machine-verified: the order-2 class wall IS a Milnor fiber complex,
     # the one of G5 (3-regular of girth 8); see the notes about the
     # G(6,1,2) naming in the sources this build follows
-    t, cx, act = g26
-    rep = [r for r, _m in reflection_classes(t) if t.element_order(r) == 2][0]
-    v = recognize_milnor_fiber(fixed_subcomplex(cx, act, rep), 2)
+    t, cx, cs = g26
+    rep = [r for r in reflection_classes(t) if t.element_order(r) == 2][0]
+    v = recognize_milnor_fiber(fixed_subcomplex(cs, rep), 2)
     assert v.recognized and diagram_name(v.diagram) == "G5"
     assert v.recheck()
 
 
 def test_recognize_monomial_wall_recursion():
-    t, cx, act = setup("G(3,1,3)")
-    for rep, _members in reflection_classes(t):
-        v = recognize_milnor_fiber(fixed_subcomplex(cx, act, rep), 2)
+    t, cx, cs = setup("G(3,1,3)")
+    for rep in reflection_classes(t):
+        v = recognize_milnor_fiber(fixed_subcomplex(cs, rep), 2)
         assert v.recognized and diagram_name(v.diagram) == "G(3,1,2)"
         assert v.recheck()
 
@@ -259,7 +291,7 @@ def test_recognition_rank0():
 
 def test_milnor_wall_search_g25():
     ctx = GroupContext(parse_symbol("G25"))
-    rep = ctx.refl_classes[0][0]
+    rep = ctx.refl_classes[0]
     cert = ctx.certificate_of(rep)
     assert cert is not None
     assert diagram_name(cert.diagram) == "G(3,1,2)"
@@ -280,7 +312,7 @@ def test_milnor_wall_search_rank1():
 
 def test_milnor_wall_search_d4_none():
     ctx = GroupContext(parse_symbol("D4"))
-    for rep, _members in ctx.refl_classes:
+    for rep in ctx.refl_classes:
         assert ctx.certificate_of(rep) is None
 
 
@@ -288,7 +320,7 @@ def test_milnor_wall_search_coxeter_nonproper():
     # Coxeter groups only have non-proper certificates (their walls are spheres)
     for sym in ("A3", "B3", "H3", "A4"):
         ctx = GroupContext(parse_symbol(sym))
-        for rep, _members in ctx.refl_classes:
+        for rep in ctx.refl_classes:
             cert = ctx.certificate_of(rep)
             assert cert is not None and not cert.proper, sym
 
@@ -297,11 +329,12 @@ def test_walls_are_their_full_family_subcomplex():
     # every wall is pure: its codimension-1 simplices of the full type
     # family generate all of it, so the search's first family is the wall
     for sym in PROPERTY_GROUPS + ("D4", "F4"):
-        t, cx, act = setup(sym)
+        t, cx, cs = setup(sym)
         n = t.ngens
-        for rep, _members in reflection_classes(t):
-            w = fixed_subcomplex(cx, act, rep)
-            full = _wall_family_subcomplex(w, n, tuple(range(n)))
+        for rep in reflection_classes(t):
+            w = fixed_subcomplex(cs, rep)
+            full = _wall_family_subcomplex(w, _facets_by_type(w, n), n,
+                                           tuple(range(n)))
             assert full.by_dim == w.by_dim, (sym, rep)
             assert full.vertex_types == w.vertex_types, (sym, rep)
 
@@ -310,9 +343,9 @@ def test_milnor_wall_search_impure_wall():
     # a family that misses part of the wall is recognized on its own,
     # not given the wall's verdict: an isolated vertex added to a B3 wall
     # makes the wall disconnected, and the full family still certifies
-    t, cx, act = setup("B3")
-    rep = reflection_classes(t)[0][0]
-    w = fixed_subcomplex(cx, act, rep)
+    t, cx, cs = setup("B3")
+    rep = reflection_classes(t)[0]
+    w = fixed_subcomplex(cs, rep)
     impure = TypedComplex(w.vertex_types + (0,),
                           {0: w.simplices(0) + ((w.n_vertices,),),
                            1: w.simplices(1)})
@@ -330,13 +363,14 @@ def test_euler_prefilter_is_exact():
     from itertools import combinations
     excluded = 0
     for sym in ("B3", "H3", "G25", "G26", "D4"):
-        t, cx, act = setup(sym)
+        t, cx, cs = setup(sym)
         n = t.ngens
-        for rep, _members in reflection_classes(t):
-            w = fixed_subcomplex(cx, act, rep)
+        for rep in reflection_classes(t):
+            w = fixed_subcomplex(cs, rep)
+            by_type = _facets_by_type(w, n)
             for size in range(1, n + 1):
                 for missing in combinations(range(n), size):
-                    sub = _wall_family_subcomplex(w, n, missing)
+                    sub = _wall_family_subcomplex(w, by_type, n, missing)
                     if sub.dim != n - 2:
                         continue
                     cands = enumerate_admissible(n - 1,
@@ -373,11 +407,11 @@ def test_wall_join_reduction():
     # walls of a product: the factor's wall joined with the other factors
     from mfc.complexes import join
     from mfc.isomorphism import find_isomorphism
-    t, cx, act = setup("2[3]2 + 2")
-    ta, ca, aa = setup("2[3]2")
-    tb, cb, ab = setup("2")
+    t, cx, cs = setup("2[3]2 + 2")
+    ta, ca, csa = setup("2[3]2")
+    tb, cb, csb = setup("2")
     rep = ta.gen_elements[0]
     g_union = t.right[0][0]  # same generator embeds as index 0
-    w_union = fixed_subcomplex(cx, act, g_union)
-    expected = join(fixed_subcomplex(ca, aa, rep), cb)
+    w_union = fixed_subcomplex(cs, g_union)
+    expected = join(fixed_subcomplex(csa, rep), cb)
     assert find_isomorphism(expected, w_union, respect_types=True) is not None
