@@ -15,6 +15,12 @@ every construction below ends in the same canonical table.
 * A reducible diagram is the direct product of its component groups.
 * Cyclic and dihedral diagrams use direct constructions, because their
   braid relators have length ~|G|.
+
+The table keeps the right and left actions, the inverse right actions
+and the breadth-first tree; there is no table of element inverses.
+``parabolic_cosets`` walks a standard parabolic G_I once, as a tree from
+the identity, and reads each left coset sG_I off that tree's image under
+s, one lookup per element.
 """
 
 from __future__ import annotations
@@ -35,8 +41,12 @@ class CapExceeded(RuntimeError):
 class GroupTable:
     """Regular action of a finite group given by an admissible diagram.
 
-    right[i][x] is x * r_i, left[i][x] is r_i * x.  word(x) gives one
-    shortest word (tuple of generator indices) with value x.
+    right[i][x] is x * r_i, right_inv[i][x] is x * r_i^-1 and left[i][x]
+    is r_i * x.  parent[x] and last_letter[x] give x = parent[x] *
+    r_last_letter[x] along a breadth-first tree from the identity, so
+    word(x) gives one shortest word (tuple of generator indices) with
+    value x.  No table of element inverses is kept: nothing reads one,
+    and word(x) read backwards along right_inv gives x^-1.
     """
 
     def __init__(self, diagram: Diagram, right: list[list[int]]):
@@ -52,7 +62,7 @@ class GroupTable:
     def _standardize(self):
         """Renumber breadth-first from the identity with fixed generator order,
         recording each element's BFS parent and last letter in the new ids,
-        then derive left actions and inverses in one pass over the ids."""
+        then derive the left actions in one pass along the parent links."""
         n = self.order
         ng = self.ngens
         right = self.right
@@ -81,27 +91,18 @@ class GroupTable:
         del order, new_id
         right_inv = [_invert(col, ids) for col in right]
         # x = p * r_l gives r_i * x = (r_i * p) * r_l, and ids grow along
-        # parent links.  A shortest word of x starts with some r_j, so
-        # x = r_j * q for an earlier q, and x^-1 = q^-1 * r_j^-1 is set
-        # while q is visited.
+        # parent links
         left = [[col[0]] * n for col in right]
-        inv = [0] * n
-        pairs = tuple(zip(left, right_inv))
-        for x in range(n):
-            if x:
-                rl = right[last[x]]
-                p = parent[x]
-                for lam in left:
-                    lam[x] = rl[lam[p]]
-            ix = inv[x]
-            for lam, rinv in pairs:
-                inv[lam[x]] = rinv[ix]
+        for x in range(1, n):
+            rl = right[last[x]]
+            p = parent[x]
+            for lam in left:
+                lam[x] = rl[lam[p]]
         self.right = right
         self.parent = parent
         self.last_letter = last
         self.left = left
         self.right_inv = right_inv
-        self.inv = inv
 
     def word(self, x: int) -> tuple[int, ...]:
         """One shortest word (generator indices) evaluating to element x."""
@@ -528,39 +529,54 @@ class CosetPartition:
         return len(self.reps)
 
 
+def _subgroup_tree(t: GroupTable, I) -> tuple[list[int], list[tuple]]:
+    """The standard parabolic G_I, walked breadth-first from the identity
+    along the right columns of the generators in I: its members in that
+    order, and for each member after the identity the pair (position of
+    its parent member, column), with member = column[parent member]."""
+    cols = [t.right[i] for i in I]
+    members = [0]
+    seen = {0}
+    tree = []
+    for k, x in enumerate(members):
+        for col in cols:
+            y = col[x]
+            if y not in seen:
+                seen.add(y)
+                members.append(y)
+                tree.append((k, col))
+    return members, tree
+
+
 def parabolic_cosets(t: GroupTable, I) -> CosetPartition:
     """Partition of element ids into left cosets of the standard parabolic
-    generated by the generator indices in I."""
+    generated by the generator indices in I.
+
+    G_I is walked once (``_subgroup_tree``).  The block s<I> of the
+    smallest unassigned s is that tree's image under left multiplication
+    by s: member = column[parent member] gives s * member =
+    column[s * parent member], one lookup per element."""
     I = tuple(sorted(set(I)))
     n = t.order
     if not I:
         return CosetPartition(I, list(range(n)), list(range(n)), 1)
+    members, tree = _subgroup_tree(t, I)
     block_of = [-1] * n
     reps = []
-    cols = [t.right[i] for i in I]
     for s in range(n):
         if block_of[s] >= 0:
             continue
         bid = len(reps)
         reps.append(s)
-        block_of[s] = bid
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for col in cols:
-                y = col[x]
-                if block_of[y] < 0:
-                    block_of[y] = bid
-                    stack.append(y)
-    if n % len(reps) != 0:
+        img = [s]
+        for p, col in tree:
+            img.append(col[img[p]])
+        for y in img:
+            block_of[y] = bid
+    # blocks that overlapped would leave more of them than |G| / |G_I|
+    if len(reps) * len(members) != n:
         raise RuntimeError("parabolic blocks of unequal size")
-    size = n // len(reps)
-    counts = [0] * len(reps)
-    for b in block_of:
-        counts[b] += 1
-    if any(c != size for c in counts):
-        raise RuntimeError("parabolic blocks of unequal size")
-    return CosetPartition(I, block_of, reps, size)
+    return CosetPartition(I, block_of, reps, len(members))
 
 
 @dataclass
@@ -578,7 +594,7 @@ def conjugacy_classes(t: GroupTable) -> ConjugacyClasses:
     """Orbits of conjugation; representatives are the smallest element ids."""
     n = t.order
     # per generator i, the table x -> r_i x r_i^{-1}
-    conj = [[li[ri_inv[x]] for x in range(n)]
+    conj = [list(map(li.__getitem__, ri_inv))
             for li, ri_inv in zip(t.left, t.right_inv)]
     class_of = [-1] * n
     reps, sizes = [], []

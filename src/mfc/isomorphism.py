@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import permutations
 
 from .complexes import TypedComplex
@@ -187,6 +188,31 @@ def find_isomorphism(a: TypedComplex, b: TypedComplex,
     return None
 
 
+def _vertex_order(adj, class_size) -> list[int]:
+    """The search order: connectivity-first, starting from the rarest
+    color.  Each next vertex has the most already-ordered neighbours, then
+    the smallest color class, then the smallest id; it comes off a lazy
+    heap of (-ordered neighbours, class size, id) entries, where an entry
+    is stale once its vertex is ordered or has gained a neighbour."""
+    n = len(adj)
+    mapped_nbrs = [0] * n
+    placed = [False] * n
+    heap = [(0, class_size[v], v) for v in range(n)]
+    heapify(heap)
+    order = []
+    while heap:
+        neg, _size, v = heappop(heap)
+        if placed[v] or -neg != mapped_nbrs[v]:
+            continue
+        order.append(v)
+        placed[v] = True
+        for u in adj[v]:
+            if not placed[u]:
+                mapped_nbrs[u] += 1
+                heappush(heap, (-mapped_nbrs[u], class_size[u], u))
+    return order
+
+
 def _search(a: TypedComplex, b: TypedComplex, tmap) -> dict[int, int] | None:
     inc_a, inc_b = _incidence(a), _incidence(b)
     adj_a, adj_b = _adjacency(a), _adjacency(b)
@@ -215,22 +241,7 @@ def _search(a: TypedComplex, b: TypedComplex, tmap) -> dict[int, int] | None:
         return None
 
     n = a.n_vertices
-    # vertex order: grow connectivity-first, starting from the rarest color
-    order = []
-    placed = [False] * n
-    mapped_nbrs = [0] * n
-    start = min(range(n), key=lambda v: (len(classes_a[colors_a[v]]), v))
-    cur = start
-    for _ in range(n):
-        order.append(cur)
-        placed[cur] = True
-        for u in adj_a[cur]:
-            mapped_nbrs[u] += 1
-        rest = [v for v in range(n) if not placed[v]]
-        if not rest:
-            break
-        cur = max(rest, key=lambda v: (mapped_nbrs[v],
-                                       -len(classes_a[colors_a[v]]), -v))
+    order = _vertex_order(adj_a, [len(classes_a[c]) for c in colors_a])
 
     # incident simplices of v whose other vertices come earlier in the order
     pos = {v: i for i, v in enumerate(order)}

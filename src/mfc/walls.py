@@ -9,14 +9,17 @@ against explicitly constructed subcomplexes in the tests.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations
 
-from .complexes import ChamberSystem, TypedComplex, milnor_fiber_complex
+from .complexes import (ChamberSystem, TypedComplex, _face_closure, _reindexed,
+                        milnor_fiber_complex)
 from .diagram import (Diagram, basic_degrees, canonical_key, classify,
                       diagram_name, enumerate_admissible, group_order,
                       has_forbidden_subdiagram)
-from .group import (DEFAULT_CAP, GroupTable, conjugacy_classes,
-                    enumerate_group)
+from .group import (DEFAULT_CAP, GroupTable, _subgroup_tree,
+                    conjugacy_classes, enumerate_group)
 from .homology import _n_components, reduced_betti
 from .isomorphism import Isomorphism, find_isomorphism, verify_isomorphism
 
@@ -82,21 +85,9 @@ class ParabolicData:
         fixed: dict[int, list[int]] = {}
         # J = R is left out: G_R = G labels only the empty simplex
         for mask in range((1 << n) - 1):
-            # G_J is the orbit of the identity under J's generators
-            cols = [t.right[i] for i in range(n) if mask >> i & 1]
-            members = {0}
-            stack = [0]
-            while stack:
-                x = stack.pop()
-                for col in cols:
-                    y = col[x]
-                    if y not in members:
-                        members.add(y)
-                        stack.append(y)
-            met: dict[int, int] = {}
-            for e in members:
-                cid = class_of[e]
-                met[cid] = met.get(cid, 0) + 1
+            members, _tree = _subgroup_tree(
+                t, [i for i in range(n) if mask >> i & 1])
+            met = Counter(map(class_of.__getitem__, members))
             order = len(members)
             k = n - bin(mask).count("1")   # vertices of a type-(R - J) simplex
             for cid, m in met.items():
@@ -202,14 +193,13 @@ def _chamber_count(s: TypedComplex, rank: int) -> int:
     return 1 if rank == 0 and s.dim == -1 else len(s.simplices(rank - 1))
 
 
-def _euler_excludes(s: TypedComplex, rank: int,
-                    candidates: list[Diagram]) -> bool:
-    """True when no candidate can be recognized for s, by the Euler
-    characteristic alone: a Milnor fiber complex has its reduced homology
-    in degree rank-1 only, so its reduced Euler characteristic is
-    (-1)^(rank-1) times the bouquet count.  Exact, and no boundary matrix
-    is built."""
-    reduced_chi = s.euler_characteristic() - 1
+def _euler_excludes(chi: int, rank: int, candidates: list[Diagram]) -> bool:
+    """True when no candidate can be recognized for a complex of Euler
+    characteristic chi, by that alone: a Milnor fiber complex has its
+    reduced homology in degree rank-1 only, so its reduced Euler
+    characteristic is (-1)^(rank-1) times the bouquet count.  Exact, and
+    no boundary matrix is built."""
+    reduced_chi = chi - 1
     want = reduced_chi if (rank - 1) % 2 == 0 else -reduced_chi
     return all(predicted_bouquet_count(d) != want for d in candidates)
 
@@ -302,16 +292,32 @@ def _facets_by_type(wall_cx: TypedComplex, n: int) -> dict[frozenset, list]:
     return out
 
 
-def _wall_family_subcomplex(wall_cx: TypedComplex,
-                            facets_by_type: dict[frozenset, list], n: int,
-                            missing: tuple[int, ...]) -> TypedComplex:
-    """Subcomplex generated by the wall simplices whose type is R - {s}
-    for some s in `missing` (dimension n-2 simplices, by type as
-    ``_facets_by_type`` gives them)."""
-    selected = [f for s in missing
-                for f in facets_by_type.get(
-                    frozenset(x for x in range(n) if x != s), ())]
-    return wall_cx.subcomplex(selected) if selected else TypedComplex([], {})
+def _type_families(wall_cx: TypedComplex, n: int):
+    """Every type family of a rank-n complex's wall in search order,
+    descending by size and lexicographic within a size, as
+    (missing, faces): the family is the wall's (n-2)-simplices of type
+    R - {s} for s in ``missing``, and ``faces`` holds every face of them
+    by dimension, in the wall's vertex ids.
+
+    Each facet type is closed once.  The closure of a union is the union
+    of the closures, so a family's faces are its types' closures united
+    dimension by dimension, and ``_reindexed`` of them with the wall's
+    vertex types and names is ``wall_cx.subcomplex`` of its facets."""
+    by_type = _facets_by_type(wall_cx, n)
+    closures = [_face_closure(by_type.get(
+        frozenset(x for x in range(n) if x != s), ())) for s in range(n)]
+    for size in range(n, 0, -1):
+        for missing in combinations(range(n), size):
+            parts = [closures[s] for s in missing if closures[s]]
+            if len(parts) == 1:
+                faces = parts[0]
+            elif parts:
+                # in _face_closure's key order: top dimension first
+                faces = {k: set().union(*(p[k] for p in parts))
+                         for k in range(n - 2, -1, -1)}
+            else:
+                faces = {}
+            yield missing, faces
 
 
 def milnor_wall_search(wall_cx: TypedComplex, n: int, r: int,
@@ -322,31 +328,32 @@ def milnor_wall_search(wall_cx: TypedComplex, n: int, r: int,
     Milnor walls are found first), lexicographic within a size.
 
     ``wall_verdict`` is the wall's own recognition at rank n-1; a family
-    that generates the whole wall takes it.  Other families whose Euler
-    characteristic rules out every candidate are skipped before any
-    homology is computed."""
-    from itertools import combinations
+    that generates the whole wall takes it (at rank 1, the one family,
+    with no facets).  The chamber and simplex counts and the Euler
+    characteristic of a family are read off its faces, and a family whose
+    Euler characteristic rules out every candidate is skipped before its
+    complex is built or any homology is computed."""
     wall_size = wall_cx.n_simplices()
-    by_type = _facets_by_type(wall_cx, n)
-    for size in range(n, 0, -1):
-        for missing in combinations(range(n), size):
-            sub = _wall_family_subcomplex(wall_cx, by_type, n, missing)
-            if sub.dim != n - 2:
+    for missing, faces in _type_families(wall_cx, n):
+        if n > 1 and not faces:
+            continue
+        if sum(map(len, faces.values())) == wall_size:
+            verdict = wall_verdict
+        else:
+            chambers = len(faces[n - 2]) if n > 1 else 1
+            chi = sum((-1) ** k * len(v) for k, v in faces.items())
+            if _euler_excludes(chi, n - 1,
+                               enumerate_admissible(n - 1, chambers)):
                 continue
-            if sub.n_simplices() == wall_size:
-                verdict = wall_verdict
-            else:
-                candidates = enumerate_admissible(n - 1,
-                                                  _chamber_count(sub, n - 1))
-                if _euler_excludes(sub, n - 1, candidates):
-                    continue
-                verdict = recognize_milnor_fiber(sub, n - 1)
-            if verdict.recognized:
-                family = tuple(frozenset(x for x in range(n) if x != s)
-                               for s in missing)
-                return MilnorWallCertificate(
-                    r, missing, family, verdict.diagram, verdict,
-                    proper=(size != n))
+            verdict = recognize_milnor_fiber(
+                _reindexed(faces, wall_cx.vertex_types, wall_cx.vertex_names),
+                n - 1)
+        if verdict.recognized:
+            family = tuple(frozenset(x for x in range(n) if x != s)
+                           for s in missing)
+            return MilnorWallCertificate(
+                r, missing, family, verdict.diagram, verdict,
+                proper=len(missing) != n)
     return None
 
 

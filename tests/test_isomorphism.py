@@ -5,7 +5,9 @@ from mfc.complexes import (TypedComplex, join, milnor_fiber_complex,
                            monomial_flag_complex)
 from mfc.diagram import parse_symbol
 from mfc.group import enumerate_group
-from mfc.isomorphism import find_isomorphism, verify_isomorphism
+from mfc.isomorphism import (_adjacency, _incidence, _initial_colors, _refine,
+                             _vertex_order, find_isomorphism,
+                             verify_isomorphism)
 
 
 def build(sym):
@@ -32,6 +34,42 @@ def test_relabeled_copy():
     b = TypedComplex(types, by_dim)
     iso = find_isomorphism(a, b)
     assert iso is not None and verify_isomorphism(a, b, iso.vertex_map)
+
+
+def _rescan_order(adj, class_size):
+    """Reference search order: rescan every unordered vertex for the most
+    ordered neighbours, then the smallest class, then the smallest id."""
+    n = len(adj)
+    mapped = [0] * n
+    order = []
+    rest = set(range(n))
+    while rest:
+        v = max(rest, key=lambda u: (mapped[u], -class_size[u], -u))
+        order.append(v)
+        rest.discard(v)
+        for u in adj[v]:
+            mapped[u] += 1
+    return order
+
+
+def test_vertex_order_matches_rescan():
+    # connected complexes, a join, a disjoint union (two components) and
+    # a vertex-only complex; class sizes from the refined colors
+    b3, h3 = build("B3"), build("H3")
+    two = TypedComplex(b3.vertex_types + h3.vertex_types,
+                       {k: b3.simplices(k) + tuple(
+                           tuple(v + b3.n_vertices for v in s)
+                           for s in h3.simplices(k)) for k in (0, 1, 2)})
+    points = TypedComplex([0] * 5, {0: [(v,) for v in range(5)]})
+    for c in (b3, h3, build("G(3,1,2)"), build("G25"),
+              join(build("I2(5)"), build("Z3")), two, points):
+        inc = _incidence(c)
+        colors, _ = _refine(*_initial_colors(c, c), inc, inc)
+        size = [colors.count(col) for col in colors]
+        adj = _adjacency(c)
+        order = _vertex_order(adj, size)
+        assert order == _rescan_order(adj, size), c.f_vector()
+        assert sorted(order) == list(range(c.n_vertices))
 
 
 def test_eight_cycle_vs_b2():

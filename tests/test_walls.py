@@ -7,8 +7,7 @@ from mfc.group import (conjugacy_classes, enumerate_group, parabolic_cosets,
 from mfc.homology import reduced_betti
 from mfc.verify import GroupContext
 from mfc.walls import (ParabolicData, _chamber_count, _euler_excludes,
-                       _facets_by_type, _wall_family_subcomplex,
-                       chamber_count_check,
+                       _reindexed, _type_families, chamber_count_check,
                        fixed_subcomplex, milnor_wall_search,
                        recognize_milnor_fiber)
 
@@ -325,6 +324,12 @@ def test_milnor_wall_search_coxeter_nonproper():
             assert cert is not None and not cert.proper, sym
 
 
+def family_facets(w, n, missing):
+    """The wall's (n-2)-simplices of type R - {s} for some s in missing."""
+    return [f for f in w.simplices(n - 2)
+            if set(range(n)) - w.type_of(f) <= set(missing)]
+
+
 def test_walls_are_their_full_family_subcomplex():
     # every wall is pure: its codimension-1 simplices of the full type
     # family generate all of it, so the search's first family is the wall
@@ -333,10 +338,34 @@ def test_walls_are_their_full_family_subcomplex():
         n = t.ngens
         for rep in reflection_classes(t):
             w = fixed_subcomplex(cs, rep)
-            full = _wall_family_subcomplex(w, _facets_by_type(w, n), n,
-                                           tuple(range(n)))
+            full = w.subcomplex(family_facets(w, n, range(n)))
             assert full.by_dim == w.by_dim, (sym, rep)
             assert full.vertex_types == w.vertex_types, (sym, rep)
+
+
+def test_type_families_are_subcomplexes_of_their_facets():
+    # the union of the per-type closures is the closure of the family's
+    # facets: same simplices, vertex types and names, Euler characteristic
+    from itertools import combinations
+    for sym in PROPERTY_GROUPS + ("D4", "F4", "G26"):
+        t, cx, cs = setup(sym)
+        n = t.ngens
+        order = [m for size in range(n, 0, -1)
+                 for m in combinations(range(n), size)]
+        for rep in reflection_classes(t):
+            w = fixed_subcomplex(cs, rep)
+            families = list(_type_families(w, n))
+            assert [m for m, _faces in families] == order, (sym, rep)
+            for missing, faces in families:
+                want = w.subcomplex(family_facets(w, n, missing))
+                got = _reindexed(faces, w.vertex_types, w.vertex_names)
+                assert got.by_dim == want.by_dim, (sym, rep, missing)
+                assert got.vertex_types == want.vertex_types, \
+                    (sym, rep, missing)
+                assert got.vertex_names == want.vertex_names, \
+                    (sym, rep, missing)
+                chi = sum((-1) ** k * len(v) for k, v in faces.items())
+                assert chi == want.euler_characteristic(), (sym, rep, missing)
 
 
 def test_milnor_wall_search_impure_wall():
@@ -367,15 +396,15 @@ def test_euler_prefilter_is_exact():
         n = t.ngens
         for rep in reflection_classes(t):
             w = fixed_subcomplex(cs, rep)
-            by_type = _facets_by_type(w, n)
             for size in range(1, n + 1):
                 for missing in combinations(range(n), size):
-                    sub = _wall_family_subcomplex(w, by_type, n, missing)
+                    sub = w.subcomplex(family_facets(w, n, missing))
                     if sub.dim != n - 2:
                         continue
                     cands = enumerate_admissible(n - 1,
                                                  _chamber_count(sub, n - 1))
-                    if _euler_excludes(sub, n - 1, cands):
+                    if _euler_excludes(sub.euler_characteristic(), n - 1,
+                                       cands):
                         excluded += 1
                         v = recognize_milnor_fiber(sub, n - 1)
                         assert v.reason in ("no-admissible-factorization",
