@@ -18,6 +18,10 @@ from .homology import reduced_betti
 from .verify import DEFAULT_CAP, GroupContext, SuiteError, run_suite
 
 
+class UsageError(ValueError):
+    """A command line argument outside its range, or an unwritable path."""
+
+
 def _print_report(rep: dict, as_json: bool):
     if as_json:
         print(json.dumps(rep, indent=1, sort_keys=True))
@@ -80,7 +84,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return _dispatch(args)
-    except (DiagramError, SuiteError) as e:
+    except (DiagramError, SuiteError, UsageError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except CapExceeded as e:
@@ -89,6 +93,9 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
+    if getattr(args, "cap", 1) < 1:
+        raise UsageError("cap must be at least 1, got %d" % args.cap)
+
     if args.command == "classify":
         d = parse_symbol(args.symbol)
         degs = basic_degrees(d)
@@ -110,7 +117,10 @@ def _dispatch(args) -> int:
         print("reduced Betti: %s (torsion-free: %s)"
               % ({k: v for k, v in sorted(b.betti.items())}, b.torsion_free))
         if args.export:
-            export_complex(cx, args.export)
+            try:
+                export_complex(cx, args.export)
+            except OSError as e:
+                raise UsageError("cannot export: %s" % e) from None
             print("exported to %s" % args.export)
         return 0
 
@@ -118,6 +128,11 @@ def _dispatch(args) -> int:
         d = parse_symbol(args.symbol)
         ctx = GroupContext(d, args.cap)
         classes = ctx.pdata.classes
+        n_refl = len(ctx.refl_classes)
+        if args.klass is not None and not 0 <= args.klass < n_refl:
+            raise UsageError("--class must be at least 0 and below %d, the "
+                             "number of reflection classes, got %d"
+                             % (n_refl, args.klass))
         for idx, rep in enumerate(ctx.refl_classes):
             if args.klass is not None and idx != args.klass:
                 continue

@@ -10,8 +10,7 @@ so identical builds produce identical complexes.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
-from itertools import combinations, compress
+from itertools import combinations, compress, product
 
 from .diagram import Diagram, group_order
 from .group import CapExceeded, GroupTable, parabolic_cosets
@@ -203,16 +202,7 @@ class ChamberSystem:
             fv[bin(types).count("1") - 1] += self.table.order // k_order
         return tuple(fv)
 
-    def subcomplex(self, simplices) -> TypedComplex:
-        """Closure of the given simplices of the complex, reindexed like
-        TypedComplex.subcomplex, so equal to the built complex's."""
-        return _reindexed(_face_closure(simplices), self.vertex_types,
-                          self.vertex_names)
 
-
-# GroupContext counts before it builds the table, and milnor_fiber_complex
-# counts the same diagram again right after
-@lru_cache(maxsize=64)
 def simplex_count(d: Diagram, simplex_cap: int) -> int:
     """The number of nonempty simplices of d's Milnor fiber complex, from
     group orders alone: the simplices of type I are the cosets of
@@ -230,17 +220,18 @@ def simplex_count(d: Diagram, simplex_cap: int) -> int:
 
 
 def milnor_fiber_complex(t: GroupTable,
-                         simplex_cap: int = DEFAULT_SIMPLEX_CAP,
                          chambers: ChamberSystem | None = None
                          ) -> tuple[TypedComplex, ChamberSystem]:
     """Coset complex of all proper standard parabolics of t's group, and
-    its chamber system (``chambers``, or a new one when None).
+    its chamber system (``chambers``, or a new one when None).  Raises
+    SimplexCapExceeded, before anything is built, when the complex would
+    hold more than DEFAULT_SIMPLEX_CAP simplices.
 
     Vertices of type r are cosets g<R - {r}>; the simplex of a coset
     g<R - I> is its vertex set {g<R - {r}> : r in I}; chambers biject
     with group elements.  The action is left translation.
     """
-    simplex_count(t.diagram, simplex_cap)
+    simplex_count(t.diagram, DEFAULT_SIMPLEX_CAP)
     if chambers is None:
         chambers = ChamberSystem(t)
     n = t.ngens
@@ -270,9 +261,8 @@ def join(a: TypedComplex, b: TypedComplex) -> TypedComplex:
     return TypedComplex(types, by_dim)
 
 
-def monomial_flag_complex(m: int, n: int,
-                          simplex_cap: int = DEFAULT_SIMPLEX_CAP
-                          ) -> tuple[TypedComplex, list[list[int]]]:
+def monomial_flag_complex(m: int,
+                          n: int) -> tuple[TypedComplex, list[list[int]]]:
     """Flag complex of root-of-unity labeled coordinate subsets.
 
     Vertices are sets {(coord, label)} with distinct coords, sizes
@@ -280,15 +270,15 @@ def monomial_flag_complex(m: int, n: int,
     the 2[3]...2[4]m chain).  Simplices are chains under inclusion.
     Returns the complex and the vertex permutations of the n standard
     monomial generators (adjacent transpositions; last one rotates the
-    label on the last coordinate).
+    label on the last coordinate).  Raises SimplexCapExceeded as soon as
+    the chains pass DEFAULT_SIMPLEX_CAP.
     """
     if m < 2 or n < 1:
         raise ValueError("need m >= 2, n >= 1")
-    import itertools as it
     verts = []
     for k in range(1, n + 1):
-        for coords in it.combinations(range(n), k):
-            for labels in it.product(range(m), repeat=k):
+        for coords in combinations(range(n), k):
+            for labels in product(range(m), repeat=k):
                 verts.append(frozenset(zip(coords, labels)))
     verts.sort(key=lambda s: (len(s), sorted(s)))
     vid = {s: i for i, s in enumerate(verts)}
@@ -306,8 +296,9 @@ def monomial_flag_complex(m: int, n: int,
     while stack:
         chain = stack.pop()
         total += 1
-        if total > simplex_cap:
-            raise SimplexCapExceeded("flag complex exceeds %d simplices" % simplex_cap)
+        if total > DEFAULT_SIMPLEX_CAP:
+            raise SimplexCapExceeded("flag complex exceeds %d simplices"
+                                     % DEFAULT_SIMPLEX_CAP)
         by_dim.setdefault(len(chain) - 1, []).append(tuple(sorted(chain)))
         for j in supersets[chain[-1]]:
             stack.append(chain + (j,))

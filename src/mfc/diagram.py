@@ -18,7 +18,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 
 class DiagramError(ValueError):
@@ -332,10 +332,7 @@ def basic_degrees(d: Diagram) -> tuple[int, ...]:
 
 
 def group_order(d: Diagram) -> int:
-    n = 1
-    for deg in basic_degrees(d):
-        n *= deg
-    return n
+    return prod(basic_degrees(d))
 
 
 # ---------------------------------------------------------------------------

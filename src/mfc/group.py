@@ -337,12 +337,22 @@ def _dihedral_right(q: int, first: int) -> list[list[int]]:
 def enumerate_group(d: Diagram, cap: int = DEFAULT_CAP) -> GroupTable:
     """Realize the diagram's group as a GroupTable.
 
-    Raises CapExceeded when the classified order exceeds ``cap``.
+    Raises CapExceeded, before any table is built, when the classified
+    order exceeds ``cap``.
     """
+    _check_rank(d.rank, cap)
     expected = group_order(d)
     if expected > cap:
         raise CapExceeded("group order %d exceeds cap %d" % (expected, cap))
     return _build(d, cap, expected)
+
+
+def _check_rank(rank: int, cap: int) -> None:
+    """Raise CapExceeded when 2^rank, a lower bound on the order of any
+    group of this rank (every basic degree is at least 2), is over cap."""
+    if rank >= cap.bit_length():            # 2^rank > cap
+        raise CapExceeded("group order at least 2^%d exceeds cap %d"
+                          % (rank, cap))
 
 
 def _build(d: Diagram, cap: int, expected: int) -> GroupTable:
@@ -519,7 +529,6 @@ def _induced_right(d: Diagram, cap: int) -> list[list[int]]:
 class CosetPartition:
     """Left cosets g<I> as orbits of right multiplication by I."""
 
-    subset: tuple[int, ...]
     block_of: list[int]
     reps: list[int]          # smallest element of each block, block 0 = <I>
     block_size: int
@@ -559,7 +568,7 @@ def parabolic_cosets(t: GroupTable, I) -> CosetPartition:
     I = tuple(sorted(set(I)))
     n = t.order
     if not I:
-        return CosetPartition(I, list(range(n)), list(range(n)), 1)
+        return CosetPartition(list(range(n)), list(range(n)), 1)
     members, tree = _subgroup_tree(t, I)
     block_of = [-1] * n
     reps = []
@@ -576,7 +585,7 @@ def parabolic_cosets(t: GroupTable, I) -> CosetPartition:
     # blocks that overlapped would leave more of them than |G| / |G_I|
     if len(reps) * len(members) != n:
         raise RuntimeError("parabolic blocks of unequal size")
-    return CosetPartition(I, block_of, reps, len(members))
+    return CosetPartition(block_of, reps, len(members))
 
 
 @dataclass

@@ -10,6 +10,7 @@ orderings are explicit, so results are deterministic.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import permutations
@@ -21,15 +22,6 @@ from .complexes import TypedComplex
 class Isomorphism:
     vertex_map: dict[int, int]
     type_map: dict | None = None  # type label of a -> type label of b
-
-    def to_jsonable(self):
-        return {"vertex_map": [[int(k), int(v)] for k, v in sorted(self.vertex_map.items())],
-                "type_map": None if self.type_map is None else
-                [[_tok(k), _tok(v)] for k, v in sorted(self.type_map.items(), key=repr)]}
-
-
-def _tok(t):
-    return list(t) if isinstance(t, tuple) else t
 
 
 def verify_isomorphism(a: TypedComplex, b: TypedComplex,
@@ -139,22 +131,12 @@ def _candidate_type_maps(a: TypedComplex, b: TypedComplex):
     if len(ta) != len(tb):
         return
 
-    def counts(c):
-        out = {}
-        for t in c.vertex_types:
-            out[t] = out.get(t, 0) + 1
-        return out
-
-    ca, cb = counts(a), counts(b)
+    ca, cb = Counter(a.vertex_types), Counter(b.vertex_types)
 
     def type_multiset(c, tmap=None):
-        out = {}
-        for k in range(c.dim + 1):
-            for s in c.simplices(k):
-                key = frozenset(tmap[c.vertex_types[v]] if tmap else c.vertex_types[v]
-                                for v in s)
-                out[key] = out.get(key, 0) + 1
-        return out
+        return Counter(frozenset(tmap[c.vertex_types[v]] if tmap
+                                 else c.vertex_types[v] for v in s)
+                       for k in range(c.dim + 1) for s in c.simplices(k))
 
     target = type_multiset(b)
     for perm in permutations(tb):

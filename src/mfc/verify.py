@@ -11,14 +11,14 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from math import prod
 
-from .complexes import (DEFAULT_SIMPLEX_CAP, ChamberSystem, TypedComplex,
-                        join, milnor_fiber_complex, monomial_flag_complex,
-                        simplex_count)
+from .complexes import (ChamberSystem, TypedComplex, join,
+                        milnor_fiber_complex, monomial_flag_complex)
 from .diagram import (Diagram, basic_degrees, canonical_key,
-                      components_with_indices, diagram_name, group_order,
+                      components_with_indices, diagram_name,
                       has_forbidden_subdiagram, parse_symbol)
-from .group import (DEFAULT_CAP, CapExceeded, check_relations,
+from .group import (DEFAULT_CAP, CapExceeded, _check_rank, check_relations,
                     enumerate_group, reflection_classes)
 from .homology import reduced_betti
 from .isomorphism import find_isomorphism
@@ -64,16 +64,14 @@ class GroupContext:
     its fixed subcomplex, and for a reflection its wall's verdict and
     certificate.  The fixed subcomplexes and the f-vector come from the
     chambers; the full complex is built only when a check reads
-    ``complex`` (orlik, monomial, join, ``mfc build``)."""
+    ``complex`` (orlik, monomial, join, ``mfc build``), and only then is
+    the simplex cap checked; the order cap is checked before any table."""
 
     def __init__(self, d: Diagram, cap: int = DEFAULT_CAP):
         self.diagram = d
-        self.order = group_order(d)
-        if self.order > cap:
-            raise CapExceeded("order %d over cap %d" % (self.order, cap))
-        simplex_count(d, DEFAULT_SIMPLEX_CAP)
         self.cap = cap
         self.table = enumerate_group(d, cap=cap)
+        self.order = self.table.order
         self.chambers = ChamberSystem(self.table)
         self._complex = None
         self._pdata = None
@@ -207,9 +205,7 @@ def verify_counts(ctx: GroupContext) -> TheoremReport:
     sym = diagram_name(d)
     degs = basic_degrees(d)
     n = ctx.table.ngens
-    product = 1
-    for x in degs:
-        product *= x
+    product = prod(degs)
     fv = ctx.chambers.f_vector()
     chambers = fv[n - 1] if n >= 1 else 1
     chamber_ok = chambers == product == ctx.table.order
@@ -222,9 +218,7 @@ def verify_counts(ctx: GroupContext) -> TheoremReport:
         rpt = chamber_count_check(ctx.pdata, d, ctx.refl_classes)
         # Eq (8) from explicitly built walls, per reflection class
         eq8_explicit = True
-        prefix = 1
-        for x in degs[:-1]:
-            prefix *= x
+        prefix = prod(degs[:-1])
         if n == 1:
             # every wall is the empty simplex alone: 1 = d_1...d_0 chamber
             wall_rows = [{"rep": rep, "chambers": 1, "expected": prefix}
@@ -413,9 +407,8 @@ def verify_monomial(ctx: GroupContext) -> TheoremReport:
 
     # wall recursion: every wall of Delta_n is Delta_{n-1}
     recursion_ok = True
-    sub_d = parse_symbol("G(%d,1,%d)" % (m, n - 1)) if n >= 2 else None
     if n >= 2:
-        _t, model = _model_complex(sub_d)
+        model = _model_complex(parse_symbol("G(%d,1,%d)" % (m, n - 1)))
         rows = []
         for rep in ctx.refl_classes:
             iso = find_isomorphism(ctx.fixed_of(rep), model)
@@ -554,26 +547,36 @@ _CHECKS = {"counts": "verify_counts", "orlik": "verify_orlik",
 def run_entry(entry: dict, cap: int,
               timings: bool = False) -> list[TheoremReport]:
     """Build the entry's GroupContext once and run each of its checks on
-    it; every check is reported skipped when the group or its complex is
-    over a cap.  A monomial entry [m, n] is the group G(m,1,n)."""
+    it.  A check that meets a cap (CapExceeded) is reported skipped and
+    the others still run: all of them for a group over the order cap, one
+    for a complex over the simplex cap.  A monomial entry [m, n] is the
+    group G(m,1,n)."""
     _check_entry(entry)
     if "monomial" in entry:
         sym = "G(%d,1,%d)" % tuple(entry["monomial"])
-        d = parse_symbol(sym)
         checks = entry.get("checks", ["monomial"])
     else:
         d = parse_symbol(entry["symbol"])
         sym = diagram_name(d)
         checks = entry.get("checks", ["counts", "A", "B"])
+    skip = None
     try:
+        if "monomial" in entry:
+            # |G(m,1,n)| >= 2^n: skip a large n before parsing n vertices
+            _check_rank(entry["monomial"][1], cap)
+            d = parse_symbol(sym)
         ctx = GroupContext(d, cap)
     except CapExceeded as e:
-        return [TheoremReport(sym, c, None, None, "skipped", {"cap": str(e)})
-                for c in checks]
+        skip = e                    # every check reports this skip
     reports = []
     for c in checks:
         t0 = time.monotonic()
-        rep = globals()[_CHECKS[c]](ctx)
+        try:
+            if skip is not None:
+                raise skip
+            rep = globals()[_CHECKS[c]](ctx)
+        except CapExceeded as e:
+            rep = TheoremReport(sym, c, None, None, "skipped", {"cap": str(e)})
         if timings:
             rep.timing_ms = int((time.monotonic() - t0) * 1000)
         reports.append(rep)
@@ -585,9 +588,9 @@ def _run_entry_star(args):
 
 
 def _check_entry(e) -> None:
-    """Reject a suite entry that names neither a symbol nor an m,n pair,
-    or whose "checks" is not a list of known check names ("monomial" is
-    the one check of a monomial entry)."""
+    """Reject a suite entry that names neither a symbol nor an m,n pair
+    with m >= 2, n >= 1, or whose "checks" is not a list of known check
+    names ("monomial" is the one check of a monomial entry)."""
     if isinstance(e, dict):
         checks = e.get("checks", [])
         if not (isinstance(checks, list)
@@ -601,12 +604,14 @@ def _check_entry(e) -> None:
         if "monomial" in e:
             mn = e["monomial"]
             if (isinstance(mn, list) and len(mn) == 2
-                    and all(isinstance(x, int) for x in mn)):
+                    and all(isinstance(x, int) for x in mn)
+                    and mn[0] >= 2 and mn[1] >= 1):
                 return
         elif isinstance(e.get("symbol"), str):
             return
     raise SuiteError("suite entry %s needs a \"symbol\" string or a "
-                     "\"monomial\" pair [m, n]" % json.dumps(e))
+                     "\"monomial\" pair [m, n] with m >= 2, n >= 1"
+                     % json.dumps(e))
 
 
 def run_suite(spec: dict | str, deep: bool = False, cap: int = DEFAULT_CAP,
@@ -636,6 +641,12 @@ def run_suite(spec: dict | str, deep: bool = False, cap: int = DEFAULT_CAP,
     if not 1 <= jobs <= (os.cpu_count() or 1):
         raise SuiteError("jobs must be between 1 and %d, the number of "
                          "CPUs, got %r" % (os.cpu_count() or 1, jobs))
+    if out_dir:             # before any entry runs: a bad path costs no work
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as e:
+            raise SuiteError("cannot create the report directory: %s"
+                             % e) from None
     results: list[list[dict]] = []
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -652,9 +663,7 @@ def run_suite(spec: dict | str, deep: bool = False, cap: int = DEFAULT_CAP,
     bundle = {"mfc_report": 1, "cap": cap, "deep": deep,
               "entries": flat, "summary": summary}
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, "mfc-report.json")
-        with open(path, "w") as fh:
+        with open(os.path.join(out_dir, "mfc-report.json"), "w") as fh:
             json.dump(bundle, fh, indent=1, sort_keys=True)
             fh.write("\n")
     if summary["disagree"]:

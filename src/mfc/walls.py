@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import prod
 
 from .complexes import (ChamberSystem, TypedComplex, _face_closure, _reindexed,
                         milnor_fiber_complex)
@@ -55,8 +56,9 @@ def fixed_subcomplex(chambers: ChamberSystem, g: int) -> TypedComplex:
             for v, (r, h) in enumerate(zip(chambers.vertex_types,
                                            chambers.vertex_reps))]
     restricted = set(zip(*(map(keep.__getitem__, col) for col in chamber)))
-    return chambers.subcomplex(tuple(v for v in s if v is not None)
-                               for s in restricted)
+    return _reindexed(_face_closure(tuple(v for v in s if v is not None)
+                                    for s in restricted),
+                      chambers.vertex_types, chambers.vertex_names)
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +145,9 @@ class RecognitionVerdict:
         """Re-verify the stored isomorphism certificate from scratch."""
         if not self.recognized or self.certificate is None or self._complex is None:
             return False
-        _t, model = _model_complex(self.diagram)
-        return verify_isomorphism(self._complex, model, self.certificate.vertex_map)
+        model = _model_complex(self.diagram)
+        return verify_isomorphism(self._complex, model,
+                                  self.certificate.vertex_map)
 
     def to_jsonable(self):
         return {
@@ -165,8 +168,10 @@ _MODEL_CACHE_MAX = 4096
 _MODEL_ORDER_LIMIT = 20_000
 
 
-def _model_complex(d: Diagram) -> tuple[GroupTable, TypedComplex]:
-    """Group table + Milnor fiber complex for a candidate diagram, cached."""
+def _model_complex(d: Diagram) -> TypedComplex:
+    """The Milnor fiber complex of a candidate diagram, cached.  Raises
+    SimplexCapExceeded (from milnor_fiber_complex) for a model over the
+    simplex cap."""
     key = canonical_key(d)
     hit = _MODEL_CACHE.get(key)
     if hit is not None:
@@ -174,17 +179,15 @@ def _model_complex(d: Diagram) -> tuple[GroupTable, TypedComplex]:
     t = enumerate_group(d, cap=max(DEFAULT_CAP, group_order(d)))
     cx, _act = milnor_fiber_complex(t)
     if group_order(d) <= _MODEL_ORDER_LIMIT and len(_MODEL_CACHE) < _MODEL_CACHE_MAX:
-        _MODEL_CACHE[key] = (t, cx)
-    return t, cx
+        _MODEL_CACHE[key] = cx
+    return cx
 
 
 def predicted_bouquet_count(d: Diagram) -> int:
     """Bouquet size for the Milnor fiber complex of d: product over
     components of (smallest degree - 1)^rank."""
-    out = 1
-    for gid in classify(d):
-        out *= (gid.degrees[0] - 1) ** len(gid.degrees)
-    return out
+    return prod((gid.degrees[0] - 1) ** len(gid.degrees)
+                for gid in classify(d))
 
 
 def _chamber_count(s: TypedComplex, rank: int) -> int:
@@ -241,8 +244,7 @@ def recognize_milnor_fiber(s: TypedComplex, rank: int) -> RecognitionVerdict:
     first_cert = None
     first_diag = None
     for d, want in survivors:
-        _t, model = _model_complex(d)
-        iso = find_isomorphism(s, model)
+        iso = find_isomorphism(s, _model_complex(d))
         if iso is None:
             reports.append(CandidateReport(d, diagram_name(d),
                                            "isomorphism-failed", want))
@@ -284,14 +286,6 @@ class MilnorWallCertificate:
                 "verdict": self.verdict.to_jsonable()}
 
 
-def _facets_by_type(wall_cx: TypedComplex, n: int) -> dict[frozenset, list]:
-    """The wall's (n-2)-simplices by their type, each typed once."""
-    out: dict[frozenset, list] = {}
-    for s in wall_cx.simplices(n - 2):
-        out.setdefault(wall_cx.type_of(s), []).append(s)
-    return out
-
-
 def _type_families(wall_cx: TypedComplex, n: int):
     """Every type family of a rank-n complex's wall in search order,
     descending by size and lexicographic within a size, as
@@ -303,7 +297,9 @@ def _type_families(wall_cx: TypedComplex, n: int):
     of the closures, so a family's faces are its types' closures united
     dimension by dimension, and ``_reindexed`` of them with the wall's
     vertex types and names is ``wall_cx.subcomplex`` of its facets."""
-    by_type = _facets_by_type(wall_cx, n)
+    by_type: dict[frozenset, list] = {}
+    for s in wall_cx.simplices(n - 2):
+        by_type.setdefault(wall_cx.type_of(s), []).append(s)
     closures = [_face_closure(by_type.get(
         frozenset(x for x in range(n) if x != s), ())) for s in range(n)]
     for size in range(n, 0, -1):

@@ -201,10 +201,23 @@ def test_complex_matches_per_coset_construction():
         assert cs.gen_vertex_perms == perms, sym
 
 
-def test_simplex_cap():
+def test_simplex_cap(monkeypatch):
+    # both complexes read the module's cap when they are built: the coset
+    # complex checks its simplex count first, the flag model as it grows
+    import mfc.complexes
     t = enumerate_group(parse_symbol("H3"))
+    total = simplex_count(t.diagram, DEFAULT_SIMPLEX_CAP)
+    monkeypatch.setattr(mfc.complexes, "DEFAULT_SIMPLEX_CAP", total)
+    assert milnor_fiber_complex(t)[0].n_simplices() == total
+    monkeypatch.setattr(mfc.complexes, "DEFAULT_SIMPLEX_CAP", total - 1)
     with pytest.raises(SimplexCapExceeded):
-        milnor_fiber_complex(t, simplex_cap=100)
+        milnor_fiber_complex(t)
+    flag_total = monomial_flag_complex(2, 2)[0].n_simplices()
+    monkeypatch.setattr(mfc.complexes, "DEFAULT_SIMPLEX_CAP", flag_total)
+    assert monomial_flag_complex(2, 2)[0].n_simplices() == flag_total
+    monkeypatch.setattr(mfc.complexes, "DEFAULT_SIMPLEX_CAP", flag_total - 1)
+    with pytest.raises(SimplexCapExceeded):
+        monomial_flag_complex(2, 2)
 
 
 def test_simplex_count_matches_complex():

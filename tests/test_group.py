@@ -66,10 +66,26 @@ def test_enumerate_examples():
 
 
 def test_cap_exceeded():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="group order 2903040 exceeds cap"):
         enumerate_group(parse_symbol("E7"))
     with pytest.raises(CapExceeded):
         enumerate_group(parse_symbol("H3"), cap=100)
+
+
+def test_rank_over_cap_needs_no_classification(monkeypatch):
+    # |G| >= 2^rank: A18 (2^18 = 262,144 > 200,000) is over the default
+    # cap before its order is computed; A17 is classified, then rejected
+    import mfc.group
+
+    def no_order(d):
+        raise AssertionError("group order computed")
+
+    monkeypatch.setattr(mfc.group, "group_order", no_order)
+    with pytest.raises(CapExceeded,
+                       match=r"at least 2\^18 exceeds cap 200000"):
+        enumerate_group(parse_symbol("A18"))
+    with pytest.raises(AssertionError, match="group order computed"):
+        enumerate_group(parse_symbol("A17"))
 
 
 def test_parabolic_cosets(tables):

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import time
 
 import pytest
 
+import mfc.cli
+import mfc.complexes
+import mfc.group
 import mfc.verify
 import mfc.walls
 from mfc.cli import main
@@ -107,27 +111,65 @@ def test_skipped_report_for_large_groups():
 
 
 def test_simplex_cap_is_a_cap_skip(monkeypatch, capsys):
-    # a complex over the simplex cap skips its checks like a group over the
-    # order cap: exit 3 where skips are not allowed, never a traceback
-    monkeypatch.setattr(mfc.verify, "DEFAULT_SIMPLEX_CAP", 100)
-    assert main(["verify", "A", "H3"]) == 3
+    # H3's complex (362 simplices) is over a cap of 100, but its wall
+    # model (I2(6), 24 simplices) is not: only orlik builds a complex
+    # over the cap, so only orlik is skipped, and the entry's other checks
+    # still run.  Where skips are not allowed that is exit 3, never a
+    # traceback
+    monkeypatch.setattr(mfc.complexes, "DEFAULT_SIMPLEX_CAP", 100)
+    monkeypatch.setattr(mfc.walls, "_MODEL_CACHE", {})
+    reports = run_entry({"symbol": "H3",
+                         "checks": ["counts", "orlik", "A", "B"]}, DEFAULT_CAP)
+    assert [(r.theorem, r.status) for r in reports] == \
+        [("counts", "agree"), ("orlik", "skipped"), ("A", "agree"),
+         ("B", "agree")]
+    assert reports[1].details == {"cap": "complex would exceed 100 simplices"}
+    assert main(["verify", "orlik", "H3"]) == 3
     assert capsys.readouterr().out.rstrip().endswith("-> skipped")
-    spec = {"mfc_suite": 1, "allow_skip": False,
-            "entries": [{"symbol": "H3", "checks": ["counts", "A"]}]}
-    code, bundle = run_suite(spec)
-    assert code == 3 and bundle["summary"]["skipped"] == 2
+    assert main(["verify", "A", "H3"]) == 0
+
+
+def test_recognition_model_over_simplex_cap_is_a_skip(monkeypatch):
+    # a check whose recognition model is over the cap is skipped like one
+    # whose own complex is; counts builds no complex and still agrees
+    monkeypatch.setattr(mfc.complexes, "DEFAULT_SIMPLEX_CAP", 10)
+    monkeypatch.setattr(mfc.walls, "_MODEL_CACHE", {})
+    reports = run_entry({"symbol": "H3", "checks": ["counts", "A", "B"]},
+                        DEFAULT_CAP)
+    assert [r.status for r in reports] == ["agree", "skipped", "skipped"]
+    assert reports[1].details == {"cap": "complex would exceed 10 simplices"}
 
 
 def test_simplex_cap_skips_before_any_table(monkeypatch):
-    # D7 is under the order cap, but its complex (4,364,978 simplices) is
-    # over the simplex cap: the skip comes from group orders alone
+    # only the order cap skips before any table is built; the simplex cap
+    # is checked where a complex is built, so D7 (4,364,978 simplices) is
+    # no longer skipped from group orders alone
     def no_table(*args, **kw):
         raise AssertionError("group table built for a certain skip")
 
-    monkeypatch.setattr(mfc.verify, "enumerate_group", no_table)
-    (rep,) = run_entry({"symbol": "D7", "checks": ["A"]}, 1_000_000)
-    assert (rep.symbol, rep.status) == ("D7", "skipped")
-    assert rep.details == {"cap": "complex would exceed 2000000 simplices"}
+    monkeypatch.setattr(mfc.group, "_build", no_table)
+    for checks in (["counts"], ["counts", "orlik", "A", "B"]):
+        reports = run_entry({"symbol": "E7", "checks": checks}, DEFAULT_CAP)
+        assert [(r.symbol, r.theorem, r.status) for r in reports] == \
+            [("E7", c, "skipped") for c in checks]
+        assert {r.details["cap"] for r in reports} == \
+            {"group order 2903040 exceeds cap 200000"}
+    with pytest.raises(AssertionError, match="group table built"):
+        run_entry({"symbol": "D7", "checks": ["counts"]}, 1_000_000)
+
+
+def test_large_monomial_rank_skips_before_parsing():
+    # |G(m,1,n)| >= 2^n: n = 10^8 would build 10^8 diagram vertices
+    t0 = time.monotonic()
+    for n in (5000, 100_000_000):
+        (rep,) = run_entry({"monomial": [2, n], "checks": ["monomial"]},
+                           DEFAULT_CAP)
+        assert (rep.symbol, rep.status) == ("G(2,1,%d)" % n, "skipped")
+        assert rep.details == {
+            "cap": "group order at least 2^%d exceeds cap 200000" % n}
+    assert time.monotonic() - t0 < 0.5
+    with pytest.raises(SuiteError, match="m >= 2, n >= 1"):
+        run_entry({"monomial": [1, 100_000_000]}, DEFAULT_CAP)
 
 
 def test_verdicts_invariant_under_symbol_reversal():
@@ -253,6 +295,54 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_cli_cap_below_one_exit_2(monkeypatch, capsys):
+    # rejected before any group is built or any entry runs
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(mfc.cli, "GroupContext", no_work)
+    monkeypatch.setattr(mfc.cli, "run_suite", no_work)
+    for cap in ("0", "-5"):
+        for argv in (["build", "A3"], ["walls", "B3"],
+                     ["verify", "counts", "A3"], ["suite", "default"]):
+            assert main(argv + ["--cap", cap]) == 2, argv
+            assert capsys.readouterr().err == \
+                "error: cap must be at least 1, got %s\n" % cap
+
+
+def test_cli_walls_class_out_of_range_exit_2(capsys):
+    # B3 has two reflection classes, 0 and 1
+    for klass in ("7", "-1", "2"):
+        assert main(["walls", "B3", "--class", klass]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: --class must be at least 0 and below 2, the "
+                       "number of reflection classes, got %s\n" % klass)
+    assert main(["walls", "B3", "--class", "1"]) == 0
+
+
+def test_cli_export_unwritable_exit_2(tmp_path, capsys):
+    path = tmp_path / "missing-dir" / "a3.cx"
+    assert main(["build", "A3", "--export", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot export: ") and err.count("\n") == 1
+    assert not path.exists()
+
+
+def test_cli_suite_out_is_a_file_exit_2(tmp_path, monkeypatch, capsys):
+    # the report directory is made before any entry runs
+    def no_run(*args, **kwargs):
+        raise AssertionError("entry run before --out was made")
+
+    monkeypatch.setattr(mfc.verify, "run_entry", no_run)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["suite", "default", "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot create the report directory: ")
+    assert err.count("\n") == 1 and taken.read_text() == ""
 
 
 def test_unknown_check_rejected_before_any_entry_runs(monkeypatch):
