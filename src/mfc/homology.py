@@ -40,15 +40,16 @@ class BettiResult:
         return self.get(degree)
 
 
-def boundary_columns(c: TypedComplex, k: int) -> tuple[list[dict], int]:
+def boundary_columns(c: TypedComplex, k: int) -> list[dict]:
     """Columns of the boundary map from k-simplices to (k-1)-simplices.
 
-    Returns (columns, n_rows); column entries are row -> +-1.  k = 0 is
-    the augmentation onto the empty simplex.
+    Column entries are row -> +-1, a row being the index of a face among
+    the (k-1)-simplices.  k = 0 is the augmentation onto the empty
+    simplex.
     """
     simps = c.simplices(k)
     if k == 0:
-        return [{0: 1} for _ in simps], 1
+        return [{0: 1} for _ in simps]
     faces = {s: i for i, s in enumerate(c.simplices(k - 1))}
     cols = []
     for s in simps:
@@ -57,7 +58,7 @@ def boundary_columns(c: TypedComplex, k: int) -> tuple[list[dict], int]:
             f = s[:pos] + s[pos + 1:]
             col[faces[f]] = 1 if pos % 2 == 0 else -1
         cols.append(col)
-    return cols, len(faces)
+    return cols
 
 
 def _dense_diagonalize(rows: list[list[int]]) -> list[int]:
@@ -111,7 +112,7 @@ def _dense_diagonalize(rows: list[list[int]]) -> list[int]:
     return diag
 
 
-def rank_and_factors(cols: list[dict], n_rows: int) -> tuple[int, list[int]]:
+def rank_and_factors(cols: list[dict]) -> tuple[int, list[int]]:
     """Rank over Q and the nonzero invariant factors over Z.
 
     Sparse elimination with unit pivots.  Each pivot is the first unit
@@ -220,8 +221,7 @@ def reduced_betti(c: TypedComplex) -> BettiResult:
     ranks = {}
     all_factors = {}
     for k in range(dim + 1):
-        cols, n_rows = boundary_columns(c, k)
-        rank, factors = rank_and_factors(cols, n_rows)
+        rank, factors = rank_and_factors(boundary_columns(c, k))
         ranks[k] = rank
         all_factors[k] = [f for f in factors if f != 1]
     betti = {-1: 1 - ranks[0]}

@@ -3,13 +3,17 @@
 The complexes here are small but extremely symmetric, so the search
 leans on (a) joint color refinement over incident-simplex structure,
 (b) candidate generation through images of already-mapped neighbors,
-and (c) forward/backward simplex checks at every extension.  All
-orderings are explicit, so results are deterministic.
+and (c) forward/backward simplex checks at every extension.  The
+backtracking is one loop over the vertex order with an explicit stack
+of candidate iterators, so no recursion grows with the vertex count.
+Each call builds the incidence and adjacency of both complexes once and
+shares them across candidate type maps.  All orderings are explicit, so
+results are deterministic (refine-then-backtrack as in McKay-Piperno,
+Practical graph isomorphism, II, 2014).
 """
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -102,26 +106,24 @@ def _refine(colors_a, colors_b, inc_a, inc_b):
             return colors_a, colors_b
 
 
-def _initial_colors(a: TypedComplex, b: TypedComplex, type_seed=None):
-    """Comparable starting colors; type_seed maps (side, vertex) -> token."""
+def _initial_colors(a: TypedComplex, b: TypedComplex, tmap=None):
+    """Comparable starting colors: a vertex's incident-simplex count in
+    each dimension and, under a type map a -> b, its type (b's types read
+    back through the map); colors are numbered in order of appearance."""
     interned: dict = {}
 
-    def col(c: TypedComplex, side):
-        out = []
+    def col(c: TypedComplex, label):
         prof = [[0] * (c.dim + 1) for _ in range(c.n_vertices)]
         for k in range(c.dim + 1):
             for s in c.simplices(k):
                 for v in s:
                     prof[v][k] += 1
-        for v in range(c.n_vertices):
-            key = (tuple(prof[v]),
-                   type_seed[(side, v)] if type_seed is not None else 0)
-            if key not in interned:
-                interned[key] = len(interned)
-            out.append(interned[key])
-        return out
+        return [interned.setdefault((tuple(p), label(t)), len(interned))
+                for p, t in zip(prof, c.vertex_types)]
 
-    return col(a, 0), col(b, 1)
+    if tmap is None:
+        return col(a, lambda t: None), col(b, lambda t: None)
+    return col(a, lambda t: t), col(b, {w: t for t, w in tmap.items()}.get)
 
 
 def _candidate_type_maps(a: TypedComplex, b: TypedComplex):
@@ -160,13 +162,12 @@ def find_isomorphism(a: TypedComplex, b: TypedComplex,
         return None
     if a.n_vertices == 0:
         return Isomorphism({}, {} if respect_types else None)
-    if not respect_types:
-        vm = _search(a, b, None)
-        return Isomorphism(vm) if vm is not None else None
-    for tmap in _candidate_type_maps(a, b):
-        vm = _search(a, b, tmap)
+    inc = _incidence(a), _incidence(b)
+    adj = _adjacency(a), _adjacency(b)
+    for tmap in _candidate_type_maps(a, b) if respect_types else [None]:
+        vm = _search(a, b, tmap, inc, adj)
         if vm is not None:
-            return Isomorphism(vm, dict(tmap))
+            return Isomorphism(vm, tmap)
     return None
 
 
@@ -195,21 +196,16 @@ def _vertex_order(adj, class_size) -> list[int]:
     return order
 
 
-def _search(a: TypedComplex, b: TypedComplex, tmap) -> dict[int, int] | None:
-    inc_a, inc_b = _incidence(a), _incidence(b)
-    adj_a, adj_b = _adjacency(a), _adjacency(b)
+def _search(a: TypedComplex, b: TypedComplex, tmap, inc, adj
+            ) -> dict[int, int] | None:
+    """A vertex map a -> b (type-preserving under tmap, if given), or None.
 
-    if tmap is None:
-        seed = None
-    else:
-        order = {t: i for i, t in enumerate(a.type_universe())}
-        seed = {}
-        inv = {w: t for t, w in tmap.items()}
-        for v in range(a.n_vertices):
-            seed[(0, v)] = order[a.vertex_types[v]]
-        for w in range(b.n_vertices):
-            seed[(1, w)] = order[inv[b.vertex_types[w]]]
-    colors_a, colors_b = _initial_colors(a, b, seed)
+    Depth-first over the vertex order with an explicit stack: entry i is
+    the iterator over the remaining candidates for the i-th vertex, so the
+    depth is limited by memory, not by the interpreter's recursion limit.
+    """
+    (inc_a, inc_b), (adj_a, adj_b) = inc, adj
+    colors_a, colors_b = _initial_colors(a, b, tmap)
     colors_a, colors_b = _refine(colors_a, colors_b, inc_a, inc_b)
 
     classes_a: dict[int, list[int]] = {}
@@ -227,69 +223,53 @@ def _search(a: TypedComplex, b: TypedComplex, tmap) -> dict[int, int] | None:
 
     # incident simplices of v whose other vertices come earlier in the order
     pos = {v: i for i, v in enumerate(order)}
-    ready: list[list] = [[] for _ in range(n)]
-    for v in range(n):
-        for s in inc_a[v]:
-            if all(pos[u] <= pos[v] for u in s):
-                ready[v].append(s)
+    ready = [[s for s in inc_a[v] if all(pos[u] <= pos[v] for u in s)]
+             for v in range(n)]
 
     phi = {}
     phi_inv = {}
     sets_b = b._simplex_sets()
     sets_a = a._simplex_sets()
 
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 100))
-
-    def extend(idx: int) -> bool:
-        if idx == n:
-            return True
-        v = order[idx]
+    def candidates(v):
+        """The images of v that fit the partial map, in increasing order.
+        Each is a common neighbour of the images of v's mapped neighbours,
+        so adjacency from a to b holds by construction."""
         cv = colors_a[v]
-        mapped_adj = [phi[u] for u in adj_a[v] if u in phi]
-        if mapped_adj:
-            cands = set(adj_b[mapped_adj[0]])
-            for w_img in mapped_adj[1:]:
-                cands &= adj_b[w_img]
-            cands = sorted(w for w in cands
+        image_nbrs = [adj_b[phi[u]] for u in adj_a[v] if u in phi]
+        if image_nbrs:
+            cands = sorted(w for w in set.intersection(*image_nbrs)
                            if w not in phi_inv and colors_b[w] == cv)
         else:
             cands = [w for w in classes_b[cv] if w not in phi_inv]
         for w in cands:
-            # adjacency must match exactly against all mapped vertices
-            ok = True
-            for u in adj_a[v]:
-                if u in phi and phi[u] not in adj_b[w]:
-                    ok = False
-                    break
-            if ok:
-                for wb in adj_b[w]:
-                    if wb in phi_inv and phi_inv[wb] not in adj_a[v]:
-                        ok = False
-                        break
-            if ok:
-                for s in ready[v]:
-                    img = tuple(sorted(phi[u] if u != v else w for u in s))
-                    if img not in sets_b.get(len(s) - 1, ()):
-                        ok = False
-                        break
-            if ok:
-                # backward: fully mapped b-simplices at w must pull back
-                for sb in inc_b[w]:
-                    if all(x == w or x in phi_inv for x in sb):
-                        pre = tuple(sorted(phi_inv[x] if x != w else v for x in sb))
-                        if pre not in sets_a.get(len(sb) - 1, ()):
-                            ok = False
-                            break
-            if not ok:
+            # adjacency from b back to a, against all mapped vertices
+            if any(wb in phi_inv and phi_inv[wb] not in adj_a[v]
+                   for wb in adj_b[w]):
                 continue
-            phi[v] = w
-            phi_inv[w] = v
-            if extend(idx + 1):
-                return True
-            del phi[v]
-            del phi_inv[w]
-        return False
+            # forward: mapped a-simplices at v must land in b
+            if any(tuple(sorted(phi[u] if u != v else w for u in s))
+                   not in sets_b.get(len(s) - 1, ()) for s in ready[v]):
+                continue
+            # backward: fully mapped b-simplices at w must pull back
+            if any(all(x == w or x in phi_inv for x in sb)
+                   and tuple(sorted(phi_inv[x] if x != w else v for x in sb))
+                   not in sets_a.get(len(sb) - 1, ()) for sb in inc_b[w]):
+                continue
+            yield w
 
-    if extend(0):
-        return dict(phi)
+    stack = [candidates(order[0])]
+    while stack:
+        v = order[len(stack) - 1]
+        if v in phi:                    # back here: v's last image failed
+            del phi_inv[phi.pop(v)]
+        w = next(stack[-1], None)
+        if w is None:
+            stack.pop()
+            continue
+        phi[v] = w
+        phi_inv[w] = v
+        if len(stack) == n:
+            return phi
+        stack.append(candidates(order[len(stack)]))
     return None

@@ -21,7 +21,7 @@ from .diagram import (Diagram, basic_degrees, canonical_key,
 from .group import (DEFAULT_CAP, CapExceeded, _check_rank, check_relations,
                     enumerate_group, reflection_classes)
 from .homology import reduced_betti
-from .isomorphism import find_isomorphism
+from .isomorphism import find_isomorphism, verify_isomorphism
 from .walls import (DETAIL_ROW_LIMIT, MilnorWallCertificate, ParabolicData,
                     RecognitionVerdict, THEOREM_A_FORBIDDEN,
                     THEOREM_B_FORBIDDEN, _model_complex,
@@ -376,21 +376,10 @@ def verify_monomial(ctx: GroupContext) -> TheoremReport:
                 for letter in reversed(t.word(g)):
                     img = perms[letter][img]
                 vmap[vid] = img
-            if sorted(vmap.values()) != list(range(fc.n_vertices)):
+            # a vertex bijection carrying each simplex onto one of fc's
+            if not verify_isomorphism(cx, fc, vmap):
                 ok = False
-                details["vertex_bijection"] = False
-    if ok:
-        # simplices transport forward; counts equal => simplicial bijection
-        sets_b = fc._simplex_sets()
-        for k in range(cx.dim + 1):
-            for s in cx.simplices(k):
-                if tuple(sorted(vmap[v] for v in s)) not in sets_b[k]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            details["simplex_transport"] = False
+                details["simplex_transport"] = False
     if ok:
         # equivariance on generators
         for j in range(n):
@@ -556,15 +545,20 @@ def run_entry(entry: dict, cap: int,
         sym = "G(%d,1,%d)" % tuple(entry["monomial"])
         checks = entry.get("checks", ["monomial"])
     else:
-        d = parse_symbol(entry["symbol"])
-        sym = diagram_name(d)
+        sym = entry["symbol"]
         checks = entry.get("checks", ["counts", "A", "B"])
     skip = None
     try:
+        # |G| >= 2^rank: skip a large rank before a monomial entry's n
+        # vertices are parsed, or before a symbol entry is classified (by
+        # diagram_name); a rank skip keeps the symbol as written
         if "monomial" in entry:
-            # |G(m,1,n)| >= 2^n: skip a large n before parsing n vertices
             _check_rank(entry["monomial"][1], cap)
             d = parse_symbol(sym)
+        else:
+            d = parse_symbol(sym)
+            _check_rank(d.rank, cap)
+            sym = diagram_name(d)
         ctx = GroupContext(d, cap)
     except CapExceeded as e:
         skip = e                    # every check reports this skip

@@ -120,7 +120,6 @@ class CandidateReport:
     diagram: Diagram
     name: str
     status: str            # "betti-mismatch" | "isomorphism-failed" | "matched"
-    predicted_bouquet: int
 
 
 @dataclass
@@ -221,8 +220,7 @@ def recognize_milnor_fiber(s: TypedComplex, rank: int) -> RecognitionVerdict:
         # every Milnor fiber complex of rank >= 2 is connected (chamber
         # complexes are gallery connected), so reduced b_0 > 0 rejects all
         # candidates without running the boundary matrices
-        reports = [CandidateReport(d, diagram_name(d), "betti-mismatch",
-                                   predicted_bouquet_count(d))
+        reports = [CandidateReport(d, diagram_name(d), "betti-mismatch")
                    for d in candidates]
         return RecognitionVerdict("not-mfc", rank, chambers,
                                   {0: comps - 1}, None,
@@ -231,25 +229,24 @@ def recognize_milnor_fiber(s: TypedComplex, rank: int) -> RecognitionVerdict:
     survivors = []
     reports = []
     for d in candidates:
-        want = predicted_bouquet_count(d)
-        if betti.concentrated_value(rank - 1) == want:
-            survivors.append((d, want))
+        if betti.concentrated_value(rank - 1) == predicted_bouquet_count(d):
+            survivors.append(d)
         else:
             reports.append(CandidateReport(d, diagram_name(d),
-                                           "betti-mismatch", want))
+                                           "betti-mismatch"))
     if not survivors:
         return RecognitionVerdict("not-mfc", rank, chambers, betti.betti, None,
                                   "betti-mismatch-all", reports)
     matches = []
     first_cert = None
     first_diag = None
-    for d, want in survivors:
+    for d in survivors:
         iso = find_isomorphism(s, _model_complex(d))
         if iso is None:
             reports.append(CandidateReport(d, diagram_name(d),
-                                           "isomorphism-failed", want))
+                                           "isomorphism-failed"))
         else:
-            reports.append(CandidateReport(d, diagram_name(d), "matched", want))
+            reports.append(CandidateReport(d, diagram_name(d), "matched"))
             matches.append(d)
             if first_cert is None:
                 first_cert, first_diag = iso, d
@@ -270,7 +267,6 @@ def recognize_milnor_fiber(s: TypedComplex, rank: int) -> RecognitionVerdict:
 class MilnorWallCertificate:
     reflection: int
     missing_types: tuple[int, ...]    # F = {R - {s} : s in this tuple}
-    family: tuple[frozenset, ...]
     diagram: Diagram
     verdict: RecognitionVerdict
     proper: bool                      # True when F is not the full family
@@ -345,10 +341,8 @@ def milnor_wall_search(wall_cx: TypedComplex, n: int, r: int,
                 _reindexed(faces, wall_cx.vertex_types, wall_cx.vertex_names),
                 n - 1)
         if verdict.recognized:
-            family = tuple(frozenset(x for x in range(n) if x != s)
-                           for s in missing)
             return MilnorWallCertificate(
-                r, missing, family, verdict.diagram, verdict,
+                r, missing, verdict.diagram, verdict,
                 proper=len(missing) != n)
     return None
 

@@ -1,3 +1,5 @@
+import sys
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -127,6 +129,19 @@ def test_empty_complexes():
     t = build("1")
     iso = find_isomorphism(t, t)
     assert iso is not None and iso.vertex_map == {}
+
+
+def test_long_cycle_needs_no_recursion():
+    # the search is one loop with an explicit stack: a 3,000-vertex cycle
+    # is matched without touching the interpreter's recursion limit
+    n = 3000
+    a = TypedComplex.from_facets([0] * n, [(v, (v + 1) % n) for v in range(n)])
+    b = TypedComplex.from_facets(
+        [0] * n, [((7 * v + 3) % n, (7 * v + 10) % n) for v in range(n)])
+    limit = sys.getrecursionlimit()
+    iso = find_isomorphism(a, b)
+    assert sys.getrecursionlimit() == limit
+    assert iso is not None and verify_isomorphism(a, b, iso.vertex_map)
 
 
 @st.composite

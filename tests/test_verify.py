@@ -172,6 +172,24 @@ def test_large_monomial_rank_skips_before_parsing():
         run_entry({"monomial": [1, 100_000_000]}, DEFAULT_CAP)
 
 
+def test_large_symbol_rank_skips_before_classifying(monkeypatch):
+    # 2^200 > cap: the skip is decided from the rank, and the entry keeps
+    # its symbol as written, since naming it would classify the diagram
+    import mfc.diagram
+
+    def no_classify(d):
+        raise AssertionError("diagram classified")
+
+    monkeypatch.setattr(mfc.diagram, "classify", no_classify)
+    t0 = time.monotonic()
+    (rep,) = run_entry({"symbol": "G(2,1,200)", "checks": ["counts"]},
+                       DEFAULT_CAP)
+    assert time.monotonic() - t0 < 0.5
+    assert (rep.symbol, rep.status) == ("G(2,1,200)", "skipped")
+    assert rep.details == {
+        "cap": "group order at least 2^200 exceeds cap 200000"}
+
+
 def test_verdicts_invariant_under_symbol_reversal():
     # generator numbering runs left-to-right in the symbol; verdicts must
     # not depend on the choice of end
