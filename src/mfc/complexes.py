@@ -134,8 +134,7 @@ class ChamberSystem:
     coset x<R - {r}>, as a vertex id; the ids of type r follow those of
     the types below r, block by block of ``parabolic_cosets``, so a
     chamber restricted to some types, read in type order, is a sorted
-    vertex tuple.  ``gen_vertex_perms[i]`` is the vertex permutation of
-    generator i acting on the left.
+    vertex tuple.
 
     Nothing else of the complex is stored.  The simplex of a coset
     x<R - I> is x's chamber restricted to the types in I, and two elements
@@ -147,7 +146,8 @@ class ChamberSystem:
 
     ``vertex_reps[v]`` is the smallest element of the coset v, so g maps
     a type-r vertex v to the type-r vertex of the chamber of
-    g * vertex_reps[v].
+    g * vertex_reps[v]; ``vertex_perm(g)`` reads that off the table's
+    left translation by g.
     """
 
     def __init__(self, t: GroupTable):
@@ -158,7 +158,6 @@ class ChamberSystem:
         types: list[int] = []
         names: list[tuple[int, int]] = []
         reps: list[int] = []
-        perms: list[list[int]] = [[] for _ in R]
         for r in R:
             part = parabolic_cosets(t, [x for x in R if x != r])
             # one int object per vertex id, shared by the chambers
@@ -168,22 +167,18 @@ class ChamberSystem:
             types.extend([r] * part.n_blocks)
             names.extend((r, b) for b in range(part.n_blocks))
             reps.extend(part.reps)
-            for perm, lam in zip(perms, t.left):
-                perm.extend(col[lam[g]] for g in part.reps)
         self.vertex_types = tuple(types)
         self.vertex_names = tuple(names)
         self.vertex_reps = reps
-        self.gen_vertex_perms = perms
 
-    def left_translation(self, g: int) -> list[int]:
-        """gx for every element x, in one pass along the table's parent
-        links: x = p r_l gives gx = (gp) r_l, and parents come first."""
-        t = self.table
-        out = [g] * t.order
-        right, parent, last = t.right, t.parent, t.last_letter
-        for x in range(1, t.order):
-            out[x] = right[last[x]][out[parent[x]]]
-        return out
+    def vertex_perm(self, g: int) -> list[int]:
+        """g's permutation of the vertex ids: the type-r vertex v goes to
+        the type-r vertex of g * vertex_reps[v]'s chamber (one pass over
+        the elements, whatever the length of g's word)."""
+        left = self.table.left_translation(g)
+        chamber = self.chamber
+        return [chamber[r][left[h]]
+                for r, h in zip(self.vertex_types, self.vertex_reps)]
 
     def f_vector(self) -> tuple[int, ...]:
         """(f_0, ..., f_{n-1}) of the complex, without building it: f_k is

@@ -16,11 +16,13 @@ every construction below ends in the same canonical table.
 * Cyclic and dihedral diagrams use direct constructions, because their
   braid relators have length ~|G|.
 
-The table keeps the right and left actions, the inverse right actions
-and the breadth-first tree; there is no table of element inverses.
-``parabolic_cosets`` walks a standard parabolic G_I once, as a tree from
-the identity, and reads each left coset sG_I off that tree's image under
-s, one lookup per element.
+The table keeps only the generators' right actions and the
+breadth-first tree; left multiplication, inverses and conjugation are
+derived from them when needed.  ``GroupTable.left_translation`` gives
+g * x for every x in one pass along the tree.  ``parabolic_cosets``
+walks a standard parabolic G_I once, as a tree from the identity, and
+reads each left coset sG_I off that tree's image under s, one lookup per
+element.
 """
 
 from __future__ import annotations
@@ -41,12 +43,12 @@ class CapExceeded(RuntimeError):
 class GroupTable:
     """Regular action of a finite group given by an admissible diagram.
 
-    right[i][x] is x * r_i, right_inv[i][x] is x * r_i^-1 and left[i][x]
-    is r_i * x.  parent[x] and last_letter[x] give x = parent[x] *
-    r_last_letter[x] along a breadth-first tree from the identity, so
-    word(x) gives one shortest word (tuple of generator indices) with
-    value x.  No table of element inverses is kept: nothing reads one,
-    and word(x) read backwards along right_inv gives x^-1.
+    right[i][x] is x * r_i.  parent[x] and last_letter[x] give
+    x = parent[x] * r_last_letter[x] along a breadth-first tree from the
+    identity, so word(x) gives one shortest word (tuple of generator
+    indices) with value x, and left_translation(g) gives g * x for every
+    x.  Nothing else is stored: no left action, inverse right action or
+    table of element inverses.
     """
 
     def __init__(self, diagram: Diagram, right: list[list[int]]):
@@ -61,8 +63,7 @@ class GroupTable:
 
     def _standardize(self):
         """Renumber breadth-first from the identity with fixed generator order,
-        recording each element's BFS parent and last letter in the new ids,
-        then derive the left actions in one pass along the parent links."""
+        recording each element's BFS parent and last letter in the new ids."""
         n = self.order
         ng = self.ngens
         right = self.right
@@ -84,25 +85,12 @@ class GroupTable:
                     last.append(i)
         if len(order) != n:
             raise ValueError("generator action not transitive")
-        # new column k is new_id[old[order[k]]]; ids[k] is the int k
-        right = [list(map(new_id.__getitem__, map(old.__getitem__, order)))
-                 for old in right]
-        ids = list(map(new_id.__getitem__, order))
-        del order, new_id
-        right_inv = [_invert(col, ids) for col in right]
-        # x = p * r_l gives r_i * x = (r_i * p) * r_l, and ids grow along
-        # parent links
-        left = [[col[0]] * n for col in right]
-        for x in range(1, n):
-            rl = right[last[x]]
-            p = parent[x]
-            for lam in left:
-                lam[x] = rl[lam[p]]
-        self.right = right
+        # new column k is new_id[old[order[k]]]
+        self.right = [list(map(new_id.__getitem__,
+                               map(old.__getitem__, order)))
+                      for old in right]
         self.parent = parent
         self.last_letter = last
-        self.left = left
-        self.right_inv = right_inv
 
     def word(self, x: int) -> tuple[int, ...]:
         """One shortest word (generator indices) evaluating to element x."""
@@ -121,15 +109,14 @@ class GroupTable:
             a = self.right[letter][a]
         return a
 
-    def conjugate(self, g: int, h: int) -> int:
-        """h g h^{-1}."""
-        x = g
-        w = self.word(h)
-        for letter in reversed(w):
-            x = self.right_inv[letter][x]
-        for letter in reversed(w):
-            x = self.left[letter][x]
-        return x
+    def left_translation(self, g: int) -> list[int]:
+        """g * x for every element x, in one pass along the parent links:
+        x = p * r_l gives g * x = (g * p) * r_l, and parents come first."""
+        out = [g] * self.order
+        right, parent, last = self.right, self.parent, self.last_letter
+        for x in range(1, self.order):
+            out[x] = right[last[x]][out[parent[x]]]
+        return out
 
     def element_order(self, g: int) -> int:
         k, x = 1, g
@@ -139,10 +126,10 @@ class GroupTable:
         return k
 
 
-def _invert(col: list[int], ids: list[int]) -> list[int]:
-    """The inverse permutation, holding the int objects of ids."""
+def _invert(col: list[int]) -> list[int]:
+    """The inverse permutation."""
     out = [0] * len(col)
-    for x, y in zip(ids, col):
+    for x, y in enumerate(col):
         out[y] = x
     return out
 
@@ -426,7 +413,7 @@ def _induced_right(d: Diagram, cap: int) -> list[list[int]]:
     cos = todd_coxeter(d, cap, J)
     index = len(cos[0])
     n_h = h_table.order
-    cos_inv = [_invert(col, range(index)) for col in cos]
+    cos_inv = [_invert(col) for col in cos]
 
     # Schreier tree over the cosets in generator order: t_c = t_p r_l
     t_parent = [-1] * index
@@ -602,9 +589,10 @@ class ConjugacyClasses:
 def conjugacy_classes(t: GroupTable) -> ConjugacyClasses:
     """Orbits of conjugation; representatives are the smallest element ids."""
     n = t.order
-    # per generator i, the table x -> r_i x r_i^{-1}
-    conj = [list(map(li.__getitem__, ri_inv))
-            for li, ri_inv in zip(t.left, t.right_inv)]
+    # per generator i, the table x -> r_i x r_i^{-1}: left multiplication
+    # by r_i read through the inverse of right multiplication by r_i
+    conj = [list(map(t.left_translation(g).__getitem__, _invert(col)))
+            for g, col in zip(t.gen_elements, t.right)]
     class_of = [-1] * n
     reps, sizes = [], []
     for x in range(n):

@@ -383,7 +383,7 @@ def verify_monomial(ctx: GroupContext) -> TheoremReport:
     if ok:
         # equivariance on generators
         for j in range(n):
-            gp = ctx.chambers.gen_vertex_perms[j]
+            gp = ctx.chambers.vertex_perm(t.gen_elements[j])
             for v in range(cx.n_vertices):
                 if vmap[gp[v]] != perms[j][vmap[v]]:
                     ok = False
@@ -581,11 +581,20 @@ def _run_entry_star(args):
     return [r.to_jsonable() for r in run_entry(*args)]
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: an int that is not a bool (true == 1 in Python)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_entry(e) -> None:
     """Reject a suite entry that names neither a symbol nor an m,n pair
-    with m >= 2, n >= 1, or whose "checks" is not a list of known check
-    names ("monomial" is the one check of a monomial entry)."""
+    of integers with m >= 2, n >= 1, names both, or whose "checks" is not
+    a list of known check names ("monomial" is the one check of a
+    monomial entry)."""
     if isinstance(e, dict):
+        if "symbol" in e and "monomial" in e:
+            raise SuiteError("suite entry %s names both a \"symbol\" and a "
+                             "\"monomial\" pair" % json.dumps(e))
         checks = e.get("checks", [])
         if not (isinstance(checks, list)
                 and all(isinstance(c, str) for c in checks)):
@@ -598,7 +607,7 @@ def _check_entry(e) -> None:
         if "monomial" in e:
             mn = e["monomial"]
             if (isinstance(mn, list) and len(mn) == 2
-                    and all(isinstance(x, int) for x in mn)
+                    and all(map(_is_int, mn))
                     and mn[0] >= 2 and mn[1] >= 1):
                 return
         elif isinstance(e.get("symbol"), str):
@@ -623,9 +632,13 @@ def run_suite(spec: dict | str, deep: bool = False, cap: int = DEFAULT_CAP,
                     spec = json.load(fh)
             except (OSError, ValueError) as e:
                 raise SuiteError("cannot read suite file: %s" % e) from None
-    if not isinstance(spec, dict) or spec.get("mfc_suite") != 1:
+    if not (isinstance(spec, dict) and _is_int(spec.get("mfc_suite"))
+            and spec["mfc_suite"] == 1):
         raise SuiteError("suite file must declare \"mfc_suite\": 1")
-    allow_skip = bool(spec.get("allow_skip", True))
+    allow_skip = spec.get("allow_skip", True)
+    if not isinstance(allow_skip, bool):
+        raise SuiteError("\"allow_skip\" must be true or false, got %s"
+                         % json.dumps(allow_skip))
     entries = spec.get("entries")
     if not isinstance(entries, list):
         raise SuiteError("suite file must hold a list of \"entries\"")

@@ -41,21 +41,17 @@ def fixed_subcomplex(chambers: ChamberSystem, g: int) -> TypedComplex:
     g's fixed vertices.
 
     The action preserves types and the vertices of a simplex have
-    distinct types, so setwise is pointwise.  Left translation by g
-    (``ChamberSystem.left_translation``, one pass over the elements
-    whatever the length of g's word) fixes the type-r vertex v iff v is
-    the type-r vertex of g * vertex_reps[v]'s chamber.  Every simplex is
-    a restriction of a chamber, so the fixed simplices are the faces of
-    the chambers restricted to their fixed vertices: each chamber is read
-    once as a tuple with None at its moved vertices, and the distinct
-    tuples, stripped of the Nones, close to the fixed subcomplex.
+    distinct types, so setwise is pointwise.  g fixes the vertex v iff
+    ``chambers.vertex_perm(g)[v] == v``.  Every simplex is a restriction
+    of a chamber, so the fixed simplices are the faces of the chambers
+    restricted to their fixed vertices: each chamber is read once as a
+    tuple with None at its moved vertices, and the distinct tuples,
+    stripped of the Nones, close to the fixed subcomplex.
     """
-    left = chambers.left_translation(g)
-    chamber = chambers.chamber
-    keep = [v if chamber[r][left[h]] == v else None
-            for v, (r, h) in enumerate(zip(chambers.vertex_types,
-                                           chambers.vertex_reps))]
-    restricted = set(zip(*(map(keep.__getitem__, col) for col in chamber)))
+    keep = [v if w == v else None
+            for v, w in enumerate(chambers.vertex_perm(g))]
+    restricted = set(zip(*(map(keep.__getitem__, col)
+                           for col in chambers.chamber)))
     return _reindexed(_face_closure(tuple(v for v in s if v is not None)
                                     for s in restricted),
                       chambers.vertex_types, chambers.vertex_names)

@@ -82,17 +82,14 @@ def test_action_type_preserving_and_simply_transitive():
         def image(perm, s):
             return tuple(sorted(perm[v] for v in s))
 
-        for i in range(t.ngens):
-            perm = cs.gen_vertex_perms[i]
+        for g in t.gen_elements:
+            perm = cs.vertex_perm(g)
             for v in range(cx.n_vertices):
                 assert cx.vertex_types[perm[v]] == cx.vertex_types[v]
             assert {image(perm, s) for s in chambers} == chambers
-        # nonidentity elements move every chamber (simple transitivity);
-        # g's vertex permutation, composed along its word
+        # nonidentity elements move every chamber (simple transitivity)
         for g in range(1, min(t.order, 8)):
-            perm = list(range(cx.n_vertices))
-            for letter in reversed(t.word(g)):
-                perm = [cs.gen_vertex_perms[letter][v] for v in perm]
+            perm = cs.vertex_perm(g)
             assert all(image(perm, s) != s for s in chambers), (sym, g)
 
 
@@ -102,13 +99,31 @@ def test_left_translation_is_left_multiplication():
     for sym in ("A3", "G(3,1,2)", "2[3]2 + 4", "Z5", "1"):
         t, _cx, cs = build(sym)
         for g in (0, t.order - 1, t.order // 2):
-            left = cs.left_translation(g)
+            left = t.left_translation(g)
             assert left == [t.mul(g, x) for x in range(t.order)], (sym, g)
-        for i in range(t.ngens):
-            left = cs.left_translation(t.gen_elements[i])
-            perm = cs.gen_vertex_perms[i]
+        for g in t.gen_elements:
+            left = t.left_translation(g)
+            perm = cs.vertex_perm(g)
             for col in cs.chamber:
                 assert [col[y] for y in left] == [perm[v] for v in col]
+
+
+def test_vertex_perm_is_word_composition():
+    # the identity fixes every vertex, every element preserves types, and
+    # g's permutation is the generators' composed along g's word
+    for sym in ("A3", "G(3,1,2)", "3[3]3", "I2(5)"):
+        t, _cx, cs = build(sym)
+        types = cs.vertex_types
+        ident = list(range(len(types)))
+        assert cs.vertex_perm(0) == ident, sym
+        gens = [cs.vertex_perm(g) for g in t.gen_elements]
+        for g in range(t.order):
+            perm = cs.vertex_perm(g)
+            assert [types[w] for w in perm] == list(types), (sym, g)
+            want = ident
+            for letter in reversed(t.word(g)):
+                want = [gens[letter][v] for v in want]
+            assert perm == want, (sym, g)
 
 
 def test_join_with_trivial_is_identity():
@@ -184,7 +199,8 @@ def _per_coset_complex(t):
         for r in R:
             bl = vmaps[r].block_of
             for g in vmaps[r].reps:
-                perm[offsets[r] + bl[g]] = offsets[r] + bl[t.left[i][g]]
+                perm[offsets[r] + bl[g]] = \
+                    offsets[r] + bl[t.mul(t.gen_elements[i], g)]
         perms.append(perm)
     return TypedComplex(types, by_dim, vertex_names=names), perms
 
@@ -198,7 +214,7 @@ def test_complex_matches_per_coset_construction():
         assert cx.by_dim == want.by_dim, sym
         assert cx.vertex_types == want.vertex_types, sym
         assert cx.vertex_names == want.vertex_names, sym
-        assert cs.gen_vertex_perms == perms, sym
+        assert [cs.vertex_perm(g) for g in t.gen_elements] == perms, sym
 
 
 def test_simplex_cap(monkeypatch):

@@ -379,6 +379,48 @@ def test_unknown_check_rejected_before_any_entry_runs(monkeypatch):
             run_suite(spec, jobs=2)
 
 
+def test_suite_value_types_rejected_before_any_entry_runs(monkeypatch):
+    # JSON true is not the integer 1, and the string "false" is not false
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_entry called before validation")
+
+    monkeypatch.setattr(mfc.verify, "run_entry", no_run)
+    entries = [{"symbol": "A3", "checks": ["counts"]}]
+    for bad, match in (
+            ({"mfc_suite": 1, "allow_skip": "false", "entries": entries},
+             "allow_skip"),
+            ({"mfc_suite": 1, "allow_skip": 0, "entries": entries},
+             "allow_skip"),
+            ({"mfc_suite": True, "entries": entries}, "mfc_suite"),
+            ({"mfc_suite": 1.0, "entries": entries}, "mfc_suite"),
+            ({"mfc_suite": 1, "entries": entries + [{"monomial": [2, True]}]},
+             "m >= 2, n >= 1"),
+            ({"mfc_suite": 1, "entries": entries + [{"monomial": [2.0, 2]}]},
+             "m >= 2, n >= 1"),
+            ({"mfc_suite": 1,
+              "entries": entries + [{"symbol": "A3", "monomial": [2, 2],
+                                     "checks": ["monomial"]}]},
+             "names both")):
+        with pytest.raises(SuiteError, match=match):
+            run_suite(bad)
+
+
+def test_cli_suite_allow_skip_string_exit_2(tmp_path, capsys):
+    # "false" used to count as true: a skipped E7 entry then exited 0
+    path = tmp_path / "suite.json"
+    spec = {"mfc_suite": 1, "allow_skip": False,
+            "entries": [{"symbol": "E7", "checks": ["counts"]}]}
+    path.write_text(json.dumps(spec))
+    assert main(["suite", str(path)]) == 3
+    capsys.readouterr()
+    spec["allow_skip"] = "false"
+    path.write_text(json.dumps(spec))
+    assert main(["suite", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: \"allow_skip\" must be true or false, got " \
+        "\"false\"\n"
+
+
 def test_fixed_subcomplexes_built_once(monkeypatch):
     # counts, A and B build the walls; orlik reuses them for the
     # reflection classes and adds the other classes

@@ -22,16 +22,6 @@ def setup(sym):
     return t, cx, cs
 
 
-def vertex_perm(cs, g):
-    """The vertex permutation of g, composed along g's word from the
-    generators' permutations."""
-    perm = list(range(len(cs.vertex_types)))
-    for letter in reversed(cs.table.word(g)):
-        gen = cs.gen_vertex_perms[letter]
-        perm = [gen[v] for v in perm]
-    return perm
-
-
 @pytest.fixture(scope="module")
 def g25():
     return setup("G25")
@@ -55,7 +45,7 @@ def test_fixed_setwise_implies_pointwise():
     for sym in ("A3", "G(3,1,2)", "3[3]3", "B3"):
         t, cx, cs = setup(sym)
         for g in range(1, min(t.order, 30)):
-            perm = vertex_perm(cs, g)
+            perm = cs.vertex_perm(g)
             for k in range(cx.dim + 1):
                 for s in cx.simplices(k):
                     if tuple(sorted(perm[v] for v in s)) == s:
@@ -94,8 +84,9 @@ def test_conjugate_wall_is_translated_wall():
     for rep in reflection_classes(t):
         w_r = ambient_simplices(fixed_subcomplex(cs, rep))
         for h in (t.gen_elements[0], t.gen_elements[1], 5):
-            conj = t.conjugate(rep, h)
-            perm = vertex_perm(cs, h)
+            h_inv = next(y for y in range(t.order) if t.mul(h, y) == 0)
+            conj = t.mul(t.mul(h, rep), h_inv)
+            perm = cs.vertex_perm(h)
             translated = {tuple(sorted(perm[v] for v in s)) for s in w_r}
             assert translated == ambient_simplices(fixed_subcomplex(cs, conj))
 
@@ -124,7 +115,7 @@ def test_fixed_subcomplex_matches_setwise_filter():
     for sym in PROPERTY_GROUPS:
         t, cx, cs = setup(sym)
         for g in range(t.order):
-            perm = vertex_perm(cs, g)
+            perm = cs.vertex_perm(g)
             fixed = [s for k in range(cx.dim + 1) for s in cx.simplices(k)
                      if tuple(sorted(perm[v] for v in s)) == s]
             old_ids = sorted(s[0] for s in fixed if len(s) == 1)
@@ -150,7 +141,7 @@ def test_fixed_subcomplex_matches_induced_on_fixed_vertices():
                 "Z5", "2[3]2 + 4", "1"):
         t, cx, cs = setup(sym)
         for g in conjugacy_classes(t).reps:
-            perm = vertex_perm(cs, g)
+            perm = cs.vertex_perm(g)
             keep = {v for v, w in enumerate(perm) if v == w}
             want = cx.subcomplex(s for k in range(cx.dim + 1)
                                  for s in cx.simplices(k)
