@@ -59,13 +59,6 @@ class TypedComplex:
     def type_of(self, simplex) -> frozenset:
         return frozenset(self.vertex_types[v] for v in simplex)
 
-    def type_universe(self) -> tuple:
-        seen = []
-        for t in self.vertex_types:
-            if t not in seen:
-                seen.append(t)
-        return tuple(seen)
-
     def chambers(self) -> tuple:
         """Maximal simplices (any dimension)."""
         out = []
@@ -78,19 +71,7 @@ class TypedComplex:
                     strict_faces.add(tuple(x for x in s if x != v))
         return tuple(sorted(out, key=lambda s: (len(s), s)))
 
-    def euler_characteristic(self) -> int:
-        chi = 0
-        for k, v in self.by_dim.items():
-            chi += (-1) ** k * len(v)
-        return chi
-
     # -- derived complexes ---------------------------------------------------
-
-    def subcomplex(self, simplices) -> "TypedComplex":
-        """Closure of the given simplices of this complex, reindexed to
-        fresh vertex ids; vertex_names record the original ids."""
-        return _reindexed(_face_closure(simplices), self.vertex_types,
-                          self.vertex_names)
 
     @classmethod
     def from_facets(cls, vertex_types, facets, vertex_names=None) -> "TypedComplex":

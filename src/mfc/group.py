@@ -518,7 +518,6 @@ class CosetPartition:
 
     block_of: list[int]
     reps: list[int]          # smallest element of each block, block 0 = <I>
-    block_size: int
 
     @property
     def n_blocks(self) -> int:
@@ -555,7 +554,7 @@ def parabolic_cosets(t: GroupTable, I) -> CosetPartition:
     I = tuple(sorted(set(I)))
     n = t.order
     if not I:
-        return CosetPartition(list(range(n)), list(range(n)), 1)
+        return CosetPartition(list(range(n)), list(range(n)))
     members, tree = _subgroup_tree(t, I)
     block_of = [-1] * n
     reps = []
@@ -572,7 +571,7 @@ def parabolic_cosets(t: GroupTable, I) -> CosetPartition:
     # blocks that overlapped would leave more of them than |G| / |G_I|
     if len(reps) * len(members) != n:
         raise RuntimeError("parabolic blocks of unequal size")
-    return CosetPartition(block_of, reps, len(members))
+    return CosetPartition(block_of, reps)
 
 
 @dataclass

@@ -6,18 +6,17 @@ leans on (a) joint color refinement over incident-simplex structure,
 and (c) forward/backward simplex checks at every extension.  The
 backtracking is one loop over the vertex order with an explicit stack
 of candidate iterators, so no recursion grows with the vertex count.
-Each call builds the incidence and adjacency of both complexes once and
-shares them across candidate type maps.  All orderings are explicit, so
-results are deterministic (refine-then-backtrack as in McKay-Piperno,
-Practical graph isomorphism, II, 2014).
+A caller that knows which type of a goes to which type of b passes that
+map (``type_map``), and every vertex must then go to a vertex of the
+mapped type; the search does not look for one.  All orderings are
+explicit, so results are deterministic (refine-then-backtrack as in
+McKay-Piperno, Practical graph isomorphism, II, 2014).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import permutations
 
 from .complexes import TypedComplex
 
@@ -25,13 +24,13 @@ from .complexes import TypedComplex
 @dataclass
 class Isomorphism:
     vertex_map: dict[int, int]
-    type_map: dict | None = None  # type label of a -> type label of b
 
 
 def verify_isomorphism(a: TypedComplex, b: TypedComplex,
                        vertex_map: dict[int, int],
-                       respect_types: bool = False) -> bool:
-    """Re-check a claimed isomorphism from scratch."""
+                       type_map: dict | None = None) -> bool:
+    """Re-check a claimed isomorphism from scratch; with a type map (a's
+    type labels to b's), every vertex must also go to its mapped type."""
     if len(vertex_map) != a.n_vertices or a.n_vertices != b.n_vertices:
         return False
     if sorted(vertex_map.values()) != list(range(b.n_vertices)):
@@ -43,14 +42,9 @@ def verify_isomorphism(a: TypedComplex, b: TypedComplex,
         for s in a.simplices(k):
             if tuple(sorted(vertex_map[v] for v in s)) not in bset:
                 return False
-    if respect_types:
-        tmap = {}
-        for v, w in vertex_map.items():
-            ta, tb = a.vertex_types[v], b.vertex_types[w]
-            if tmap.setdefault(ta, tb) != tb:
-                return False
-        if len(set(tmap.values())) != len(tmap):
-            return False
+    if type_map is not None:
+        return all(type_map.get(a.vertex_types[v]) == b.vertex_types[w]
+                   for v, w in vertex_map.items())
     return True
 
 
@@ -108,8 +102,8 @@ def _refine(colors_a, colors_b, inc_a, inc_b):
 
 def _initial_colors(a: TypedComplex, b: TypedComplex, tmap=None):
     """Comparable starting colors: a vertex's incident-simplex count in
-    each dimension and, under a type map a -> b, its type (b's types read
-    back through the map); colors are numbered in order of appearance."""
+    each dimension and, under a type map a -> b, its type (a's types read
+    through the map); colors are numbered in order of appearance."""
     interned: dict = {}
 
     def col(c: TypedComplex, label):
@@ -123,52 +117,22 @@ def _initial_colors(a: TypedComplex, b: TypedComplex, tmap=None):
 
     if tmap is None:
         return col(a, lambda t: None), col(b, lambda t: None)
-    return col(a, lambda t: t), col(b, {w: t for t, w in tmap.items()}.get)
-
-
-def _candidate_type_maps(a: TypedComplex, b: TypedComplex):
-    """Type bijections consistent with per-type vertex counts and the
-    multiset of simplex type sets."""
-    ta, tb = a.type_universe(), b.type_universe()
-    if len(ta) != len(tb):
-        return
-
-    ca, cb = Counter(a.vertex_types), Counter(b.vertex_types)
-
-    def type_multiset(c, tmap=None):
-        return Counter(frozenset(tmap[c.vertex_types[v]] if tmap
-                                 else c.vertex_types[v] for v in s)
-                       for k in range(c.dim + 1) for s in c.simplices(k))
-
-    target = type_multiset(b)
-    for perm in permutations(tb):
-        tmap = dict(zip(ta, perm))
-        if any(ca[t] != cb[tmap[t]] for t in ta):
-            continue
-        if type_multiset(a, tmap) != target:
-            continue
-        yield tmap
+    return col(a, tmap.get), col(b, lambda t: t)
 
 
 def find_isomorphism(a: TypedComplex, b: TypedComplex,
-                     respect_types: bool = False) -> Isomorphism | None:
+                     type_map: dict | None = None) -> Isomorphism | None:
     """A simplicial isomorphism a -> b, or None.
 
-    With respect_types, additionally requires some bijection of type
-    universes making the vertex map type-preserving; the bijection
-    found is returned alongside the vertex map.
+    With a type map (a dict from each of a's type labels to one of b's),
+    every vertex must go to a vertex of the mapped type.
     """
     if a.f_vector() != b.f_vector() or a.dim != b.dim:
         return None
     if a.n_vertices == 0:
-        return Isomorphism({}, {} if respect_types else None)
-    inc = _incidence(a), _incidence(b)
-    adj = _adjacency(a), _adjacency(b)
-    for tmap in _candidate_type_maps(a, b) if respect_types else [None]:
-        vm = _search(a, b, tmap, inc, adj)
-        if vm is not None:
-            return Isomorphism(vm, tmap)
-    return None
+        return Isomorphism({})
+    vm = _search(a, b, type_map)
+    return None if vm is None else Isomorphism(vm)
 
 
 def _vertex_order(adj, class_size) -> list[int]:
@@ -196,15 +160,17 @@ def _vertex_order(adj, class_size) -> list[int]:
     return order
 
 
-def _search(a: TypedComplex, b: TypedComplex, tmap, inc, adj
+def _search(a: TypedComplex, b: TypedComplex, tmap
             ) -> dict[int, int] | None:
-    """A vertex map a -> b (type-preserving under tmap, if given), or None.
+    """A vertex map a -> b (taking each vertex to its type under tmap, if
+    given), or None.
 
     Depth-first over the vertex order with an explicit stack: entry i is
     the iterator over the remaining candidates for the i-th vertex, so the
     depth is limited by memory, not by the interpreter's recursion limit.
     """
-    (inc_a, inc_b), (adj_a, adj_b) = inc, adj
+    inc_a, inc_b = _incidence(a), _incidence(b)
+    adj_a, adj_b = _adjacency(a), _adjacency(b)
     colors_a, colors_b = _initial_colors(a, b, tmap)
     colors_a, colors_b = _refine(colors_a, colors_b, inc_a, inc_b)
 

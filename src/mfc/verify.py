@@ -422,17 +422,25 @@ def verify_monomial(ctx: GroupContext) -> TheoremReport:
 
 def verify_join(ctx: GroupContext) -> TheoremReport:
     """For a reducible diagram: the complex is the join of the factor
-    complexes (type-respecting); each wall is the join with one factor
-    replaced by its wall; the Milnor-wall property matches factorwise."""
+    complexes; each wall is the join with one factor replaced by its
+    wall; the Milnor-wall property matches factorwise.  Both joins are
+    taken left to right over the factors, so one type map serves them
+    all: it sends a factor's type t, tagged by ``join``, to the union's
+    generator index of t, and each isomorphism must respect it."""
     sym = diagram_name(ctx.diagram)
     comps = components_with_indices(ctx.diagram)
     details = {}
     ok = True
     factor_ctx = [GroupContext(cd, ctx.cap) for cd, _idx in comps]
-    joined = None
-    for fctx in factor_ctx:
-        joined = fctx.complex if joined is None else join(joined, fctx.complex)
-    iso = find_isomorphism(joined, ctx.complex, respect_types=True)
+    joined = type_map = None
+    for fctx, (_cd, idx) in zip(factor_ctx, comps):
+        if joined is None:
+            joined, type_map = fctx.complex, dict(enumerate(idx))
+        else:
+            joined = join(joined, fctx.complex)
+            type_map = ({(0, a): b for a, b in type_map.items()}
+                        | {(1, t): r for t, r in enumerate(idx)})
+    iso = find_isomorphism(joined, ctx.complex, type_map)
     details["join_isomorphism"] = iso is not None
     if iso is None:
         ok = False
@@ -452,7 +460,7 @@ def verify_join(ctx: GroupContext) -> TheoremReport:
                 piece = fctx.fixed_of(rep) if fj == fi else fctx2.complex
                 expected = piece if expected is None else join(expected, piece)
             iso_w = find_isomorphism(expected, ctx.fixed_of(g_union),
-                                     respect_types=True)
+                                     type_map)
             wall_rows.append({"factor": fi, "rep": rep,
                               "isomorphic": iso_w is not None})
             if iso_w is None:
@@ -586,12 +594,27 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+_SUITE_KEYS = ("mfc_suite", "allow_skip", "entries")
+_ENTRY_KEYS = ("symbol", "monomial", "checks")
+
+
+def _check_keys(d: dict, known, where: str) -> None:
+    """Reject a key outside ``known``: a misspelled key would otherwise
+    be ignored and silently change what runs."""
+    for key in d:
+        if key not in known:
+            raise SuiteError("%s: unknown key %s (known: %s)"
+                             % (where, json.dumps(key), ", ".join(known)))
+
+
 def _check_entry(e) -> None:
     """Reject a suite entry that names neither a symbol nor an m,n pair
-    of integers with m >= 2, n >= 1, names both, or whose "checks" is not
-    a list of known check names ("monomial" is the one check of a
-    monomial entry)."""
+    of integers with m >= 2, n >= 1, names both, has a key other than
+    "symbol", "monomial" and "checks", or whose "checks" is not a list of
+    known check names ("monomial" is the one check of a monomial
+    entry)."""
     if isinstance(e, dict):
+        _check_keys(e, _ENTRY_KEYS, "suite entry %s" % json.dumps(e))
         if "symbol" in e and "monomial" in e:
             raise SuiteError("suite entry %s names both a \"symbol\" and a "
                              "\"monomial\" pair" % json.dumps(e))
@@ -635,6 +658,7 @@ def run_suite(spec: dict | str, deep: bool = False, cap: int = DEFAULT_CAP,
     if not (isinstance(spec, dict) and _is_int(spec.get("mfc_suite"))
             and spec["mfc_suite"] == 1):
         raise SuiteError("suite file must declare \"mfc_suite\": 1")
+    _check_keys(spec, _SUITE_KEYS, "suite file")
     allow_skip = spec.get("allow_skip", True)
     if not isinstance(allow_skip, bool):
         raise SuiteError("\"allow_skip\" must be true or false, got %s"

@@ -288,7 +288,7 @@ def _type_families(wall_cx: TypedComplex, n: int):
     Each facet type is closed once.  The closure of a union is the union
     of the closures, so a family's faces are its types' closures united
     dimension by dimension, and ``_reindexed`` of them with the wall's
-    vertex types and names is ``wall_cx.subcomplex`` of its facets."""
+    vertex types and names is the complex its facets generate."""
     by_type: dict[frozenset, list] = {}
     for s in wall_cx.simplices(n - 2):
         by_type.setdefault(wall_cx.type_of(s), []).append(s)

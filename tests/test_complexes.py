@@ -2,13 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfc.complexes import (DEFAULT_SIMPLEX_CAP, SimplexCapExceeded,
-                           TypedComplex, export_complex, join,
+from mfc.complexes import (DEFAULT_SIMPLEX_CAP, ChamberSystem,
+                           SimplexCapExceeded, TypedComplex, _face_closure,
+                           _reindexed, export_complex, join,
                            milnor_fiber_complex, monomial_flag_complex,
                            simplex_count)
 from mfc.diagram import group_order, parse_symbol
-from mfc.group import enumerate_group, parabolic_cosets
-from mfc.isomorphism import find_isomorphism
+from mfc.group import _subgroup_tree, enumerate_group, parabolic_cosets
+from mfc.isomorphism import find_isomorphism, verify_isomorphism
 
 
 def build(sym, **kw):
@@ -24,7 +25,7 @@ def a3():
 def test_a3_f_vector(a3):
     _t, cx, _cs = a3
     assert cx.f_vector() == (14, 36, 24)
-    assert cx.euler_characteristic() == 2
+    assert sum((-1) ** k * f for k, f in enumerate(cx.f_vector())) == 2
 
 
 def test_g312_shape():
@@ -142,8 +143,12 @@ def test_join_square():
 def test_join_matches_union_diagram():
     u = build("2[3]2 + 3")[1]
     j = join(build("A2")[1], build("Z3")[1])
-    iso = find_isomorphism(j, u, respect_types=True)
-    assert iso is not None and iso.type_map is not None
+    # the join tags A2's types (0, t) and Z3's (1, t); in the union A2 has
+    # generators 0, 1 and Z3 generator 2
+    type_map = {(0, 0): 0, (0, 1): 1, (1, 0): 2}
+    iso = find_isomorphism(j, u, type_map)
+    assert iso is not None
+    assert verify_isomorphism(j, u, iso.vertex_map, type_map)
 
 
 def test_link_of_vertex_is_parabolic_complex():
@@ -157,17 +162,22 @@ def test_link_of_vertex_is_parabolic_complex():
             sub = d.induced([x for x in range(d.rank) if x != r])
             model = milnor_fiber_complex(enumerate_group(sub))[0]
             # the link of v: each simplex through v with v removed
-            link = cx.subcomplex(tuple(x for x in s if x != v)
-                                 for k in range(1, cx.dim + 1)
-                                 for s in cx.simplices(k) if v in s)
-            iso = find_isomorphism(link, model, respect_types=True)
+            link = _reindexed(_face_closure(
+                tuple(x for x in s if x != v)
+                for k in range(1, cx.dim + 1) for s in cx.simplices(k)
+                if v in s), cx.vertex_types, cx.vertex_names)
+            # the link's types R - {r}, ascending, are the parabolic's
+            type_map = {x: i for i, x in
+                        enumerate(x for x in range(d.rank) if x != r)}
+            iso = find_isomorphism(link, model, type_map)
             assert iso is not None, (sym, r)
 
 
 def test_monomial_flag_examples():
     fc, _p = monomial_flag_complex(3, 2)
     cx = build("G(3,1,2)")[1]
-    assert find_isomorphism(fc, cx, respect_types=True) is not None
+    # the sets of size k + 1 are the cosets of type k
+    assert find_isomorphism(fc, cx, {0: 0, 1: 1}) is not None
     fc, _p = monomial_flag_complex(2, 2)
     assert fc.f_vector() == (8, 8)
     fc, _p = monomial_flag_complex(5, 1)
@@ -247,27 +257,58 @@ def test_simplex_count_matches_complex():
         simplex_count(parse_symbol("H3"), 100)
 
 
-def test_chamber_f_vector_matches_complex():
-    # |G| / |K_I| summed by the size of I is the built complex's f-vector:
-    # every default-suite group of rank >= 3, and a spread of rank <= 2
+def _suite_symbols(deep=False):
     from mfc.verify import default_suite
-    symbols = [e["symbol"] for e in default_suite()["entries"]
-               if "symbol" in e and parse_symbol(e["symbol"]).rank >= 3]
-    symbols += ["1", "Z2", "Z3", "Z97", "Z1000", "I2(3)", "I2(8)", "I2(31)",
-                "I2(500)", "G(2,1,2)", "G(5,1,2)", "G(12,1,2)", "G(31,1,2)",
-                "G4", "G8", "G21"]
-    for sym in symbols:
+    return [e["symbol"] for e in default_suite(deep)["entries"]
+            if "symbol" in e]
+
+
+# every default-suite group of rank >= 3, and a spread of rank <= 2
+SPREAD = [s for s in _suite_symbols() if parse_symbol(s).rank >= 3] + [
+    "1", "Z2", "Z3", "Z97", "Z1000", "I2(3)", "I2(8)", "I2(31)", "I2(500)",
+    "G(2,1,2)", "G(5,1,2)", "G(12,1,2)", "G(31,1,2)", "G4", "G8", "G21"]
+
+
+def test_chamber_f_vector_matches_complex():
+    # |G| / |K_I| summed by the size of I is the built complex's f-vector
+    for sym in SPREAD:
         _t, cx, cs = build(sym)
         assert cs.f_vector() == cx.f_vector(), sym
 
 
 @pytest.mark.deep
 def test_chamber_f_vector_matches_complex_default_suite():
-    from mfc.verify import default_suite
-    for e in default_suite()["entries"]:
-        if "symbol" in e:
-            _t, cx, cs = build(e["symbol"])
-            assert cs.f_vector() == cx.f_vector(), e["symbol"]
+    for sym in _suite_symbols():
+        _t, cx, cs = build(sym)
+        assert cs.f_vector() == cx.f_vector(), sym
+
+
+def _assert_k_is_parabolic(sym):
+    """K_{R - J}, the elements whose chamber shares the identity
+    chamber's vertex of every type outside J, is the parabolic G_J, for
+    every proper J: the cosets ParabolicData counts are the ones the
+    chambers, fixed subcomplexes and f-vector read."""
+    t = enumerate_group(parse_symbol(sym))
+    cs = ChamberSystem(t)
+    n = t.ngens
+    for mask in range((1 << n) - 1):
+        J = [i for i in range(n) if mask >> i & 1]
+        k = [x for x in range(t.order)
+             if all(cs.chamber[r][x] == cs.chamber[r][0]
+                    for r in range(n) if r not in J)]
+        members, _tree = _subgroup_tree(t, J)
+        assert k == sorted(members), (sym, J)
+
+
+def test_k_is_parabolic():
+    for sym in SPREAD:
+        _assert_k_is_parabolic(sym)
+
+
+@pytest.mark.deep
+def test_k_is_parabolic_deep_suite():
+    for sym in _suite_symbols(deep=True):
+        _assert_k_is_parabolic(sym)
 
 
 def _exported_lines(cx, path):
@@ -336,7 +377,7 @@ def test_face_closure_matches_dfs(facets, data):
     # a subfamily's closure, renumbered in the order of the old vertex ids
     family = data.draw(st.lists(st.sampled_from(sorted(closed)), max_size=5)
                        if closed else st.just([]))
-    sub = c.subcomplex(family)
+    sub = _reindexed(_face_closure(family), c.vertex_types, c.vertex_names)
     want = _dfs_closure(family)
     old_ids = sorted({v for s in want for v in s})
     assert sub.vertex_names == tuple(old_ids)

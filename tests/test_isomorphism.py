@@ -94,13 +94,25 @@ def test_same_f_vector_non_isomorphic():
 
 
 def test_respect_types_needs_consistent_bijection():
+    # the type map sends join tags to the union's generator indices
     u = build("2[3]2 + 3")
     j = join(build("A2"), build("Z3"))
-    iso = find_isomorphism(j, u, respect_types=True)
+    type_map = {(0, 0): 0, (0, 1): 1, (1, 0): 2}
+    iso = find_isomorphism(j, u, type_map)
     assert iso is not None
-    assert verify_isomorphism(j, u, iso.vertex_map, respect_types=True)
-    # the type bijection maps join tags to generator indices
-    assert sorted(iso.type_map.values()) == [0, 1, 2]
+    assert verify_isomorphism(j, u, iso.vertex_map, type_map)
+    assert all(type_map[j.vertex_types[v]] == u.vertex_types[w]
+               for v, w in iso.vertex_map.items())
+
+
+def test_wrong_type_map_finds_nothing():
+    # 2[3]2 + 2: A2's types have 3 vertices each, Z2's type 2 vertices, so
+    # sending Z2's type to an A2 generator admits no vertex map
+    u = build("2[3]2 + 2")
+    j = join(build("A2"), build("Z2"))
+    right = {(0, 0): 0, (0, 1): 1, (1, 0): 2}
+    assert find_isomorphism(j, u, right) is not None
+    assert find_isomorphism(j, u, {(0, 0): 0, (0, 1): 2, (1, 0): 1}) is None
 
 
 def test_typed_vs_untyped():
@@ -111,7 +123,13 @@ def test_typed_vs_untyped():
     uni = TypedComplex.from_facets([0, 0, 0, 0],
                                    [(0, 1), (1, 2), (2, 3), (0, 3)])
     assert find_isomorphism(alt, uni) is not None
-    assert find_isomorphism(alt, uni, respect_types=True) is None
+    assert find_isomorphism(alt, uni, {0: 0, 1: 1}) is None
+    assert find_isomorphism(uni, alt, {0: 0}) is None
+    # a typed match that swaps the two types: a rotation by one
+    swap = find_isomorphism(alt, alt, {0: 1, 1: 0})
+    assert swap is not None
+    assert verify_isomorphism(alt, alt, swap.vertex_map, {0: 1, 1: 0})
+    assert not verify_isomorphism(alt, alt, swap.vertex_map, {0: 0, 1: 1})
 
 
 def test_verify_rejects_wrong_map():
@@ -122,7 +140,7 @@ def test_verify_rejects_wrong_map():
     # vertex order: types 0,0,0 then 1,1,1; swapping across types breaks edges
     swap = {v: v for v in range(a.n_vertices)}
     swap[0], swap[3] = 3, 0
-    assert not verify_isomorphism(a, a, swap, respect_types=True)
+    assert not verify_isomorphism(a, a, swap, {0: 0, 1: 1})
 
 
 def test_empty_complexes():
@@ -172,6 +190,7 @@ def test_isomorphism_survives_relabeling(pair):
     iso = find_isomorphism(a, b)
     assert iso is not None
     assert verify_isomorphism(a, b, iso.vertex_map)
-    typed = find_isomorphism(a, b, respect_types=True)
+    same = {t: t for t in a.vertex_types}
+    typed = find_isomorphism(a, b, same)
     assert typed is not None
-    assert verify_isomorphism(a, b, typed.vertex_map, respect_types=True)
+    assert verify_isomorphism(a, b, typed.vertex_map, same)

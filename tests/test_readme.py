@@ -1,21 +1,25 @@
-"""The README's library tour runs, and says what it computes."""
+"""The README's library tour runs, and says what it computes; its suite
+file example is a valid suite."""
 
 import ast
+import json
 from pathlib import Path
+
+from mfc.verify import run_suite
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def _python_block() -> str:
+def _block(lang: str) -> str:
     text = README.read_text()
-    start = text.index("```python\n") + len("```python\n")
+    start = text.index("```%s\n" % lang) + len("```%s\n" % lang)
     return text[start:text.index("```", start)]
 
 
 def test_readme_tour():
     # run the block statement by statement; a bare expression whose
     # comment is a Python literal must give that value
-    source = _python_block()
+    source = _block("python")
     lines = source.splitlines()
     namespace: dict = {}
     checked = 0
@@ -36,3 +40,8 @@ def test_readme_tour():
         else:
             exec(code, namespace)
     assert checked == 8
+
+
+def test_readme_suite_example():
+    code, bundle = run_suite(json.loads(_block("json")))
+    assert code == 0 and bundle["summary"]["agree"] == 6

@@ -405,6 +405,39 @@ def test_suite_value_types_rejected_before_any_entry_runs(monkeypatch):
             run_suite(bad)
 
 
+def test_unknown_keys_rejected_before_any_entry_runs(monkeypatch):
+    # a misspelled "allow_skip" or "checks" used to be ignored: the E7
+    # entry then ran the default checks and the suite exited 0
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_entry called before validation")
+
+    monkeypatch.setattr(mfc.verify, "run_entry", no_run)
+    entries = [{"symbol": "A3", "checks": ["counts"]}]
+    for bad, match in (
+            ({"mfc_suite": 1, "allow_skp": False,
+              "entries": [{"symbol": "E7", "check": ["orlik"]}]},
+             "suite file: unknown key \"allow_skp\""),
+            ({"mfc_suite": 1,
+              "entries": entries + [{"symbol": "E7", "check": ["orlik"]}]},
+             "unknown key \"check\""),
+            ({"mfc_suite": 1,
+              "entries": entries + [{"symbol": "A2", "monomail": [2, 2]}]},
+             "unknown key \"monomail\"")):
+        with pytest.raises(SuiteError, match=match):
+            run_suite(bad)
+
+
+def test_cli_suite_unknown_key_exit_2(tmp_path, capsys):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(
+        {"mfc_suite": 1, "entries": [{"symbol": "A2", "monomail": [2, 2]}]}))
+    assert main(["suite", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: suite entry {\"symbol\": \"A2\", \"monomail\": " \
+        "[2, 2]}: unknown key \"monomail\" (known: symbol, monomial, " \
+        "checks)\n"
+
+
 def test_cli_suite_allow_skip_string_exit_2(tmp_path, capsys):
     # "false" used to count as true: a skipped E7 entry then exited 0
     path = tmp_path / "suite.json"
@@ -493,6 +526,19 @@ def test_join_entry_reuses_its_context(monkeypatch):
     assert rep.status == "agree"
     # the union once, then each of its two factors
     assert [d.rank for d in built] == [3, 2, 1]
+
+
+def test_three_factor_joins_agree():
+    # factors are joined left to right, so the type map nests: the first
+    # factor's types are tagged (0, (0, t)), the second's (0, (1, t)) and
+    # the third's (1, t); every wall of every factor is checked
+    for sym, n_walls in (("2 + 3 + 4", 1 + 2 + 3), ("A2 + B2 + 3", 1 + 2 + 2)):
+        (rep,) = run_entry({"symbol": sym, "checks": ["join"]}, DEFAULT_CAP)
+        assert rep.status == "agree", sym
+        assert rep.details["join_isomorphism"] is True, sym
+        walls = rep.details["walls"]
+        assert len(walls) == n_walls, sym
+        assert all(row["isomorphic"] for row in walls), sym
 
 
 # sha256 of the reports below, as produced before the parabolic and

@@ -1,6 +1,6 @@
 import pytest
 
-from mfc.complexes import TypedComplex, milnor_fiber_complex
+from mfc.complexes import TypedComplex, _face_closure, milnor_fiber_complex
 from mfc.diagram import diagram_name, enumerate_admissible, parse_symbol
 from mfc.group import (conjugacy_classes, enumerate_group, parabolic_cosets,
                        reflection_classes)
@@ -20,6 +20,17 @@ def setup(sym):
     t = enumerate_group(parse_symbol(sym))
     cx, cs = milnor_fiber_complex(t)
     return t, cx, cs
+
+
+def generated(c, simplices):
+    """The closure of some simplices of c, on fresh vertex ids in the
+    order of the old ones; vertex_names record c's names (or ids)."""
+    return _reindexed(_face_closure(simplices), c.vertex_types,
+                      c.vertex_names)
+
+
+def euler(c):
+    return sum((-1) ** k * len(v) for k, v in c.by_dim.items())
 
 
 @pytest.fixture(scope="module")
@@ -143,9 +154,9 @@ def test_fixed_subcomplex_matches_induced_on_fixed_vertices():
         for g in conjugacy_classes(t).reps:
             perm = cs.vertex_perm(g)
             keep = {v for v, w in enumerate(perm) if v == w}
-            want = cx.subcomplex(s for k in range(cx.dim + 1)
-                                 for s in cx.simplices(k)
-                                 if keep.issuperset(s))
+            want = generated(cx, (s for k in range(cx.dim + 1)
+                                  for s in cx.simplices(k)
+                                  if keep.issuperset(s)))
             got = fixed_subcomplex(cs, g)
             assert got.by_dim == want.by_dim, (sym, g)
             assert got.vertex_types == want.vertex_types, (sym, g)
@@ -168,7 +179,7 @@ def test_parabolic_data_is_block_zero_of_cosets():
             for e in range(t.order):
                 if part.block_of[e] == 0:
                     counts[pdata.classes.class_of[e]] += 1
-            assert pdata.subgroup_orders[mask] == part.block_size, (sym, mask)
+            assert pdata.subgroup_orders[mask] == sum(counts), (sym, mask)
             assert pdata.intersections[mask] == \
                 {cid: c for cid, c in enumerate(counts) if c}, (sym, mask)
 
@@ -210,10 +221,10 @@ def test_count_formula_matches_explicit_subcomplexes():
 def test_generated_subcomplex():
     # the face closure of a family of simplices
     _t, cx, _act = setup("2[3]2")
-    assert cx.subcomplex(cx.simplices(1)).f_vector() == cx.f_vector()
-    assert cx.subcomplex([]).dim == -1
+    assert generated(cx, cx.simplices(1)).f_vector() == cx.f_vector()
+    assert generated(cx, []).dim == -1
     edge = cx.simplices(1)[0]
-    path = cx.subcomplex([edge])
+    path = generated(cx, [edge])
     assert path.f_vector() == (2, 1)
 
 
@@ -245,6 +256,58 @@ def test_recognize_g26_order3_wall(g26):
         degrees[a] = degrees.get(a, 0) + 1
         degrees[b] = degrees.get(b, 0) + 1
     assert 4 in degrees.values()
+
+
+def _components(c):
+    """The vertex sets of c's connected components."""
+    adj = {v: set() for v in range(c.n_vertices)}
+    for a, b in c.simplices(1):
+        adj[a].add(b)
+        adj[b].add(a)
+    comps, seen = [], set()
+    for v in adj:
+        if v not in seen:
+            comp, stack = {v}, [v]
+            while stack:
+                for u in adj[stack.pop()] - comp:
+                    comp.add(u)
+                    stack.append(u)
+            seen |= comp
+            comps.append(comp)
+    return comps
+
+
+def test_g26_order3_wall_families(g26):
+    # the README's account of the order-3 walls: 72 edges, 36 of each
+    # of two types; the family missing type 0 is three 12-cycles, and the
+    # family missing type 1 is two disjoint G(3,1,2) complexes
+    t, cx, cs = g26
+    order3 = [r for r in reflection_classes(t) if t.element_order(r) == 3]
+    assert len(order3) == 2
+    for rep in order3:
+        w = fixed_subcomplex(cs, rep)
+        assert w.f_vector() == (48, 72)
+        by_type = {}
+        for e in w.simplices(1):
+            by_type[w.type_of(e)] = by_type.get(w.type_of(e), 0) + 1
+        assert by_type == {frozenset({1, 2}): 36, frozenset({0, 2}): 36}
+
+        cycles = generated(w, family_facets(w, 3, [0]))
+        assert cycles.f_vector() == (36, 36)
+        assert [len(c) for c in _components(cycles)] == [12, 12, 12]
+        assert all(sum(v in e for e in cycles.simplices(1)) == 2
+                   for v in range(cycles.n_vertices))
+
+        split = generated(w, family_facets(w, 3, [1]))
+        assert split.f_vector() == (30, 36)
+        comps = _components(split)
+        assert len(comps) == 2
+        for comp in comps:
+            piece = generated(split, [e for e in split.simplices(1)
+                                      if comp.issuperset(e)])
+            assert piece.f_vector() == (15, 18)
+            v = recognize_milnor_fiber(piece, 2)
+            assert v.recognized and diagram_name(v.diagram) == "G(3,1,2)"
 
 
 def test_recognize_g26_order2_wall(g26):
@@ -329,7 +392,7 @@ def test_walls_are_their_full_family_subcomplex():
         n = t.ngens
         for rep in reflection_classes(t):
             w = fixed_subcomplex(cs, rep)
-            full = w.subcomplex(family_facets(w, n, range(n)))
+            full = generated(w, family_facets(w, n, range(n)))
             assert full.by_dim == w.by_dim, (sym, rep)
             assert full.vertex_types == w.vertex_types, (sym, rep)
 
@@ -348,7 +411,7 @@ def test_type_families_are_subcomplexes_of_their_facets():
             families = list(_type_families(w, n))
             assert [m for m, _faces in families] == order, (sym, rep)
             for missing, faces in families:
-                want = w.subcomplex(family_facets(w, n, missing))
+                want = generated(w, family_facets(w, n, missing))
                 got = _reindexed(faces, w.vertex_types, w.vertex_names)
                 assert got.by_dim == want.by_dim, (sym, rep, missing)
                 assert got.vertex_types == want.vertex_types, \
@@ -356,7 +419,7 @@ def test_type_families_are_subcomplexes_of_their_facets():
                 assert got.vertex_names == want.vertex_names, \
                     (sym, rep, missing)
                 chi = sum((-1) ** k * len(v) for k, v in faces.items())
-                assert chi == want.euler_characteristic(), (sym, rep, missing)
+                assert chi == euler(want), (sym, rep, missing)
 
 
 def test_milnor_wall_search_impure_wall():
@@ -389,13 +452,12 @@ def test_euler_prefilter_is_exact():
             w = fixed_subcomplex(cs, rep)
             for size in range(1, n + 1):
                 for missing in combinations(range(n), size):
-                    sub = w.subcomplex(family_facets(w, n, missing))
+                    sub = generated(w, family_facets(w, n, missing))
                     if sub.dim != n - 2:
                         continue
                     cands = enumerate_admissible(n - 1,
                                                  _chamber_count(sub, n - 1))
-                    if _euler_excludes(sub.euler_characteristic(), n - 1,
-                                       cands):
+                    if _euler_excludes(euler(sub), n - 1, cands):
                         excluded += 1
                         v = recognize_milnor_fiber(sub, n - 1)
                         assert v.reason in ("no-admissible-factorization",
@@ -434,4 +496,6 @@ def test_wall_join_reduction():
     g_union = t.right[0][0]  # same generator embeds as index 0
     w_union = fixed_subcomplex(cs, g_union)
     expected = join(fixed_subcomplex(csa, rep), cb)
-    assert find_isomorphism(expected, w_union, respect_types=True) is not None
+    # joined types (0, t) and (1, 0) are the union's generators t and 2
+    type_map = {(0, 0): 0, (0, 1): 1, (1, 0): 2}
+    assert find_isomorphism(expected, w_union, type_map) is not None
