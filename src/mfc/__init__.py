@@ -6,16 +6,15 @@ the wall classification theorems mechanically.
 """
 
 from .diagram import (Diagram, DiagramError, GroupId, NotAdmissible,
-                      basic_degrees, classify,
-                      classify_component, connected_components, diagram_name,
-                      diagram_symbol, enumerate_admissible, group_order,
-                      has_forbidden_subdiagram, parse_symbol)
+                      basic_degrees, classify, classify_component,
+                      diagram_name, diagram_symbol, enumerate_admissible,
+                      group_order, has_forbidden_subdiagram, parse_symbol)
 from .group import (CapExceeded, CosetPartition, GroupTable, conjugacy_classes,
                     enumerate_group, parabolic_cosets, reflection_classes)
 from .complexes import (ChamberSystem, TypedComplex, export_complex, join,
                         milnor_fiber_complex, monomial_flag_complex)
 from .homology import BettiResult, reduced_betti
-from .isomorphism import Isomorphism, find_isomorphism, verify_isomorphism
+from .isomorphism import find_isomorphism, verify_isomorphism
 from .walls import (MilnorWallCertificate, ParabolicData, RecognitionVerdict,
                     chamber_count_check, fixed_subcomplex,
                     milnor_wall_search, recognize_milnor_fiber)

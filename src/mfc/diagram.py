@@ -64,15 +64,12 @@ class Diagram:
     def rank(self) -> int:
         return len(self.orders)
 
-    def edge_map(self) -> dict[tuple[int, int], int]:
-        return {(i, j): m for (i, j, m) in self.edges}
-
     def m(self, i: int, j: int) -> int:
         """Braid length between two distinct vertices (2 when no edge)."""
         if i == j:
             raise DiagramError("m(i,i) undefined")
         a, b = min(i, j), max(i, j)
-        return self.edge_map().get((a, b), 2)
+        return {(p, q): m for (p, q, m) in self.edges}.get((a, b), 2)
 
     def neighbors(self, i: int) -> list[int]:
         return [j if i == a else a
@@ -262,10 +259,6 @@ def components_with_indices(d: Diagram) -> list[tuple[Diagram, tuple[int, ...]]]
     return out
 
 
-def connected_components(d: Diagram) -> list[Diagram]:
-    return [c for (c, _idx) in components_with_indices(d)]
-
-
 @lru_cache(maxsize=8192)
 def _row_invariants(family: str, *params: int) -> tuple:
     return _sorted_invariants(diagram_of(group_id(family, *params)))
@@ -320,7 +313,8 @@ def classify(d: Diagram) -> tuple[GroupId, ...]:
     Memoized, since every display name and degree list goes through it; a
     few hundred diagrams cover one group's checks and their recognition
     candidates, and a larger memo only keeps more diagrams alive."""
-    return tuple(classify_component(c) for c in connected_components(d))
+    return tuple(classify_component(c)
+                 for c, _idx in components_with_indices(d))
 
 
 def basic_degrees(d: Diagram) -> tuple[int, ...]:
@@ -413,7 +407,8 @@ def _component_key(d: Diagram) -> tuple:
 @lru_cache(maxsize=8192)
 def canonical_key(d: Diagram) -> tuple:
     """Canonical encoding of the diagram up to vertex relabeling."""
-    return tuple(sorted(_component_key(c) for c in connected_components(d)))
+    return tuple(sorted(_component_key(c)
+                        for c, _idx in components_with_indices(d)))
 
 
 # the exceptional rows by canonical key, and their sorted vertex
@@ -517,7 +512,7 @@ def diagram_symbol(d: Diagram) -> str:
     if d.rank == 0:
         return "1"
     parts = []
-    for comp in connected_components(d):
+    for comp, _idx in components_with_indices(d):
         degs = [len(comp.neighbors(i)) for i in range(comp.rank)]
         if comp.rank == 1:
             parts.append(str(comp.orders[0]))

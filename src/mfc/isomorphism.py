@@ -8,22 +8,17 @@ backtracking is one loop over the vertex order with an explicit stack
 of candidate iterators, so no recursion grows with the vertex count.
 A caller that knows which type of a goes to which type of b passes that
 map (``type_map``), and every vertex must then go to a vertex of the
-mapped type; the search does not look for one.  All orderings are
+mapped type; the search does not look for one.  An isomorphism is its
+vertex map, a dict from a's vertex ids to b's.  All orderings are
 explicit, so results are deterministic (refine-then-backtrack as in
 McKay-Piperno, Practical graph isomorphism, II, 2014).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .complexes import TypedComplex
-
-
-@dataclass
-class Isomorphism:
-    vertex_map: dict[int, int]
 
 
 def verify_isomorphism(a: TypedComplex, b: TypedComplex,
@@ -121,8 +116,9 @@ def _initial_colors(a: TypedComplex, b: TypedComplex, tmap=None):
 
 
 def find_isomorphism(a: TypedComplex, b: TypedComplex,
-                     type_map: dict | None = None) -> Isomorphism | None:
-    """A simplicial isomorphism a -> b, or None.
+                     type_map: dict | None = None) -> dict[int, int] | None:
+    """The vertex map of a simplicial isomorphism a -> b, or None; the
+    empty complexes' map is {}, so test the result with ``is None``.
 
     With a type map (a dict from each of a's type labels to one of b's),
     every vertex must go to a vertex of the mapped type.
@@ -130,9 +126,8 @@ def find_isomorphism(a: TypedComplex, b: TypedComplex,
     if a.f_vector() != b.f_vector() or a.dim != b.dim:
         return None
     if a.n_vertices == 0:
-        return Isomorphism({})
-    vm = _search(a, b, type_map)
-    return None if vm is None else Isomorphism(vm)
+        return {}
+    return _search(a, b, type_map)
 
 
 def _vertex_order(adj, class_size) -> list[int]:

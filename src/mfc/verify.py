@@ -11,6 +11,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import prod
 
 from .complexes import (ChamberSystem, TypedComplex, join,
@@ -73,34 +74,23 @@ class GroupContext:
         self.table = enumerate_group(d, cap=cap)
         self.order = self.table.order
         self.chambers = ChamberSystem(self.table)
-        self._complex = None
-        self._pdata = None
-        self._refl_classes = None
         self._fixed = {}
         self._verdicts = {}
         self._certificates = {}
 
-    @property
+    @cached_property
     def complex(self) -> TypedComplex:
         """The full Milnor fiber complex, built once from the chambers."""
-        if self._complex is None:
-            self._complex = milnor_fiber_complex(
-                self.table, chambers=self.chambers)[0]
-        return self._complex
+        return milnor_fiber_complex(self.table, chambers=self.chambers)[0]
 
-    @property
+    @cached_property
     def pdata(self) -> ParabolicData:
-        if self._pdata is None:
-            self._pdata = ParabolicData(self.table)
-        return self._pdata
+        return ParabolicData(self.table)
 
-    @property
+    @cached_property
     def refl_classes(self) -> list[int]:
         """The representatives of the reflection classes, in class order."""
-        if self._refl_classes is None:
-            self._refl_classes = reflection_classes(self.table,
-                                                    self.pdata.classes)
-        return self._refl_classes
+        return reflection_classes(self.table, self.pdata.classes)
 
     def fixed_of(self, g: int) -> TypedComplex:
         """The fixed subcomplex of element g, built once."""
@@ -129,66 +119,56 @@ class GroupContext:
 # Theorem A / Theorem B
 # ---------------------------------------------------------------------------
 
-def verify_theorem_A(ctx: GroupContext) -> TheoremReport:
-    """Every wall is again a Milnor fiber complex iff no forbidden
-    subdiagram of type D4/F4/H4/G25/G26."""
-    sym = diagram_name(ctx.diagram)
-    predicted = not has_forbidden_subdiagram(ctx.diagram, THEOREM_A_FORBIDDEN)
-    details = {"classes": []}
+def _wall_theorem(ctx: GroupContext, theorem: str, forbidden: tuple,
+                  wall_row) -> TheoremReport:
+    """Check A or B: predicted from the forbidden subdiagrams, computed
+    wall by wall, one per reflection class; ``wall_row(rep)`` gives
+    whether the class's wall passes and its detail row past "rep"."""
+    predicted = not has_forbidden_subdiagram(ctx.diagram, forbidden)
+    rows = []
     computed = True
     if ctx.table.ngens <= 1:
         # walls of a rank-<=1 complex are {empty}: the regular action is
-        # fixed-point free, so only the empty simplex is fixed
-        n_classes = len(ctx.refl_classes)
-        if n_classes:
-            verdict = ctx.verdict_of(ctx.refl_classes[0])
-            computed = verdict.recognized
-            details["classes"].append({
-                "rep": "all", "count": n_classes,
-                "verdict": verdict.to_jsonable()})
+        # fixed-point free, so only the empty simplex is fixed, and one
+        # row stands for every class
+        if ctx.refl_classes:
+            computed, row = wall_row(ctx.refl_classes[0])
+            rows.append({"rep": "all", "count": len(ctx.refl_classes), **row})
     else:
         for rep in ctx.refl_classes:
-            w = ctx.fixed_of(rep)
-            verdict = ctx.verdict_of(rep)
-            details["classes"].append({"rep": rep,
-                                       "wall_f": list(w.f_vector()),
-                                       "verdict": verdict.to_jsonable()})
-            if not verdict.recognized:
-                computed = False
+            holds, row = wall_row(rep)
+            rows.append({"rep": rep, **row})
+            computed = computed and holds
     status = "agree" if computed == predicted else "disagree"
-    return TheoremReport(sym, "A", predicted, computed, status, details)
+    return TheoremReport(diagram_name(ctx.diagram), theorem, predicted,
+                         computed, status, {"classes": rows})
+
+
+def verify_theorem_A(ctx: GroupContext) -> TheoremReport:
+    """Every wall is again a Milnor fiber complex iff no forbidden
+    subdiagram of type D4/F4/H4/G25/G26."""
+    def wall_row(rep):
+        verdict = ctx.verdict_of(rep)
+        row = {"verdict": verdict.to_jsonable()}
+        if ctx.table.ngens > 1:
+            row["wall_f"] = list(ctx.fixed_of(rep).f_vector())
+        return verdict.recognized, row
+    return _wall_theorem(ctx, "A", THEOREM_A_FORBIDDEN, wall_row)
 
 
 def verify_theorem_B(ctx: GroupContext) -> TheoremReport:
     """Every wall is a Milnor wall iff no subdiagram of type D4/F4/H4."""
-    sym = diagram_name(ctx.diagram)
-    predicted = not has_forbidden_subdiagram(ctx.diagram, THEOREM_B_FORBIDDEN)
-    details = {"classes": []}
-    computed = True
-    if ctx.table.ngens <= 1:
-        n_classes = len(ctx.refl_classes)
-        if n_classes:
+    def wall_row(rep):
+        cert = ctx.certificate_of(rep)
+        if cert is None:
+            return False, {"certificate": None}
+        if ctx.table.ngens <= 1:
             # the {empty} subcomplex is the trivial group's complex of
             # dimension n-2 = -1: a non-proper certificate for every class
-            cert = ctx.certificate_of(ctx.refl_classes[0])
-            computed = cert is not None
-            details["classes"].append({
-                "rep": "all", "count": n_classes,
-                "certificate": None if cert is None else
-                {"diagram": diagram_name(cert.diagram),
-                 "proper": cert.proper}})
-    else:
-        for rep in ctx.refl_classes:
-            cert = ctx.certificate_of(rep)
-            row = {"rep": rep}
-            if cert is None:
-                row["certificate"] = None
-                computed = False
-            else:
-                row["certificate"] = cert.to_jsonable()
-            details["classes"].append(row)
-    status = "agree" if computed == predicted else "disagree"
-    return TheoremReport(sym, "B", predicted, computed, status, details)
+            return True, {"certificate": {"diagram": diagram_name(cert.diagram),
+                                          "proper": cert.proper}}
+        return True, {"certificate": cert.to_jsonable()}
+    return _wall_theorem(ctx, "B", THEOREM_B_FORBIDDEN, wall_row)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Walls, fixed subcomplexes, recognition, and Milnor-wall search.
 
 The recognition pipeline mirrors the counting arguments used for the
-classification: candidate groups from the chamber count, a bouquet
-(reduced Betti) filter, then exact isomorphism.  Per-class fixed-simplex
+classification: candidate groups from the chamber count, then one pass
+over them in canonical-key order, each decided by a bouquet (reduced
+Betti) filter and then exact isomorphism.  Per-class fixed-simplex
 counts also come from an exact coset-counting identity, cross-checked
 against explicitly constructed subcomplexes in the tests.
 """
@@ -22,7 +23,7 @@ from .diagram import (Diagram, basic_degrees, canonical_key, classify,
 from .group import (DEFAULT_CAP, GroupTable, _subgroup_tree,
                     conjugacy_classes, enumerate_group)
 from .homology import _n_components, reduced_betti
-from .isomorphism import Isomorphism, find_isomorphism, verify_isomorphism
+from .isomorphism import find_isomorphism, verify_isomorphism
 
 THEOREM_A_FORBIDDEN = ("D4", "F4", "H4", "G25", "G26")
 THEOREM_B_FORBIDDEN = ("D4", "F4", "H4")
@@ -128,7 +129,7 @@ class RecognitionVerdict:
     reason: str | None     # "no-admissible-factorization" | "betti-mismatch-all"
                            # | "isomorphism-failed-all"
     candidates: list[CandidateReport] = field(default_factory=list)
-    certificate: Isomorphism | None = None
+    certificate: dict[int, int] | None = None   # vertex map onto the model
     matches: list[Diagram] = field(default_factory=list)
     _complex: TypedComplex | None = None
 
@@ -141,8 +142,7 @@ class RecognitionVerdict:
         if not self.recognized or self.certificate is None or self._complex is None:
             return False
         model = _model_complex(self.diagram)
-        return verify_isomorphism(self._complex, model,
-                                  self.certificate.vertex_map)
+        return verify_isomorphism(self._complex, model, self.certificate)
 
     def to_jsonable(self):
         return {
@@ -204,8 +204,13 @@ def _euler_excludes(chi: int, rank: int, candidates: list[Diagram]) -> bool:
 
 def recognize_milnor_fiber(s: TypedComplex, rank: int) -> RecognitionVerdict:
     """Decide whether s is the Milnor fiber complex of some rank-`rank`
-    admissible diagram: chamber-count candidates, bouquet filter, then
-    exact type-free isomorphism."""
+    admissible diagram.  The chamber count gives the candidates, in
+    canonical-key order, and one pass over them decides each in turn: a
+    bouquet count that differs from s's is a betti-mismatch, and
+    otherwise an exact type-free isomorphism search against the
+    candidate's model gives matched or isomorphism-failed.  The verdict's
+    diagram is the first match, and its certificate that match's vertex
+    map."""
     chambers = _chamber_count(s, rank)
     candidates = enumerate_admissible(rank, chambers)
     if not candidates:
@@ -222,36 +227,30 @@ def recognize_milnor_fiber(s: TypedComplex, rank: int) -> RecognitionVerdict:
                                   {0: comps - 1}, None,
                                   "betti-mismatch-all", reports)
     betti = reduced_betti(s)
-    survivors = []
+    bouquet = betti.concentrated_value(rank - 1)
     reports = []
-    for d in candidates:
-        if betti.concentrated_value(rank - 1) == predicted_bouquet_count(d):
-            survivors.append(d)
-        else:
-            reports.append(CandidateReport(d, diagram_name(d),
-                                           "betti-mismatch"))
-    if not survivors:
-        return RecognitionVerdict("not-mfc", rank, chambers, betti.betti, None,
-                                  "betti-mismatch-all", reports)
     matches = []
-    first_cert = None
-    first_diag = None
-    for d in survivors:
-        iso = find_isomorphism(s, _model_complex(d))
-        if iso is None:
-            reports.append(CandidateReport(d, diagram_name(d),
-                                           "isomorphism-failed"))
+    certificate = None
+    reason = "betti-mismatch-all"
+    for d in candidates:
+        if bouquet != predicted_bouquet_count(d):
+            status = "betti-mismatch"
         else:
-            reports.append(CandidateReport(d, diagram_name(d), "matched"))
-            matches.append(d)
-            if first_cert is None:
-                first_cert, first_diag = iso, d
-    reports.sort(key=lambda cr: canonical_key(cr.diagram))
+            reason = "isomorphism-failed-all"
+            iso = find_isomorphism(s, _model_complex(d))
+            if iso is None:
+                status = "isomorphism-failed"
+            else:
+                status = "matched"
+                matches.append(d)
+                if certificate is None:     # the empty complex's map is {}
+                    certificate = iso
+        reports.append(CandidateReport(d, diagram_name(d), status))
     if not matches:
         return RecognitionVerdict("not-mfc", rank, chambers, betti.betti, None,
-                                  "isomorphism-failed-all", reports)
+                                  reason, reports)
     return RecognitionVerdict("recognized", rank, chambers, betti.betti,
-                              first_diag, None, reports, first_cert, matches,
+                              matches[0], None, reports, certificate, matches,
                               _complex=s)
 
 

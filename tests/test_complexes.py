@@ -148,7 +148,7 @@ def test_join_matches_union_diagram():
     type_map = {(0, 0): 0, (0, 1): 1, (1, 0): 2}
     iso = find_isomorphism(j, u, type_map)
     assert iso is not None
-    assert verify_isomorphism(j, u, iso.vertex_map, type_map)
+    assert verify_isomorphism(j, u, iso, type_map)
 
 
 def test_link_of_vertex_is_parabolic_complex():

@@ -9,7 +9,7 @@ import mfc.diagram
 from mfc.diagram import (EMPTY_DIAGRAM, Diagram, DiagramError, NotAdmissible,
                          _component_key, _irreducible_ids, basic_degrees,
                          canonical_key, classify, classify_component,
-                         connected_components, diagram_name, diagram_of,
+                         components_with_indices, diagram_name, diagram_of,
                          diagram_symbol, enumerate_admissible, group_id,
                          group_order, has_forbidden_subdiagram, parse_symbol)
 
@@ -32,8 +32,9 @@ def test_parse_single_vertex():
 
 def test_parse_union():
     d = parse_symbol("2[3]2 + 4")
-    comps = connected_components(d)
-    assert [classify_component(c).name for c in comps] == ["A2", "Z4"]
+    comps = components_with_indices(d)
+    assert [classify_component(c).name for c, _idx in comps] == ["A2", "Z4"]
+    assert [idx for _c, idx in comps] == [(0, 1), (2,)]
 
 
 def test_parse_q2_means_no_edge():
@@ -49,8 +50,9 @@ def test_parse_errors():
 
 
 def test_components_empty_and_connected():
-    assert connected_components(parse_symbol("1")) == []
-    assert len(connected_components(parse_symbol("D4"))) == 1
+    assert components_with_indices(parse_symbol("1")) == []
+    d4 = parse_symbol("D4")
+    assert components_with_indices(d4) == [(d4, (0, 1, 2, 3))]
 
 
 def test_classify_table_rows():
@@ -177,7 +179,7 @@ def test_enumerate_admissible_rank2_order54():
 
 def test_enumerate_admissible_irreducible_filter():
     found = [d for d in enumerate_admissible(2, 72)
-             if len(connected_components(d)) == 1]
+             if len(components_with_indices(d)) == 1]
     assert names(found) == sorted(["I2(36)", "G5", "G(6,1,2)"])
 
 
@@ -186,6 +188,14 @@ def test_enumerate_admissible_rank1_and_rank0():
     assert enumerate_admissible(0, 1) == [parse_symbol("1")]
     assert enumerate_admissible(0, 2) == []
     assert enumerate_admissible(2, 0) == []
+
+
+def test_enumerate_admissible_in_canonical_key_order():
+    # recognition reports its candidates in this order, without sorting
+    for rank in range(1, 5):
+        for order in range(1, 400):
+            keys = [canonical_key(d) for d in enumerate_admissible(rank, order)]
+            assert keys == sorted(keys), (rank, order)
 
 
 def test_enumerate_contains_handmade_diagrams():
@@ -385,5 +395,5 @@ def _graphs(draw):
 @settings(max_examples=300, deadline=None)
 @given(_graphs())
 def test_component_key_matches_brute_force(d):
-    for comp in connected_components(d):
+    for comp, _idx in components_with_indices(d):
         assert _component_key(comp) == _brute_component_key(comp)

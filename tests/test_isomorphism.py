@@ -20,7 +20,7 @@ def test_identity():
     a = build("A3")
     iso = find_isomorphism(a, a)
     assert iso is not None
-    assert verify_isomorphism(a, a, iso.vertex_map)
+    assert verify_isomorphism(a, a, iso)
 
 
 def test_relabeled_copy():
@@ -35,7 +35,7 @@ def test_relabeled_copy():
               for k in range(a.dim + 1)}
     b = TypedComplex(types, by_dim)
     iso = find_isomorphism(a, b)
-    assert iso is not None and verify_isomorphism(a, b, iso.vertex_map)
+    assert iso is not None and verify_isomorphism(a, b, iso)
 
 
 def _rescan_order(adj, class_size):
@@ -100,9 +100,9 @@ def test_respect_types_needs_consistent_bijection():
     type_map = {(0, 0): 0, (0, 1): 1, (1, 0): 2}
     iso = find_isomorphism(j, u, type_map)
     assert iso is not None
-    assert verify_isomorphism(j, u, iso.vertex_map, type_map)
+    assert verify_isomorphism(j, u, iso, type_map)
     assert all(type_map[j.vertex_types[v]] == u.vertex_types[w]
-               for v, w in iso.vertex_map.items())
+               for v, w in iso.items())
 
 
 def test_wrong_type_map_finds_nothing():
@@ -128,8 +128,8 @@ def test_typed_vs_untyped():
     # a typed match that swaps the two types: a rotation by one
     swap = find_isomorphism(alt, alt, {0: 1, 1: 0})
     assert swap is not None
-    assert verify_isomorphism(alt, alt, swap.vertex_map, {0: 1, 1: 0})
-    assert not verify_isomorphism(alt, alt, swap.vertex_map, {0: 0, 1: 1})
+    assert verify_isomorphism(alt, alt, swap, {0: 1, 1: 0})
+    assert not verify_isomorphism(alt, alt, swap, {0: 0, 1: 1})
 
 
 def test_verify_rejects_wrong_map():
@@ -146,7 +146,7 @@ def test_verify_rejects_wrong_map():
 def test_empty_complexes():
     t = build("1")
     iso = find_isomorphism(t, t)
-    assert iso is not None and iso.vertex_map == {}
+    assert iso is not None and iso == {}
 
 
 def test_long_cycle_needs_no_recursion():
@@ -159,7 +159,7 @@ def test_long_cycle_needs_no_recursion():
     limit = sys.getrecursionlimit()
     iso = find_isomorphism(a, b)
     assert sys.getrecursionlimit() == limit
-    assert iso is not None and verify_isomorphism(a, b, iso.vertex_map)
+    assert iso is not None and verify_isomorphism(a, b, iso)
 
 
 @st.composite
@@ -189,8 +189,8 @@ def test_isomorphism_survives_relabeling(pair):
     a, b = pair
     iso = find_isomorphism(a, b)
     assert iso is not None
-    assert verify_isomorphism(a, b, iso.vertex_map)
+    assert verify_isomorphism(a, b, iso)
     same = {t: t for t in a.vertex_types}
     typed = find_isomorphism(a, b, same)
     assert typed is not None
-    assert verify_isomorphism(a, b, typed.vertex_map, same)
+    assert verify_isomorphism(a, b, typed, same)

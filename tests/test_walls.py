@@ -340,6 +340,32 @@ def test_recognition_dimension_mismatch_is_count_reason():
 def test_recognition_rank0():
     v = recognize_milnor_fiber(TypedComplex([], {}), 0)
     assert v.recognized and v.diagram.rank == 0
+    assert v.certificate == {} and v.recheck()
+
+
+def test_candidates_in_enumeration_order():
+    # each candidate is reported where enumerate_admissible puts it,
+    # whichever filter decided it, on every reason a verdict can carry
+    def names(v):
+        return [cr.name for cr in v.candidates]
+
+    def enumerated(v):
+        return [diagram_name(d)
+                for d in enumerate_admissible(v.rank, v.chambers)]
+
+    reasons = set()
+    for sym in ("G26", "G25", "D4", "H3"):
+        ctx = GroupContext(parse_symbol(sym))
+        for rep in ctx.refl_classes:
+            v = ctx.verdict_of(rep)
+            assert names(v) == enumerated(v), (sym, rep)
+            reasons.add(v.reason)
+    assert reasons == {None, "betti-mismatch-all", "isomorphism-failed-all"}
+    # four disjoint edges: the disconnected early return
+    v = recognize_milnor_fiber(TypedComplex.from_facets(
+        [0, 1] * 4, [(0, 1), (2, 3), (4, 5), (6, 7)]), 2)
+    assert v.reason == "betti-mismatch-all" and v.betti == {0: 3}
+    assert names(v) == enumerated(v) == ["Z2+Z2"]
 
 
 def test_milnor_wall_search_g25():
