@@ -7,9 +7,12 @@ edge means m_ij = 2, i.e. the generators commute).  A diagram is
 the classification table of finite irreducible Coxeter and Shephard
 groups.  The table has the families Zm, A_n, D_n, I2(q) and G(m,1,n),
 built by ``diagram_of``, and the exceptional rows in ``_EXCEPTIONAL``,
-each written once with its diagram and degrees.  ``classify_component``
-matches a diagram's ``canonical_key`` against these rows; degrees,
-parsing and enumeration read the same table.
+each written once with its diagram and degrees.  Every row is a path or
+a fork (a tree with one vertex of degree 3), so ``classify_component``
+reads a diagram's shape off in linear time (``_reading``) and matches
+the reading against the rows; degrees, parsing and enumeration read the
+same table.  ``canonical_key``, which orders enumerated diagrams, is
+built from the classified rows' keys.
 """
 
 from __future__ import annotations
@@ -259,51 +262,83 @@ def components_with_indices(d: Diagram) -> list[tuple[Diagram, tuple[int, ...]]]
     return out
 
 
-@lru_cache(maxsize=8192)
-def _row_invariants(family: str, *params: int) -> tuple:
-    return _sorted_invariants(diagram_of(group_id(family, *params)))
+def _reading(d: Diagram):
+    """A connected diagram read off as a path or a fork, or None.
 
+    A path reads as ("path", orders, labels) in whichever of its two
+    directions gives the smaller (orders, labels).  A fork, a tree with
+    one vertex of degree 3 and no other above 2, reads as ("fork", the
+    centre's order, its three arms sorted), an arm being the (label,
+    order) steps out from the centre.  Any other diagram, a disconnected
+    one included, reads as None.  Isomorphic diagrams read the same, and
+    a reading takes linear time.
+    """
+    n = d.rank
+    adj = [[] for _ in range(n)]
+    for (i, j, m) in d.edges:
+        adj[i].append((j, m))
+        adj[j].append((i, m))
 
-@lru_cache(maxsize=8192)
-def _row_key(family: str, *params: int) -> tuple:
-    return canonical_key(diagram_of(group_id(family, *params)))
+    def arm(prev, cur, m):
+        # the steps from prev through cur along degree-2 vertices to a leaf
+        steps = [(m, d.orders[cur])]
+        while len(adj[cur]) == 2:
+            (a, ma), (b, mb) = adj[cur]
+            prev, cur, m = (cur, b, mb) if a == prev else (cur, a, ma)
+            steps.append((m, d.orders[cur]))
+        return tuple(steps) if len(adj[cur]) == 1 else None
 
-
-def _may_match(d: Diagram, rows) -> bool:
-    """Whether some exceptional row or one of the family rows `rows` has
-    d's sorted vertex invariants; if none does, d is no table row."""
-    inv = _sorted_invariants(d)
-    return (inv in _EXCEPTIONAL_INVARIANTS
-            or any(_row_invariants(*row) == inv for row in rows))
+    # read a fork from its centre and a path from one end
+    ends = [v for v in range(n) if len(adj[v]) != 2]
+    if len(d.edges) != n - 1 or not ends:
+        return None
+    root = max(ends, key=lambda v: len(adj[v]))
+    arms = [arm(root, v, m) for v, m in adj[root]]
+    if len(arms) > 3 or None in arms or 1 + sum(map(len, arms)) != n:
+        return None
+    if len(arms) == 3:
+        return ("fork", d.orders[root], tuple(sorted(arms)))
+    steps = arms[0] if arms else ()
+    orders = (d.orders[root],) + tuple(p for _m, p in steps)
+    labels = tuple(m for m, _p in steps)
+    return ("path",) + min((orders, labels), (orders[::-1], labels[::-1]))
 
 
 def classify_component(d: Diagram) -> GroupId:
-    """The table row whose diagram is isomorphic to d: the exceptional row
-    with d's canonical key, or a family row whose parameters d itself
-    fixes (its rank, its largest vertex order, its one edge label at
-    rank 2).  A disconnected diagram matches no row."""
+    """The table row whose diagram is isomorphic to d, from d's reading:
+    first the families A, G(m,1,n) and I2(q), in that order (so 2[3]2 is
+    A2 and 2[4]2 is G(2,1,2)), then D_n, then the exceptional rows.  A
+    diagram that is neither a path nor a fork, a disconnected one
+    included, matches no row."""
     n = d.rank
     if n == 0:
         raise DiagramError("empty diagram is not connected")
-    if n == 1:
-        return group_id("cyclic", d.orders[0])
-    rows = [("A", n), ("monomial", max(d.orders), n)]
-    if n == 2 and d.edges:
-        rows.append(("dihedral", d.edges[0][2]))
-    if n >= 4:
-        rows.append(("D", n))
-    # from rank 4 up the key search can take factorial time (below, it
-    # tries at most 3! relabelings): first rule out, by vertex invariants,
-    # a diagram that no candidate row can match
-    if n <= 3 or _may_match(d, rows):
-        key = canonical_key(d)
-        for row in rows:
-            if _row_key(*row) == key:
-                return group_id(*row)
-        if key in _EXCEPTIONAL_BY_KEY:
-            return group_id(_EXCEPTIONAL_BY_KEY[key])
+    r = _reading(d)
+    if r is not None:
+        if r[0] == "path":
+            _shape, orders, labels = r
+            if n == 1:
+                return group_id("cyclic", orders[0])
+            if orders == (2,) * n and labels == (3,) * (n - 1):
+                return group_id("A", n)
+            if orders[:-1] == (2,) * (n - 1) and labels == (3,) * (n - 2) + (4,):
+                return group_id("monomial", orders[-1], n)
+            if orders == (2, 2):
+                return group_id("dihedral", labels[0])
+        else:
+            # 3-edges force the centre's order to equal its neighbours'
+            arms, leg = r[2], ((3, 2),)
+            if arms[:2] == (leg, leg) and arms[2] == leg * (n - 3):
+                return group_id("D", n)
+        if r in _EXCEPTIONAL_BY_READING:
+            return group_id(_EXCEPTIONAL_BY_READING[r])
     raise NotAdmissible("diagram %s / %s matches no table row"
                         % (d.orders, d.edges))
+
+
+# the exceptional rows by reading, for classify_component
+_EXCEPTIONAL_BY_READING = {_reading(diag): name
+                           for name, (diag, _degs) in _EXCEPTIONAL.items()}
 
 
 @lru_cache(maxsize=256)
@@ -333,21 +368,6 @@ def group_order(d: Diagram) -> int:
 # canonical forms
 # ---------------------------------------------------------------------------
 
-def _vertex_invariants(d: Diagram) -> list[tuple]:
-    """Per vertex: its order, its degree and its sorted edge labels."""
-    labels = [[] for _ in range(d.rank)]
-    for (i, j, m) in d.edges:
-        labels[i].append(m)
-        labels[j].append(m)
-    return [(p, len(ls), tuple(sorted(ls)))
-            for p, ls in zip(d.orders, labels)]
-
-
-def _sorted_invariants(d: Diagram) -> tuple:
-    """The multiset of vertex invariants: equal for isomorphic diagrams."""
-    return tuple(sorted(_vertex_invariants(d)))
-
-
 def _component_key(d: Diagram) -> tuple:
     """Lexicographically minimal (orders, edges) encoding over the
     relabelings that sort the vertices by a local invariant.
@@ -356,16 +376,20 @@ def _component_key(d: Diagram) -> tuple:
     vertex the first free slot of its invariant class bounds every edge
     from below, so the sorted bounds are a lower bound on the key of any
     completion, and a partial relabeling whose bound exceeds the best key
-    is dropped.  Paths and the D and E trees take polynomial time; a
-    diagram with many interchangeable vertices can still take factorial
-    time.
+    is dropped.  It runs only on table rows (through ``_row_key``):
+    paths and the D and E trees take polynomial time, where a diagram
+    with many interchangeable vertices could take factorial time.
     """
     n = d.rank
     adj = [[] for _ in range(n)]
-    for (i, j, _m) in d.edges:
+    labels = [[] for _ in range(n)]
+    for (i, j, m) in d.edges:
         adj[i].append(j)
         adj[j].append(i)
-    inv = _vertex_invariants(d)
+        labels[i].append(m)
+        labels[j].append(m)
+    # the local invariant: order, degree and sorted incident labels
+    inv = [(p, len(ls), tuple(sorted(ls))) for p, ls in zip(d.orders, labels)]
     target = sorted(inv)
     first = {}
     for k, v in enumerate(target):
@@ -405,18 +429,16 @@ def _component_key(d: Diagram) -> tuple:
 
 
 @lru_cache(maxsize=8192)
+def _row_key(gid: GroupId) -> tuple:
+    """The key of a table row: ``_component_key`` of its diagram."""
+    return _component_key(diagram_of(gid))
+
+
 def canonical_key(d: Diagram) -> tuple:
-    """Canonical encoding of the diagram up to vertex relabeling."""
-    return tuple(sorted(_component_key(c)
-                        for c, _idx in components_with_indices(d)))
-
-
-# the exceptional rows by canonical key, and their sorted vertex
-# invariants, for classify_component
-_EXCEPTIONAL_BY_KEY = {canonical_key(diag): name
-                       for name, (diag, _degs) in _EXCEPTIONAL.items()}
-_EXCEPTIONAL_INVARIANTS = frozenset(_sorted_invariants(diag)
-                                    for diag, _degs in _EXCEPTIONAL.values())
+    """Canonical encoding of an admissible diagram up to vertex
+    relabeling: its components' row keys, sorted.  Raises NotAdmissible
+    for a diagram that is not admissible."""
+    return tuple(sorted(_row_key(gid) for gid in classify(d)))
 
 
 def diagram_name(d: Diagram) -> str:
@@ -508,33 +530,18 @@ def parse_symbol(text: str) -> Diagram:
 
 
 def diagram_symbol(d: Diagram) -> str:
-    """Serialize: linear components as symbols, branched ones by name."""
+    """Serialize: path components as symbols, each the smaller of its two
+    direction strings, and the other components by name."""
     if d.rank == 0:
         return "1"
     parts = []
     for comp, _idx in components_with_indices(d):
-        degs = [len(comp.neighbors(i)) for i in range(comp.rank)]
-        if comp.rank == 1:
-            parts.append(str(comp.orders[0]))
-            continue
-        if max(degs) <= 2 and degs.count(1) == 2:
-            start = degs.index(1)
-            seq = [comp.orders[start]]
-            labels = []
-            prev, cur = None, start
-            while True:
-                nxt = [x for x in comp.neighbors(cur) if x != prev]
-                if not nxt:
-                    break
-                prev, cur = cur, nxt[0]
-                labels.append(comp.m(prev, cur))
-                seq.append(comp.orders[cur])
-            fwd = "[".join("%d]%d" % (labels[i], seq[i + 1]) for i in range(len(labels)))
-            fwd = "%d[%s" % (seq[0], fwd)
-            rev_seq, rev_lab = list(reversed(seq)), list(reversed(labels))
-            rev = "[".join("%d]%d" % (rev_lab[i], rev_seq[i + 1]) for i in range(len(rev_lab)))
-            rev = "%d[%s" % (rev_seq[0], rev)
-            parts.append(min(fwd, rev))
+        r = _reading(comp)
+        if r is not None and r[0] == "path":
+            _shape, orders, labels = r
+            parts.append(min(
+                str(ps[0]) + "".join("[%d]%d" % ml for ml in zip(ms, ps[1:]))
+                for ps, ms in ((orders, labels), (orders[::-1], labels[::-1]))))
         else:
             parts.append(classify_component(comp).name)
     return "+".join(parts)
@@ -545,8 +552,9 @@ def diagram_symbol(d: Diagram) -> str:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _forbidden_key(name: str):
-    return canonical_key(parse_symbol(name))
+def _named_row(name: str) -> GroupId:
+    """The table row a family name such as "D4" stands for."""
+    return classify_component(parse_symbol(name))
 
 
 def has_forbidden_subdiagram(d: Diagram, families) -> bool:
@@ -554,23 +562,15 @@ def has_forbidden_subdiagram(d: Diagram, families) -> bool:
 
     ``families`` is an iterable of names from {D4, F4, H4, G25, G26}.
     """
-    targets = {}
-    for name in families:
-        key = _forbidden_key(name)
-        size = len(key[0][0])  # rank of the (connected) target
-        targets.setdefault(size, set()).add(key)
+    targets = {_named_row(name) for name in families}
     for comp, _idx in components_with_indices(d):
-        n = comp.rank
-        for size, keys in targets.items():
-            if size > n:
-                continue
-            for subset in itertools.combinations(range(n), size):
+        for size in {gid.rank for gid in targets}:
+            for subset in itertools.combinations(range(comp.rank), size):
                 try:
-                    sk = canonical_key(comp.induced(subset))
+                    if classify_component(comp.induced(subset)) in targets:
+                        return True
                 except DiagramError:
                     continue
-                if sk in keys:
-                    return True
     return False
 
 
@@ -626,24 +626,24 @@ def _admissible(rank: int, order: int) -> tuple[Diagram, ...]:
 
     results = {}
 
-    def rec(rank_left: int, order_left: int, min_key, chosen):
+    # components are chosen in order of row key, so the keys of a union
+    # come out sorted: they are its canonical key
+    def rec(rank_left: int, order_left: int, chosen):
         if rank_left == 0:
             if order_left == 1:
                 diag = EMPTY_DIAGRAM
-                for c in chosen:
-                    diag = diag + c
-                results[canonical_key(diag)] = diag
+                for gid in chosen:
+                    diag = diag + diagram_of(gid)
+                results[tuple(_row_key(gid) for gid in chosen)] = diag
             return
         for r in range(1, rank_left + 1):
             for o in _divisors(order_left):
                 if o < 2:
                     continue
                 for gid in _irreducible_ids(r, o):
-                    comp = diagram_of(gid)
-                    k = canonical_key(comp)
-                    if min_key is not None and k < min_key:
+                    if chosen and _row_key(gid) < _row_key(chosen[-1]):
                         continue
-                    rec(rank_left - r, order_left // o, k, chosen + [comp])
+                    rec(rank_left - r, order_left // o, chosen + [gid])
 
-    rec(rank, order, None, [])
+    rec(rank, order, [])
     return tuple(results[k] for k in sorted(results))

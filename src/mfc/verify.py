@@ -16,7 +16,7 @@ from math import prod
 
 from .complexes import (ChamberSystem, TypedComplex, join,
                         milnor_fiber_complex, monomial_flag_complex)
-from .diagram import (Diagram, basic_degrees, canonical_key,
+from .diagram import (Diagram, basic_degrees, classify,
                       components_with_indices, diagram_name,
                       has_forbidden_subdiagram, parse_symbol)
 from .group import (DEFAULT_CAP, CapExceeded, _check_rank, check_relations,
@@ -471,8 +471,7 @@ def default_suite(deep: bool = False) -> dict:
     seen = set()
 
     def add(symbol, checks):
-        d = parse_symbol(symbol)
-        key = canonical_key(d)
+        key = classify(parse_symbol(symbol))
         if key in seen:
             return
         seen.add(key)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 
@@ -78,18 +79,67 @@ def test_classify_not_admissible():
         classify_component(branched)
 
 
+def _star(leaves):
+    return Diagram((2,) * (leaves + 1),
+                   tuple((0, j, 3) for j in range(1, leaves + 1)))
+
+
 def test_classify_rejects_before_any_key(monkeypatch):
-    # a star with 8 leaves shares its sorted vertex invariants with no
-    # table row, so it is rejected without the (factorial) key search
+    # classification reads the diagram's shape and never runs the
+    # (possibly factorial) key search, on large rows and on near misses
     def no_key(d):
         raise AssertionError("canonical key computed")
 
     monkeypatch.setattr(mfc.diagram, "_component_key", no_key)
-    star = Diagram((2,) * 9, tuple((0, j, 3) for j in range(1, 9)))
     with pytest.raises(NotAdmissible):
-        classify_component(star)
+        classify_component(_star(8))
     with pytest.raises(NotAdmissible):
-        classify(star)
+        classify(_star(8))
+
+    rows = {"A300": group_id("A", 300), "G(2,1,300)": group_id("monomial", 2, 300),
+            "D300": group_id("D", 300), "E8": group_id("E8")}
+    for sym, gid in rows.items():
+        d = parse_symbol(sym)
+        perm = list(range(d.rank))
+        perm = perm[1::2] + perm[0::2]
+        assert classify_component(d) == gid, sym
+        assert classify(d.relabeled(perm)) == (gid,), sym
+        assert classify(d.relabeled(perm[::-1])) == (gid,), sym
+
+    def arm(hub, first):
+        return ((hub, first, 3), (first, first + 1, 3))
+
+    near_misses = {
+        "fork with arms (2,2,2)": Diagram((2,) * 7, arm(0, 1) + arm(0, 3) + arm(0, 5)),
+        "two branch vertices": Diagram((2,) * 6, ((0, 1, 3), (0, 2, 3), (0, 3, 3),
+                                                  (3, 4, 3), (3, 5, 3))),
+        "5-cycle": Diagram((2,) * 5, tuple((i, i + 1, 3) for i in range(4))
+                           + ((0, 4, 3),)),
+        "4-leaf star": _star(4),
+        "D5 with a 4-edge": Diagram((2,) * 5, ((0, 1, 3), (1, 2, 3), (2, 3, 4),
+                                               (2, 4, 3))),
+        "2[4]2[3]2[4]2": parse_symbol("2[4]2[3]2[4]2"),
+    }
+    for d in near_misses.values():
+        with pytest.raises(NotAdmissible, match="matches no table row"):
+            classify(d)
+        with pytest.raises(NotAdmissible):
+            canonical_key(d)
+
+
+def test_reading_shapes():
+    from mfc.diagram import _reading
+    assert _reading(parse_symbol("3[3]3[4]2")) == ("path", (2, 3, 3), (4, 3))
+    assert _reading(parse_symbol("5")) == ("path", (5,), ())
+    leg = ((3, 2),)
+    assert _reading(parse_symbol("E6").relabeled((5, 3, 1, 0, 2, 4))) \
+        == ("fork", 2, (leg, leg * 2, leg * 2))
+    # a triangle with a tail beside a 4-vertex path: as many vertices and
+    # steps out of the branch vertex as a fork, but not a tree
+    tailed = Diagram((2,) * 8, ((0, 1, 3), (0, 2, 3), (0, 3, 3), (2, 3, 3),
+                                (4, 5, 3), (5, 6, 3), (6, 7, 3)))
+    for d in (tailed, _star(4), parse_symbol("2[3]2 + 2"), parse_symbol("1")):
+        assert _reading(d) is None
 
 
 def test_classify_is_cached(monkeypatch):
@@ -118,6 +168,22 @@ def test_symbol_roundtrip_up_to_reversal():
         d = parse_symbol(sym)
         again = parse_symbol(diagram_symbol(d))
         assert canonical_key(d) == canonical_key(again)
+
+
+def test_diagram_symbol_pinned():
+    # a path is written from whichever end gives the smaller string
+    expected = {
+        "3[3]3[4]2": "2[4]3[3]3", "2[4]10": "10[4]2", "10[4]2": "10[4]2",
+        "G(12,1,3)": "12[4]2[3]2", "B4": "2[3]2[3]2[4]2",
+        "H4": "2[3]2[3]2[5]2", "G21": "2[10]3", "I2(12)": "2[12]2",
+        "G32": "3[3]3[3]3[3]3", "2[3]2 + 4": "2[3]2+4", "5 + 3[4]3": "5+3[4]3",
+        "D4": "D4", "E6 + 5": "E6+5", "D5+10[4]2+2[4]2": "D5+10[4]2+2[4]2",
+        "5[5]5": "5[5]5", "7": "7", "1": "1",
+    }
+    for sym, out in expected.items():
+        assert diagram_symbol(parse_symbol(sym)) == out, sym
+    d = parse_symbol("2[3]2[3]2[4]10")
+    assert diagram_symbol(d.relabeled((2, 0, 3, 1))) == "10[4]2[3]2[3]2"
 
 
 def test_basic_degrees_and_order():
@@ -152,6 +218,31 @@ def test_forbidden_subdiagram_examples():
     assert has_forbidden_subdiagram(parse_symbol("E8"), ["D4"])
     assert has_forbidden_subdiagram(parse_symbol("H4"), ["H4"])
     assert not has_forbidden_subdiagram(parse_symbol("H3"), ["D4", "F4", "H4"])
+
+
+def test_forbidden_subdiagram_matches_brute_force():
+    # every admissible diagram of rank <= 5 and order <= 800, plus F4,
+    # G26, H4 and unions of them and G25 with one more component, against
+    # a scan of all induced subdiagrams by brute-force key
+    from mfc.walls import THEOREM_A_FORBIDDEN, THEOREM_B_FORBIDDEN
+    targets = {_brute_component_key(parse_symbol(name)): name
+               for name in THEOREM_A_FORBIDDEN}
+    sizes = sorted({parse_symbol(name).rank for name in THEOREM_A_FORBIDDEN})
+    brute_key = functools.lru_cache(maxsize=None)(_brute_component_key)
+    diagrams = [d for rank in range(1, 6) for order in range(1, 801)
+                for d in enumerate_admissible(rank, order)]
+    diagrams += [parse_symbol(sym) for sym in ("F4", "G26", "H4", "F4 + 2",
+                                               "G26 + 2[4]3", "3 + H4", "G25 + 2")]
+    seen = set()
+    for d in diagrams:
+        found = {targets.get(brute_key(d.induced(subset)))
+                 for size in sizes
+                 for subset in itertools.combinations(range(d.rank), size)}
+        seen |= found
+        for families in (THEOREM_A_FORBIDDEN, THEOREM_B_FORBIDDEN):
+            assert (has_forbidden_subdiagram(d, families)
+                    == bool(found & set(families))), (d, families)
+    assert seen >= set(THEOREM_A_FORBIDDEN)
 
 
 def test_forbidden_monotone_under_superdiagrams():

@@ -244,6 +244,13 @@ def test_cli_classify(capsys):
     assert "G26" in out and "1296" in out
 
 
+def test_cli_classify_long_path(capsys):
+    # classification reads the path in linear time: no relabeling search
+    assert main(["classify", "G(2,1,400)"]) == 0
+    out = capsys.readouterr().out
+    assert "name:     G(2,1,400)\n" in out
+
+
 def test_cli_classify_error(capsys):
     assert main(["classify", "5[5]5"]) == 2
 
