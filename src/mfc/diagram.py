@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
+from typing import Callable
 
 
 class DiagramError(ValueError):
@@ -73,10 +74,6 @@ class Diagram:
             raise DiagramError("m(i,i) undefined")
         a, b = min(i, j), max(i, j)
         return {(p, q): m for (p, q, m) in self.edges}.get((a, b), 2)
-
-    def neighbors(self, i: int) -> list[int]:
-        return [j if i == a else a
-                for (a, j, _m) in self.edges if i in (a, j)]
 
     def induced(self, vertices) -> "Diagram":
         """Subdiagram on a vertex subset, retaining all labels."""
@@ -458,7 +455,10 @@ _B_RE = re.compile(r"^B\((\d+),(\d+)\)$", re.IGNORECASE)
 _DIHEDRAL_RE = re.compile(r"^I2\((\d+)\)$", re.IGNORECASE)
 
 
-def _parse_term(term: str) -> Diagram:
+def _read_term(term: str) -> tuple[int, Callable[[], Diagram]]:
+    """The rank of a symbol term and a function that builds its diagram.
+    The text is read and checked here; no vertex is built until the
+    function is called."""
     t = term.strip()
     if not t:
         raise DiagramError("empty symbol term")
@@ -471,31 +471,33 @@ def _parse_term(term: str) -> Diagram:
         if mm < 2 or nn < 1:
             raise DiagramError("G(m,1,n) needs m >= 2, n >= 1")
         if nn == 1:
-            return Diagram((mm,), ())
-        return diagram_of(group_id("monomial", mm, nn))
+            return 1, lambda: Diagram((mm,), ())
+        return nn, lambda: diagram_of(group_id("monomial", mm, nn))
     m = _DIHEDRAL_RE.match(t)
     if m:
         q = int(m.group(1))
         if q < 3:
             raise DiagramError("I2(q) needs q >= 3")
-        return diagram_of(group_id("dihedral", q))
+        return 2, lambda: diagram_of(group_id("dihedral", q))
     if up.startswith("Z") and up[1:].lstrip("_").isdigit():
         mm = int(up[1:].lstrip("_"))
         if mm < 2:
             raise DiagramError("Zm needs m >= 2")
-        return Diagram((mm,), ())
+        return 1, lambda: Diagram((mm,), ())
     m = re.match(r"^([ABDEFGH])(\d+)$", up)
     if m:
         fam, n = m.group(1), int(m.group(2))
         name = "%s%d" % (fam, n)
         if name in _EXCEPTIONAL:
-            return _EXCEPTIONAL[name][0]
+            d = _EXCEPTIONAL[name][0]
+            return d.rank, lambda: d
         if fam == "A" and n >= 1:
-            return diagram_of(group_id("A", n)) if n >= 2 else Diagram((2,), ())
+            return n, lambda: (diagram_of(group_id("A", n)) if n >= 2
+                               else Diagram((2,), ()))
         if fam == "B" and n >= 2:
-            return diagram_of(group_id("monomial", 2, n))
+            return n, lambda: diagram_of(group_id("monomial", 2, n))
         if fam == "D" and n >= 4:
-            return diagram_of(group_id("D", n))
+            return n, lambda: diagram_of(group_id("D", n))
         raise DiagramError("unknown named diagram %r" % term)
     if _TERM_RE.match(t):
         parts = re.split(r"\[(\d+)\]", t)
@@ -507,8 +509,26 @@ def _parse_term(term: str) -> Diagram:
         for q in labels:
             if q < 2:
                 raise DiagramError("edge label %d below 2" % q)
-        return _linear(orders, labels)
+        return len(orders), lambda: _linear(orders, labels)
     raise DiagramError("cannot parse symbol term %r" % term)
+
+
+def _read_symbol(text: str) -> list[tuple[int, Callable[[], Diagram]]]:
+    """``_read_term`` of each '+'-separated term of a symbol ("1", the
+    empty diagram, has none)."""
+    text = text.strip()
+    if not text:
+        raise DiagramError("empty symbol")
+    if text == "1":
+        return []
+    return [_read_term(term) for term in text.split("+")]
+
+
+def symbol_rank(text: str) -> int:
+    """The rank of ``parse_symbol(text)``, read from the text alone: a
+    check against a rank cap costs no vertex.  Raises DiagramError on a
+    text that cannot be read."""
+    return sum(rank for rank, _build in _read_symbol(text))
 
 
 def parse_symbol(text: str) -> Diagram:
@@ -518,14 +538,9 @@ def parse_symbol(text: str) -> Diagram:
     aliases accepted case-insensitively; q = 2 inside a term means the
     two vertices commute (no edge).
     """
-    text = text.strip()
-    if not text:
-        raise DiagramError("empty symbol")
-    if text == "1":
-        return EMPTY_DIAGRAM
     out = EMPTY_DIAGRAM
-    for term in text.split("+"):
-        out = out + _parse_term(term)
+    for _rank, build in _read_symbol(text):
+        out = out + build()
     return out
 
 

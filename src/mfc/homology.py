@@ -1,9 +1,17 @@
 """Reduced simplicial homology over exact integer arithmetic.
 
-Ranks and invariant factors of the boundary maps come from a sparse
-integer elimination with unit pivots (boundary matrices almost always
-reduce completely this way); any leftover block goes through a dense
-Smith normal form on Python ints.  No floating point anywhere.
+From dimension 2 up, one coreduction pass (``_coreduced``) first pairs
+off cells of the augmented chain complex: a pair (a, b) with a the only
+face of b still present has incidence +-1, and removing it leaves every
+other boundary restricted to the cells left, so integral homology,
+torsion included, is unchanged (Kaczynski, Mrozek and Slusarek 1998;
+Mrozek and Batko 2009).  On a Milnor fiber complex only the top-degree
+cells of the bouquet survive.
+
+Ranks and invariant factors of the surviving boundary maps come from a
+sparse integer elimination with unit pivots (boundary matrices almost
+always reduce completely this way); any leftover block goes through a
+dense Smith normal form on Python ints.  No floating point anywhere.
 
 The pivot is always a unit entry of the shortest column that has one,
 ties broken by column id.  Columns are kept in a lazy min-heap keyed by
@@ -16,7 +24,9 @@ of simplicial boundary matrices).
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 
 from .complexes import TypedComplex
 
@@ -38,27 +48,6 @@ class BettiResult:
             if k != degree and v != 0:
                 return None
         return self.get(degree)
-
-
-def boundary_columns(c: TypedComplex, k: int) -> list[dict]:
-    """Columns of the boundary map from k-simplices to (k-1)-simplices.
-
-    Column entries are row -> +-1, a row being the index of a face among
-    the (k-1)-simplices.  k = 0 is the augmentation onto the empty
-    simplex.
-    """
-    simps = c.simplices(k)
-    if k == 0:
-        return [{0: 1} for _ in simps]
-    faces = {s: i for i, s in enumerate(c.simplices(k - 1))}
-    cols = []
-    for s in simps:
-        col = {}
-        for pos in range(len(s)):
-            f = s[:pos] + s[pos + 1:]
-            col[faces[f]] = 1 if pos % 2 == 0 else -1
-        cols.append(col)
-    return cols
 
 
 def _dense_diagonalize(rows: list[list[int]]) -> list[int]:
@@ -200,12 +189,85 @@ def _n_components(c: TypedComplex) -> int:
     return len({find(v) for v in range(n)})
 
 
+def _coreduced(c: TypedComplex) -> dict[int, list[dict]]:
+    """The boundary columns, by degree -1..dim, of the cells of c's
+    augmented chain complex that survive one coreduction pass; rows index
+    the surviving cells one degree down, in simplex order.
+
+    The pass pairs the empty simplex with vertex 0, then, from a FIFO
+    queue, removes a pair (a, b) whenever a is the only face of b still
+    present.  Such a pair has incidence +-1 and leaves the boundary of
+    every other cell restricted to the cells left, so the survivors carry
+    the integral homology of c, torsion included (Kaczynski, Mrozek and
+    Slusarek 1998; Mrozek and Batko 2009).
+    """
+    dim = c.dim
+    # cell ids: 0 is the empty simplex, then the simplices degree by
+    # degree; the cells of degree k are range(bounds[k + 1], bounds[k + 2])
+    bounds = [0, 1]
+    for k in range(dim + 1):
+        bounds.append(bounds[-1] + len(c.simplices(k)))
+    n_cells = bounds[-1]
+    # faces[x]: the faces of cell x, each the face that drops the vertex
+    # at position k, k-1, ..., 0 (the order of itertools.combinations)
+    faces: list[list[int]] = [[]] + [[0]] * len(c.simplices(0))
+    for k in range(1, dim + 1):
+        get = dict(zip(c.simplices(k - 1), range(bounds[k], bounds[k + 1]))
+                   ).__getitem__
+        faces.extend(list(map(get, combinations(s, k)))
+                     for s in c.simplices(k))
+    # top cells have no cofaces: they share one empty tuple
+    cofaces: list = [[] for _ in range(bounds[dim + 1])]
+    cofaces.extend([()] * (n_cells - bounds[dim + 1]))
+    for x in range(1, n_cells):
+        for f in faces[x]:
+            cofaces[f].append(x)
+    live_faces = list(map(len, faces))
+    alive = bytearray(b"\x01") * n_cells
+    queue: deque[int] = deque()
+    push, pop = queue.append, queue.popleft
+    a, b = 0, 1
+    while True:
+        alive[a] = alive[b] = 0
+        # a dead cell's count is never read again; one that reaches 1 is
+        # skipped when popped
+        for x in (a, b):
+            for y in cofaces[x]:
+                n = live_faces[y] - 1
+                live_faces[y] = n
+                if n == 1:
+                    push(y)
+        while queue:
+            b = pop()
+            if alive[b] and live_faces[b] == 1:
+                for a in faces[b]:
+                    if alive[a]:
+                        break
+                break
+        else:
+            break
+    residue: dict[int, list[dict]] = {-1: []}
+    for k in range(dim + 1):
+        down = {x: i for i, x in enumerate(
+            x for x in range(bounds[k], bounds[k + 1]) if alive[x])}
+        residue[k] = [
+            {down[f]: -1 if (k - j) % 2 else 1
+             for j, f in enumerate(faces[x]) if alive[f]}
+            for x in range(bounds[k + 1], bounds[k + 2]) if alive[x]]
+    return residue
+
+
 def reduced_betti(c: TypedComplex) -> BettiResult:
-    """Reduced Betti numbers over Q; integral torsion-freeness via the
-    elementary divisors of every boundary map.
+    """Reduced Betti numbers and the integral torsion of c.
 
     Dimension <= 1 uses exact combinatorial formulas (component counts);
-    graph homology is free, so the certificate is immediate there.
+    graph homology is free, so the certificate is immediate there.  From
+    dimension 2 up, a coreduction pass (``_coreduced``) shrinks the
+    augmented chain complex, and ``rank_and_factors`` eliminates each
+    boundary map of the cells that survive: b_k is the number of
+    surviving k-cells less the ranks of the boundaries into and out of
+    degree k, and the non-unit factors of the boundary out of degree k,
+    sorted, give the torsion of degree k-1.
     """
     dim = c.dim
     if dim < 0:
@@ -218,15 +280,14 @@ def reduced_betti(c: TypedComplex) -> BettiResult:
         f1 = len(c.simplices(1))
         return BettiResult({-1: 0, 0: comps - 1, 1: f1 - f0 + comps}, True, {})
 
-    ranks = {}
+    residue = _coreduced(c)
+    ranks = {-1: 0, dim + 1: 0}
     all_factors = {}
     for k in range(dim + 1):
-        rank, factors = rank_and_factors(boundary_columns(c, k))
+        rank, factors = rank_and_factors(residue[k])
         ranks[k] = rank
-        all_factors[k] = [f for f in factors if f != 1]
-    betti = {-1: 1 - ranks[0]}
-    for k in range(dim + 1):
-        fk = len(c.simplices(k))
-        betti[k] = fk - ranks[k] - ranks.get(k + 1, 0)
+        all_factors[k] = sorted(f for f in factors if f != 1)
+    betti = {k: len(residue[k]) - ranks[k] - ranks[k + 1]
+             for k in range(-1, dim + 1)}
     torsion_free = all(not fs for fs in all_factors.values())
     return BettiResult(betti, torsion_free, all_factors)

@@ -18,7 +18,7 @@ from .complexes import (ChamberSystem, TypedComplex, join,
                         milnor_fiber_complex, monomial_flag_complex)
 from .diagram import (Diagram, basic_degrees, classify,
                       components_with_indices, diagram_name,
-                      has_forbidden_subdiagram, parse_symbol)
+                      has_forbidden_subdiagram, parse_symbol, symbol_rank)
 from .group import (DEFAULT_CAP, CapExceeded, _check_rank, check_relations,
                     enumerate_group, reflection_classes)
 from .homology import reduced_betti
@@ -536,15 +536,12 @@ def run_entry(entry: dict, cap: int,
         checks = entry.get("checks", ["counts", "A", "B"])
     skip = None
     try:
-        # |G| >= 2^rank: skip a large rank before a monomial entry's n
-        # vertices are parsed, or before a symbol entry is classified (by
+        # |G| >= 2^rank: skip a large rank, read from the text, before
+        # any vertex is built or a symbol entry is classified (by
         # diagram_name); a rank skip keeps the symbol as written
-        if "monomial" in entry:
-            _check_rank(entry["monomial"][1], cap)
-            d = parse_symbol(sym)
-        else:
-            d = parse_symbol(sym)
-            _check_rank(d.rank, cap)
+        _check_rank(symbol_rank(sym), cap)
+        d = parse_symbol(sym)
+        if "monomial" not in entry:
             sym = diagram_name(d)
         ctx = GroupContext(d, cap)
     except CapExceeded as e:

@@ -449,8 +449,11 @@ def _brute_component_key(d):
     """The least (orders, edges) encoding over every relabeling that
     sorts the vertices by (order, degree, incident labels): the reference
     for the branch and bound of _component_key."""
-    inv = [(d.orders[i], len(d.neighbors(i)),
-            tuple(sorted(d.m(i, j) for j in d.neighbors(i))))
+    labels = [[] for _ in range(d.rank)]
+    for (i, j, m) in d.edges:
+        labels[i].append(m)
+        labels[j].append(m)
+    inv = [(d.orders[i], len(labels[i]), tuple(sorted(labels[i])))
            for i in range(d.rank)]
     target = sorted(inv)
     classes = sorted(set(inv))

@@ -1,18 +1,43 @@
 from fractions import Fraction
 from math import prod
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfc.complexes import TypedComplex, milnor_fiber_complex
+from mfc.complexes import TypedComplex, join, milnor_fiber_complex
 from mfc.diagram import parse_symbol
 from mfc.group import enumerate_group
-from mfc.homology import (_dense_diagonalize, boundary_columns,
-                          rank_and_factors, reduced_betti)
+from mfc.homology import (_coreduced, _dense_diagonalize, rank_and_factors,
+                          reduced_betti)
+from mfc.verify import GroupContext
+from mfc.walls import predicted_bouquet_count
 
 
 def build(sym):
     return milnor_fiber_complex(enumerate_group(parse_symbol(sym)))[0]
+
+
+def boundary_columns(c: TypedComplex, k: int) -> list[dict]:
+    """Columns of the full boundary map from k-simplices to
+    (k-1)-simplices: the reference for reduced_betti's coreduced route.
+
+    Column entries are row -> +-1, a row being the index of a face among
+    the (k-1)-simplices.  k = 0 is the augmentation onto the empty
+    simplex.
+    """
+    simps = c.simplices(k)
+    if k == 0:
+        return [{0: 1} for _ in simps]
+    faces = {s: i for i, s in enumerate(c.simplices(k - 1))}
+    cols = []
+    for s in simps:
+        col = {}
+        for pos in range(len(s)):
+            f = s[:pos] + s[pos + 1:]
+            col[faces[f]] = 1 if pos % 2 == 0 else -1
+        cols.append(col)
+    return cols
 
 
 def rank_over_Q(cols, n_rows):
@@ -82,16 +107,94 @@ def test_points():
     assert reduced_betti(c).get(0) == 2
 
 
-def test_projective_plane_torsion():
-    # minimal 6-vertex triangulation of RP^2: H_1 = Z/2
-    facets = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
+# minimal 6-vertex triangulation of RP^2: H_1 = Z/2
+RP2_FACETS = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
               (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)]
-    c = TypedComplex.from_facets([0] * 6, facets)
-    assert c.f_vector() == (6, 15, 10)
+
+
+def _rp2(shift=0):
+    return TypedComplex.from_facets(
+        [0] * (6 + shift), [tuple(v + shift for v in f) for f in RP2_FACETS])
+
+
+def _elementary_divisors(factors):
+    """The prime-power orders of the cyclic summands of the torsion that
+    the factors present, sorted.  A diagonalization without divisibility
+    chaining may present Z/6 as 2 and 3 or as 6; this is the same for
+    both."""
+    out = []
+    for f in factors:
+        p = 2
+        while f > 1:
+            q = 1
+            while f % p == 0:
+                f //= p
+                q *= p
+            if q > 1:
+                out.append(q)
+            p += 1
+    return sorted(out)
+
+
+def _reference_betti(c):
+    """Betti numbers, torsion-freeness and torsion (by boundary degree) of
+    c from its full boundary maps, one degree at a time."""
+    ranks = {-1: 0, c.dim + 1: 0}
+    torsion = {}
+    for k in range(c.dim + 1):
+        ranks[k], factors = rank_and_factors(boundary_columns(c, k))
+        if _elementary_divisors(factors):
+            torsion[k] = _elementary_divisors(factors)
+    betti = {k: len(c.simplices(k)) - ranks[k] - ranks[k + 1]
+             for k in range(c.dim + 1)}
+    betti[-1] = 1 - ranks[0]
+    return betti, not torsion, torsion
+
+
+def _assert_matches_reference(c):
     b = reduced_betti(c)
+    torsion = {k: _elementary_divisors(fs)
+               for k, fs in b.invariant_factors.items() if fs}
+    assert (b.betti, b.torsion_free, torsion) == _reference_betti(c)
+    assert all(fs == sorted(fs) and 1 not in fs
+               for fs in b.invariant_factors.values())
+    return b
+
+
+def test_projective_plane_torsion():
+    c = _rp2()
+    assert c.f_vector() == (6, 15, 10)
+    b = _assert_matches_reference(c)
     assert b.betti == {-1: 0, 0: 0, 1: 0, 2: 0}
     assert not b.torsion_free
-    assert any(2 in fs for fs in b.invariant_factors.values())
+    assert b.invariant_factors == {0: [], 1: [], 2: [2]}
+
+
+def test_suspended_projective_plane_moves_torsion_up():
+    # the join with two points: H_2 = Z/2, from the boundary out of degree 3
+    c = join(_rp2(), TypedComplex.from_facets([0, 0], [(0,), (1,)]))
+    assert c.dim == 3
+    b = _assert_matches_reference(c)
+    assert b.betti == {-1: 0, 0: 0, 1: 0, 2: 0, 3: 0}
+    assert b.invariant_factors == {0: [], 1: [], 2: [], 3: [2]}
+
+
+def test_disconnected_complex():
+    # two hollow tetrahedra: two 2-spheres
+    facets = [f for base in (0, 4) for f in
+              ((base, base + 1, base + 2), (base, base + 1, base + 3),
+               (base, base + 2, base + 3), (base + 1, base + 2, base + 3))]
+    b = _assert_matches_reference(TypedComplex.from_facets([0] * 8, facets))
+    assert b.betti == {-1: 0, 0: 1, 1: 0, 2: 2}
+    assert b.torsion_free
+
+
+def test_isolated_first_vertex():
+    # vertex 0 pairs with the empty simplex and no coreduction follows
+    c = TypedComplex.from_facets([0] * 7, [(0,), *_rp2(shift=1).chambers()])
+    b = _assert_matches_reference(c)
+    assert b.betti == {-1: 0, 0: 1, 1: 0, 2: 0}
+    assert b.invariant_factors[2] == [2]
 
 
 def test_torus_betti():
@@ -178,8 +281,33 @@ def test_euler_characteristic_is_alternating_betti_sum(c):
         1 + sum((-1) ** k * v for k, v in b.betti.items())
 
 
+@settings(max_examples=200, deadline=None)
+@given(_random_complexes())
+def test_reduced_betti_matches_full_boundary_maps(c):
+    _assert_matches_reference(c)
+
+
+@pytest.mark.parametrize("sym", ["A3", "B4", "B5", "D5", "F4", "G25", "G26",
+                                 "G(3,1,4)"])
+def test_coreduction_leaves_one_cell_per_bouquet_sphere(sym):
+    cx = build(sym)
+    residue = _coreduced(cx)
+    assert {k: len(cols) for k, cols in residue.items() if cols} == \
+        {cx.dim: predicted_bouquet_count(parse_symbol(sym))}
+
+
 def test_h4_sphere():
     # 14,400 chambers; the Coxeter complex of H4 is a 3-sphere
     b = reduced_betti(build("H4"))
     assert b.betti == {-1: 0, 0: 0, 1: 0, 2: 0, 3: 1}
     assert b.torsion_free
+
+
+@pytest.mark.deep
+def test_reduced_betti_matches_full_boundary_maps_deep():
+    ctx = GroupContext(parse_symbol("G32"))
+    for r in ctx.refl_classes:
+        _assert_matches_reference(ctx.fixed_of(r))
+    for sym in ("E6", "A7", "B6"):
+        _assert_matches_reference(
+            milnor_fiber_complex(enumerate_group(parse_symbol(sym)))[0])

@@ -10,7 +10,7 @@ import mfc.group
 import mfc.verify
 import mfc.walls
 from mfc.cli import main
-from mfc.diagram import parse_symbol
+from mfc.diagram import parse_symbol, symbol_rank
 from mfc.verify import (DEFAULT_CAP, GroupContext, SuiteError, default_suite,
                         run_entry, run_suite, verify_counts, verify_monomial,
                         verify_orlik, verify_theorem_A, verify_theorem_B)
@@ -188,6 +188,23 @@ def test_large_symbol_rank_skips_before_classifying(monkeypatch):
     assert (rep.symbol, rep.status) == ("G(2,1,200)", "skipped")
     assert rep.details == {
         "cap": "group order at least 2^200 exceeds cap 200000"}
+
+
+def test_large_symbol_rank_skips_before_parsing():
+    # the rank is read from the text, so no vertex of G(2,1,200000) is
+    # built for its skip
+    t0 = time.monotonic()
+    reports = run_entry({"symbol": "G(2,1,200000)"}, DEFAULT_CAP)
+    assert time.monotonic() - t0 < 0.1
+    assert [(r.symbol, r.theorem, r.status) for r in reports] == \
+        [("G(2,1,200000)", c, "skipped") for c in ("counts", "A", "B")]
+
+
+def test_symbol_rank_matches_parsed_rank():
+    for e in default_suite()["entries"]:
+        if "symbol" in e:
+            assert symbol_rank(e["symbol"]) == \
+                parse_symbol(e["symbol"]).rank, e["symbol"]
 
 
 def test_verdicts_invariant_under_symbol_reversal():
