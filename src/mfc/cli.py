@@ -12,8 +12,8 @@ import sys
 
 from .complexes import export_complex
 from .diagram import (DiagramError, basic_degrees, classify, diagram_name,
-                      diagram_symbol, group_order, parse_symbol)
-from .group import CapExceeded
+                      diagram_symbol, group_order, parse_symbol, symbol_rank)
+from .group import CapExceeded, _check_rank
 from .homology import reduced_betti
 from .verify import DEFAULT_CAP, GroupContext, SuiteError, run_suite
 
@@ -108,6 +108,10 @@ def _dispatch(args) -> int:
             print("component: %s degrees=%s" % (gid.name, list(gid.degrees)))
         return 0
 
+    if args.command in ("build", "walls"):
+        # |G| >= 2^rank: a large rank exits before any vertex is built
+        _check_rank(symbol_rank(args.symbol), args.cap)
+
     if args.command == "build":
         ctx = GroupContext(parse_symbol(args.symbol), args.cap)
         cx = ctx.complex
@@ -125,8 +129,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "walls":
-        d = parse_symbol(args.symbol)
-        ctx = GroupContext(d, args.cap)
+        ctx = GroupContext(parse_symbol(args.symbol), args.cap)
         classes = ctx.pdata.classes
         n_refl = len(ctx.refl_classes)
         if args.klass is not None and not 0 <= args.klass < n_refl:

@@ -222,18 +222,22 @@ def milnor_fiber_complex(t: GroupTable,
     return cx, chambers
 
 
-def join(a: TypedComplex, b: TypedComplex) -> TypedComplex:
-    """Join; vertex types are tagged (0, t) / (1, u) to keep universes disjoint."""
-    na = a.n_vertices
-    types = [(0, t) for t in a.vertex_types] + [(1, t) for t in b.vertex_types]
+def join(*factors: TypedComplex) -> TypedComplex:
+    """Join of any number of complexes; factor i's vertex type t is
+    tagged (i, t) to keep the factors' types apart."""
+    types, parts, off = [], [], 0
+    for i, c in enumerate(factors):
+        types += [(i, t) for t in c.vertex_types]
+        # a factor's vertices follow the earlier factors', so each join
+        # of one simplex per factor, in factor order, is sorted
+        parts.append([()] + [tuple(v + off for v in s)
+                             for k in sorted(c.by_dim) for s in c.by_dim[k]])
+        off += c.n_vertices
     by_dim: dict[int, list] = {}
-    simps_a = [()] + [s for k in sorted(a.by_dim) for s in a.by_dim[k]]
-    simps_b = [()] + [s for k in sorted(b.by_dim) for s in b.by_dim[k]]
-    for sa in simps_a:
-        for sb in simps_b:
-            s = sa + tuple(v + na for v in sb)
-            if s:
-                by_dim.setdefault(len(s) - 1, []).append(tuple(sorted(s)))
+    for pieces in product(*parts):
+        s = sum(pieces, ())
+        if s:
+            by_dim.setdefault(len(s) - 1, []).append(s)
     return TypedComplex(types, by_dim)
 
 

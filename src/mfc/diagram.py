@@ -5,14 +5,14 @@ p_i >= 2 and an edge {i,j} carries a braid length m_ij >= 3 (a missing
 edge means m_ij = 2, i.e. the generators commute).  A diagram is
 *admissible* when every connected component is isomorphic to a row of
 the classification table of finite irreducible Coxeter and Shephard
-groups.  The table has the families Zm, A_n, D_n, I2(q) and G(m,1,n),
-built by ``diagram_of``, and the exceptional rows in ``_EXCEPTIONAL``,
-each written once with its diagram and degrees.  Every row is a path or
-a fork (a tree with one vertex of degree 3), so ``classify_component``
-reads a diagram's shape off in linear time (``_reading``) and matches
-the reading against the rows; degrees, parsing and enumeration read the
-same table.  ``canonical_key``, which orders enumerated diagrams, is
-built from the classified rows' keys.
+groups.  The table is written once: ``_FAMILIES`` gives each family
+(Zm, I2(q), A_n, D_n, G(m,1,n)) its name format, and its degrees and
+diagram from the parameters; ``_EXCEPTIONAL`` gives each exceptional
+row's diagram and degrees.  Every row is a path or a fork (one vertex
+of degree 3), so ``classify_component`` reads a diagram's shape off in
+linear time (``_reading``) and matches it against the rows; parsing
+and enumeration read the same tables.  ``canonical_key``, which orders
+enumerated diagrams, is built from the classified rows' keys.
 """
 
 from __future__ import annotations
@@ -117,18 +117,8 @@ class GroupId:
 
     @property
     def name(self) -> str:
-        f, p = self.family, self.params
-        if f == "cyclic":
-            return "Z%d" % p
-        if f == "dihedral":
-            return "I2(%d)" % p
-        if f == "A":
-            return "A%d" % p
-        if f == "D":
-            return "D%d" % p
-        if f == "monomial":
-            return "G(%d,1,%d)" % (p[0], p[1])
-        return f
+        row = _FAMILIES.get(self.family)
+        return self.family if row is None else row[0] % self.params
 
     @property
     def rank(self) -> int:
@@ -136,10 +126,7 @@ class GroupId:
 
     @property
     def order(self) -> int:
-        n = 1
-        for d in self.degrees:
-            n *= d
-        return n
+        return prod(self.degrees)
 
 
 def _linear(orders, labels) -> Diagram:
@@ -152,6 +139,21 @@ def _forked(n: int, b: int) -> Diagram:
     return Diagram((2,) * n, tuple((i, i + 1, 3) for i in range(n - 2))
                    + ((b, n - 1, 3),))
 
+
+# the families of the classification table: family -> (display-name
+# format, basic degrees, diagram), the last two from the parameters
+_FAMILIES = {
+    "cyclic": ("Z%d", lambda m: (m,), lambda m: Diagram((m,), ())),
+    "dihedral": ("I2(%d)", lambda q: (2, q), lambda q: _linear((2, 2), (q,))),
+    "A": ("A%d", lambda n: tuple(range(2, n + 2)),
+          lambda n: _linear((2,) * n, (3,) * (n - 1))),
+    "D": ("D%d", lambda n: tuple(sorted([*range(2, 2 * n - 1, 2), n])),
+          lambda n: _forked(n, n - 3)),
+    "monomial": ("G(%d,1,%d)",
+                 lambda m, n: tuple(m * k for k in range(1, n + 1)),
+                 lambda m, n: _linear((2,) * (n - 1) + (m,),
+                                      (3,) * (n - 2) + (4,))),
+}
 
 # the exceptional rows of the classification table: name -> (diagram,
 # basic degrees)
@@ -184,47 +186,22 @@ _ST_ALIASES = {"G23": "H3", "G28": "F4", "G30": "H4",
                "G35": "E6", "G36": "E7", "G37": "E8"}
 
 
-def _degrees_of(family: str, params: tuple[int, ...]) -> tuple[int, ...]:
-    if family in _EXCEPTIONAL:
-        return _EXCEPTIONAL[family][1]
-    if family == "cyclic":
-        return (params[0],)
-    if family == "dihedral":
-        return (2, params[0])
-    if family == "A":
-        n = params[0]
-        return tuple(range(2, n + 2))
-    if family == "D":
-        n = params[0]
-        return tuple(sorted(list(range(2, 2 * n - 1, 2)) + [n]))
-    if family == "monomial":
-        m, n = params
-        return tuple(m * k for k in range(1, n + 1))
-    raise DiagramError("unknown family %r" % family)
-
-
 def group_id(family: str, *params: int) -> GroupId:
-    return GroupId(family, tuple(params), _degrees_of(family, tuple(params)))
+    """The row of a family with its parameters, or an exceptional row."""
+    if family in _EXCEPTIONAL:
+        degrees = _EXCEPTIONAL[family][1]
+    elif family in _FAMILIES:
+        degrees = _FAMILIES[family][1](*params)
+    else:
+        raise DiagramError("unknown family %r" % family)
+    return GroupId(family, params, degrees)
 
 
 def diagram_of(gid: GroupId) -> Diagram:
     """Canonical diagram for a classified group."""
-    f, p = gid.family, gid.params
-    if f in _EXCEPTIONAL:
-        return _EXCEPTIONAL[f][0]
-    if f == "cyclic":
-        return Diagram((p[0],), ())
-    if f == "dihedral":
-        return _linear((2, 2), (p[0],))
-    if f == "A":
-        n = p[0]
-        return _linear((2,) * n, (3,) * (n - 1))
-    if f == "D":
-        return _forked(p[0], p[0] - 3)
-    if f == "monomial":
-        m, n = p
-        return _linear((2,) * (n - 1) + (m,), (3,) * (n - 2) + (4,))
-    raise DiagramError("unknown family %r" % f)
+    if gid.family in _EXCEPTIONAL:
+        return _EXCEPTIONAL[gid.family][0]
+    return _FAMILIES[gid.family][2](*gid.params)
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +432,12 @@ _B_RE = re.compile(r"^B\((\d+),(\d+)\)$", re.IGNORECASE)
 _DIHEDRAL_RE = re.compile(r"^I2\((\d+)\)$", re.IGNORECASE)
 
 
+def _row(rank: int, family: str, *params: int
+         ) -> tuple[int, Callable[[], Diagram]]:
+    """A family row's rank and a function that builds its diagram."""
+    return rank, lambda: _FAMILIES[family][2](*params)
+
+
 def _read_term(term: str) -> tuple[int, Callable[[], Diagram]]:
     """The rank of a symbol term and a function that builds its diagram.
     The text is read and checked here; no vertex is built until the
@@ -470,20 +453,18 @@ def _read_term(term: str) -> tuple[int, Callable[[], Diagram]]:
         mm, nn = int(m.group(1)), int(m.group(2))
         if mm < 2 or nn < 1:
             raise DiagramError("G(m,1,n) needs m >= 2, n >= 1")
-        if nn == 1:
-            return 1, lambda: Diagram((mm,), ())
-        return nn, lambda: diagram_of(group_id("monomial", mm, nn))
+        return _row(nn, "monomial", mm, nn) if nn > 1 else _row(1, "cyclic", mm)
     m = _DIHEDRAL_RE.match(t)
     if m:
         q = int(m.group(1))
         if q < 3:
             raise DiagramError("I2(q) needs q >= 3")
-        return 2, lambda: diagram_of(group_id("dihedral", q))
+        return _row(2, "dihedral", q)
     if up.startswith("Z") and up[1:].lstrip("_").isdigit():
         mm = int(up[1:].lstrip("_"))
         if mm < 2:
             raise DiagramError("Zm needs m >= 2")
-        return 1, lambda: Diagram((mm,), ())
+        return _row(1, "cyclic", mm)
     m = re.match(r"^([ABDEFGH])(\d+)$", up)
     if m:
         fam, n = m.group(1), int(m.group(2))
@@ -492,12 +473,11 @@ def _read_term(term: str) -> tuple[int, Callable[[], Diagram]]:
             d = _EXCEPTIONAL[name][0]
             return d.rank, lambda: d
         if fam == "A" and n >= 1:
-            return n, lambda: (diagram_of(group_id("A", n)) if n >= 2
-                               else Diagram((2,), ()))
+            return _row(n, "A", n)
         if fam == "B" and n >= 2:
-            return n, lambda: diagram_of(group_id("monomial", 2, n))
+            return _row(n, "monomial", 2, n)
         if fam == "D" and n >= 4:
-            return n, lambda: diagram_of(group_id("D", n))
+            return _row(n, "D", n)
         raise DiagramError("unknown named diagram %r" % term)
     if _TERM_RE.match(t):
         parts = re.split(r"\[(\d+)\]", t)

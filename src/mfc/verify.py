@@ -16,7 +16,7 @@ from math import prod
 
 from .complexes import (ChamberSystem, TypedComplex, join,
                         milnor_fiber_complex, monomial_flag_complex)
-from .diagram import (Diagram, basic_degrees, classify,
+from .diagram import (Diagram, DiagramError, basic_degrees, classify,
                       components_with_indices, diagram_name,
                       has_forbidden_subdiagram, parse_symbol, symbol_rank)
 from .group import (DEFAULT_CAP, CapExceeded, _check_rank, check_relations,
@@ -403,24 +403,19 @@ def verify_monomial(ctx: GroupContext) -> TheoremReport:
 def verify_join(ctx: GroupContext) -> TheoremReport:
     """For a reducible diagram: the complex is the join of the factor
     complexes; each wall is the join with one factor replaced by its
-    wall; the Milnor-wall property matches factorwise.  Both joins are
-    taken left to right over the factors, so one type map serves them
-    all: it sends a factor's type t, tagged by ``join``, to the union's
+    wall; the Milnor-wall property matches factorwise.  Every join is
+    taken over the factors in order, so one type map serves them all: it
+    sends factor i's type t, tagged (i, t) by ``join``, to the union's
     generator index of t, and each isomorphism must respect it."""
     sym = diagram_name(ctx.diagram)
     comps = components_with_indices(ctx.diagram)
     details = {}
     ok = True
     factor_ctx = [GroupContext(cd, ctx.cap) for cd, _idx in comps]
-    joined = type_map = None
-    for fctx, (_cd, idx) in zip(factor_ctx, comps):
-        if joined is None:
-            joined, type_map = fctx.complex, dict(enumerate(idx))
-        else:
-            joined = join(joined, fctx.complex)
-            type_map = ({(0, a): b for a, b in type_map.items()}
-                        | {(1, t): r for t, r in enumerate(idx)})
-    iso = find_isomorphism(joined, ctx.complex, type_map)
+    type_map = {(i, t): r for i, (_cd, idx) in enumerate(comps)
+                for t, r in enumerate(idx)}
+    iso = find_isomorphism(join(*(f.complex for f in factor_ctx)),
+                           ctx.complex, type_map)
     details["join_isomorphism"] = iso is not None
     if iso is None:
         ok = False
@@ -435,10 +430,8 @@ def verify_join(ctx: GroupContext) -> TheoremReport:
             g_union = 0
             for letter in fctx.table.word(rep):
                 g_union = ctx.table.right[idx[letter]][g_union]
-            expected = None
-            for fj, fctx2 in enumerate(factor_ctx):
-                piece = fctx.fixed_of(rep) if fj == fi else fctx2.complex
-                expected = piece if expected is None else join(expected, piece)
+            expected = join(*(fctx.fixed_of(rep) if fj == fi else f.complex
+                              for fj, f in enumerate(factor_ctx)))
             iso_w = find_isomorphism(expected, ctx.fixed_of(g_union),
                                      type_map)
             wall_rows.append({"factor": fi, "rep": rep,
@@ -644,6 +637,18 @@ def run_suite(spec: dict | str, deep: bool = False, cap: int = DEFAULT_CAP,
         raise SuiteError("suite file must hold a list of \"entries\"")
     for e in entries:
         _check_entry(e)
+        # a symbol that names no admissible diagram stops the suite before
+        # any entry runs; one over the rank cap is left unparsed, to be
+        # skipped as run_entry skips it
+        if "symbol" in e:
+            try:
+                _check_rank(symbol_rank(e["symbol"]), cap)
+                classify(parse_symbol(e["symbol"]))
+            except CapExceeded:
+                pass
+            except DiagramError as err:
+                raise SuiteError("suite entry %s: %s"
+                                 % (json.dumps(e), err)) from None
     # a process pool starts all its workers at once
     if not 1 <= jobs <= (os.cpu_count() or 1):
         raise SuiteError("jobs must be between 1 and %d, the number of "

@@ -23,7 +23,7 @@ from .diagram import (Diagram, basic_degrees, canonical_key, classify,
 from .group import (DEFAULT_CAP, GroupTable, _subgroup_tree,
                     conjugacy_classes, enumerate_group)
 from .homology import _n_components, reduced_betti
-from .isomorphism import find_isomorphism, verify_isomorphism
+from .isomorphism import find_isomorphism
 
 THEOREM_A_FORBIDDEN = ("D4", "F4", "H4", "G25", "G26")
 THEOREM_B_FORBIDDEN = ("D4", "F4", "H4")
@@ -131,18 +131,10 @@ class RecognitionVerdict:
     candidates: list[CandidateReport] = field(default_factory=list)
     certificate: dict[int, int] | None = None   # vertex map onto the model
     matches: list[Diagram] = field(default_factory=list)
-    _complex: TypedComplex | None = None
 
     @property
     def recognized(self) -> bool:
         return self.outcome == "recognized"
-
-    def recheck(self) -> bool:
-        """Re-verify the stored isomorphism certificate from scratch."""
-        if not self.recognized or self.certificate is None or self._complex is None:
-            return False
-        model = _model_complex(self.diagram)
-        return verify_isomorphism(self._complex, model, self.certificate)
 
     def to_jsonable(self):
         return {
@@ -250,8 +242,7 @@ def recognize_milnor_fiber(s: TypedComplex, rank: int) -> RecognitionVerdict:
         return RecognitionVerdict("not-mfc", rank, chambers, betti.betti, None,
                                   reason, reports)
     return RecognitionVerdict("recognized", rank, chambers, betti.betti,
-                              matches[0], None, reports, certificate, matches,
-                              _complex=s)
+                              matches[0], None, reports, certificate, matches)
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +256,6 @@ class MilnorWallCertificate:
     diagram: Diagram
     verdict: RecognitionVerdict
     proper: bool                      # True when F is not the full family
-
-    def recheck(self) -> bool:
-        return self.verdict.recheck()
 
     def to_jsonable(self):
         return {"reflection": self.reflection,

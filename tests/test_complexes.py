@@ -342,6 +342,12 @@ def test_export_import_tagged_types(tmp_path):
     assert [tok for _v, _id, tok in verts] == \
         ["%d.%d" % ty for ty in j.vertex_types]
     assert tuple(facets) == j.chambers()
+    # a join of joins nests the tags, and each type is still one token
+    jj = join(j, build("A1")[1])
+    _h, verts, _f = _exported_lines(jj, str(tmp_path / "join2.mfc"))
+    assert [tok for _v, _id, tok in verts] == \
+        ["0.%d.%d" % t for _i, t in jj.vertex_types[:j.n_vertices]] + \
+        ["1.%d" % t for _i, t in jj.vertex_types[j.n_vertices:]]
 
 
 def test_from_facets_closes_faces():

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 import mfc.diagram
 from mfc.diagram import (EMPTY_DIAGRAM, Diagram, DiagramError, NotAdmissible,
-                         _component_key, _irreducible_ids, basic_degrees,
-                         canonical_key, classify, classify_component,
-                         components_with_indices, diagram_name, diagram_of,
-                         diagram_symbol, enumerate_admissible, group_id,
-                         group_order, has_forbidden_subdiagram, parse_symbol)
+                         _FAMILIES, _component_key, _irreducible_ids,
+                         basic_degrees, canonical_key, classify,
+                         classify_component, components_with_indices,
+                         diagram_name, diagram_of, diagram_symbol,
+                         enumerate_admissible, group_id, group_order,
+                         has_forbidden_subdiagram, parse_symbol)
 
 
 def names(diagrams):
@@ -65,6 +66,28 @@ def test_classify_table_rows():
     assert classify_component(parse_symbol("E6")).degrees == (2, 5, 6, 8, 9, 12)
     assert classify_component(parse_symbol("D4")).degrees == (2, 4, 4, 6)
     assert classify_component(parse_symbol("G(4,1,3)")).degrees == (4, 8, 12)
+
+
+def test_group_id_rejects_unknown_family():
+    with pytest.raises(DiagramError, match="unknown family 'X9'"):
+        group_id("X9")
+
+
+# parameters of each family over a spread of sizes, each giving a row
+# that classifies its own diagram
+FAMILY_PARAMS = {"cyclic": [(2,), (3,), (31,)],
+                 "dihedral": [(5,), (7,), (12,), (30,)],
+                 "A": [(2,), (3,), (17,)],
+                 "D": [(4,), (5,), (9,)],
+                 "monomial": [(2, 2), (3, 2), (31, 2), (2, 5), (4, 3)]}
+
+
+def test_family_names_parse_to_their_rows():
+    assert FAMILY_PARAMS.keys() == _FAMILIES.keys()
+    for family, spread in FAMILY_PARAMS.items():
+        for params in spread:
+            gid = group_id(family, *params)
+            assert classify(parse_symbol(gid.name)) == (gid,), gid.name
 
 
 def test_classify_not_admissible():

@@ -354,6 +354,20 @@ def test_cli_cap_below_one_exit_2(monkeypatch, capsys):
                 "error: cap must be at least 1, got %s\n" % cap
 
 
+def test_cli_build_and_walls_skip_large_rank_before_parsing(monkeypatch,
+                                                           capsys):
+    # |G| >= 2^rank: the rank is read from the text, so no vertex of
+    # G(2,1,200000) is built before the cap exit
+    def no_parse(text):
+        raise AssertionError("symbol parsed")
+
+    monkeypatch.setattr(mfc.cli, "parse_symbol", no_parse)
+    for command in ("build", "walls"):
+        assert main([command, "G(2,1,200000)"]) == 3
+        assert capsys.readouterr().err == "cap exceeded: group order at " \
+            "least 2^200000 exceeds cap 200000\n"
+
+
 def test_cli_walls_class_out_of_range_exit_2(capsys):
     # B3 has two reflection classes, 0 and 1
     for klass in ("7", "-1", "2"):
@@ -449,6 +463,28 @@ def test_unknown_keys_rejected_before_any_entry_runs(monkeypatch):
              "unknown key \"monomail\"")):
         with pytest.raises(SuiteError, match=match):
             run_suite(bad)
+
+
+def test_suite_symbols_checked_before_any_entry_runs(tmp_path, monkeypatch,
+                                                     capsys):
+    # a symbol that names no table row or cannot be read stops the suite
+    # before its first entry runs, with an error naming the entry
+    runs = []
+    monkeypatch.setattr(mfc.verify, "run_entry",
+                        lambda *args, **kwargs: runs.append(args) or [])
+    path, out = tmp_path / "suite.json", tmp_path / "out"
+    for bad in ("5[5]5", "x17"):
+        path.write_text(json.dumps({"mfc_suite": 1, "entries": [
+            {"symbol": "A3", "checks": ["counts"]}, {"symbol": bad}]}))
+        assert main(["suite", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: suite entry {\"symbol\": \"%s\"}: "
+                              % bad), err
+    assert runs == [] and not out.exists()
+    # a symbol over the rank cap is left unparsed and runs, to be skipped
+    big = {"symbol": "5" + "[5]5" * 29}
+    assert run_suite({"mfc_suite": 1, "entries": [big]})[0] == 0
+    assert runs == [(big, DEFAULT_CAP, False)]
 
 
 def test_cli_suite_unknown_key_exit_2(tmp_path, capsys):
@@ -553,9 +589,8 @@ def test_join_entry_reuses_its_context(monkeypatch):
 
 
 def test_three_factor_joins_agree():
-    # factors are joined left to right, so the type map nests: the first
-    # factor's types are tagged (0, (0, t)), the second's (0, (1, t)) and
-    # the third's (1, t); every wall of every factor is checked
+    # all factors are joined at once, so factor i's type t is tagged
+    # (i, t) in the type map; every wall of every factor is checked
     for sym, n_walls in (("2 + 3 + 4", 1 + 2 + 3), ("A2 + B2 + 3", 1 + 2 + 2)):
         (rep,) = run_entry({"symbol": sym, "checks": ["join"]}, DEFAULT_CAP)
         assert rep.status == "agree", sym

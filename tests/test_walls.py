@@ -5,11 +5,12 @@ from mfc.diagram import diagram_name, enumerate_admissible, parse_symbol
 from mfc.group import (conjugacy_classes, enumerate_group, parabolic_cosets,
                        reflection_classes)
 from mfc.homology import reduced_betti
+from mfc.isomorphism import verify_isomorphism
 from mfc.verify import GroupContext
 from mfc.walls import (ParabolicData, _chamber_count, _euler_excludes,
-                       _reindexed, _type_families, chamber_count_check,
-                       fixed_subcomplex, milnor_wall_search,
-                       recognize_milnor_fiber)
+                       _model_complex, _reindexed, _type_families,
+                       chamber_count_check, fixed_subcomplex,
+                       milnor_wall_search, recognize_milnor_fiber)
 
 # groups for the property tests of walls and parabolic data: real,
 # complex, monomial and dihedral, ranks 2 and 3
@@ -316,17 +317,20 @@ def test_recognize_g26_order2_wall(g26):
     # G(6,1,2) naming in the sources this build follows
     t, cx, cs = g26
     rep = [r for r in reflection_classes(t) if t.element_order(r) == 2][0]
-    v = recognize_milnor_fiber(fixed_subcomplex(cs, rep), 2)
+    w = fixed_subcomplex(cs, rep)
+    v = recognize_milnor_fiber(w, 2)
     assert v.recognized and diagram_name(v.diagram) == "G5"
-    assert v.recheck()
+    assert verify_isomorphism(w, _model_complex(v.diagram), v.certificate)
 
 
 def test_recognize_monomial_wall_recursion():
     t, cx, cs = setup("G(3,1,3)")
     for rep in reflection_classes(t):
-        v = recognize_milnor_fiber(fixed_subcomplex(cs, rep), 2)
+        w = fixed_subcomplex(cs, rep)
+        v = recognize_milnor_fiber(w, 2)
         assert v.recognized and diagram_name(v.diagram) == "G(3,1,2)"
-        assert v.recheck()
+        assert verify_isomorphism(w, _model_complex(v.diagram),
+                                  v.certificate)
 
 
 def test_recognition_dimension_mismatch_is_count_reason():
@@ -338,9 +342,11 @@ def test_recognition_dimension_mismatch_is_count_reason():
 
 
 def test_recognition_rank0():
-    v = recognize_milnor_fiber(TypedComplex([], {}), 0)
+    empty = TypedComplex([], {})
+    v = recognize_milnor_fiber(empty, 0)
     assert v.recognized and v.diagram.rank == 0
-    assert v.certificate == {} and v.recheck()
+    assert v.certificate == {}
+    assert verify_isomorphism(empty, _model_complex(v.diagram), {})
 
 
 def test_candidates_in_enumeration_order():
@@ -376,7 +382,11 @@ def test_milnor_wall_search_g25():
     assert diagram_name(cert.diagram) == "G(3,1,2)"
     assert cert.proper
     assert len(cert.missing_types) == 1
-    assert cert.recheck()
+    # the certificate maps the complex of the family onto the model
+    w = ctx.fixed_of(rep)
+    family = generated(w, family_facets(w, 3, cert.missing_types))
+    assert verify_isomorphism(family, _model_complex(cert.diagram),
+                              cert.verdict.certificate)
 
 
 def test_milnor_wall_search_rank1():
@@ -463,7 +473,9 @@ def test_milnor_wall_search_impure_wall():
     cert = milnor_wall_search(impure, 3, rep, wall_verdict)
     assert cert is not None and not cert.proper
     assert cert.verdict is not wall_verdict and cert.verdict.recognized
-    assert cert.recheck()
+    family = generated(impure, family_facets(impure, 3, cert.missing_types))
+    assert verify_isomorphism(family, _model_complex(cert.diagram),
+                              cert.verdict.certificate)
 
 
 def test_euler_prefilter_is_exact():
