@@ -10,9 +10,10 @@ so identical builds produce identical complexes.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations, compress, product
+from functools import wraps
+from itertools import chain, combinations, compress, product
 
-from .diagram import Diagram, group_order
+from .diagram import Diagram, canonical_key, group_order
 from .group import CapExceeded, GroupTable, parabolic_cosets
 
 DEFAULT_SIMPLEX_CAP = 2_000_000
@@ -55,6 +56,15 @@ class TypedComplex:
         if self._sets is None:
             self._sets = {k: set(v) for k, v in self.by_dim.items()}
         return self._sets
+
+    def incidence_counts(self) -> list[tuple[int, ...]]:
+        """Per vertex, its incident simplices in each dimension 0, ...,
+        dim: entry 0 is 1, and entry k + 1 is f_k of the vertex's link."""
+        n = self.n_vertices
+        cols = [list(map(Counter(chain.from_iterable(self.simplices(k)))
+                         .__getitem__, range(n)))
+                for k in range(self.dim + 1)]
+        return list(zip(*cols)) if cols else [()] * n
 
     def type_of(self, simplex) -> frozenset:
         return frozenset(self.vertex_types[v] for v in simplex)
@@ -179,16 +189,67 @@ class ChamberSystem:
         return tuple(fv)
 
 
-def simplex_count(d: Diagram, simplex_cap: int) -> int:
-    """The number of nonempty simplices of d's Milnor fiber complex, from
-    group orders alone: the simplices of type I are the cosets of
-    G_{R-I}, so there are sum |G| / |G_{R-I}| over nonempty I.  Raises
-    SimplexCapExceeded when that is over simplex_cap."""
+_ROW_MEMO_MAX = 4096
+
+
+def _per_row(fn):
+    """fn, memoized by the canonical key of its diagram (for at most
+    _ROW_MEMO_MAX rows each): fn is an invariant of the diagram up to
+    relabeling, and recognition asks for the same rows again and again."""
+    memo: dict = {}
+
+    @wraps(fn)
+    def memoized(d: Diagram):
+        key = canonical_key(d)
+        hit = memo.get(key)
+        if hit is None:
+            hit = fn(d)
+            if len(memo) < _ROW_MEMO_MAX:
+                memo[key] = hit
+        return hit
+    return memoized
+
+
+@_per_row
+def order_f_vector(d: Diagram) -> tuple[int, ...]:
+    """(f_0, ..., f_{n-1}) of d's Milnor fiber complex from group orders
+    alone: the simplices of type I are the cosets of G_{R-I}, so f_k is
+    the sum of |G| / |G_{R-I}| over the type sets I with k + 1 types."""
     n = d.rank
     order = group_order(d)
-    total = sum(order // group_order(d.induced(r for r in range(n)
-                                               if not mask >> r & 1))
-                for mask in range(1, 1 << n))
+    fv = [0] * n
+    for mask in range(1, 1 << n):
+        rest = d.induced(r for r in range(n) if not mask >> r & 1)
+        fv[bin(mask).count("1") - 1] += order // group_order(rest)
+    return tuple(fv)
+
+
+@_per_row
+def order_vertex_profile(d: Diagram) -> tuple:
+    """``vertex_profile`` of d's Milnor fiber complex from group orders
+    alone: there are |G| / |G_{R-{r}}| vertices of type r, and the link
+    of each is the complex of G_{R-{r}}, so each has 1 + f_k of that
+    complex incident simplices of dimension k + 1."""
+    n = d.rank
+    order = group_order(d)
+    profile: Counter = Counter()
+    for r in range(n):
+        rest = d.induced(x for x in range(n) if x != r)
+        profile[(1,) + order_f_vector(rest)] += order // group_order(rest)
+    return tuple(sorted(profile.items()))
+
+
+def vertex_profile(c: TypedComplex) -> tuple:
+    """The multiset of c's vertices' ``incidence_counts``, as sorted
+    (counts, number of vertices) pairs.  An isomorphism preserves it."""
+    return tuple(sorted(Counter(c.incidence_counts()).items()))
+
+
+def simplex_count(d: Diagram, simplex_cap: int) -> int:
+    """The number of nonempty simplices of d's Milnor fiber complex, the
+    sum of ``order_f_vector(d)``.  Raises SimplexCapExceeded when that is
+    over simplex_cap."""
+    total = sum(order_f_vector(d))
     if total > simplex_cap:
         raise SimplexCapExceeded(
             "complex would exceed %d simplices" % simplex_cap)

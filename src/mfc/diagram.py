@@ -547,25 +547,54 @@ def diagram_symbol(d: Diagram) -> str:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _named_row(name: str) -> GroupId:
-    """The table row a family name such as "D4" stands for."""
-    return classify_component(parse_symbol(name))
+def _named_reading(name: str) -> tuple:
+    """The rank and reading of the row a family name such as "D4" names."""
+    d = parse_symbol(name)
+    return d.rank, _reading(d)
+
+
+def _subreadings(r, sizes):
+    """The readings of the connected induced subdiagrams with a size in
+    ``sizes`` of a path or fork read as r.  Those of a path are its
+    subpaths.  A fork is a tree, so those of a fork are the subpaths of
+    its three paths from one arm's end through the centre to another's,
+    and the centre with its three neighbours."""
+    if r[0] == "path":
+        paths = [r[1:]]
+    else:
+        _shape, centre, arms = r
+        paths = [(tuple(p for _m, p in a[::-1]) + (centre,)
+                  + tuple(p for _m, p in b),
+                  tuple(m for m, _p in a[::-1]) + tuple(m for m, _p in b))
+                 for a, b in itertools.combinations(arms, 2)]
+        if 4 in sizes:
+            yield ("fork", centre, tuple(sorted(a[:1] for a in arms)))
+    for orders, labels in paths:
+        for k in sizes:
+            for i in range(len(orders) - k + 1):
+                o, m = orders[i:i + k], labels[i:i + k - 1]
+                yield ("path",) + min((o, m), (o[::-1], m[::-1]))
 
 
 def has_forbidden_subdiagram(d: Diagram, families) -> bool:
     """True iff some induced subdiagram is isomorphic to a named family member.
 
-    ``families`` is an iterable of names from {D4, F4, H4, G25, G26}.
+    ``families`` is an iterable of names from {D4, F4, H4, G25, G26}.  The
+    members are connected, so each is compared, by its reading, with the
+    connected induced subdiagrams of d's components (``_subreadings``).
+    Raises NotAdmissible for a component that is neither a path nor a
+    fork.
     """
-    targets = {_named_row(name) for name in families}
+    named = [_named_reading(name) for name in families]
+    targets = {r for _rank, r in named}
+    sizes = {rank for rank, _r in named}
     for comp, _idx in components_with_indices(d):
-        for size in {gid.rank for gid in targets}:
-            for subset in itertools.combinations(range(comp.rank), size):
-                try:
-                    if classify_component(comp.induced(subset)) in targets:
-                        return True
-                except DiagramError:
-                    continue
+        r = _reading(comp)
+        if r is None:
+            raise NotAdmissible("diagram %s / %s matches no table row"
+                                % (comp.orders, comp.edges))
+        if not targets.isdisjoint(_subreadings(r, sizes)):
+            return True
     return False
 
 

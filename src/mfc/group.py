@@ -588,10 +588,14 @@ class ConjugacyClasses:
 def conjugacy_classes(t: GroupTable) -> ConjugacyClasses:
     """Orbits of conjugation; representatives are the smallest element ids."""
     n = t.order
-    # per generator i, the table x -> r_i x r_i^{-1}: left multiplication
-    # by r_i read through the inverse of right multiplication by r_i
-    conj = [list(map(t.left_translation(g).__getitem__, _invert(col)))
-            for g, col in zip(t.gen_elements, t.right)]
+    # per generator i, the table x -> r_i^{-1} x r_i: the left translation
+    # by r_i^{-1} read through right multiplication by r_i.  r_i^{-1} is
+    # the last power of r_i before the identity on r_i's column
+    conj = []
+    for g, col in zip(t.gen_elements, t.right):
+        while col[g] != 0:
+            g = col[g]
+        conj.append(list(map(col.__getitem__, t.left_translation(g))))
     class_of = [-1] * n
     reps, sizes = [], []
     for x in range(n):

@@ -61,54 +61,51 @@ def _adjacency(c: TypedComplex):
     return adj
 
 
-def _refine(colors_a, colors_b, inc_a, inc_b):
-    """Joint iterated refinement; returns stable, comparable colors.
+def _refine(colors_a, colors_b, a: TypedComplex, b: TypedComplex):
+    """Joint iterated refinement of a's and b's vertex colors; returns
+    stable, comparable colors.
 
-    New signatures embed the old color, so classes only ever split; the
-    loop stops when the joint class count stops growing.
+    A round colors each simplex of dimension >= 1 once, by the sorted
+    colors of its vertices, and a vertex's signature is its own color
+    with the sorted colors of its incident simplices.  Signatures embed
+    the old color, so classes only ever split; the loop stops when the
+    joint class count stops growing.
     """
+    faces_a = [s for k in range(1, a.dim + 1) for s in a.simplices(k)]
+    faces_b = [s for k in range(1, b.dim + 1) for s in b.simplices(k)]
     while True:
         interned: dict = {}
 
-        def sig(colors, inc, v):
-            neigh = []
-            for s in inc[v]:
-                neigh.append((len(s), tuple(sorted(colors[u] for u in s if u != v))))
-            neigh.sort()
-            return (colors[v], tuple(neigh))
-
-        def recolor(colors, inc):
-            sigs = [sig(colors, inc, v) for v in range(len(colors))]
+        def recolor(colors, faces):
+            around = [[] for _ in colors]
+            for s in faces:
+                color = tuple(sorted(map(colors.__getitem__, s)))
+                for v in s:
+                    around[v].append(color)
             out = []
-            for s in sigs:
-                if s not in interned:
-                    interned[s] = len(interned)
-                out.append(interned[s])
+            for c, cols in zip(colors, around):
+                cols.sort()
+                out.append(interned.setdefault((c, tuple(cols)),
+                                               len(interned)))
             return out
 
         before = len(set(colors_a) | set(colors_b))
-        na = recolor(colors_a, inc_a)
-        nb = recolor(colors_b, inc_b)
-        after = len(set(na) | set(nb))
-        colors_a, colors_b = na, nb
-        if after == before:
+        colors_a = recolor(colors_a, faces_a)
+        colors_b = recolor(colors_b, faces_b)
+        if len(set(colors_a) | set(colors_b)) == before:
             return colors_a, colors_b
 
 
 def _initial_colors(a: TypedComplex, b: TypedComplex, tmap=None):
     """Comparable starting colors: a vertex's incident-simplex count in
-    each dimension and, under a type map a -> b, its type (a's types read
-    through the map); colors are numbered in order of appearance."""
+    each dimension (``incidence_counts``) and, under a type map a -> b,
+    its type (a's types read through the map); colors are numbered in
+    order of appearance."""
     interned: dict = {}
 
     def col(c: TypedComplex, label):
-        prof = [[0] * (c.dim + 1) for _ in range(c.n_vertices)]
-        for k in range(c.dim + 1):
-            for s in c.simplices(k):
-                for v in s:
-                    prof[v][k] += 1
-        return [interned.setdefault((tuple(p), label(t)), len(interned))
-                for p, t in zip(prof, c.vertex_types)]
+        return [interned.setdefault((p, label(t)), len(interned))
+                for p, t in zip(c.incidence_counts(), c.vertex_types)]
 
     if tmap is None:
         return col(a, lambda t: None), col(b, lambda t: None)
@@ -167,7 +164,7 @@ def _search(a: TypedComplex, b: TypedComplex, tmap
     inc_a, inc_b = _incidence(a), _incidence(b)
     adj_a, adj_b = _adjacency(a), _adjacency(b)
     colors_a, colors_b = _initial_colors(a, b, tmap)
-    colors_a, colors_b = _refine(colors_a, colors_b, inc_a, inc_b)
+    colors_a, colors_b = _refine(colors_a, colors_b, a, b)
 
     classes_a: dict[int, list[int]] = {}
     classes_b: dict[int, list[int]] = {}

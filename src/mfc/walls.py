@@ -3,20 +3,24 @@
 The recognition pipeline mirrors the counting arguments used for the
 classification: candidate groups from the chamber count, then one pass
 over them in canonical-key order, each decided by a bouquet (reduced
-Betti) filter and then exact isomorphism.  Per-class fixed-simplex
-counts also come from an exact coset-counting identity, cross-checked
-against explicitly constructed subcomplexes in the tests.
+Betti) filter, then by its model's f-vector and vertex profile read off
+group orders, and only then by exact isomorphism against the built
+model.  Per-class fixed-simplex counts also come from an exact
+coset-counting identity, cross-checked against explicitly constructed
+subcomplexes in the tests.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 from math import prod
 
 from .complexes import (ChamberSystem, TypedComplex, _face_closure, _reindexed,
-                        milnor_fiber_complex)
+                        milnor_fiber_complex, order_f_vector,
+                        order_vertex_profile, vertex_profile)
 from .diagram import (Diagram, basic_degrees, canonical_key, classify,
                       diagram_name, enumerate_admissible, group_order,
                       has_forbidden_subdiagram)
@@ -194,15 +198,25 @@ def _euler_excludes(chi: int, rank: int, candidates: list[Diagram]) -> bool:
     return all(predicted_bouquet_count(d) != want for d in candidates)
 
 
+def _may_match(s: TypedComplex, d: Diagram, profile) -> bool:
+    """False when d's model differs from s in its f-vector or, failing
+    that, in its vertex profile (``profile()`` gives s's), both read off
+    group orders without building the model.  An isomorphism preserves
+    both, so False is exact: s is not d's Milnor fiber complex."""
+    return (order_f_vector(d) == s.f_vector()
+            and order_vertex_profile(d) == profile())
+
+
 def recognize_milnor_fiber(s: TypedComplex, rank: int) -> RecognitionVerdict:
     """Decide whether s is the Milnor fiber complex of some rank-`rank`
     admissible diagram.  The chamber count gives the candidates, in
     canonical-key order, and one pass over them decides each in turn: a
     bouquet count that differs from s's is a betti-mismatch, and
-    otherwise an exact type-free isomorphism search against the
-    candidate's model gives matched or isomorphism-failed.  The verdict's
-    diagram is the first match, and its certificate that match's vertex
-    map."""
+    otherwise the candidate is isomorphism-failed when its f-vector or
+    vertex profile, from group orders, differs from s's, and else an
+    exact type-free isomorphism search against the candidate's model
+    gives matched or isomorphism-failed.  The verdict's diagram is the
+    first match, and its certificate that match's vertex map."""
     chambers = _chamber_count(s, rank)
     candidates = enumerate_admissible(rank, chambers)
     if not candidates:
@@ -220,6 +234,7 @@ def recognize_milnor_fiber(s: TypedComplex, rank: int) -> RecognitionVerdict:
                                   "betti-mismatch-all", reports)
     betti = reduced_betti(s)
     bouquet = betti.concentrated_value(rank - 1)
+    profile = cache(lambda: vertex_profile(s))     # read once, if at all
     reports = []
     matches = []
     certificate = None
@@ -229,7 +244,8 @@ def recognize_milnor_fiber(s: TypedComplex, rank: int) -> RecognitionVerdict:
             status = "betti-mismatch"
         else:
             reason = "isomorphism-failed-all"
-            iso = find_isomorphism(s, _model_complex(d))
+            iso = (find_isomorphism(s, _model_complex(d))
+                   if _may_match(s, d, profile) else None)
             if iso is None:
                 status = "isomorphism-failed"
             else:

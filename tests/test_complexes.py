@@ -6,8 +6,10 @@ from mfc.complexes import (DEFAULT_SIMPLEX_CAP, ChamberSystem,
                            SimplexCapExceeded, TypedComplex, _face_closure,
                            _reindexed, export_complex, join,
                            milnor_fiber_complex, monomial_flag_complex,
-                           simplex_count)
-from mfc.diagram import group_order, parse_symbol
+                           order_f_vector, order_vertex_profile,
+                           simplex_count, vertex_profile)
+from mfc.diagram import (diagram_name, enumerate_admissible, group_order,
+                         parse_symbol)
 from mfc.group import _subgroup_tree, enumerate_group, parabolic_cosets
 from mfc.isomorphism import find_isomorphism, verify_isomorphism
 
@@ -390,3 +392,27 @@ def test_face_closure_matches_dfs(facets, data):
     assert sub.vertex_types == tuple(v % 3 for v in old_ids)
     assert {tuple(old_ids[v] for v in s)
             for ss in sub.by_dim.values() for s in ss} == want
+
+
+def _assert_order_invariants_match(d):
+    cx = milnor_fiber_complex(enumerate_group(d))[0]
+    assert order_f_vector(d) == cx.f_vector(), diagram_name(d)
+    assert order_vertex_profile(d) == vertex_profile(cx), diagram_name(d)
+
+
+def test_order_invariants_match_built_models():
+    # the f-vector and vertex profile from group orders assume K_I =
+    # G_{R-I}; every admissible diagram of rank <= 3 and order <= 500,
+    # against its built model
+    for rank in range(4):
+        for order in range(1, 501):
+            for d in enumerate_admissible(rank, order):
+                _assert_order_invariants_match(d)
+
+
+@pytest.mark.deep
+def test_order_invariants_match_built_models_rank4():
+    # every admissible diagram of rank 4 and order <= 2000 (about 9,500)
+    for order in range(1, 2001):
+        for d in enumerate_admissible(4, order):
+            _assert_order_invariants_match(d)

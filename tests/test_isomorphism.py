@@ -1,3 +1,4 @@
+import random
 import sys
 
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from mfc.group import enumerate_group
 from mfc.isomorphism import (_adjacency, _incidence, _initial_colors, _refine,
                              _vertex_order, find_isomorphism,
                              verify_isomorphism)
+from test_homology import _random_complexes
 
 
 def build(sym):
@@ -65,8 +67,7 @@ def test_vertex_order_matches_rescan():
     points = TypedComplex([0] * 5, {0: [(v,) for v in range(5)]})
     for c in (b3, h3, build("G(3,1,2)"), build("G25"),
               join(build("I2(5)"), build("Z3")), two, points):
-        inc = _incidence(c)
-        colors, _ = _refine(*_initial_colors(c, c), inc, inc)
+        colors, _ = _refine(*_initial_colors(c, c), c, c)
         size = [colors.count(col) for col in colors]
         adj = _adjacency(c)
         order = _vertex_order(adj, size)
@@ -194,3 +195,69 @@ def test_isomorphism_survives_relabeling(pair):
     typed = find_isomorphism(a, b, same)
     assert typed is not None
     assert verify_isomorphism(a, b, typed, same)
+
+
+def _refine_per_vertex(colors_a, colors_b, inc_a, inc_b):
+    """Reference refinement: a vertex's signature is its color with, per
+    incident simplex, the dimension and the sorted colors of the simplex's
+    other vertices, re-sorted for every vertex of every simplex."""
+    while True:
+        interned: dict = {}
+
+        def recolor(colors, inc):
+            out = []
+            for v in range(len(colors)):
+                sig = (colors[v], tuple(sorted(
+                    (len(s), tuple(sorted(colors[u] for u in s if u != v)))
+                    for s in inc[v])))
+                out.append(interned.setdefault(sig, len(interned)))
+            return out
+
+        before = len(set(colors_a) | set(colors_b))
+        colors_a = recolor(colors_a, inc_a)
+        colors_b = recolor(colors_b, inc_b)
+        if len(set(colors_a) | set(colors_b)) == before:
+            return colors_a, colors_b
+
+
+def _assert_refine_matches_reference(a, b, tmap=None):
+    start = _initial_colors(a, b, tmap)
+    assert _refine(*start, a, b) == \
+        _refine_per_vertex(*start, _incidence(a), _incidence(b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_complexes(), _relabeled_pairs())
+def test_refine_matches_per_vertex_signatures(c, pair):
+    _assert_refine_matches_reference(c, c)
+    a, b = pair
+    _assert_refine_matches_reference(a, b)
+    _assert_refine_matches_reference(a, b, {t: t for t in a.vertex_types})
+    _assert_refine_matches_reference(c, a)
+
+
+def test_refine_matches_per_vertex_signatures_on_models_and_walls():
+    from mfc.diagram import enumerate_admissible
+    from mfc.homology import reduced_betti
+    from mfc.verify import GroupContext
+    from mfc.walls import _model_complex, predicted_bouquet_count
+    for sym in ("G(3,1,2)", "B3", "G25"):
+        a = build(sym)
+        n = a.n_vertices
+        perm = list(range(n))
+        random.Random(n).shuffle(perm)
+        b = TypedComplex([a.vertex_types[perm.index(w)] for w in range(n)],
+                         {k: [tuple(sorted(perm[v] for v in s))
+                              for s in a.simplices(k)]
+                          for k in range(a.dim + 1)})
+        _assert_refine_matches_reference(a, b)
+    # each wall against the model of every candidate its bouquet admits
+    for sym in ("D4", "F4", "G26"):
+        ctx = GroupContext(parse_symbol(sym))
+        for rep in ctx.refl_classes:
+            w = ctx.fixed_of(rep)
+            rank = ctx.table.ngens - 1
+            bouquet = reduced_betti(w).concentrated_value(rank - 1)
+            for d in enumerate_admissible(rank, len(w.simplices(rank - 1))):
+                if predicted_bouquet_count(d) == bouquet:
+                    _assert_refine_matches_reference(w, _model_complex(d))

@@ -537,3 +537,50 @@ def test_wall_join_reduction():
     # joined types (0, t) and (1, 0) are the union's generators t and 2
     type_map = {(0, 0): 0, (0, 1): 1, (1, 0): 2}
     assert find_isomorphism(expected, w_union, type_map) is not None
+
+
+# every rank >= 3 group of the default suite; D4, F4, H4, G25 and G26
+# among them
+RANK345_SUITE = ("A3", "A4", "B3", "B4", "H3", "G25", "G26", "G(3,1,3)",
+                 "D4", "F4", "H4")
+
+
+def _wall_outcomes(symbols):
+    """Each wall's verdict, certificate map and Milnor-wall certificate,
+    per group and reflection class, from fresh group contexts."""
+    out = {}
+    for sym in symbols:
+        ctx = GroupContext(parse_symbol(sym))
+        for rep in ctx.refl_classes:
+            v, cert = ctx.verdict_of(rep), ctx.certificate_of(rep)
+            out[sym, rep] = (v.to_jsonable(), v.certificate,
+                             None if cert is None else
+                             (cert.to_jsonable(), cert.verdict.certificate))
+    return out
+
+
+def test_order_filter_never_rejects_a_match(monkeypatch):
+    # every candidate the order-level filter rejects has no isomorphism,
+    # and every verdict and certificate, on the walls and on the type
+    # families the wall search recognizes, is the one of the full search
+    import mfc.walls
+    from mfc.isomorphism import find_isomorphism
+    real = mfc.walls._may_match
+    rejected = []
+
+    def spy(s, d, profile):
+        ok = real(s, d, profile)
+        if not ok:
+            rejected.append((s, d))
+        return ok
+
+    monkeypatch.setattr(mfc.walls, "_may_match", spy)
+    filtered = _wall_outcomes(RANK345_SUITE)
+    names = {diagram_name(d) for _s, d in rejected}
+    # the walls of D4, F4 and H4, and the order-3 walls of G26
+    assert {"Z2+I2(8)", "Z2+I2(24)", "Z2+I2(120)", "G5", "G(6,1,2)"} <= names
+    for s, d in rejected:
+        assert find_isomorphism(s, _model_complex(d)) is None, \
+            diagram_name(d)
+    monkeypatch.setattr(mfc.walls, "_may_match", lambda s, d, profile: True)
+    assert _wall_outcomes(RANK345_SUITE) == filtered
