@@ -29,6 +29,8 @@ class TypedComplex:
         self.by_dim = {k: tuple(sorted(v)) for k, v in simplices_by_dim.items() if v}
         self.vertex_names = tuple(vertex_names) if vertex_names is not None else None
         self._sets = None
+        self._counts = None
+        self._panels = None
 
     # -- basic queries -----------------------------------------------------
 
@@ -57,14 +59,29 @@ class TypedComplex:
             self._sets = {k: set(v) for k, v in self.by_dim.items()}
         return self._sets
 
-    def incidence_counts(self) -> list[tuple[int, ...]]:
+    def incidence_counts(self) -> tuple[tuple[int, ...], ...]:
         """Per vertex, its incident simplices in each dimension 0, ...,
-        dim: entry 0 is 1, and entry k + 1 is f_k of the vertex's link."""
-        n = self.n_vertices
-        cols = [list(map(Counter(chain.from_iterable(self.simplices(k)))
-                         .__getitem__, range(n)))
-                for k in range(self.dim + 1)]
-        return list(zip(*cols)) if cols else [()] * n
+        dim: entry 0 is 1, and entry k + 1 is f_k of the vertex's link.
+        Computed once."""
+        if self._counts is None:
+            n = self.n_vertices
+            cols = [list(map(Counter(chain.from_iterable(self.simplices(k)))
+                             .__getitem__, range(n)))
+                    for k in range(self.dim + 1)]
+            self._counts = tuple(zip(*cols)) if cols else ((),) * n
+        return self._counts
+
+    def panels(self) -> dict[tuple, list[int]]:
+        """Each panel, a face of a top-dimensional simplex with one vertex
+        fewer, mapped to the vertices that complete it to a top-dimensional
+        simplex.  Computed once."""
+        if self._panels is None:
+            panels: dict[tuple, list[int]] = {}
+            for s in self.simplices(self.dim):
+                for i, x in enumerate(s):
+                    panels.setdefault(s[:i] + s[i + 1:], []).append(x)
+            self._panels = panels
+        return self._panels
 
     def type_of(self, simplex) -> frozenset:
         return frozenset(self.vertex_types[v] for v in simplex)

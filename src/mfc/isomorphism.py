@@ -1,22 +1,32 @@
-"""Simplicial isomorphism by color refinement plus backtracking.
+"""Simplicial isomorphism: a general search, and a faster one onto a
+Milnor fiber complex.
 
-The complexes here are small but extremely symmetric, so the search
-leans on (a) joint color refinement over incident-simplex structure,
-(b) candidate generation through images of already-mapped neighbors,
-and (c) forward/backward simplex checks at every extension.  The
-backtracking is one loop over the vertex order with an explicit stack
-of candidate iterators, so no recursion grows with the vertex count.
-A caller that knows which type of a goes to which type of b passes that
-map (``type_map``), and every vertex must then go to a vertex of the
-mapped type; the search does not look for one.  An isomorphism is its
-vertex map, a dict from a's vertex ids to b's.  All orderings are
-explicit, so results are deterministic (refine-then-backtrack as in
-McKay-Piperno, Practical graph isomorphism, II, 2014).
+The general search (``find_isomorphism``) is for complexes of any shape.
+They are small but extremely symmetric, so it leans on (a) joint color
+refinement over incident-simplex structure, (b) candidate generation
+through images of already-mapped neighbors, and (c) forward/backward
+simplex checks at every extension.  The backtracking is one loop over
+the vertex order with an explicit stack of candidate iterators, so no
+recursion grows with the vertex count.  A caller that knows which type
+of a goes to which type of b passes that map (``type_map``), and every
+vertex must then go to a vertex of the mapped type; the search does not
+look for one (refine-then-backtrack as in McKay-Piperno, Practical graph
+isomorphism, II, 2014).
+
+The search onto a model (``find_model_isomorphism``) uses what is known
+about a coset complex: its group acts simply transitively on its
+chambers, so one chamber can be pinned to the identity chamber and the
+rest of the map follows panel by panel (Tits, A local approach to
+buildings, 1981).
+
+An isomorphism is its vertex map, a dict from a's vertex ids to b's.
+All orderings are explicit, so results are deterministic.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from itertools import permutations
 
 from .complexes import TypedComplex
 
@@ -231,3 +241,188 @@ def _search(a: TypedComplex, b: TypedComplex, tmap
             return phi
         stack.append(candidates(order[len(stack)]))
     return None
+
+
+def find_model_isomorphism(a: TypedComplex, model: TypedComplex
+                           ) -> dict[int, int] | None:
+    """The vertex map of a simplicial isomorphism from a onto ``model``, a
+    complex built by ``milnor_fiber_complex``, or None; the empty
+    complexes' map is {}, and 0-dimensional ones take any bijection.
+
+    The model's group acts simply transitively on its chambers, so if any
+    isomorphism exists, one of them takes a's first chamber c0 onto the
+    model's first chamber C0, the identity chamber, whose vertices are
+    named (r, 0).  Each bijection c0 -> C0 that keeps the initial colors
+    (``incidence_counts``) is extended across a's panels (``_extend``),
+    backtracking at most once per chamber of a.  An extension that needs
+    more, as on thick rank-2 models with long cycles such as G17's,
+    starts again from colors refined with c0's vertices and their
+    images set apart (``_refine``), which seldom leave it a choice, and
+    runs to the end.  A map that ``_extend`` accepts is injective and
+    sends every chamber of a onto a chamber of the model; with equal
+    f-vectors and every model simplex a face of a chamber, that is an
+    isomorphism.  The search is complete, so None is exact.
+    """
+    if a.f_vector() != model.f_vector():
+        return None
+    if a.n_vertices == 0:
+        return {}
+    if a.dim == 0:
+        return {v: v for v in range(a.n_vertices)}
+    base_a, base_b = _initial_colors(a, model)
+    chambers = a.simplices(a.dim)
+    c0, anchor = chambers[0], model.simplices(model.dim)[0]
+    star: list[list[int]] = [[] for _ in range(a.n_vertices)]
+    for i, c in enumerate(chambers):
+        for v in c:
+            star[v].append(i)
+    for image in permutations(anchor):
+        if any(base_a[v] != base_b[w] for v, w in zip(c0, image)):
+            continue
+        start = dict(zip(c0, image))
+        try:
+            phi = _extend(a, model, star, base_a, base_b, start,
+                          budget=len(chambers))
+        except _OverBudget:
+            colors_a, colors_b = list(base_a), list(base_b)
+            for k, (v, w) in enumerate(start.items(), 1):
+                colors_a[v] = colors_b[w] = -k
+            colors_a, colors_b = _refine(colors_a, colors_b, a, model)
+            phi = (_extend(a, model, star, colors_a, colors_b, start)
+                   if sorted(colors_a) == sorted(colors_b) else None)
+        if phi is not None:
+            return dict(enumerate(phi))
+    return None
+
+
+class _OverBudget(Exception):
+    """``_extend`` backtracked more often than its budget allows."""
+
+
+def _extend(a: TypedComplex, model: TypedComplex, star: list[list[int]],
+            colors_a, colors_b, start: dict[int, int],
+            budget: int | None = None) -> list[int] | None:
+    """A vertex map from a onto the model that extends ``start``, a map of
+    one chamber onto a chamber, as a list, or None when there is none;
+    ``star[v]`` lists the chambers of a through v, by their index among
+    a's top-dimensional simplices, and a vertex goes only to a vertex of
+    its color.  Raises _OverBudget on backtracking more than ``budget``
+    times.
+
+    A chamber of a whose vertices are all mapped must go onto a model
+    chamber (``fits``).  A chamber with one unmapped vertex x is open: x
+    can go only to an unmapped vertex of its color that completes the
+    image of the chamber's other vertices to a model chamber, one of the
+    image panel's own vertices.  Open chambers are read in the order they
+    open, and each one narrows x's domain to those vertices: an empty
+    domain fails, a single vertex is forced, and a larger domain waits.
+    When no open chamber is left unread, the first waiting vertex still
+    unmapped is a choice point over its domain.  So each choice is
+    followed by everything it forces before the next is made.
+
+    Depth-first over the choice points, with an explicit stack of them
+    and trails of mapped vertices and of narrowed domains; backtracking
+    undoes the trails and cuts the two queues back to their lengths at
+    the choice, so nothing is copied and no recursion grows with the
+    chamber count.  The map is complete when every vertex is mapped; a
+    search that stops short has reached every chamber of c0's gallery
+    component, so a is not gallery connected or not pure, and no model
+    is isomorphic to it.
+    """
+    chambers = a.simplices(a.dim)
+    panels_b = model.panels()
+    phi = [-1] * a.n_vertices
+    phi_inv = [-1] * model.n_vertices
+    domain: list[list[int] | None] = [None] * a.n_vertices
+    unmapped = [len(c) for c in chambers]
+    trail: list[int] = []       # mapped vertices, in order
+    narrowed = []               # (vertex, its domain before), in order
+    opened: list[int] = []      # chambers, in the order they opened
+    waiting: list[int] = []     # vertices whose domain has several images
+    read = first_waiting = 0
+
+    def fits(c) -> bool:
+        return phi[c[-1]] in panels_b.get(
+            tuple(sorted([phi[u] for u in c[:-1]])), ())
+
+    def assign(x, y) -> bool:
+        """Map x to y; False when a chamber that this completes does not
+        fit.  The counts are kept whole either way, for the undo."""
+        phi[x], phi_inv[y] = y, x
+        trail.append(x)
+        ok = True
+        for i in star[x]:
+            unmapped[i] -= 1
+            if unmapped[i] == 1:
+                opened.append(i)
+            elif unmapped[i] == 0 and ok:
+                ok = fits(chambers[i])
+        return ok
+
+    ok = all([assign(x, y) for x, y in start.items()])
+    choices = []    # (x, images left to try, lengths to cut back to)
+    while True:
+        if not ok:
+            # back to the latest choice point with an image left to try
+            while choices:
+                x, rest, (n_trail, n_narrowed, n_opened, read, n_waiting,
+                          first_waiting) = choices[-1]
+                while len(trail) > n_trail:
+                    u = trail.pop()
+                    phi_inv[phi[u]] = -1
+                    phi[u] = -1
+                    for i in star[u]:
+                        unmapped[i] += 1
+                while len(narrowed) > n_narrowed:
+                    u, before = narrowed.pop()
+                    domain[u] = before
+                del opened[n_opened:], waiting[n_waiting:]
+                y = next(rest, None)
+                if y is not None:
+                    if budget is not None:
+                        budget -= 1
+                        if budget < 0:
+                            raise _OverBudget
+                    ok = assign(x, y)
+                    break
+                choices.pop()
+            else:
+                return None
+            continue
+        if read < len(opened):
+            i = opened[read]
+            read += 1
+            if unmapped[i] != 1:
+                continue
+            c = chambers[i]
+            x = next(u for u in c if phi[u] < 0)
+            apexes = panels_b.get(
+                tuple(sorted([phi[u] for u in c if u != x])), ())
+            before = domain[x]
+            if before is None:
+                ys = [y for y in apexes
+                      if phi_inv[y] < 0 and colors_b[y] == colors_a[x]]
+            else:
+                inside = set(apexes)
+                ys = [y for y in before if phi_inv[y] < 0 and y in inside]
+            narrowed.append((x, before))
+            domain[x] = ys
+            if len(ys) == 1:
+                ok = assign(x, ys[0])
+            elif not ys:
+                ok = False
+            elif before is None:
+                waiting.append(x)
+            continue
+        while (first_waiting < len(waiting)
+               and phi[waiting[first_waiting]] >= 0):
+            first_waiting += 1
+        if first_waiting == len(waiting):
+            return phi if len(trail) == a.n_vertices else None
+        x = waiting[first_waiting]
+        ys = [y for y in domain[x] if phi_inv[y] < 0]
+        if len(ys) > 1:
+            choices.append((x, iter(ys[1:]),
+                            (len(trail), len(narrowed), len(opened), read,
+                             len(waiting), first_waiting)))
+        ok = bool(ys) and assign(x, ys[0])

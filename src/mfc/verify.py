@@ -22,7 +22,8 @@ from .diagram import (Diagram, DiagramError, basic_degrees, classify,
 from .group import (DEFAULT_CAP, CapExceeded, _check_rank, check_relations,
                     enumerate_group, reflection_classes)
 from .homology import reduced_betti
-from .isomorphism import find_isomorphism, verify_isomorphism
+from .isomorphism import (find_isomorphism, find_model_isomorphism,
+                          verify_isomorphism)
 from .walls import (DETAIL_ROW_LIMIT, MilnorWallCertificate, ParabolicData,
                     RecognitionVerdict, THEOREM_A_FORBIDDEN,
                     THEOREM_B_FORBIDDEN, _model_complex,
@@ -380,7 +381,7 @@ def verify_monomial(ctx: GroupContext) -> TheoremReport:
         model = _model_complex(parse_symbol("G(%d,1,%d)" % (m, n - 1)))
         rows = []
         for rep in ctx.refl_classes:
-            iso = find_isomorphism(ctx.fixed_of(rep), model)
+            iso = find_model_isomorphism(ctx.fixed_of(rep), model)
             rows.append({"rep": rep, "isomorphic": iso is not None})
             if iso is None:
                 recursion_ok = False

@@ -5,16 +5,16 @@ classification: candidate groups from the chamber count, then one pass
 over them in canonical-key order, each decided by a bouquet (reduced
 Betti) filter, then by its model's f-vector and vertex profile read off
 group orders, and only then by exact isomorphism against the built
-model.  Per-class fixed-simplex counts also come from an exact
-coset-counting identity, cross-checked against explicitly constructed
-subcomplexes in the tests.
+model, anchored at its identity chamber.  Per-class fixed-simplex
+counts also come from an exact coset-counting identity, cross-checked
+against explicitly constructed subcomplexes in the tests.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
 from math import prod
 
@@ -27,7 +27,7 @@ from .diagram import (Diagram, basic_degrees, canonical_key, classify,
 from .group import (DEFAULT_CAP, GroupTable, _subgroup_tree,
                     conjugacy_classes, enumerate_group)
 from .homology import _n_components, reduced_betti
-from .isomorphism import find_isomorphism
+from .isomorphism import find_model_isomorphism
 
 THEOREM_A_FORBIDDEN = ("D4", "F4", "H4", "G25", "G26")
 THEOREM_B_FORBIDDEN = ("D4", "F4", "H4")
@@ -174,9 +174,12 @@ def _model_complex(d: Diagram) -> TypedComplex:
     return cx
 
 
+@lru_cache(maxsize=4096)
 def predicted_bouquet_count(d: Diagram) -> int:
     """Bouquet size for the Milnor fiber complex of d: product over
-    components of (smallest degree - 1)^rank."""
+    components of (smallest degree - 1)^rank.  Memoized per diagram, since
+    recognition asks for it for the same candidate lists again and
+    again."""
     return prod((gid.degrees[0] - 1) ** len(gid.degrees)
                 for gid in classify(d))
 
@@ -213,10 +216,13 @@ def recognize_milnor_fiber(s: TypedComplex, rank: int) -> RecognitionVerdict:
     canonical-key order, and one pass over them decides each in turn: a
     bouquet count that differs from s's is a betti-mismatch, and
     otherwise the candidate is isomorphism-failed when its f-vector or
-    vertex profile, from group orders, differs from s's, and else an
-    exact type-free isomorphism search against the candidate's model
-    gives matched or isomorphism-failed.  The verdict's diagram is the
-    first match, and its certificate that match's vertex map."""
+    vertex profile, from group orders, differs from s's, and else
+    ``find_model_isomorphism``, an exact type-free search that pins s's
+    first chamber to the model's identity chamber and extends the map
+    panel by panel, gives matched or isomorphism-failed.  s's incidence
+    counts are computed once, for its profile and that search's colors.
+    The verdict's diagram is the first match, and its certificate that
+    match's vertex map."""
     chambers = _chamber_count(s, rank)
     candidates = enumerate_admissible(rank, chambers)
     if not candidates:
@@ -244,7 +250,7 @@ def recognize_milnor_fiber(s: TypedComplex, rank: int) -> RecognitionVerdict:
             status = "betti-mismatch"
         else:
             reason = "isomorphism-failed-all"
-            iso = (find_isomorphism(s, _model_complex(d))
+            iso = (find_model_isomorphism(s, _model_complex(d))
                    if _may_match(s, d, profile) else None)
             if iso is None:
                 status = "isomorphism-failed"

@@ -1,0 +1,45 @@
+"""Hypothesis strategies shared by the test modules."""
+
+from functools import cache
+
+from hypothesis import strategies as st
+
+from mfc.diagram import EMPTY_DIAGRAM, _irreducible_ids, diagram_of
+
+
+@cache
+def _rows(rank: int, max_order: int) -> tuple:
+    """The irreducible rows that ``enumerate_admissible`` builds its
+    diagrams from, of this rank and order at most max_order, as
+    (order, diagram) pairs in increasing order, one tuple per family."""
+    by_family: dict[str, list] = {}
+    for order in range(2, max_order + 1):
+        for gid in _irreducible_ids(rank, order):
+            by_family.setdefault(gid.family, []).append(
+                (order, diagram_of(gid)))
+    return tuple(map(tuple, by_family.values()))
+
+
+@st.composite
+def admissible_unions(draw, max_rank: int = 3, max_order: int = 2000):
+    """A disjoint union of ``enumerate_admissible``'s rows, of rank 1 to
+    max_rank and group order at most max_order.
+
+    Each row is drawn by its rank, then its family, then its parameters,
+    so the few exceptional and monomial rows come up as often as the
+    many cyclic and dihedral ones.  The union stops early when no row of
+    the drawn rank fits the order left."""
+    d, order = EMPTY_DIAGRAM, 1
+    rank_left = draw(st.integers(1, max_rank))
+    while rank_left:
+        rank = draw(st.integers(1, rank_left))
+        budget = max_order // order
+        fits = [[row for row in family if row[0] <= budget]
+                for family in _rows(rank, max_order)]
+        fits = [family for family in fits if family]
+        if not fits:
+            break
+        row_order, row = draw(st.sampled_from(draw(st.sampled_from(fits))))
+        d, order = d + row, order * row_order
+        rank_left -= rank
+    return d

@@ -10,12 +10,24 @@ from mfc.diagram import parse_symbol
 from mfc.group import enumerate_group
 from mfc.isomorphism import (_adjacency, _incidence, _initial_colors, _refine,
                              _vertex_order, find_isomorphism,
-                             verify_isomorphism)
+                             find_model_isomorphism, verify_isomorphism)
+from strategies import admissible_unions
 from test_homology import _random_complexes
 
 
 def build(sym):
     return milnor_fiber_complex(enumerate_group(parse_symbol(sym)))[0]
+
+
+def _relabeled(c, perm):
+    """The copy of c with each vertex v renamed perm[v], types carried
+    along."""
+    types = [None] * c.n_vertices
+    for v, w in enumerate(perm):
+        types[w] = c.vertex_types[v]
+    return TypedComplex(types, {k: [tuple(sorted(perm[v] for v in s))
+                                    for s in c.simplices(k)]
+                                for k in range(c.dim + 1)})
 
 
 def test_identity():
@@ -30,12 +42,7 @@ def test_relabeled_copy():
     n = a.n_vertices
     perm = [(7 * v + 3) % n for v in range(n)]
     assert sorted(perm) == list(range(n))
-    types = [None] * n
-    for v in range(n):
-        types[perm[v]] = a.vertex_types[v]
-    by_dim = {k: [tuple(sorted(perm[v] for v in s)) for s in a.simplices(k)]
-              for k in range(a.dim + 1)}
-    b = TypedComplex(types, by_dim)
+    b = _relabeled(a, perm)
     iso = find_isomorphism(a, b)
     assert iso is not None and verify_isomorphism(a, b, iso)
 
@@ -174,14 +181,7 @@ def _relabeled_pairs(draw):
                                    max_size=4), max_size=6))
     a = TypedComplex.from_facets(
         types, [(v,) for v in range(n)] + [tuple(f) for f in facets])
-    perm = draw(st.permutations(range(n)))
-    moved = [None] * n
-    for v in range(n):
-        moved[perm[v]] = types[v]
-    b = TypedComplex(moved, {k: [tuple(sorted(perm[v] for v in s))
-                                 for s in a.simplices(k)]
-                             for k in range(a.dim + 1)})
-    return a, b
+    return a, _relabeled(a, draw(st.permutations(range(n))))
 
 
 @settings(max_examples=200, deadline=None)
@@ -246,11 +246,7 @@ def test_refine_matches_per_vertex_signatures_on_models_and_walls():
         n = a.n_vertices
         perm = list(range(n))
         random.Random(n).shuffle(perm)
-        b = TypedComplex([a.vertex_types[perm.index(w)] for w in range(n)],
-                         {k: [tuple(sorted(perm[v] for v in s))
-                              for s in a.simplices(k)]
-                          for k in range(a.dim + 1)})
-        _assert_refine_matches_reference(a, b)
+        _assert_refine_matches_reference(a, _relabeled(a, perm))
     # each wall against the model of every candidate its bouquet admits
     for sym in ("D4", "F4", "G26"):
         ctx = GroupContext(parse_symbol(sym))
@@ -261,3 +257,112 @@ def test_refine_matches_per_vertex_signatures_on_models_and_walls():
             for d in enumerate_admissible(rank, len(w.simplices(rank - 1))):
                 if predicted_bouquet_count(d) == bouquet:
                     _assert_refine_matches_reference(w, _model_complex(d))
+
+
+# ---------------------------------------------------------------------------
+# the search onto a model, anchored at its identity chamber
+# ---------------------------------------------------------------------------
+
+def test_model_search_fixed_cases():
+    # the hexagon is A2's model; two triangles have its f-vector but are
+    # not gallery connected
+    a2 = build("A2")
+    hexagon = TypedComplex.from_facets(
+        [0] * 6, [(i, (i + 1) % 6) for i in range(6)])
+    two_triangles = TypedComplex.from_facets(
+        [0] * 6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert hexagon.f_vector() == two_triangles.f_vector() == a2.f_vector()
+    assert find_model_isomorphism(two_triangles, a2) is None
+    iso = find_model_isomorphism(hexagon, a2)
+    assert iso is not None and verify_isomorphism(hexagon, a2, iso)
+    # 0-dimensional: any bijection, and a wrong vertex count fails
+    points = TypedComplex([0] * 5, {0: [(v,) for v in range(5)]})
+    iso = find_model_isomorphism(points, build("Z5"))
+    assert iso is not None and verify_isomorphism(points, build("Z5"), iso)
+    assert find_model_isomorphism(points, build("Z4")) is None
+    # the empty complex
+    assert find_model_isomorphism(build("1"), build("1")) == {}
+    # equal f-vectors (72 chambers), not isomorphic
+    assert find_model_isomorphism(build("3[4]3"), build("2[4]6")) is None
+    # two graphs with equal f-vectors, neither a model: a map may go
+    # unfound, but one that is found must verify.  Here a chamber is
+    # completed before it is read, and only its completion check
+    # rejects the map that the extension builds
+    a = TypedComplex.from_facets([0] * 6, [
+        (0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (1, 5), (2, 3),
+        (2, 5), (3, 5)])
+    b = TypedComplex.from_facets([0] * 6, [
+        (0, 1), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (2, 5),
+        (3, 4), (4, 5)])
+    iso = find_model_isomorphism(a, b)
+    assert iso is None or verify_isomorphism(a, b, iso)
+
+
+@settings(max_examples=30, deadline=None)
+@given(admissible_unions(), st.randoms(use_true_random=False))
+def test_model_search_finds_relabeled_models(d, rnd):
+    model = milnor_fiber_complex(enumerate_group(d))[0]
+    # the model's first chamber is its identity chamber
+    assert [model.vertex_names[v] for v in model.simplices(model.dim)[0]] \
+        == [(r, 0) for r in range(d.rank)]
+    perm = list(range(model.n_vertices))
+    rnd.shuffle(perm)
+    copy = _relabeled(model, perm)
+    iso = find_model_isomorphism(copy, model)
+    assert iso is not None and verify_isomorphism(copy, model, iso)
+    if copy.dim == 1:
+        # a switch of two edges keeps every degree, so the f-vector and
+        # the colors, and mostly breaks the isomorphism; any map found
+        # must still verify
+        (a1, b1), (a2, b2) = (sorted(e, key=copy.vertex_types.__getitem__)
+                              for e in rnd.sample(copy.simplices(1), 2))
+        edges = set(copy.simplices(1)) - {tuple(sorted((a1, b1))),
+                                          tuple(sorted((a2, b2)))}
+        edges |= {tuple(sorted((a1, b2))), tuple(sorted((a2, b1)))}
+        if len(edges) == len(copy.simplices(1)):
+            switched = TypedComplex(copy.vertex_types,
+                                    {0: copy.simplices(0), 1: edges})
+            iso = find_model_isomorphism(switched, model)
+            assert iso is None or verify_isomorphism(switched, model, iso)
+
+
+def test_model_search_restarts_from_refined_colors(monkeypatch):
+    # G17's model (2[6]5, 840 vertices) is thick with long cycles: the
+    # plain extension runs over its budget, and the search starts again
+    # from colors refined around the pinned chamber
+    import mfc.isomorphism
+    model = build("G17")
+    perm = list(range(model.n_vertices))
+    random.Random(1).shuffle(perm)
+    copy = _relabeled(model, perm)
+    real = mfc.isomorphism._refine
+    refined = []
+
+    def spy(*args):
+        refined.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mfc.isomorphism, "_refine", spy)
+    iso = find_model_isomorphism(copy, model)
+    assert refined
+    assert iso is not None and verify_isomorphism(copy, model, iso)
+
+
+def test_model_search_needs_no_recursion():
+    # a 3,000-vertex cycle onto I2(1500)'s model, under a recursion limit
+    # just above the current stack depth
+    n = 3000
+    cycle = TypedComplex.from_facets(
+        [0] * n, [((7 * v + 3) % n, (7 * v + 10) % n) for v in range(n)])
+    model = build("I2(1500)")
+    limit = sys.getrecursionlimit()
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    sys.setrecursionlimit(depth + 50)
+    try:
+        iso = find_model_isomorphism(cycle, model)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert iso is not None and verify_isomorphism(cycle, model, iso)

@@ -584,3 +584,25 @@ def test_order_filter_never_rejects_a_match(monkeypatch):
             diagram_name(d)
     monkeypatch.setattr(mfc.walls, "_may_match", lambda s, d, profile: True)
     assert _wall_outcomes(RANK345_SUITE) == filtered
+
+
+def test_model_search_agrees_with_general_search(monkeypatch):
+    # with the order-level filter bypassed, every candidate whose bouquet
+    # count fits a wall or a type family reaches the anchored search; the
+    # general search must agree on each, and every map found must verify
+    import mfc.walls
+    from mfc.isomorphism import find_isomorphism
+    real = mfc.walls.find_model_isomorphism
+    found = []
+
+    def both(a, model):
+        iso = real(a, model)
+        assert (iso is None) == (find_isomorphism(a, model) is None)
+        assert iso is None or verify_isomorphism(a, model, iso)
+        found.append(iso is not None)
+        return iso
+
+    monkeypatch.setattr(mfc.walls, "_may_match", lambda s, d, profile: True)
+    monkeypatch.setattr(mfc.walls, "find_model_isomorphism", both)
+    _wall_outcomes(RANK345_SUITE)
+    assert True in found and False in found
