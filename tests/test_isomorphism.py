@@ -158,16 +158,29 @@ def test_empty_complexes():
 
 
 def test_long_cycle_needs_no_recursion():
-    # the search is one loop with an explicit stack: a 3,000-vertex cycle
-    # is matched without touching the interpreter's recursion limit
+    # both searches are loops with explicit stacks: a 3,000-vertex cycle
+    # is matched with a relabelled copy, and onto I2(1500)'s model, under
+    # a recursion limit just above the caller's stack depth
     n = 3000
     a = TypedComplex.from_facets([0] * n, [(v, (v + 1) % n) for v in range(n)])
     b = TypedComplex.from_facets(
         [0] * n, [((7 * v + 3) % n, (7 * v + 10) % n) for v in range(n)])
+    model = build("I2(1500)")
     limit = sys.getrecursionlimit()
-    iso = find_isomorphism(a, b)
-    assert sys.getrecursionlimit() == limit
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    sys.setrecursionlimit(depth + 50)
+    try:
+        iso = find_isomorphism(a, b)
+        onto_model = find_model_isomorphism(b, model)
+        assert sys.getrecursionlimit() == depth + 50
+    finally:
+        sys.setrecursionlimit(limit)
     assert iso is not None and verify_isomorphism(a, b, iso)
+    assert onto_model is not None and \
+        verify_isomorphism(b, model, onto_model)
 
 
 @st.composite
@@ -284,18 +297,17 @@ def test_model_search_fixed_cases():
     assert find_model_isomorphism(build("1"), build("1")) == {}
     # equal f-vectors (72 chambers), not isomorphic
     assert find_model_isomorphism(build("3[4]3"), build("2[4]6")) is None
-    # two graphs with equal f-vectors, neither a model: a map may go
-    # unfound, but one that is found must verify.  Here a chamber is
-    # completed before it is read, and only its completion check
-    # rejects the map that the extension builds
+    # two graphs with equal f-vectors, not isomorphic: a chamber is
+    # completed before it is read, and only its completion check rejects
+    # the map that the extension builds
     a = TypedComplex.from_facets([0] * 6, [
         (0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (1, 5), (2, 3),
         (2, 5), (3, 5)])
     b = TypedComplex.from_facets([0] * 6, [
         (0, 1), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (2, 5),
         (3, 4), (4, 5)])
-    iso = find_model_isomorphism(a, b)
-    assert iso is None or verify_isomorphism(a, b, iso)
+    assert find_isomorphism(a, b) is None
+    assert find_model_isomorphism(a, b) is None
 
 
 @settings(max_examples=30, deadline=None)
@@ -346,23 +358,3 @@ def test_model_search_restarts_from_refined_colors(monkeypatch):
     iso = find_model_isomorphism(copy, model)
     assert refined
     assert iso is not None and verify_isomorphism(copy, model, iso)
-
-
-def test_model_search_needs_no_recursion():
-    # a 3,000-vertex cycle onto I2(1500)'s model, under a recursion limit
-    # just above the current stack depth
-    n = 3000
-    cycle = TypedComplex.from_facets(
-        [0] * n, [((7 * v + 3) % n, (7 * v + 10) % n) for v in range(n)])
-    model = build("I2(1500)")
-    limit = sys.getrecursionlimit()
-    depth = 0
-    frame = sys._getframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
-    sys.setrecursionlimit(depth + 50)
-    try:
-        iso = find_model_isomorphism(cycle, model)
-    finally:
-        sys.setrecursionlimit(limit)
-    assert iso is not None and verify_isomorphism(cycle, model, iso)
