@@ -83,9 +83,6 @@ class TypedComplex:
             self._panels = panels
         return self._panels
 
-    def type_of(self, simplex) -> frozenset:
-        return frozenset(self.vertex_types[v] for v in simplex)
-
     def chambers(self) -> tuple:
         """Maximal simplices (any dimension)."""
         out = []

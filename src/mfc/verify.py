@@ -522,6 +522,21 @@ def run_entry(entry: dict, cap: int,
     for a complex over the simplex cap.  A monomial entry [m, n] is the
     group G(m,1,n)."""
     _check_entry(entry)
+    return _run_entry(entry, cap, timings, None)
+
+
+def _parse_entry(sym: str, monomial: bool, cap: int) -> tuple[str, Diagram]:
+    """The report symbol and diagram of an entry with symbol text sym; a
+    symbol entry is named by diagram_name, which classifies it.  |G| >=
+    2^rank: a rank read from the text skips before any vertex is built."""
+    _check_rank(symbol_rank(sym), cap)
+    d = parse_symbol(sym)
+    return (sym if monomial else diagram_name(d)), d
+
+
+def _run_entry(entry, cap, timings, parsed) -> list[TheoremReport]:
+    """run_entry on a checked entry, given its _parse_entry result when
+    run_suite's check has it."""
     if "monomial" in entry:
         sym = "G(%d,1,%d)" % tuple(entry["monomial"])
         checks = entry.get("checks", ["monomial"])
@@ -530,13 +545,8 @@ def run_entry(entry: dict, cap: int,
         checks = entry.get("checks", ["counts", "A", "B"])
     skip = None
     try:
-        # |G| >= 2^rank: skip a large rank, read from the text, before
-        # any vertex is built or a symbol entry is classified (by
-        # diagram_name); a rank skip keeps the symbol as written
-        _check_rank(symbol_rank(sym), cap)
-        d = parse_symbol(sym)
-        if "monomial" not in entry:
-            sym = diagram_name(d)
+        # a rank skip keeps the symbol as written
+        sym, d = parsed or _parse_entry(sym, "monomial" in entry, cap)
         ctx = GroupContext(d, cap)
     except CapExceeded as e:
         skip = e                    # every check reports this skip
@@ -556,7 +566,9 @@ def run_entry(entry: dict, cap: int,
 
 
 def _run_entry_star(args):
-    return [r.to_jsonable() for r in run_entry(*args)]
+    entry, cap, timings, parsed = args      # unparsed: through run_entry
+    reports = _run_entry(*args) if parsed else run_entry(entry, cap, timings)
+    return [r.to_jsonable() for r in reports]
 
 
 def _is_int(x) -> bool:
@@ -636,15 +648,15 @@ def run_suite(spec: dict | str, deep: bool = False, cap: int = DEFAULT_CAP,
     entries = spec.get("entries")
     if not isinstance(entries, list):
         raise SuiteError("suite file must hold a list of \"entries\"")
-    for e in entries:
+    parsed = [None] * len(entries)
+    for i, e in enumerate(entries):
         _check_entry(e)
         # a symbol that names no admissible diagram stops the suite before
         # any entry runs; one over the rank cap is left unparsed, to be
-        # skipped as run_entry skips it
+        # skipped as run_entry skips it, and any other's parse is passed on
         if "symbol" in e:
             try:
-                _check_rank(symbol_rank(e["symbol"]), cap)
-                classify(parse_symbol(e["symbol"]))
+                parsed[i] = _parse_entry(e["symbol"], False, cap)
             except CapExceeded:
                 pass
             except DiagramError as err:
@@ -660,15 +672,13 @@ def run_suite(spec: dict | str, deep: bool = False, cap: int = DEFAULT_CAP,
         except OSError as e:
             raise SuiteError("cannot create the report directory: %s"
                              % e) from None
-    results: list[list[dict]] = []
+    args = [(e, cap, timings, p) for e, p in zip(entries, parsed)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_entry_star,
-                                    [(e, cap, timings) for e in entries]))
+            results = list(pool.map(_run_entry_star, args))
     else:
-        for e in entries:
-            results.append([r.to_jsonable() for r in run_entry(e, cap, timings)])
+        results = list(map(_run_entry_star, args))
     flat = [r for rs in results for r in rs]
     summary = {"agree": sum(1 for r in flat if r["status"] == "agree"),
                "disagree": sum(1 for r in flat if r["status"] == "disagree"),

@@ -119,8 +119,12 @@ class ParabolicData:
 @dataclass
 class CandidateReport:
     diagram: Diagram
-    name: str
     status: str            # "betti-mismatch" | "isomorphism-failed" | "matched"
+
+    @property
+    def name(self) -> str:
+        """The diagram's display name, classified only when read."""
+        return diagram_name(self.diagram)
 
 
 @dataclass
@@ -177,28 +181,11 @@ def _model_complex(d: Diagram) -> TypedComplex:
 @lru_cache(maxsize=4096)
 def predicted_bouquet_count(d: Diagram) -> int:
     """Bouquet size for the Milnor fiber complex of d: product over
-    components of (smallest degree - 1)^rank.  Memoized per diagram, since
-    recognition asks for it for the same candidate lists again and
-    again."""
+    components of (smallest degree - 1)^rank.  Memoized per diagram: the
+    walls of one group, and the groups of one suite, share candidate
+    lists."""
     return prod((gid.degrees[0] - 1) ** len(gid.degrees)
                 for gid in classify(d))
-
-
-def _chamber_count(s: TypedComplex, rank: int) -> int:
-    """Chambers of s read as a rank-`rank` complex: its (rank-1)-simplices,
-    or the empty simplex alone at rank 0."""
-    return 1 if rank == 0 and s.dim == -1 else len(s.simplices(rank - 1))
-
-
-def _euler_excludes(chi: int, rank: int, candidates: list[Diagram]) -> bool:
-    """True when no candidate can be recognized for a complex of Euler
-    characteristic chi, by that alone: a Milnor fiber complex has its
-    reduced homology in degree rank-1 only, so its reduced Euler
-    characteristic is (-1)^(rank-1) times the bouquet count.  Exact, and
-    no boundary matrix is built."""
-    reduced_chi = chi - 1
-    want = reduced_chi if (rank - 1) % 2 == 0 else -reduced_chi
-    return all(predicted_bouquet_count(d) != want for d in candidates)
 
 
 def _may_match(s: TypedComplex, d: Diagram, profile) -> bool:
@@ -223,7 +210,8 @@ def recognize_milnor_fiber(s: TypedComplex, rank: int) -> RecognitionVerdict:
     counts are computed once, for its profile and that search's colors.
     The verdict's diagram is the first match, and its certificate that
     match's vertex map."""
-    chambers = _chamber_count(s, rank)
+    # the chambers are the (rank-1)-simplices, or the empty simplex alone
+    chambers = 1 if rank == 0 and s.dim == -1 else len(s.simplices(rank - 1))
     candidates = enumerate_admissible(rank, chambers)
     if not candidates:
         return RecognitionVerdict("not-mfc", rank, chambers, None, None,
@@ -233,8 +221,7 @@ def recognize_milnor_fiber(s: TypedComplex, rank: int) -> RecognitionVerdict:
         # every Milnor fiber complex of rank >= 2 is connected (chamber
         # complexes are gallery connected), so reduced b_0 > 0 rejects all
         # candidates without running the boundary matrices
-        reports = [CandidateReport(d, diagram_name(d), "betti-mismatch")
-                   for d in candidates]
+        reports = [CandidateReport(d, "betti-mismatch") for d in candidates]
         return RecognitionVerdict("not-mfc", rank, chambers,
                                   {0: comps - 1}, None,
                                   "betti-mismatch-all", reports)
@@ -259,7 +246,7 @@ def recognize_milnor_fiber(s: TypedComplex, rank: int) -> RecognitionVerdict:
                 matches.append(d)
                 if certificate is None:     # the empty complex's map is {}
                     certificate = iso
-        reports.append(CandidateReport(d, diagram_name(d), status))
+        reports.append(CandidateReport(d, status))
     if not matches:
         return RecognitionVerdict("not-mfc", rank, chambers, betti.betti, None,
                                   reason, reports)
@@ -287,34 +274,44 @@ class MilnorWallCertificate:
                 "verdict": self.verdict.to_jsonable()}
 
 
+@lru_cache(maxsize=4096)
+def _model_f_vectors(rank: int, chambers: int) -> frozenset:
+    """The f-vectors, read off group orders, of the models of every
+    rank-`rank` candidate with this many chambers."""
+    return frozenset(map(order_f_vector, enumerate_admissible(rank, chambers)))
+
+
 def _type_families(wall_cx: TypedComplex, n: int):
     """Every type family of a rank-n complex's wall in search order,
     descending by size and lexicographic within a size, as
-    (missing, faces): the family is the wall's (n-2)-simplices of type
-    R - {s} for s in ``missing``, and ``faces`` holds every face of them
-    by dimension, in the wall's vertex ids.
+    (missing, f_vector, faces): the family is the wall's (n-2)-simplices
+    of type R - {s} for s in ``missing``, ``f_vector`` is (f_0, ...,
+    f_{n-2}) of the complex they generate, and ``faces()`` lists that
+    complex's simplices by dimension, in the wall's vertex ids.
 
-    Each facet type is closed once.  The closure of a union is the union
-    of the closures, so a family's faces are its types' closures united
-    dimension by dimension, and ``_reindexed`` of them with the wall's
-    vertex types and names is the complex its facets generate."""
-    by_type: dict[frozenset, list] = {}
-    for s in wall_cx.simplices(n - 2):
-        by_type.setdefault(wall_cx.type_of(s), []).append(s)
-    closures = [_face_closure(by_type.get(
-        frozenset(x for x in range(n) if x != s), ())) for s in range(n)]
+    One pass, top down, gives each face of a facet the bitmask of the
+    types s whose facets contain it: a facet's is its own missing type,
+    and a face's is the union of its cofaces'.  A family's faces are those
+    whose mask meets its types, so its f-vector is read off one histogram
+    of masks per dimension."""
+    full = (1 << n) - 1
+    types = wall_cx.vertex_types
+    masks = {n - 2: {f: full ^ sum(1 << types[v] for v in f)
+                     for f in wall_cx.simplices(n - 2)}}
+    for k in range(n - 2, 0, -1):
+        below = masks[k - 1] = {}
+        for s, m in masks[k].items():
+            for face in combinations(s, k):
+                below[face] = below.get(face, 0) | m
+    hists = [Counter(masks[k].values()) for k in range(n - 1)]
     for size in range(n, 0, -1):
         for missing in combinations(range(n), size):
-            parts = [closures[s] for s in missing if closures[s]]
-            if len(parts) == 1:
-                faces = parts[0]
-            elif parts:
-                # in _face_closure's key order: top dimension first
-                faces = {k: set().union(*(p[k] for p in parts))
-                         for k in range(n - 2, -1, -1)}
-            else:
-                faces = {}
-            yield missing, faces
+            bits = sum(1 << s for s in missing)
+            yield (missing,
+                   tuple(sum(c for m, c in h.items() if m & bits)
+                         for h in hists),
+                   lambda bits=bits: {k: [s for s, m in ms.items() if m & bits]
+                                      for k, ms in masks.items()})
 
 
 def milnor_wall_search(wall_cx: TypedComplex, n: int, r: int,
@@ -324,27 +321,22 @@ def milnor_wall_search(wall_cx: TypedComplex, n: int, r: int,
     over all 2^n type families, descending by family size (so non-proper
     Milnor walls are found first), lexicographic within a size.
 
-    ``wall_verdict`` is the wall's own recognition at rank n-1; a family
-    that generates the whole wall takes it (at rank 1, the one family,
-    with no facets).  The chamber and simplex counts and the Euler
-    characteristic of a family are read off its faces, and a family whose
-    Euler characteristic rules out every candidate is skipped before its
-    complex is built or any homology is computed."""
-    wall_size = wall_cx.n_simplices()
-    for missing, faces in _type_families(wall_cx, n):
-        if n > 1 and not faces:
-            continue
-        if sum(map(len, faces.values())) == wall_size:
+    ``wall_verdict`` is the wall's own recognition at rank n-1; the family
+    whose f-vector is the wall's generates the whole wall and takes it (at
+    rank 1, the one family, with no facets).  Any other nonempty family is
+    built and recognized only when its f-vector is one of its candidates'
+    model f-vectors, from group orders: recognition matches no candidate
+    whose f-vector differs, so skipping the others is exact."""
+    wall_fv = wall_cx.f_vector()
+    for missing, fv, faces in _type_families(wall_cx, n):
+        if fv == wall_fv:
             verdict = wall_verdict
-        else:
-            chambers = len(faces[n - 2]) if n > 1 else 1
-            chi = sum((-1) ** k * len(v) for k, v in faces.items())
-            if _euler_excludes(chi, n - 1,
-                               enumerate_admissible(n - 1, chambers)):
-                continue
+        elif any(fv) and fv in _model_f_vectors(n - 1, fv[-1]):
             verdict = recognize_milnor_fiber(
-                _reindexed(faces, wall_cx.vertex_types, wall_cx.vertex_names),
-                n - 1)
+                _reindexed(faces(), wall_cx.vertex_types,
+                           wall_cx.vertex_names), n - 1)
+        else:
+            continue
         if verdict.recognized:
             return MilnorWallCertificate(
                 r, missing, verdict.diagram, verdict,

@@ -251,6 +251,19 @@ def test_jobs_parallel_matches_serial():
     assert json.dumps(b1, sort_keys=True) == json.dumps(b2, sort_keys=True)
 
 
+def test_suite_parses_each_symbol_once(monkeypatch):
+    # the suite's check parses each symbol entry, and the entry runs on
+    # that parse
+    parsed = []
+    real = mfc.verify.parse_symbol
+    monkeypatch.setattr(mfc.verify, "parse_symbol",
+                        lambda text: parsed.append(text) or real(text))
+    code, _bundle = run_suite(dict(SMALL_SUITE))
+    assert code == 0
+    symbols = [e["symbol"] for e in SMALL_SUITE["entries"] if "symbol" in e]
+    assert [p for p in parsed if p in symbols] == symbols
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -633,3 +646,24 @@ def test_rank2_report_bytes_pinned():
                for r in run_entry(e, 200_000)]
     blob = json.dumps(reports, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == PINNED_RANK2_SHA256
+
+
+# sha256 of the B report of each group below at cap 1,000,000, as produced
+# while the wall search still closed and united every type family and
+# pruned it by its Euler characteristic; D7 contains D4, so none of its
+# families is a Milnor fiber complex
+PINNED_RANK67_B_SHA256 = {
+    "E6": "46f84578fc529418639c151b32a9c5a6e6d473580105cadee818111d9144f4ff",
+    "A7": "7cfced7169a55e2285c0ae811afcda141e2887cbfd455e0d8f2c78b4a58b5fc8",
+    "B6": "0fb441fd23a91cba7bd2bb803009ed8bbc098e2ffa5b4fb701948fa833f874c1",
+    "D7": "ec93412677007616c89917b2a8ad32051f6154d315526df45480a3f94238360f",
+}
+
+
+@pytest.mark.deep
+def test_rank67_b_reports_pinned():
+    for sym, digest in PINNED_RANK67_B_SHA256.items():
+        reports = [r.to_jsonable() for r in
+                   run_entry({"symbol": sym, "checks": ["B"]}, 1_000_000)]
+        blob = json.dumps(reports, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest, sym

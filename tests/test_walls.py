@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from mfc.complexes import TypedComplex, _face_closure, milnor_fiber_complex
@@ -7,10 +9,11 @@ from mfc.group import (conjugacy_classes, enumerate_group, parabolic_cosets,
 from mfc.homology import reduced_betti
 from mfc.isomorphism import verify_isomorphism
 from mfc.verify import GroupContext
-from mfc.walls import (ParabolicData, _chamber_count, _euler_excludes,
+from mfc.walls import (ParabolicData, RecognitionVerdict,
                        _model_complex, _reindexed, _type_families,
                        chamber_count_check, fixed_subcomplex,
-                       milnor_wall_search, recognize_milnor_fiber)
+                       milnor_wall_search, predicted_bouquet_count,
+                       recognize_milnor_fiber)
 
 # groups for the property tests of walls and parabolic data: real,
 # complex, monomial and dihedral, ranks 2 and 3
@@ -288,9 +291,8 @@ def test_g26_order3_wall_families(g26):
     for rep in order3:
         w = fixed_subcomplex(cs, rep)
         assert w.f_vector() == (48, 72)
-        by_type = {}
-        for e in w.simplices(1):
-            by_type[w.type_of(e)] = by_type.get(w.type_of(e), 0) + 1
+        by_type = Counter(frozenset(w.vertex_types[v] for v in e)
+                          for e in w.simplices(1))
         assert by_type == {frozenset({1, 2}): 36, frozenset({0, 2}): 36}
 
         cycles = generated(w, family_facets(w, 3, [0]))
@@ -339,6 +341,20 @@ def test_recognition_dimension_mismatch_is_count_reason():
     v = recognize_milnor_fiber(pts, 2)
     assert v.outcome == "not-mfc"
     assert v.reason == "no-admissible-factorization"
+
+
+def test_candidates_named_only_when_read(monkeypatch):
+    import mfc.walls
+    named = []
+    real = mfc.walls.diagram_name
+    monkeypatch.setattr(mfc.walls, "diagram_name",
+                        lambda d: named.append(d) or real(d))
+    t, cx, cs = setup("B3")
+    w = fixed_subcomplex(cs, reflection_classes(t)[0])
+    v = recognize_milnor_fiber(w, 2)
+    assert v.recognized and len(v.candidates) > 1 and named == []
+    assert [c.name for c in v.candidates] == \
+        [real(c.diagram) for c in v.candidates]
 
 
 def test_recognition_rank0():
@@ -417,7 +433,8 @@ def test_milnor_wall_search_coxeter_nonproper():
 def family_facets(w, n, missing):
     """The wall's (n-2)-simplices of type R - {s} for some s in missing."""
     return [f for f in w.simplices(n - 2)
-            if set(range(n)) - w.type_of(f) <= set(missing)]
+            if set(range(n)) - {w.vertex_types[v] for v in f}
+            <= set(missing)]
 
 
 def test_walls_are_their_full_family_subcomplex():
@@ -434,8 +451,9 @@ def test_walls_are_their_full_family_subcomplex():
 
 
 def test_type_families_are_subcomplexes_of_their_facets():
-    # the union of the per-type closures is the closure of the family's
-    # facets: same simplices, vertex types and names, Euler characteristic
+    # the faces whose mask meets a family's types are the closure of the
+    # family's facets: same simplices, vertex types and names, and the
+    # f-vector read off the mask histograms
     from itertools import combinations
     for sym in PROPERTY_GROUPS + ("D4", "F4", "G26"):
         t, cx, cs = setup(sym)
@@ -445,17 +463,17 @@ def test_type_families_are_subcomplexes_of_their_facets():
         for rep in reflection_classes(t):
             w = fixed_subcomplex(cs, rep)
             families = list(_type_families(w, n))
-            assert [m for m, _faces in families] == order, (sym, rep)
-            for missing, faces in families:
+            assert [m for m, _fv, _faces in families] == order, (sym, rep)
+            for missing, fv, faces in families:
                 want = generated(w, family_facets(w, n, missing))
-                got = _reindexed(faces, w.vertex_types, w.vertex_names)
+                got = _reindexed(faces(), w.vertex_types, w.vertex_names)
+                assert fv == tuple(len(want.simplices(k))
+                                   for k in range(n - 1)), (sym, rep, missing)
                 assert got.by_dim == want.by_dim, (sym, rep, missing)
                 assert got.vertex_types == want.vertex_types, \
                     (sym, rep, missing)
                 assert got.vertex_names == want.vertex_names, \
                     (sym, rep, missing)
-                chi = sum((-1) ** k * len(v) for k, v in faces.items())
-                assert chi == euler(want), (sym, rep, missing)
 
 
 def test_milnor_wall_search_impure_wall():
@@ -478,30 +496,47 @@ def test_milnor_wall_search_impure_wall():
                               cert.verdict.certificate)
 
 
-def test_euler_prefilter_is_exact():
-    # the wall search skips a family when the Euler characteristic rules
-    # out every candidate; recognition must then fail on that family too
+def test_family_filter_is_exact(monkeypatch):
+    # the wall search builds a family other than the whole wall only when
+    # its f-vector is some candidate's model f-vector; recognition must
+    # fail on every family it skips.  With every verdict unrecognized the
+    # search visits all families, and the ones it builds are recorded
     from itertools import combinations
-    excluded = 0
-    for sym in ("B3", "H3", "G25", "G26", "D4"):
+    import mfc.walls
+    built = []
+    unrecognized = RecognitionVerdict("not-mfc", 0, 0, None, None,
+                                      "no-admissible-factorization")
+
+    def spy(s, rank):
+        built.append(s.by_dim)
+        return unrecognized
+
+    monkeypatch.setattr(mfc.walls, "recognize_milnor_fiber", spy)
+    euler_kept = Counter()
+    for sym in ("B3", "H3", "G25", "G26", "A4", "B4", "D4", "F4", "H4",
+                "G(3,1,4)"):
         t, cx, cs = setup(sym)
         n = t.ngens
         for rep in reflection_classes(t):
             w = fixed_subcomplex(cs, rep)
+            built.clear()
+            assert milnor_wall_search(w, n, rep, unrecognized) is None
             for size in range(1, n + 1):
                 for missing in combinations(range(n), size):
                     sub = generated(w, family_facets(w, n, missing))
-                    if sub.dim != n - 2:
+                    if (sub.dim != n - 2 or sub.by_dim == w.by_dim
+                            or sub.by_dim in built):
                         continue
-                    cands = enumerate_admissible(n - 1,
-                                                 _chamber_count(sub, n - 1))
-                    if _euler_excludes(euler(sub), n - 1, cands):
-                        excluded += 1
-                        v = recognize_milnor_fiber(sub, n - 1)
-                        assert v.reason in ("no-admissible-factorization",
-                                            "betti-mismatch-all"), \
-                            (sym, rep, missing)
-    assert excluded > 0
+                    v = recognize_milnor_fiber(sub, n - 1)
+                    assert not v.recognized, (sym, rep, missing)
+                    # the Euler characteristic alone would not skip it:
+                    # the reduced one is (-1)^(n-2) times a bouquet count
+                    want = (euler(sub) - 1) * (-1) ** n
+                    if any(predicted_bouquet_count(d) == want
+                           for d in enumerate_admissible(
+                               n - 1, len(sub.simplices(n - 2)))):
+                        euler_kept[sym] += 1
+    assert euler_kept["D4"] > 0, euler_kept
 
 
 def test_chamber_count_check_examples():
