@@ -12,10 +12,11 @@ import sys
 
 from .complexes import export_complex
 from .diagram import (DiagramError, basic_degrees, classify, diagram_name,
-                      diagram_symbol, group_order, parse_symbol, symbol_rank)
-from .group import CapExceeded, _check_rank
+                      diagram_symbol, group_order, parse_symbol)
+from .group import CapExceeded
 from .homology import reduced_betti
-from .verify import DEFAULT_CAP, GroupContext, SuiteError, run_suite
+from .verify import (DEFAULT_CAP, GroupContext, SuiteError, _parse_entry,
+                     run_suite)
 
 
 class UsageError(ValueError):
@@ -109,11 +110,11 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command in ("build", "walls"):
-        # |G| >= 2^rank: a large rank exits before any vertex is built
-        _check_rank(symbol_rank(args.symbol), args.cap)
+        # a large rank exits before any vertex is built
+        ctx = GroupContext(_parse_entry(args.symbol, False, args.cap)[1],
+                           args.cap)
 
     if args.command == "build":
-        ctx = GroupContext(parse_symbol(args.symbol), args.cap)
         cx = ctx.complex
         print("group order: %d" % ctx.order)
         print("f-vector:    %s" % (list(cx.f_vector()),))
@@ -129,7 +130,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "walls":
-        ctx = GroupContext(parse_symbol(args.symbol), args.cap)
         classes = ctx.pdata.classes
         n_refl = len(ctx.refl_classes)
         if args.klass is not None and not 0 <= args.klass < n_refl:

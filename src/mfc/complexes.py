@@ -13,7 +13,8 @@ from collections import Counter
 from functools import wraps
 from itertools import chain, combinations, compress, product
 
-from .diagram import Diagram, canonical_key, group_order
+from .diagram import (Diagram, canonical_key, components_with_indices,
+                      group_order, parse_symbol)
 from .group import CapExceeded, GroupTable, parabolic_cosets
 
 DEFAULT_SIMPLEX_CAP = 2_000_000
@@ -99,7 +100,8 @@ class TypedComplex:
 
     @classmethod
     def from_facets(cls, vertex_types, facets, vertex_names=None) -> "TypedComplex":
-        return cls(vertex_types, _face_closure(tuple(sorted(f)) for f in facets),
+        return cls(vertex_types,
+                   _face_closure((tuple(sorted(f)), 0) for f in facets),
                    vertex_names=vertex_names)
 
 
@@ -117,17 +119,21 @@ def _reindexed(by_dim, vertex_types, vertex_names) -> TypedComplex:
                         vertex_names=names)
 
 
-def _face_closure(simplices) -> dict[int, set]:
-    """Every nonempty face of the given simplices (sorted vertex tuples),
-    by dimension: each dimension's codimension-1 faces, top down."""
-    by_dim: dict[int, set] = {}
-    for s in simplices:
+def _face_closure(simplices) -> dict[int, dict]:
+    """Every nonempty face of the given (simplex, mask) pairs, simplices
+    as sorted vertex tuples, by dimension, each with the OR of the masks
+    of the given simplices it lies in: each dimension's codimension-1
+    faces, top down."""
+    by_dim: dict[int, dict] = {}
+    for s, mask in simplices:
         if s:
-            by_dim.setdefault(len(s) - 1, set()).add(s)
+            top = by_dim.setdefault(len(s) - 1, {})
+            top[s] = top.get(s, 0) | mask
     for k in range(max(by_dim, default=0), 0, -1):
-        faces = by_dim.setdefault(k - 1, set())
-        for s in by_dim.get(k, ()):
-            faces.update(combinations(s, k))
+        faces = by_dim.setdefault(k - 1, {})
+        for s, mask in by_dim.get(k, {}).items():
+            for face in combinations(s, k):
+                faces[face] = faces.get(face, 0) | mask
     return by_dim
 
 
@@ -228,7 +234,20 @@ def _per_row(fn):
 def order_f_vector(d: Diagram) -> tuple[int, ...]:
     """(f_0, ..., f_{n-1}) of d's Milnor fiber complex from group orders
     alone: the simplices of type I are the cosets of G_{R-I}, so f_k is
-    the sum of |G| / |G_{R-I}| over the type sets I with k + 1 types."""
+    the sum of |G| / |G_{R-I}| over the type sets I with k + 1 types.  A
+    union's complex is the join of its components', so its f-polynomial
+    (with f_{-1} = 1) is the product of theirs."""
+    comps = components_with_indices(d)
+    if len(comps) > 1:
+        poly = [1]
+        for c, _idx in comps:
+            factor = (1,) + order_f_vector(c)
+            prod = [0] * (len(poly) + len(factor) - 1)
+            for i, a in enumerate(poly):
+                for j, b in enumerate(factor):
+                    prod[i + j] += a * b
+            poly = prod
+        return tuple(poly[1:])
     n = d.rank
     order = group_order(d)
     fv = [0] * n
@@ -325,11 +344,16 @@ def monomial_flag_complex(m: int,
     the 2[3]...2[4]m chain).  Simplices are chains under inclusion.
     Returns the complex and the vertex permutations of the n standard
     monomial generators (adjacent transpositions; last one rotates the
-    label on the last coordinate).  Raises SimplexCapExceeded as soon as
-    the chains pass DEFAULT_SIMPLEX_CAP.
+    label on the last coordinate).  It has the f-vector of G(m,1,n)'s
+    coset complex, so ``simplex_count`` of that diagram raises
+    SimplexCapExceeded, before anything is built, when it would hold
+    more than DEFAULT_SIMPLEX_CAP simplices.  Each set's strict
+    supersets are read off the subsets of every larger set u: 2^|u|
+    steps per u, not a test of every pair of sets.
     """
     if m < 2 or n < 1:
         raise ValueError("need m >= 2, n >= 1")
+    simplex_count(parse_symbol("G(%d,1,%d)" % (m, n)), DEFAULT_SIMPLEX_CAP)
     verts = []
     for k in range(1, n + 1):
         for coords in combinations(range(n), k):
@@ -339,22 +363,18 @@ def monomial_flag_complex(m: int,
     vid = {s: i for i, s in enumerate(verts)}
     types = [len(s) - 1 for s in verts]
 
-    # chains under strict inclusion, built by extending from each set upward
+    # chains under strict inclusion, built by extending from each set
+    # upward; larger sets have larger ids, so every chain is sorted
     supersets = [[] for _ in verts]
-    for i, s in enumerate(verts):
-        for j, u in enumerate(verts):
-            if len(u) > len(s) and s < u:
-                supersets[i].append(j)
+    for j, u in enumerate(verts):
+        for k in range(1, len(u)):
+            for sub in combinations(u, k):
+                supersets[vid[frozenset(sub)]].append(j)
     by_dim: dict[int, list] = {}
-    total = 0
     stack = [(i,) for i in range(len(verts))]
     while stack:
         chain = stack.pop()
-        total += 1
-        if total > DEFAULT_SIMPLEX_CAP:
-            raise SimplexCapExceeded("flag complex exceeds %d simplices"
-                                     % DEFAULT_SIMPLEX_CAP)
-        by_dim.setdefault(len(chain) - 1, []).append(tuple(sorted(chain)))
+        by_dim.setdefault(len(chain) - 1, []).append(chain)
         for j in supersets[chain[-1]]:
             stack.append(chain + (j,))
     cx = TypedComplex(types, by_dim,

@@ -19,16 +19,16 @@ from .complexes import (ChamberSystem, TypedComplex, join,
 from .diagram import (Diagram, DiagramError, basic_degrees, classify,
                       components_with_indices, diagram_name,
                       has_forbidden_subdiagram, parse_symbol, symbol_rank)
-from .group import (DEFAULT_CAP, CapExceeded, _check_rank, check_relations,
-                    enumerate_group, reflection_classes)
+from .group import (DEFAULT_CAP, CapExceeded, _check_rank, enumerate_group,
+                    reflection_classes)
 from .homology import reduced_betti
 from .isomorphism import (find_isomorphism, find_model_isomorphism,
                           verify_isomorphism)
-from .walls import (DETAIL_ROW_LIMIT, MilnorWallCertificate, ParabolicData,
-                    RecognitionVerdict, THEOREM_A_FORBIDDEN,
-                    THEOREM_B_FORBIDDEN, _model_complex,
-                    chamber_count_check, fixed_subcomplex, milnor_wall_search,
-                    predicted_bouquet_count, recognize_milnor_fiber)
+from .walls import (MilnorWallCertificate, ParabolicData, RecognitionVerdict,
+                    THEOREM_A_FORBIDDEN, THEOREM_B_FORBIDDEN, _detail_rows,
+                    _model_complex, chamber_count_check, fixed_subcomplex,
+                    milnor_wall_search, predicted_bouquet_count,
+                    recognize_milnor_fiber)
 
 # explicit per-class subcomplex homology: always at rank >= 3 (orders are
 # small there); at rank <= 2 only for small orders, since every
@@ -193,48 +193,40 @@ def verify_counts(ctx: GroupContext) -> TheoremReport:
     details = {"f_vector": list(fv), "degree_product": product,
                "chambers_ok": chamber_ok}
     irreducible = len(components_with_indices(d)) == 1
-    computed = chamber_ok
-    predicted: object = True
     if irreducible and n >= 1:
         rpt = chamber_count_check(ctx.pdata, d, ctx.refl_classes)
-        # Eq (8) from explicitly built walls, per reflection class
-        eq8_explicit = True
         prefix = prod(degs[:-1])
-        if n == 1:
-            # every wall is the empty simplex alone: 1 = d_1...d_0 chamber
-            wall_rows = [{"rep": rep, "chambers": 1, "expected": prefix}
-                         for rep in ctx.refl_classes[:DETAIL_ROW_LIMIT]]
-        else:
-            wall_rows = []
-            for rep in ctx.refl_classes:
+
+        # Eq (8) from explicitly built walls, per reflection class; at
+        # rank 1 every wall is the empty simplex alone, 1 = d_1...d_0
+        # chamber, so it holds and only its shown row is built
+        def wall_row(rep: int) -> tuple[bool, dict]:
+            if n == 1:
+                got = 1
+            else:
                 w = ctx.fixed_of(rep)
                 got = w.f_vector()[n - 2] if w.dim >= n - 2 else 0
-                if got != prefix or len(wall_rows) < DETAIL_ROW_LIMIT:
-                    wall_rows.append({"rep": rep, "chambers": got,
-                                      "expected": prefix})
-                if got != prefix:
-                    eq8_explicit = False
+            return got == prefix, {"rep": rep, "chambers": got,
+                                   "expected": prefix}
+
+        wall_rows, n_failing = _detail_rows(
+            wall_row, ctx.refl_classes if n > 1 else (), ctx.refl_classes)
         details.update({
             "item_i": rpt.item_i, "item_ii": rpt.item_ii,
             "item_iii": rpt.item_iii,
-            "eq8_counts": rpt.eq8_holds, "eq8_explicit": eq8_explicit,
+            "eq8_counts": rpt.eq8_holds, "eq8_explicit": not n_failing,
             "walls": wall_rows,
             "n_reflection_classes": len(ctx.refl_classes),
             "n_classes": ctx.pdata.classes.n_classes,
-            "class_rows": [
-                {"rep": r.class_rep, "size": r.class_size, "p": r.p,
-                 "f": {str(k): v for k, v in sorted(r.f_vector.items())},
-                 "expected": r.expected, "holds": r.holds}
-                for r in rpt.rows],
+            "class_rows": rpt.rows,
         })
         # agreement: chamber and wall counts exact (unconditional parts of
         # the theorem) and (i) iff (ii) iff (iii)
-        predicted = rpt.item_iii
-        computed = rpt.item_ii
-        agree = (chamber_ok and rpt.eq8_holds and eq8_explicit
+        agree = (chamber_ok and rpt.eq8_holds and not n_failing
                  and rpt.item_i == rpt.item_ii == rpt.item_iii)
         status = "agree" if agree else "disagree"
-        return TheoremReport(sym, "counts", predicted, computed, status, details)
+        return TheoremReport(sym, "counts", rpt.item_iii, rpt.item_ii, status,
+                             details)
     status = "agree" if chamber_ok else "disagree"
     return TheoremReport(sym, "counts", True, chamber_ok, status, details)
 
@@ -266,7 +258,7 @@ def verify_orlik(ctx: GroupContext) -> TheoremReport:
         classes = ctx.pdata.classes
         explicit_all = n >= 3 or ctx.order <= EXPLICIT_ORLIK_ORDER
 
-        def row(cid: int) -> dict:
+        def row(cid: int) -> tuple[bool, dict]:
             rep = classes.reps[cid]
             counts = ctx.pdata.fixed_counts(cid)
             p = max(k for k in range(n + 1) if counts[k])
@@ -276,33 +268,27 @@ def verify_orlik(ctx: GroupContext) -> TheoremReport:
                 b = reduced_betti(sub)
                 ok = (b.concentrated_value(p - 1) == want
                       and sub.dim + 1 == p and b.torsion_free)
-                return {"rep": rep, "p": p, "want": want,
-                        "betti": {str(k): v for k, v in sorted(b.betti.items())},
-                        "torsion_free": b.torsion_free, "holds": ok}
+                return ok, {"rep": rep, "p": p, "want": want,
+                            "betti": {str(k): v
+                                      for k, v in sorted(b.betti.items())},
+                            "torsion_free": b.torsion_free, "holds": ok}
             # p <= 1 here: the fixed complex is f_0 points (or {empty}),
             # so its reduced homology is determined by the exact counts
             if p == 0:
                 ok = want == 1
             else:
                 ok = counts[1] == want + 1 and counts[2] == 0
-            return {"rep": rep, "p": p, "want": want,
-                    "from_counts": True, "holds": ok}
+            return ok, {"rep": rep, "p": p, "want": want,
+                        "from_counts": True, "holds": ok}
 
         # class 0, the identity, is handled as Delta above.  Without
         # explicit homology, a class outside the nontrivial counts has
         # p = 0 and want = 1, so it holds: only its shown row is built
-        checked = range(classes.n_classes) if explicit_all \
-            else ctx.pdata.nontrivial_counts
-        rows = {cid: row(cid) for cid in checked if cid}
-        failing = [r for r in rows.values() if not r["holds"]]
-        shown = list(failing)
-        for cid in range(1, classes.n_classes):
-            if len(shown) >= DETAIL_ROW_LIMIT:
-                break
-            r = rows[cid] if cid in rows else row(cid)
-            if r["holds"]:
-                shown.append(r)
-        computed = computed and not failing
+        checked = range(1, classes.n_classes) if explicit_all \
+            else [cid for cid in ctx.pdata.nontrivial_counts if cid]
+        shown, n_failing = _detail_rows(row, checked,
+                                        range(1, classes.n_classes))
+        computed = computed and not n_failing
         details["n_classes"] = classes.n_classes - 1
         details["classes"] = shown
     status = "agree" if computed else "disagree"
@@ -317,7 +303,15 @@ def verify_monomial(ctx: GroupContext) -> TheoremReport:
     """Equivariant isomorphism between the coset model of G(m,1,n) and the
     flag complex of labeled coordinate subsets, plus the wall recursion
     onto G(m,1,n-1).  ctx is the context of the diagram of G(m,1,n) as
-    parse_symbol gives it: n is its rank, m its last generator's order."""
+    parse_symbol gives it: n is its rank, m its last generator's order.
+
+    The certificate sends each coset vertex to its identity flag moved by
+    its representative's word in the flag generators.  It must be an
+    isomorphism (``verify_isomorphism``, f-vectors included) that carries
+    each generator's vertex permutation onto its flag permutation; the
+    flag generators are then the coset action conjugated by a bijection,
+    so the relations and stabilizers follow.  On failure,
+    "simplex_transport" or "equivariance" names the half that failed."""
     d = ctx.diagram
     n = d.rank
     m = d.orders[-1] if n else 0
@@ -325,54 +319,27 @@ def verify_monomial(ctx: GroupContext) -> TheoremReport:
     if n == 0 or d != parse_symbol(sym):
         raise ValueError("%s is not a G(m,1,n) diagram" % diagram_name(d))
     fc, perms = monomial_flag_complex(m, n)
-    details = {}
-    ok = True
-
-    # the monomial generators satisfy the presentation, and both models
-    # have the same chamber count = |G|: words then transport elements
-    if not check_relations(d, perms):
-        ok = False
-        details["relators"] = False
-    if fc.f_vector() != ctx.complex.f_vector():
-        ok = False
-        details["f_vectors"] = [list(fc.f_vector()), list(ctx.complex.f_vector())]
-
+    cx = ctx.complex
     t = ctx.table
     name_to_id = {nm: i for i, nm in enumerate(fc.vertex_names)}
+    # identity chamber: type-k coset vertex -> standard flag {e_0..e_k}
+    base = [name_to_id[tuple((i, 0) for i in range(k + 1))] for k in range(n)]
+    # a type-k vertex: transport its coset's representative element
+    # through the flag action, starting from the identity flag E_k
     vmap = {}
-    if ok:
-        # identity chamber: type-k coset vertex -> standard flag {e_0..e_k}
-        base = [name_to_id[tuple((i, 0) for i in range(k + 1))] for k in range(n)]
-        for k in range(n):
-            for j in range(n):
-                if j != k and perms[j][base[k]] != base[k]:
-                    ok = False
-                    details.setdefault("stabilizer_failures", []).append([k, j])
-        cx = ctx.complex
-        if ok:
-            # a type-k vertex: transport its coset's representative element
-            # through the flag action, starting from the identity flag E_k
-            for vid, g in enumerate(ctx.chambers.vertex_reps):
-                img = base[cx.vertex_types[vid]]
-                for letter in reversed(t.word(g)):
-                    img = perms[letter][img]
-                vmap[vid] = img
-            # a vertex bijection carrying each simplex onto one of fc's
-            if not verify_isomorphism(cx, fc, vmap):
-                ok = False
-                details["simplex_transport"] = False
-    if ok:
-        # equivariance on generators
-        for j in range(n):
-            gp = ctx.chambers.vertex_perm(t.gen_elements[j])
-            for v in range(cx.n_vertices):
-                if vmap[gp[v]] != perms[j][vmap[v]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            details["equivariance"] = False
+    for vid, g in enumerate(ctx.chambers.vertex_reps):
+        img = base[cx.vertex_types[vid]]
+        for letter in reversed(t.word(g)):
+            img = perms[letter][img]
+        vmap[vid] = img
+    details = {}
+    if not verify_isomorphism(cx, fc, vmap):
+        details["simplex_transport"] = False
+    elif not all(vmap[w] == perms[j][vmap[v]] for j in range(n)
+                 for v, w in enumerate(
+                     ctx.chambers.vertex_perm(t.gen_elements[j]))):
+        details["equivariance"] = False
+    ok = not details
     details["equivariant_isomorphism"] = ok
 
     # wall recursion: every wall of Delta_n is Delta_{n-1}
@@ -566,9 +533,7 @@ def _run_entry(entry, cap, timings, parsed) -> list[TheoremReport]:
 
 
 def _run_entry_star(args):
-    entry, cap, timings, parsed = args      # unparsed: through run_entry
-    reports = _run_entry(*args) if parsed else run_entry(entry, cap, timings)
-    return [r.to_jsonable() for r in reports]
+    return [r.to_jsonable() for r in _run_entry(*args)]
 
 
 def _is_int(x) -> bool:

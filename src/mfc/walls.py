@@ -57,7 +57,7 @@ def fixed_subcomplex(chambers: ChamberSystem, g: int) -> TypedComplex:
             for v, w in enumerate(chambers.vertex_perm(g))]
     restricted = set(zip(*(map(keep.__getitem__, col)
                            for col in chambers.chamber)))
-    return _reindexed(_face_closure(tuple(v for v in s if v is not None)
+    return _reindexed(_face_closure((tuple(v for v in s if v is not None), 0)
                                     for s in restricted),
                       chambers.vertex_types, chambers.vertex_names)
 
@@ -289,21 +289,16 @@ def _type_families(wall_cx: TypedComplex, n: int):
     f_{n-2}) of the complex they generate, and ``faces()`` lists that
     complex's simplices by dimension, in the wall's vertex ids.
 
-    One pass, top down, gives each face of a facet the bitmask of the
-    types s whose facets contain it: a facet's is its own missing type,
-    and a face's is the union of its cofaces'.  A family's faces are those
-    whose mask meets its types, so its f-vector is read off one histogram
-    of masks per dimension."""
+    One face pass (``_face_closure``) gives each face of a facet the
+    bitmask of the types s whose facets contain it: a facet's is its own
+    missing type, and a face's is the union of its cofaces'.  A family's
+    faces are those whose mask meets its types, so its f-vector is read
+    off one histogram of masks per dimension."""
     full = (1 << n) - 1
     types = wall_cx.vertex_types
-    masks = {n - 2: {f: full ^ sum(1 << types[v] for v in f)
-                     for f in wall_cx.simplices(n - 2)}}
-    for k in range(n - 2, 0, -1):
-        below = masks[k - 1] = {}
-        for s, m in masks[k].items():
-            for face in combinations(s, k):
-                below[face] = below.get(face, 0) | m
-    hists = [Counter(masks[k].values()) for k in range(n - 1)]
+    masks = _face_closure((f, full ^ sum(1 << types[v] for v in f))
+                          for f in wall_cx.simplices(n - 2))
+    hists = [Counter(masks.get(k, {}).values()) for k in range(n - 1)]
     for size in range(n, 0, -1):
         for missing in combinations(range(n), size):
             bits = sum(1 << s for s in missing)
@@ -348,19 +343,26 @@ def milnor_wall_search(wall_cx: TypedComplex, n: int, r: int,
 # fixed-space dimension count checks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ClassCountRow:
-    class_rep: int
-    class_size: int
-    p: int
-    f_vector: dict[int, int]
-    expected: int            # d_1 ... d_p
-    holds: bool
+def _detail_rows(row, checked, order) -> tuple[list[dict], int]:
+    """The detail rows a report shows, and how many of them fail: every
+    failing row of the ids in ``checked``, then the first holding rows of
+    the ids in ``order``, up to DETAIL_ROW_LIMIT rows in all.  ``row(i)``
+    gives (holds, row) and runs at most once per id."""
+    built = {i: row(i) for i in checked}
+    shown = [r for holds, r in built.values() if not holds]
+    n_failing = len(shown)
+    for i in order:
+        if len(shown) >= DETAIL_ROW_LIMIT:
+            break
+        holds, r = built[i] if i in built else row(i)
+        if holds:
+            shown.append(r)
+    return shown, n_failing
 
 
 @dataclass
 class CountReport:
-    rows: list[ClassCountRow]   # the detail rows shown: failing ones first
+    rows: list[dict]            # the detail rows shown: failing ones first
     item_i: bool
     item_ii: bool
     item_iii: bool
@@ -376,10 +378,9 @@ def chamber_count_check(pdata: ParabolicData, d: Diagram,
 
     Only the classes in ``pdata.nontrivial_counts`` are evaluated: any
     other class fixes just the empty simplex, so p = 0 and f_{-1} = 1 =
-    d_1...d_0, and it holds (and satisfies (i) at rank 2).  ``rows`` holds
-    the failing classes, then the first holding classes up to
-    DETAIL_ROW_LIMIT rows in all, each part in class-id order; with more
-    than 512 classes, only the failing ones.
+    d_1...d_0, and it holds (and satisfies (i) at rank 2).  ``rows`` are
+    the report's class rows by ``_detail_rows``, in class-id order; with
+    more than 512 classes, only the failing ones.
     """
     degs = basic_degrees(d)
     n = pdata.table.ngens
@@ -388,23 +389,19 @@ def chamber_count_check(pdata: ParabolicData, d: Diagram,
         prefix.append(prefix[-1] * dd)
     classes = pdata.classes
 
-    def row(cid: int) -> ClassCountRow:
+    def row(cid: int) -> tuple[bool, dict]:
         counts = pdata.fixed_counts(cid)
         p = max(k for k in range(n + 1) if counts[k])
-        fv = {k - 1: v for k, v in enumerate(counts) if v or k == 0}
-        return ClassCountRow(classes.reps[cid], classes.sizes[cid], p, fv,
-                             prefix[p], counts[p] == prefix[p])
+        holds = counts[p] == prefix[p]
+        return holds, {"rep": classes.reps[cid], "size": classes.sizes[cid],
+                       "p": p, "f": {str(k - 1): v for k, v in enumerate(counts)
+                                     if v or k == 0},
+                       "expected": prefix[p], "holds": holds}
 
-    failing = [r for r in map(row, pdata.nontrivial_counts) if not r.holds]
-    item_i = all(r.p != n - 2 for r in failing)
-    holding = []
-    if classes.n_classes <= 512:
-        for cid in range(classes.n_classes):
-            if len(failing) + len(holding) >= DETAIL_ROW_LIMIT:
-                break
-            r = row(cid)
-            if r.holds:
-                holding.append(r)
+    rows, n_failing = _detail_rows(
+        row, pdata.nontrivial_counts,
+        range(classes.n_classes) if classes.n_classes <= 512 else ())
+    item_i = all(r["p"] != n - 2 for r in rows[:n_failing])
     item_iii = not has_forbidden_subdiagram(d, THEOREM_B_FORBIDDEN)
     # Eq (8): a wall's chambers are its fixed simplices with n-1 vertices.
     # At rank 1 that is the empty simplex alone, f_{-1} = 1 = d_1...d_0,
@@ -412,4 +409,4 @@ def chamber_count_check(pdata: ParabolicData, d: Diagram,
     eq8 = n == 1 or all(
         pdata.fixed_counts(classes.class_of[rep])[n - 1] == prefix[n - 1]
         for rep in refl)
-    return CountReport(failing + holding, item_i, not failing, item_iii, eq8)
+    return CountReport(rows, item_i, not n_failing, item_iii, eq8)

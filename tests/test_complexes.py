@@ -1,3 +1,6 @@
+import time
+from itertools import combinations, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -165,7 +168,7 @@ def test_link_of_vertex_is_parabolic_complex():
             model = milnor_fiber_complex(enumerate_group(sub))[0]
             # the link of v: each simplex through v with v removed
             link = _reindexed(_face_closure(
-                tuple(x for x in s if x != v)
+                (tuple(x for x in s if x != v), 0)
                 for k in range(1, cx.dim + 1) for s in cx.simplices(k)
                 if v in s), cx.vertex_types, cx.vertex_names)
             # the link's types R - {r}, ascending, are the parabolic's
@@ -186,6 +189,52 @@ def test_monomial_flag_examples():
     assert fc.f_vector() == (5,)
     with pytest.raises(ValueError):
         monomial_flag_complex(1, 2)
+
+
+def _all_pairs_flag_complex(m, n):
+    """The flag complex and generator permutations of G(m,1,n) as first
+    written: every pair of sets is tested for strict inclusion."""
+    verts = sorted((frozenset(zip(coords, labels))
+                    for k in range(1, n + 1)
+                    for coords in combinations(range(n), k)
+                    for labels in product(range(m), repeat=k)),
+                   key=lambda s: (len(s), sorted(s)))
+    vid = {s: i for i, s in enumerate(verts)}
+    supersets = [[j for j, u in enumerate(verts) if s < u] for s in verts]
+    by_dim, stack = {}, [(i,) for i in range(len(verts))]
+    while stack:
+        chain = stack.pop()
+        by_dim.setdefault(len(chain) - 1, []).append(tuple(sorted(chain)))
+        stack.extend(chain + (j,) for j in supersets[chain[-1]])
+
+    def act(gen, s):
+        if gen < n - 1:
+            swap = {gen: gen + 1, gen + 1: gen}
+            return frozenset((swap.get(c, c), a) for c, a in s)
+        return frozenset((c, (a + 1) % m if c == n - 1 else a) for c, a in s)
+
+    perms = [[vid[act(gen, s)] for s in verts] for gen in range(n)]
+    return TypedComplex([len(s) - 1 for s in verts], by_dim,
+                        vertex_names=[tuple(sorted(s)) for s in verts]), perms
+
+
+def test_monomial_flag_complex_matches_all_pairs_reference():
+    for m, n in ((2, 1), (5, 1), (2, 2), (3, 2), (2, 3), (3, 3), (2, 4)):
+        fc, perms = monomial_flag_complex(m, n)
+        want, want_perms = _all_pairs_flag_complex(m, n)
+        assert fc.by_dim == want.by_dim, (m, n)
+        assert fc.vertex_types == want.vertex_types, (m, n)
+        assert fc.vertex_names == want.vertex_names, (m, n)
+        assert perms == want_perms, (m, n)
+
+
+def test_flag_cap_checked_before_build():
+    # G(9,1,5)'s complex has about 3.5e7 simplices; the cap is read off
+    # its group orders before any of its 99,999 sets is built
+    t0 = time.monotonic()
+    with pytest.raises(SimplexCapExceeded):
+        monomial_flag_complex(9, 5)
+    assert time.monotonic() - t0 < 5
 
 
 def _per_coset_complex(t):
@@ -230,8 +279,8 @@ def test_complex_matches_per_coset_construction():
 
 
 def test_simplex_cap(monkeypatch):
-    # both complexes read the module's cap when they are built: the coset
-    # complex checks its simplex count first, the flag model as it grows
+    # both complexes read the module's cap when they are built, and both
+    # check their simplex count before building (the flag model G(m,1,n)'s)
     import mfc.complexes
     t = enumerate_group(parse_symbol("H3"))
     total = simplex_count(t.diagram, DEFAULT_SIMPLEX_CAP)
@@ -385,7 +434,8 @@ def test_face_closure_matches_dfs(facets, data):
     # a subfamily's closure, renumbered in the order of the old vertex ids
     family = data.draw(st.lists(st.sampled_from(sorted(closed)), max_size=5)
                        if closed else st.just([]))
-    sub = _reindexed(_face_closure(family), c.vertex_types, c.vertex_names)
+    sub = _reindexed(_face_closure((s, 0) for s in family), c.vertex_types,
+                     c.vertex_names)
     want = _dfs_closure(family)
     old_ids = sorted({v for s in want for v in s})
     assert sub.vertex_names == tuple(old_ids)

@@ -228,6 +228,66 @@ def test_monomial_wider_range():
             verify_monomial(context(sym))
 
 
+def test_monomial_mutated_generator_disagrees(monkeypatch):
+    # a flag generator with two images swapped, or acting trivially, is no
+    # longer conjugate to the coset action: the check names which half of
+    # its certificate failed, the transported map or its equivariance
+    real = mfc.verify.monomial_flag_complex
+    ctx = context("G(3,1,2)")
+
+    def swap(a):
+        def mutate(p):
+            p[a], p[a + 1] = p[a + 1], p[a]
+        return mutate
+
+    def trivial(p):
+        p[:] = range(len(p))
+
+    failed = set()
+    # the flag complex of G(3,1,2) has 15 vertices
+    for mutate in [swap(a) for a in range(14)] + [trivial]:
+        def mutated(m, n):
+            fc, perms = real(m, n)
+            mutate(perms[0])
+            return fc, perms
+        monkeypatch.setattr(mfc.verify, "monomial_flag_complex", mutated)
+        rep = verify_monomial(ctx)
+        assert rep.status == "disagree" and rep.computed is False
+        assert rep.details["equivariant_isomorphism"] is False
+        (key,) = set(rep.details) & {"simplex_transport", "equivariance"}
+        assert rep.details[key] is False
+        failed.add(key)
+    assert failed == {"simplex_transport", "equivariance"}
+    monkeypatch.setattr(mfc.verify, "monomial_flag_complex", real)
+    assert verify_monomial(ctx).status == "agree"
+
+
+def test_join_with_a_missing_facet_disagrees(monkeypatch):
+    # the joined complexes lose one facet: neither the complex nor any
+    # wall is then isomorphic to the union's
+    real = mfc.verify.join
+
+    def broken(*factors):
+        c = real(*factors)
+        return mfc.complexes.TypedComplex.from_facets(c.vertex_types,
+                                                      c.chambers()[:-1])
+
+    monkeypatch.setattr(mfc.verify, "join", broken)
+    (rep,) = run_entry({"symbol": "2[3]2 + 3", "checks": ["join"]}, DEFAULT_CAP)
+    assert (rep.status, rep.computed) == ("disagree", False)
+    assert rep.details["join_isomorphism"] is False
+    assert not any(row["isomorphic"] for row in rep.details["walls"])
+
+
+def test_counts_on_a_reducible_diagram():
+    # a union has no per-class identities: only the chamber count is
+    # checked, and the details say nothing more
+    rep = verify_counts(context("2 + 2"))
+    assert (rep.predicted, rep.computed, rep.status) == (True, True, "agree")
+    assert rep.details == {"f_vector": [4, 4], "degree_product": 4,
+                           "chambers_ok": True}
+
+
 def test_jobs_out_of_range_rejected_before_any_pool(monkeypatch, capsys):
     # a pool would start every worker process at once: --jobs is bounded
     # by the CPU count, and a bad value is a usage error
@@ -483,8 +543,8 @@ def test_suite_symbols_checked_before_any_entry_runs(tmp_path, monkeypatch,
     # a symbol that names no table row or cannot be read stops the suite
     # before its first entry runs, with an error naming the entry
     runs = []
-    monkeypatch.setattr(mfc.verify, "run_entry",
-                        lambda *args, **kwargs: runs.append(args) or [])
+    monkeypatch.setattr(mfc.verify, "_run_entry",
+                        lambda *args: runs.append(args) or [])
     path, out = tmp_path / "suite.json", tmp_path / "out"
     for bad in ("5[5]5", "x17"):
         path.write_text(json.dumps({"mfc_suite": 1, "entries": [
@@ -497,7 +557,7 @@ def test_suite_symbols_checked_before_any_entry_runs(tmp_path, monkeypatch,
     # a symbol over the rank cap is left unparsed and runs, to be skipped
     big = {"symbol": "5" + "[5]5" * 29}
     assert run_suite({"mfc_suite": 1, "entries": [big]})[0] == 0
-    assert runs == [(big, DEFAULT_CAP, False)]
+    assert runs == [(big, DEFAULT_CAP, False, None)]
 
 
 def test_cli_suite_unknown_key_exit_2(tmp_path, capsys):
@@ -611,6 +671,16 @@ def test_three_factor_joins_agree():
         walls = rep.details["walls"]
         assert len(walls) == n_walls, sym
         assert all(row["isomorphic"] for row in walls), sym
+
+
+def test_joins_with_thick_rank2_factors_agree():
+    # the untyped general search stalls on relabelled models of G17 and
+    # G21; the join check passes its type map, and these finish in well
+    # under a second each
+    for sym in ("2[6]5 + 2", "2[10]3 + 3"):
+        (rep,) = run_entry({"symbol": sym, "checks": ["join"]}, DEFAULT_CAP)
+        assert rep.status == "agree", sym
+        assert rep.details["join_isomorphism"] is True, sym
 
 
 # sha256 of the reports below, as produced before the parabolic and

@@ -29,8 +29,8 @@ def setup(sym):
 def generated(c, simplices):
     """The closure of some simplices of c, on fresh vertex ids in the
     order of the old ones; vertex_names record c's names (or ids)."""
-    return _reindexed(_face_closure(simplices), c.vertex_types,
-                      c.vertex_names)
+    return _reindexed(_face_closure((s, 0) for s in simplices),
+                      c.vertex_types, c.vertex_names)
 
 
 def euler(c):
@@ -546,13 +546,13 @@ def test_chamber_count_check_examples():
                                               ctx.refl_classes)
 
     t, rpt = check("3[3]3")
-    row = [r for r in rpt.rows if r.class_rep == t.gen_elements[0]][0]
-    assert row.f_vector[0] == 4  # fixed vertex count = d_1 = 4
+    row = [r for r in rpt.rows if r["rep"] == t.gen_elements[0]][0]
+    assert row["f"]["0"] == 4  # fixed vertex count = d_1 = 4
     assert rpt.item_i and rpt.item_ii and rpt.item_iii and rpt.eq8_holds
 
     _t, rpt = check("D4")
     assert not rpt.item_i and not rpt.item_ii and not rpt.item_iii
-    assert any(r.p == 2 and r.f_vector.get(1, 0) != 8 for r in rpt.rows)
+    assert any(r["p"] == 2 and r["f"].get("1", 0) != 8 for r in rpt.rows)
 
     _t, rpt = check("G(3,1,3)")
     assert rpt.item_i and rpt.item_ii and rpt.item_iii
