@@ -111,8 +111,7 @@ def _dispatch(args) -> int:
 
     if args.command in ("build", "walls"):
         # a large rank exits before any vertex is built
-        ctx = GroupContext(_parse_entry(args.symbol, False, args.cap)[1],
-                           args.cap)
+        ctx = GroupContext(_parse_entry(args.symbol, args.cap), args.cap)
 
     if args.command == "build":
         cx = ctx.complex

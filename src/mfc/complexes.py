@@ -353,6 +353,9 @@ def monomial_flag_complex(m: int,
     """
     if m < 2 or n < 1:
         raise ValueError("need m >= 2, n >= 1")
+    # this cap bounds the build only while the flag complex has the coset
+    # complex's f-vector: an edit to the superset reading below must keep
+    # passing the all-pairs reference test in tests/test_complexes.py
     simplex_count(parse_symbol("G(%d,1,%d)" % (m, n)), DEFAULT_SIMPLEX_CAP)
     verts = []
     for k in range(1, n + 1):

@@ -492,18 +492,17 @@ def run_entry(entry: dict, cap: int,
     return _run_entry(entry, cap, timings, None)
 
 
-def _parse_entry(sym: str, monomial: bool, cap: int) -> tuple[str, Diagram]:
-    """The report symbol and diagram of an entry with symbol text sym; a
-    symbol entry is named by diagram_name, which classifies it.  |G| >=
-    2^rank: a rank read from the text skips before any vertex is built."""
+def _parse_entry(sym: str, cap: int) -> Diagram:
+    """The diagram of symbol text sym.  |G| >= 2^rank: a rank read from
+    the text skips before any vertex is built."""
     _check_rank(symbol_rank(sym), cap)
-    d = parse_symbol(sym)
-    return (sym if monomial else diagram_name(d)), d
+    return parse_symbol(sym)
 
 
 def _run_entry(entry, cap, timings, parsed) -> list[TheoremReport]:
-    """run_entry on a checked entry, given its _parse_entry result when
-    run_suite's check has it."""
+    """run_entry on a checked entry, given its report symbol and diagram
+    when run_suite's check has them; a symbol entry is named by
+    diagram_name, which classifies it."""
     if "monomial" in entry:
         sym = "G(%d,1,%d)" % tuple(entry["monomial"])
         checks = entry.get("checks", ["monomial"])
@@ -513,7 +512,10 @@ def _run_entry(entry, cap, timings, parsed) -> list[TheoremReport]:
     skip = None
     try:
         # a rank skip keeps the symbol as written
-        sym, d = parsed or _parse_entry(sym, "monomial" in entry, cap)
+        if parsed is None:
+            d = _parse_entry(sym, cap)
+            parsed = (sym if "monomial" in entry else diagram_name(d)), d
+        sym, d = parsed
         ctx = GroupContext(d, cap)
     except CapExceeded as e:
         skip = e                    # every check reports this skip
@@ -621,7 +623,8 @@ def run_suite(spec: dict | str, deep: bool = False, cap: int = DEFAULT_CAP,
         # skipped as run_entry skips it, and any other's parse is passed on
         if "symbol" in e:
             try:
-                parsed[i] = _parse_entry(e["symbol"], False, cap)
+                d = _parse_entry(e["symbol"], cap)
+                parsed[i] = diagram_name(d), d
             except CapExceeded:
                 pass
             except DiagramError as err:

@@ -434,6 +434,7 @@ def test_cli_build_and_walls_skip_large_rank_before_parsing(monkeypatch,
     def no_parse(text):
         raise AssertionError("symbol parsed")
 
+    monkeypatch.setattr(mfc.verify, "parse_symbol", no_parse)
     monkeypatch.setattr(mfc.cli, "parse_symbol", no_parse)
     for command in ("build", "walls"):
         assert main([command, "G(2,1,200000)"]) == 3
@@ -465,7 +466,7 @@ def test_cli_suite_out_is_a_file_exit_2(tmp_path, monkeypatch, capsys):
     def no_run(*args, **kwargs):
         raise AssertionError("entry run before --out was made")
 
-    monkeypatch.setattr(mfc.verify, "run_entry", no_run)
+    monkeypatch.setattr(mfc.verify, "_run_entry", no_run)
     taken = tmp_path / "taken"
     taken.write_text("")
     assert main(["suite", "default", "--out", str(taken)]) == 2
@@ -476,9 +477,9 @@ def test_cli_suite_out_is_a_file_exit_2(tmp_path, monkeypatch, capsys):
 
 def test_unknown_check_rejected_before_any_entry_runs(monkeypatch):
     def no_run(*args, **kwargs):
-        raise AssertionError("run_entry called before validation")
+        raise AssertionError("entry run before validation")
 
-    monkeypatch.setattr(mfc.verify, "run_entry", no_run)
+    monkeypatch.setattr(mfc.verify, "_run_entry", no_run)
     for bad in ({"symbol": "A3", "checks": ["Z"]},
                 {"symbol": "A3", "checks": ["monomial"]},
                 {"monomial": [2, 2], "checks": ["A"]}):
@@ -493,9 +494,9 @@ def test_unknown_check_rejected_before_any_entry_runs(monkeypatch):
 def test_suite_value_types_rejected_before_any_entry_runs(monkeypatch):
     # JSON true is not the integer 1, and the string "false" is not false
     def no_run(*args, **kwargs):
-        raise AssertionError("run_entry called before validation")
+        raise AssertionError("entry run before validation")
 
-    monkeypatch.setattr(mfc.verify, "run_entry", no_run)
+    monkeypatch.setattr(mfc.verify, "_run_entry", no_run)
     entries = [{"symbol": "A3", "checks": ["counts"]}]
     for bad, match in (
             ({"mfc_suite": 1, "allow_skip": "false", "entries": entries},
@@ -520,9 +521,9 @@ def test_unknown_keys_rejected_before_any_entry_runs(monkeypatch):
     # a misspelled "allow_skip" or "checks" used to be ignored: the E7
     # entry then ran the default checks and the suite exited 0
     def no_run(*args, **kwargs):
-        raise AssertionError("run_entry called before validation")
+        raise AssertionError("entry run before validation")
 
-    monkeypatch.setattr(mfc.verify, "run_entry", no_run)
+    monkeypatch.setattr(mfc.verify, "_run_entry", no_run)
     entries = [{"symbol": "A3", "checks": ["counts"]}]
     for bad, match in (
             ({"mfc_suite": 1, "allow_skp": False,
