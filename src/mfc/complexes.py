@@ -299,18 +299,22 @@ def milnor_fiber_complex(t: GroupTable,
 
     Vertices of type r are cosets g<R - {r}>; the simplex of a coset
     g<R - I> is its vertex set {g<R - {r}> : r in I}; chambers biject
-    with group elements.  The action is left translation.
+    with group elements.  The action is left translation.  Every vertex
+    lies in a chamber, so the 0-simplices are the vertex ids, and only
+    the type sets I of two or more types are read off the chambers.
     """
     simplex_count(t.diagram, DEFAULT_SIMPLEX_CAP)
     if chambers is None:
         chambers = ChamberSystem(t)
     n = t.ngens
-    by_dim: dict[int, list] = {}
+    by_dim: dict[int, list] = {0: [(v,) for v in
+                                   range(len(chambers.vertex_types))]}
     # the simplices of type I are the chambers restricted to the types in I
     for mask in range(1, 1 << n):
-        simplices = set(zip(*(col for r, col in enumerate(chambers.chamber)
-                              if mask >> r & 1)))
-        by_dim.setdefault(bin(mask).count("1") - 1, []).extend(simplices)
+        if mask & (mask - 1):       # two or more types
+            simplices = set(zip(*(col for r, col in enumerate(chambers.chamber)
+                                  if mask >> r & 1)))
+            by_dim.setdefault(bin(mask).count("1") - 1, []).extend(simplices)
     cx = TypedComplex(chambers.vertex_types, by_dim,
                       vertex_names=chambers.vertex_names)
     return cx, chambers

@@ -172,21 +172,21 @@ def rank_and_factors(cols: list[dict]) -> tuple[int, list[int]]:
 
 def _n_components(c: TypedComplex) -> int:
     """Connected components of the 1-skeleton (0 for no vertices), by
-    union-find with path halving."""
-    n = c.n_vertices
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (u, v) in c.simplices(1):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    return len({find(v) for v in range(n)})
+    union-find with path halving: each edge that joins two roots merges
+    two components."""
+    comps = c.n_vertices
+    parent = list(range(comps))
+    for u, v in c.simplices(1):
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        if u != v:
+            parent[u] = v
+            comps -= 1
+    return comps
 
 
 def _coreduced(c: TypedComplex) -> dict[int, list[dict]]:

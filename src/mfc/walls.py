@@ -41,20 +41,30 @@ DETAIL_ROW_LIMIT = 16
 # ---------------------------------------------------------------------------
 
 def fixed_subcomplex(chambers: ChamberSystem, g: int) -> TypedComplex:
-    """All simplices with g(sigma) = sigma setwise, read off the chambers;
-    vertex ids and names as in the full subcomplex of the built complex on
-    g's fixed vertices.
+    """All simplices with g(sigma) = sigma setwise; vertex ids and names as
+    in the full subcomplex of the built complex on g's fixed vertices.
 
     The action preserves types and the vertices of a simplex have
     distinct types, so setwise is pointwise.  g fixes the vertex v iff
-    ``chambers.vertex_perm(g)[v] == v``.  Every simplex is a restriction
-    of a chamber, so the fixed simplices are the faces of the chambers
-    restricted to their fixed vertices: each chamber is read once as a
-    tuple with None at its moved vertices, and the distinct tuples,
-    stripped of the Nones, close to the fixed subcomplex.
+    ``chambers.vertex_perm(g)[v] == v``, and a fixed simplex lies on
+    fixed vertices.  An element g != 1 moves every chamber, so it fixes
+    no edge at rank n <= 2, where the edges are the chambers, nor with
+    fewer than two fixed vertices: then the fixed subcomplex is its
+    fixed vertices alone, and the chambers are not read.
+
+    Otherwise every simplex is a restriction of a chamber, so the fixed
+    simplices are the faces of the chambers restricted to their fixed
+    vertices: each chamber is read once as a tuple with None at its
+    moved vertices, and the distinct tuples, stripped of the Nones,
+    close to the fixed subcomplex.
     """
-    keep = [v if w == v else None
-            for v, w in enumerate(chambers.vertex_perm(g))]
+    perm = chambers.vertex_perm(g)
+    fixed = [v for v, w in enumerate(perm) if v == w]
+    if g and (len(fixed) < 2 or chambers.table.ngens < 3):
+        return TypedComplex(map(chambers.vertex_types.__getitem__, fixed),
+                            {0: [(i,) for i in range(len(fixed))]},
+                            map(chambers.vertex_names.__getitem__, fixed))
+    keep = [v if w == v else None for v, w in enumerate(perm)]
     restricted = set(zip(*(map(keep.__getitem__, col)
                            for col in chambers.chamber)))
     return _reindexed(_face_closure((tuple(v for v in s if v is not None), 0)

@@ -278,6 +278,23 @@ def test_complex_matches_per_coset_construction():
         assert [cs.vertex_perm(g) for g in t.gen_elements] == perms, sym
 
 
+def test_complex_matches_restriction_of_every_type_set():
+    # the complex reads its vertices as the ids 0..V-1 and restricts the
+    # chambers only to type sets of two or more types: the same complex
+    # as restricting them to all 2^n - 1 type sets, ranks 1 to 4
+    for sym in ("Z5", "I2(7)", "G8", "2[3]2 + 4", "A3", "G(3,1,3)", "A4",
+                "D4", "G(3,1,4)"):
+        t, cx, cs = build(sym)
+        by_dim = {}
+        for mask in range(1, 1 << t.ngens):
+            by_dim.setdefault(bin(mask).count("1") - 1, []).extend(
+                set(zip(*(col for r, col in enumerate(cs.chamber)
+                          if mask >> r & 1))))
+        assert cx.by_dim == TypedComplex(cs.vertex_types, by_dim).by_dim, sym
+        assert cx.vertex_types == cs.vertex_types, sym
+        assert cx.vertex_names == cs.vertex_names, sym
+
+
 def test_simplex_cap(monkeypatch):
     # both complexes read the module's cap when they are built, and both
     # check their simplex count before building (the flag model G(m,1,n)'s)

@@ -719,6 +719,25 @@ def test_rank2_report_bytes_pinned():
     assert hashlib.sha256(blob).hexdigest() == PINNED_RANK2_SHA256
 
 
+# sha256 of the A and B reports of rank <= 2 groups at cap 200,000, as
+# produced while every fixed subcomplex was still read off all the
+# chambers: Z7 is cyclic, the reflections of I2(7), I2(17) and G8 fix a
+# vertex of each type, I2(301) has many walls, and G(20,1,2) and G(31,1,2)
+# are monomial
+PINNED_RANK2_WALL_ENTRIES = [{"symbol": s, "checks": ["A", "B"]}
+                             for s in ("Z7", "I2(7)", "I2(17)", "I2(301)",
+                                       "G(20,1,2)", "G(31,1,2)", "G8")]
+PINNED_RANK2_WALL_SHA256 = \
+    "5591f8e0108e5f14b1b951bcc88f9960cbfcb3fd44790d85804cfd17eab9a835"
+
+
+def test_rank2_wall_report_bytes_pinned():
+    reports = [r.to_jsonable() for e in PINNED_RANK2_WALL_ENTRIES
+               for r in run_entry(e, 200_000)]
+    blob = json.dumps(reports, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == PINNED_RANK2_WALL_SHA256
+
+
 # sha256 of the B report of each group below at cap 1,000,000, as produced
 # while the wall search still closed and united every type family and
 # pruned it by its Euler characteristic; D7 contains D4, so none of its

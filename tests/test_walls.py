@@ -1,6 +1,8 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfc.complexes import TypedComplex, _face_closure, milnor_fiber_complex
 from mfc.diagram import diagram_name, enumerate_admissible, parse_symbol
@@ -14,6 +16,7 @@ from mfc.walls import (ParabolicData, RecognitionVerdict,
                        chamber_count_check, fixed_subcomplex,
                        milnor_wall_search, predicted_bouquet_count,
                        recognize_milnor_fiber)
+from strategies import admissible_unions
 
 # groups for the property tests of walls and parabolic data: real,
 # complex, monomial and dihedral, ranks 2 and 3
@@ -148,23 +151,78 @@ def test_fixed_subcomplex_matches_setwise_filter():
                                              for v in old_ids)
 
 
+def _assert_induced_on_fixed_vertices(cx, cs, g, label):
+    """fixed_subcomplex(cs, g) is the full subcomplex of cx on the
+    vertices that g's permutation fixes, with cx's types and names."""
+    perm = cs.vertex_perm(g)
+    keep = {v for v, w in enumerate(perm) if v == w}
+    want = generated(cx, (s for k in range(cx.dim + 1)
+                          for s in cx.simplices(k) if keep.issuperset(s)))
+    got = fixed_subcomplex(cs, g)
+    assert got.by_dim == want.by_dim, (label, g)
+    assert got.vertex_types == want.vertex_types, (label, g)
+    assert got.vertex_names == want.vertex_names, (label, g)
+    return got
+
+
 def test_fixed_subcomplex_matches_induced_on_fixed_vertices():
     # the chamber route equals the full subcomplex of the built complex on
     # the vertices that g's word-composed permutation fixes, for one
-    # element of every conjugacy class
+    # element of every conjugacy class.  At rank <= 2 an element g != 1
+    # fixes points or nothing; in I2(17), G8 and G20 some g fixes a vertex
+    # of each type
     for sym in ("B3", "H3", "G25", "G26", "D4", "F4", "G(3,1,3)", "I2(7)",
-                "Z5", "2[3]2 + 4", "1"):
+                "Z5", "2[3]2 + 4", "1", "I2(17)", "G8", "G20", "Z7"):
         t, cx, cs = setup(sym)
+        both_types = False
         for g in conjugacy_classes(t).reps:
-            perm = cs.vertex_perm(g)
-            keep = {v for v, w in enumerate(perm) if v == w}
-            want = generated(cx, (s for k in range(cx.dim + 1)
-                                  for s in cx.simplices(k)
-                                  if keep.issuperset(s)))
-            got = fixed_subcomplex(cs, g)
-            assert got.by_dim == want.by_dim, (sym, g)
-            assert got.vertex_types == want.vertex_types, (sym, g)
-            assert got.vertex_names == want.vertex_names, (sym, g)
+            got = _assert_induced_on_fixed_vertices(cx, cs, g, sym)
+            if g and t.ngens <= 2:
+                assert got.dim <= 0, (sym, g)
+                both_types |= len(set(got.vertex_types)) == 2
+        if sym in ("I2(17)", "G8", "G20"):
+            assert both_types, sym
+
+
+@settings(max_examples=25, deadline=None)
+@given(admissible_unions(), st.data())
+def test_fixed_subcomplex_is_induced_on_random_diagrams(d, data):
+    # the same identity for a few class representatives of each drawn
+    # union of admissible rows of rank <= 3
+    t = enumerate_group(d)
+    cx, cs = milnor_fiber_complex(t)
+    reps = data.draw(st.lists(st.sampled_from(conjugacy_classes(t).reps),
+                              min_size=1, max_size=3, unique=True))
+    for g in reps:
+        _assert_induced_on_fixed_vertices(cx, cs, g, diagram_name(d))
+
+
+def test_fixed_subcomplex_reads_no_chambers_without_a_fixed_edge(
+        monkeypatch):
+    # an element g != 1 moves every chamber, so at rank <= 2, or with
+    # fewer than two fixed vertices, it fixes no edge: the fixed
+    # subcomplex is its fixed vertices, and no face pass runs
+    import mfc.walls
+    cases = []
+    for sym in ("Z7", "I2(17)", "G8", "G(20,1,2)", "H3"):
+        t, cx, cs = setup(sym)
+        for g in range(1, t.order):
+            fixed = [v for v, w in enumerate(cs.vertex_perm(g)) if v == w]
+            if t.ngens <= 2 or len(fixed) < 2:
+                cases.append((cs, g, fixed))
+    assert any(len(fixed) == 2 for _cs, _g, fixed in cases)
+
+    def chamber_pass(*args):
+        raise AssertionError("the chambers were read")
+
+    monkeypatch.setattr(mfc.walls, "_face_closure", chamber_pass)
+    monkeypatch.setattr(mfc.walls, "_reindexed", chamber_pass)
+    for cs, g, fixed in cases:
+        w = fixed_subcomplex(cs, g)
+        assert w.by_dim == ({0: tuple((i,) for i in range(len(fixed)))}
+                            if fixed else {})
+        assert w.vertex_types == tuple(cs.vertex_types[v] for v in fixed)
+        assert w.vertex_names == tuple(cs.vertex_names[v] for v in fixed)
 
 
 def test_parabolic_data_is_block_zero_of_cosets():
