@@ -129,7 +129,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "walls":
-        classes = ctx.pdata.classes
+        classes = ctx.classes
         n_refl = len(ctx.refl_classes)
         if args.klass is not None and not 0 <= args.klass < n_refl:
             raise UsageError("--class must be at least 0 and below %d, the "

@@ -3,18 +3,20 @@
 A TypedComplex stores every simplex explicitly (the empty simplex is
 implicit) as a sorted tuple of vertex ids; each vertex carries a type
 label and the type of a simplex is the set of types of its vertices.
-Vertex ids are (type, coset-block) pairs flattened deterministically,
-so identical builds produce identical complexes.
+A coset complex numbers its vertices by type, then by coset block, so
+identical builds produce identical complexes and a vertex's id is its
+name; only a flag model, and a subcomplex (the ids it had in its
+complex), carry ``vertex_names``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import wraps
+from functools import lru_cache
 from itertools import chain, combinations, compress, product
 
-from .diagram import (Diagram, canonical_key, components_with_indices,
-                      group_order, parse_symbol)
+from .diagram import (Diagram, components_with_indices, group_order,
+                      parse_symbol)
 from .group import CapExceeded, GroupTable, parabolic_cosets
 
 DEFAULT_SIMPLEX_CAP = 2_000_000
@@ -99,16 +101,16 @@ class TypedComplex:
     # -- derived complexes ---------------------------------------------------
 
     @classmethod
-    def from_facets(cls, vertex_types, facets, vertex_names=None) -> "TypedComplex":
+    def from_facets(cls, vertex_types, facets) -> "TypedComplex":
         return cls(vertex_types,
-                   _face_closure((tuple(sorted(f)), 0) for f in facets),
-                   vertex_names=vertex_names)
+                   _face_closure((tuple(sorted(f)), 0) for f in facets))
 
 
 def _reindexed(by_dim, vertex_types, vertex_names) -> TypedComplex:
     """The complex of the simplices by_dim, given in the ids of a complex
-    with these vertex types and names, on fresh ids 0, 1, ... in the
-    order of the old ones; vertex_names record the old names (or ids)."""
+    with these vertex types and names (None for a complex whose ids are
+    its names), on fresh ids 0, 1, ... in the order of the old ones;
+    vertex_names record the old names, or the old ids when None."""
     # the remap preserves vertex order, so sorted tuples stay sorted
     old_ids = sorted(s[0] for s in by_dim.get(0, ()))
     new_id = dict(zip(old_ids, range(len(old_ids)))).__getitem__
@@ -167,7 +169,6 @@ class ChamberSystem:
         R = range(n)
         self.chamber: list[list[int]] = []
         types: list[int] = []
-        names: list[tuple[int, int]] = []
         reps: list[int] = []
         for r in R:
             part = parabolic_cosets(t, [x for x in R if x != r])
@@ -176,10 +177,8 @@ class ChamberSystem:
             col = list(map(ids.__getitem__, part.block_of))
             self.chamber.append(col)
             types.extend([r] * part.n_blocks)
-            names.extend((r, b) for b in range(part.n_blocks))
             reps.extend(part.reps)
         self.vertex_types = tuple(types)
-        self.vertex_names = tuple(names)
         self.vertex_reps = reps
 
     def vertex_perm(self, g: int) -> list[int]:
@@ -209,34 +208,14 @@ class ChamberSystem:
         return tuple(fv)
 
 
-_ROW_MEMO_MAX = 4096
-
-
-def _per_row(fn):
-    """fn, memoized by the canonical key of its diagram (for at most
-    _ROW_MEMO_MAX rows each): fn is an invariant of the diagram up to
-    relabeling, and recognition asks for the same rows again and again."""
-    memo: dict = {}
-
-    @wraps(fn)
-    def memoized(d: Diagram):
-        key = canonical_key(d)
-        hit = memo.get(key)
-        if hit is None:
-            hit = fn(d)
-            if len(memo) < _ROW_MEMO_MAX:
-                memo[key] = hit
-        return hit
-    return memoized
-
-
-@_per_row
+@lru_cache(maxsize=4096)
 def order_f_vector(d: Diagram) -> tuple[int, ...]:
     """(f_0, ..., f_{n-1}) of d's Milnor fiber complex from group orders
     alone: the simplices of type I are the cosets of G_{R-I}, so f_k is
     the sum of |G| / |G_{R-I}| over the type sets I with k + 1 types.  A
     union's complex is the join of its components', so its f-polynomial
-    (with f_{-1} = 1) is the product of theirs."""
+    (with f_{-1} = 1) is the product of theirs.  Memoized per diagram:
+    recognition asks for the same candidates again and again."""
     comps = components_with_indices(d)
     if len(comps) > 1:
         poly = [1]
@@ -257,12 +236,13 @@ def order_f_vector(d: Diagram) -> tuple[int, ...]:
     return tuple(fv)
 
 
-@_per_row
+@lru_cache(maxsize=4096)
 def order_vertex_profile(d: Diagram) -> tuple:
     """``vertex_profile`` of d's Milnor fiber complex from group orders
     alone: there are |G| / |G_{R-{r}}| vertices of type r, and the link
     of each is the complex of G_{R-{r}}, so each has 1 + f_k of that
-    complex incident simplices of dimension k + 1."""
+    complex incident simplices of dimension k + 1.  Memoized per
+    diagram."""
     n = d.rank
     order = group_order(d)
     profile: Counter = Counter()
@@ -301,7 +281,10 @@ def milnor_fiber_complex(t: GroupTable,
     g<R - I> is its vertex set {g<R - {r}> : r in I}; chambers biject
     with group elements.  The action is left translation.  Every vertex
     lies in a chamber, so the 0-simplices are the vertex ids, and only
-    the type sets I of two or more types are read off the chambers.
+    the type sets I of two or more types are read off the chambers.  The
+    complex carries no vertex names: the coset in block b of type r's
+    ``parabolic_cosets`` has id b plus the number of vertices of the types
+    below r.
     """
     simplex_count(t.diagram, DEFAULT_SIMPLEX_CAP)
     if chambers is None:
@@ -315,9 +298,7 @@ def milnor_fiber_complex(t: GroupTable,
             simplices = set(zip(*(col for r, col in enumerate(chambers.chamber)
                                   if mask >> r & 1)))
             by_dim.setdefault(bin(mask).count("1") - 1, []).extend(simplices)
-    cx = TypedComplex(chambers.vertex_types, by_dim,
-                      vertex_names=chambers.vertex_names)
-    return cx, chambers
+    return TypedComplex(chambers.vertex_types, by_dim), chambers
 
 
 def join(*factors: TypedComplex) -> TypedComplex:

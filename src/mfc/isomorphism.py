@@ -42,10 +42,10 @@ def verify_isomorphism(a: TypedComplex, b: TypedComplex,
         return False
     if a.f_vector() != b.f_vector():
         return False
+    sets_b = b._simplex_sets()
     for k in range(a.dim + 1):
-        bset = set(b.simplices(k))
         for s in a.simplices(k):
-            if tuple(sorted(vertex_map[v] for v in s)) not in bset:
+            if tuple(sorted(vertex_map[v] for v in s)) not in sets_b[k]:
                 return False
     if type_map is not None:
         return all(type_map.get(a.vertex_types[v]) == b.vertex_types[w]
@@ -251,17 +251,17 @@ def find_model_isomorphism(a: TypedComplex, model: TypedComplex
 
     The model's group acts simply transitively on its chambers, so if any
     isomorphism exists, one of them takes a's first chamber c0 onto the
-    model's first chamber C0, the identity chamber, whose vertices are
-    named (r, 0).  Each bijection c0 -> C0 that keeps the initial colors
-    (``incidence_counts``) is extended across a's panels (``_extend``),
-    backtracking at most once per chamber of a.  An extension that needs
-    more, as on thick rank-2 models with long cycles such as G17's,
-    starts again from colors refined with c0's vertices and their
-    images set apart (``_refine``), which seldom leave it a choice, and
-    runs to the end.  A map that ``_extend`` accepts is injective and
-    sends every chamber of a onto a chamber of the model; with equal
-    f-vectors and every model simplex a face of a chamber, that is an
-    isomorphism.  The search is complete, so None is exact.
+    model's first chamber C0, the identity chamber, whose type-r vertex
+    is the first id of type r.  Each bijection c0 -> C0 that keeps the
+    initial colors (``incidence_counts``) is extended across a's panels
+    (``_extend``), backtracking at most once per chamber of a.  An
+    extension that needs more, as on thick rank-2 models with long
+    cycles such as G17's, starts again from colors refined with c0's
+    vertices and their images set apart (``_refine``), which seldom leave
+    it a choice, and runs to the end.  A map that ``_extend`` accepts is
+    injective and sends every chamber of a onto a chamber of the model;
+    with equal f-vectors and every model simplex a face of a chamber,
+    that is an isomorphism.  The search is complete, so None is exact.
     """
     if a.f_vector() != model.f_vector():
         return None

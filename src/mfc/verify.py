@@ -19,8 +19,8 @@ from .complexes import (ChamberSystem, TypedComplex, join,
 from .diagram import (Diagram, DiagramError, basic_degrees, classify,
                       components_with_indices, diagram_name,
                       has_forbidden_subdiagram, parse_symbol, symbol_rank)
-from .group import (DEFAULT_CAP, CapExceeded, _check_rank, enumerate_group,
-                    reflection_classes)
+from .group import (DEFAULT_CAP, CapExceeded, ConjugacyClasses, _check_rank,
+                    conjugacy_classes, enumerate_group, reflection_classes)
 from .homology import reduced_betti
 from .isomorphism import (find_isomorphism, find_model_isomorphism,
                           verify_isomorphism)
@@ -62,12 +62,14 @@ class TheoremReport:
 
 class GroupContext:
     """Everything verifiers need for one diagram, built once: the table,
-    its chamber system, the parabolic data and classes, and per element
-    its fixed subcomplex, and for a reflection its wall's verdict and
-    certificate.  The fixed subcomplexes and the f-vector come from the
-    chambers; the full complex is built only when a check reads
-    ``complex`` (orlik, monomial, join, ``mfc build``), and only then is
-    the simplex cap checked; the order cap is checked before any table."""
+    its chamber system, its conjugacy classes and reflection classes, the
+    parabolic data, and per element its fixed subcomplex, and for a
+    reflection its wall's verdict and certificate.  The fixed subcomplexes
+    and the f-vector come from the chambers; the full complex is built
+    only when a check reads ``complex`` (orlik, monomial, join, ``mfc
+    build``), and only then is the simplex cap checked; the parabolic
+    data, a walk of every proper parabolic, only when counts or orlik
+    reads ``pdata``; the order cap is checked before any table."""
 
     def __init__(self, d: Diagram, cap: int = DEFAULT_CAP):
         self.diagram = d
@@ -85,13 +87,17 @@ class GroupContext:
         return milnor_fiber_complex(self.table, chambers=self.chambers)[0]
 
     @cached_property
+    def classes(self) -> ConjugacyClasses:
+        return conjugacy_classes(self.table)
+
+    @cached_property
     def pdata(self) -> ParabolicData:
-        return ParabolicData(self.table)
+        return ParabolicData(self.table, self.classes)
 
     @cached_property
     def refl_classes(self) -> list[int]:
         """The representatives of the reflection classes, in class order."""
-        return reflection_classes(self.table, self.pdata.classes)
+        return reflection_classes(self.table, self.classes)
 
     def fixed_of(self, g: int) -> TypedComplex:
         """The fixed subcomplex of element g, built once."""
@@ -217,7 +223,7 @@ def verify_counts(ctx: GroupContext) -> TheoremReport:
             "eq8_counts": rpt.eq8_holds, "eq8_explicit": not n_failing,
             "walls": wall_rows,
             "n_reflection_classes": len(ctx.refl_classes),
-            "n_classes": ctx.pdata.classes.n_classes,
+            "n_classes": ctx.classes.n_classes,
             "class_rows": rpt.rows,
         })
         # agreement: chamber and wall counts exact (unconditional parts of
@@ -255,7 +261,7 @@ def verify_orlik(ctx: GroupContext) -> TheoremReport:
         computed = False
     if irreducible and 2 <= n <= 3:
         d1 = basic_degrees(d)[0]
-        classes = ctx.pdata.classes
+        classes = ctx.classes
         explicit_all = n >= 3 or ctx.order <= EXPLICIT_ORLIK_ORDER
 
         def row(cid: int) -> tuple[bool, dict]:

@@ -21,11 +21,11 @@ from math import prod
 from .complexes import (ChamberSystem, TypedComplex, _face_closure, _reindexed,
                         milnor_fiber_complex, order_f_vector,
                         order_vertex_profile, vertex_profile)
-from .diagram import (Diagram, basic_degrees, canonical_key, classify,
-                      diagram_name, enumerate_admissible, group_order,
+from .diagram import (Diagram, basic_degrees, classify, diagram_name,
+                      enumerate_admissible, group_order,
                       has_forbidden_subdiagram)
-from .group import (DEFAULT_CAP, GroupTable, _subgroup_tree,
-                    conjugacy_classes, enumerate_group)
+from .group import (DEFAULT_CAP, ConjugacyClasses, GroupTable, _subgroup_tree,
+                    enumerate_group)
 from .homology import _n_components, reduced_betti
 from .isomorphism import find_model_isomorphism
 
@@ -41,8 +41,9 @@ DETAIL_ROW_LIMIT = 16
 # ---------------------------------------------------------------------------
 
 def fixed_subcomplex(chambers: ChamberSystem, g: int) -> TypedComplex:
-    """All simplices with g(sigma) = sigma setwise; vertex ids and names as
-    in the full subcomplex of the built complex on g's fixed vertices.
+    """All simplices with g(sigma) = sigma setwise; vertex ids as in the
+    full subcomplex of the built complex on g's fixed vertices, whose ids
+    in the built complex are the subcomplex's ``vertex_names``.
 
     The action preserves types and the vertices of a simplex have
     distinct types, so setwise is pointwise.  g fixes the vertex v iff
@@ -62,14 +63,13 @@ def fixed_subcomplex(chambers: ChamberSystem, g: int) -> TypedComplex:
     fixed = [v for v, w in enumerate(perm) if v == w]
     if g and (len(fixed) < 2 or chambers.table.ngens < 3):
         return TypedComplex(map(chambers.vertex_types.__getitem__, fixed),
-                            {0: [(i,) for i in range(len(fixed))]},
-                            map(chambers.vertex_names.__getitem__, fixed))
+                            {0: [(i,) for i in range(len(fixed))]}, fixed)
     keep = [v if w == v else None for v, w in enumerate(perm)]
     restricted = set(zip(*(map(keep.__getitem__, col)
                            for col in chambers.chamber)))
     return _reindexed(_face_closure((tuple(v for v in s if v is not None), 0)
                                     for s in restricted),
-                      chambers.vertex_types, chambers.vertex_names)
+                      chambers.vertex_types, None)
 
 
 # ---------------------------------------------------------------------------
@@ -77,24 +77,22 @@ def fixed_subcomplex(chambers: ChamberSystem, g: int) -> TypedComplex:
 # ---------------------------------------------------------------------------
 
 class ParabolicData:
-    """Order of every proper standard parabolic subgroup G_J, its
-    intersection count with each conjugacy class it meets, and the
-    fixed-simplex counts of every class that meets some G_J.
+    """The fixed-simplex counts of every conjugacy class of t
+    (``classes``) that meets some proper standard parabolic subgroup G_J.
 
     A coset hG_J is fixed by g iff h^{-1} g h lies in G_J, and the number
     of fixed cosets is |C_G(g)| * |cls(g) ∩ G_J| / |G_J|.  Only the terms
-    with cls(g) ∩ G_J nonempty are summed, once per group; a class that
-    meets no proper G_J fixes only the empty simplex.
+    with cls(g) ∩ G_J nonempty are summed, once per group, over one walk
+    of each G_J; a class that meets no proper G_J fixes only the empty
+    simplex.
     """
 
-    def __init__(self, t: GroupTable):
+    def __init__(self, t: GroupTable, classes: ConjugacyClasses):
         self.table = t
-        self.classes = conjugacy_classes(t)
+        self.classes = classes
         n = t.ngens
-        class_of = self.classes.class_of
-        sizes = self.classes.sizes
-        self.subgroup_orders = {}
-        self.intersections = {}   # mask -> {class id: |cls ∩ G_J|}, nonzero
+        class_of = classes.class_of
+        sizes = classes.sizes
         fixed: dict[int, list[int]] = {}
         # J = R is left out: G_R = G labels only the empty simplex
         for mask in range((1 << n) - 1):
@@ -108,8 +106,6 @@ class ParabolicData:
                 if num % order:
                     raise RuntimeError("non-integral fixed-coset count")
                 fixed.setdefault(cid, [1] + [0] * n)[k] += num // order
-            self.subgroup_orders[mask] = order
-            self.intersections[mask] = met
         # class id -> counts, ascending, for the classes that fix a
         # nonempty simplex (those meeting some proper G_J, the identity too)
         self.nontrivial_counts = {cid: tuple(c)
@@ -174,17 +170,18 @@ _MODEL_ORDER_LIMIT = 20_000
 
 
 def _model_complex(d: Diagram) -> TypedComplex:
-    """The Milnor fiber complex of a candidate diagram, cached.  Raises
+    """The Milnor fiber complex of a candidate diagram, cached per diagram
+    for groups of order at most _MODEL_ORDER_LIMIT (and at most
+    _MODEL_CACHE_MAX of them), which bounds the cache's memory.  Raises
     SimplexCapExceeded (from milnor_fiber_complex) for a model over the
     simplex cap."""
-    key = canonical_key(d)
-    hit = _MODEL_CACHE.get(key)
+    hit = _MODEL_CACHE.get(d)
     if hit is not None:
         return hit
     t = enumerate_group(d, cap=max(DEFAULT_CAP, group_order(d)))
     cx, _act = milnor_fiber_complex(t)
     if group_order(d) <= _MODEL_ORDER_LIMIT and len(_MODEL_CACHE) < _MODEL_CACHE_MAX:
-        _MODEL_CACHE[key] = cx
+        _MODEL_CACHE[d] = cx
     return cx
 
 

@@ -5,6 +5,8 @@ PASS/FAIL line (run with -s to see them).  Criterion 9 (the G32 deep
 run) is behind the 'deep' marker: pytest -m deep.
 """
 
+import hashlib
+import json
 import time
 
 import pytest
@@ -226,6 +228,18 @@ def test_suite_exit_status(suite):
              if r["status"] != "agree"]
     assert flags == [("B", "G26")]
     assert suite["code"] == 1
+
+
+# sha256 of the default suite's report as ``mfc suite default --out DIR``
+# writes it to DIR/mfc-report.json
+PINNED_DEFAULT_REPORT_SHA256 = \
+    "9819b2c72b2fed73434faf00dbb7982be55781c46bfb65b687062db7d33f212f"
+
+
+def test_default_report_bytes_pinned(suite):
+    text = json.dumps(suite["bundle"], indent=1, sort_keys=True) + "\n"
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == PINNED_DEFAULT_REPORT_SHA256
 
 
 @pytest.mark.deep

@@ -1,5 +1,6 @@
 import time
 from itertools import combinations, product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +12,13 @@ from mfc.complexes import (DEFAULT_SIMPLEX_CAP, ChamberSystem,
                            milnor_fiber_complex, monomial_flag_complex,
                            order_f_vector, order_vertex_profile,
                            simplex_count, vertex_profile)
-from mfc.diagram import (diagram_name, enumerate_admissible, group_order,
-                         parse_symbol)
+from mfc.diagram import (basic_degrees, diagram_name, enumerate_admissible,
+                         group_order, parse_symbol)
 from mfc.group import _subgroup_tree, enumerate_group, parabolic_cosets
+from mfc.homology import reduced_betti
 from mfc.isomorphism import find_isomorphism, verify_isomorphism
+from mfc.walls import predicted_bouquet_count
+from strategies import admissible_unions
 
 
 def build(sym, **kw):
@@ -253,7 +257,6 @@ def _per_coset_complex(t):
                 for r in I]
         by_dim.setdefault(len(I) - 1, []).extend(zip(*cols))
     types = [r for r in R for _b in range(vmaps[r].n_blocks)]
-    names = [(r, b) for r in R for b in range(vmaps[r].n_blocks)]
     perms = []
     for i in range(n):
         perm = [0] * len(types)
@@ -263,7 +266,7 @@ def _per_coset_complex(t):
                 perm[offsets[r] + bl[g]] = \
                     offsets[r] + bl[t.mul(t.gen_elements[i], g)]
         perms.append(perm)
-    return TypedComplex(types, by_dim, vertex_names=names), perms
+    return TypedComplex(types, by_dim), perms
 
 
 def test_complex_matches_per_coset_construction():
@@ -274,7 +277,9 @@ def test_complex_matches_per_coset_construction():
         want, perms = _per_coset_complex(t)
         assert cx.by_dim == want.by_dim, sym
         assert cx.vertex_types == want.vertex_types, sym
-        assert cx.vertex_names == want.vertex_names, sym
+        # the coset in block b of type r is the vertex id offsets[r] + b,
+        # in both: the ids are the names
+        assert cx.vertex_names is None, sym
         assert [cs.vertex_perm(g) for g in t.gen_elements] == perms, sym
 
 
@@ -292,7 +297,7 @@ def test_complex_matches_restriction_of_every_type_set():
                           if mask >> r & 1))))
         assert cx.by_dim == TypedComplex(cs.vertex_types, by_dim).by_dim, sym
         assert cx.vertex_types == cs.vertex_types, sym
-        assert cx.vertex_names == cs.vertex_names, sym
+        assert cx.vertex_names is None, sym
 
 
 def test_simplex_cap(monkeypatch):
@@ -475,6 +480,25 @@ def test_order_invariants_match_built_models():
         for order in range(1, 501):
             for d in enumerate_admissible(rank, order):
                 _assert_order_invariants_match(d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(admissible_unions(), st.randoms(use_true_random=False))
+def test_order_level_oracle_on_random_diagrams(d, rnd):
+    # on random unions of admissible rows, each relabeled at random (the
+    # order-level memos key on the diagram's value): the f-vector and
+    # vertex profile from group orders, the chamber count from the
+    # degrees and the bouquet count all match the built complex
+    perm = list(range(d.rank))
+    rnd.shuffle(perm)
+    d = d.relabeled(perm)
+    name = diagram_name(d)
+    cx = milnor_fiber_complex(enumerate_group(d))[0]
+    assert order_f_vector(d) == cx.f_vector(), name
+    assert order_vertex_profile(d) == vertex_profile(cx), name
+    assert cx.f_vector()[-1] == prod(basic_degrees(d)), name
+    assert reduced_betti(cx).concentrated_value(d.rank - 1) \
+        == predicted_bouquet_count(d), name
 
 
 @pytest.mark.deep

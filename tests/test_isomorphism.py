@@ -314,9 +314,10 @@ def test_model_search_fixed_cases():
 @given(admissible_unions(), st.randoms(use_true_random=False))
 def test_model_search_finds_relabeled_models(d, rnd):
     model = milnor_fiber_complex(enumerate_group(d))[0]
-    # the model's first chamber is its identity chamber
-    assert [model.vertex_names[v] for v in model.simplices(model.dim)[0]] \
-        == [(r, 0) for r in range(d.rank)]
+    # the model's first chamber is its identity chamber: its type-r
+    # vertex is the first id of type r
+    assert list(model.simplices(model.dim)[0]) \
+        == [model.vertex_types.index(r) for r in range(d.rank)]
     perm = list(range(model.n_vertices))
     rnd.shuffle(perm)
     copy = _relabeled(model, perm)

@@ -603,7 +603,7 @@ def test_fixed_subcomplexes_built_once(monkeypatch):
     for check in (verify_counts, verify_theorem_A, verify_theorem_B,
                   verify_orlik):
         assert check(ctx).status == "agree"
-    assert len(built) == len(set(built)) == ctx.pdata.classes.n_classes - 1
+    assert len(built) == len(set(built)) == ctx.classes.n_classes - 1
     rep = ctx.refl_classes[0]
     assert ctx.certificate_of(rep).verdict is ctx.verdict_of(rep)
 
@@ -622,6 +622,22 @@ def test_counts_and_walls_never_build_the_complex(monkeypatch):
         assert [r.status for r in reports] == \
             ["agree", "agree", "disagree" if sym == "G26" else "agree"]
         assert "complex" not in vars(ctx)
+
+
+def test_wall_checks_build_no_parabolic_data(monkeypatch):
+    # A, B, monomial and join read only the conjugacy classes: the walk
+    # of every proper parabolic is left to counts and orlik
+    def no_pdata(*args):
+        raise AssertionError("ParabolicData built")
+
+    monkeypatch.setattr(mfc.verify, "ParabolicData", no_pdata)
+    entries = [{"symbol": sym, "checks": ["A", "B"]}
+               for sym in ("H3", "G25", "G(3,1,3)")]
+    entries += [{"monomial": [3, 2], "checks": ["monomial"]},
+                {"symbol": "2[3]2 + 3", "checks": ["join"]}]
+    for entry in entries:
+        for rep in run_entry(entry, DEFAULT_CAP):
+            assert rep.status == "agree", (rep.symbol, rep.theorem)
 
 
 def test_walls_recognized_once(monkeypatch):

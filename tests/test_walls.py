@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from mfc.complexes import TypedComplex, _face_closure, milnor_fiber_complex
 from mfc.diagram import diagram_name, enumerate_admissible, parse_symbol
-from mfc.group import (conjugacy_classes, enumerate_group, parabolic_cosets,
-                       reflection_classes)
+from mfc.group import (_subgroup_tree, conjugacy_classes, enumerate_group,
+                       parabolic_cosets, reflection_classes)
 from mfc.homology import reduced_betti
 from mfc.isomorphism import verify_isomorphism
 from mfc.verify import GroupContext
@@ -93,10 +93,10 @@ def test_walls_of_conjugate_reflections_isomorphic():
 def test_conjugate_wall_is_translated_wall():
     # the fixed simplices of h r h^{-1} are exactly h applied to those of r
     t, cx, cs = setup("3[3]3")
-    ambient_id = {nm: i for i, nm in enumerate(cx.vertex_names)}
 
     def ambient_simplices(w):
-        return {tuple(sorted(ambient_id[w.vertex_names[v]] for v in s))
+        # a wall's vertex names are their ids in the built complex
+        return {tuple(sorted(w.vertex_names[v] for v in s))
                 for k in range(w.dim + 1) for s in w.simplices(k)}
 
     for rep in reflection_classes(t):
@@ -147,13 +147,13 @@ def test_fixed_subcomplex_matches_setwise_filter():
                                   for k, v in want.items()}, (sym, g)
             assert sub.vertex_types == tuple(cx.vertex_types[v]
                                              for v in old_ids)
-            assert sub.vertex_names == tuple(cx.vertex_names[v]
-                                             for v in old_ids)
+            assert sub.vertex_names == tuple(old_ids)
 
 
 def _assert_induced_on_fixed_vertices(cx, cs, g, label):
     """fixed_subcomplex(cs, g) is the full subcomplex of cx on the
-    vertices that g's permutation fixes, with cx's types and names."""
+    vertices that g's permutation fixes, with cx's types, named by their
+    ids in cx."""
     perm = cs.vertex_perm(g)
     keep = {v for v, w in enumerate(perm) if v == w}
     want = generated(cx, (s for k in range(cx.dim + 1)
@@ -222,28 +222,46 @@ def test_fixed_subcomplex_reads_no_chambers_without_a_fixed_edge(
         assert w.by_dim == ({0: tuple((i,) for i in range(len(fixed)))}
                             if fixed else {})
         assert w.vertex_types == tuple(cs.vertex_types[v] for v in fixed)
-        assert w.vertex_names == tuple(cs.vertex_names[v] for v in fixed)
+        assert w.vertex_names == tuple(fixed)
+
+
+def _dense_fixed_counts(t, classes, cid):
+    """f_{-1}, ..., f_{n-1} of the fixed subcomplex of class cid: the sum
+    over every proper G_J of |C_G(g)| * |cls ∩ G_J| / |G_J|, with G_J
+    read as the block of the identity in its coset partition."""
+    n = t.ngens
+    full = (1 << n) - 1
+    dense = [1] + [0] * n
+    for mask_i in range(1, 1 << n):
+        J = [i for i in range(n) if not mask_i >> i & 1]
+        block = [e for e, b in enumerate(parabolic_cosets(t, J).block_of)
+                 if b == 0]
+        met = sum(1 for e in block if classes.class_of[e] == cid)
+        num = t.order // classes.sizes[cid] * met
+        assert num % len(block) == 0, (cid, full ^ mask_i)
+        dense[bin(mask_i).count("1")] += num // len(block)
+    return dense
 
 
 def test_parabolic_data_is_block_zero_of_cosets():
-    # |G_J| and |cls ∩ G_J| are the size and class counts of the block of
-    # the identity in the coset partition of G_J
+    # the subgroups ParabolicData walks are the blocks of the identity in
+    # the coset partitions, so its counts are the sums over those blocks
     for sym in PROPERTY_GROUPS:
         t, _cx, _act = setup(sym)
-        pdata = ParabolicData(t)
         n = t.ngens
-        proper = [m for m in range(1 << n) if m != (1 << n) - 1]
-        assert sorted(pdata.subgroup_orders) == proper
-        assert sorted(pdata.intersections) == proper
-        for mask in proper:
-            part = parabolic_cosets(t, [i for i in range(n) if mask >> i & 1])
-            counts = [0] * pdata.classes.n_classes
-            for e in range(t.order):
-                if part.block_of[e] == 0:
-                    counts[pdata.classes.class_of[e]] += 1
-            assert pdata.subgroup_orders[mask] == sum(counts), (sym, mask)
-            assert pdata.intersections[mask] == \
-                {cid: c for cid, c in enumerate(counts) if c}, (sym, mask)
+        for mask in range((1 << n) - 1):
+            J = [i for i in range(n) if mask >> i & 1]
+            members, _tree = _subgroup_tree(t, J)
+            assert sorted(members) == [
+                e for e, b in enumerate(parabolic_cosets(t, J).block_of)
+                if b == 0], (sym, mask)
+        classes = conjugacy_classes(t)
+        pdata = ParabolicData(t, classes)
+        for cid in range(classes.n_classes):
+            dense = _dense_fixed_counts(t, classes, cid)
+            assert list(pdata.fixed_counts(cid)) == dense, (sym, cid)
+            assert (cid in pdata.nontrivial_counts) == any(dense[1:]), \
+                (sym, cid)
 
 
 def test_count_formula_matches_explicit_subcomplexes():
@@ -254,21 +272,14 @@ def test_count_formula_matches_explicit_subcomplexes():
     for sym in ("Z6", "I2(5)", "I2(6)", "G(3,1,2)", "G4", "A3", "B3",
                 "2[3]2 + 4"):
         t, cx, cs = setup(sym)
-        pdata = ParabolicData(t)
-        n = t.ngens
-        full = (1 << n) - 1
-        for cid in range(pdata.classes.n_classes):
-            dense = [1] + [0] * n
-            for mask_i in range(1, 1 << n):
-                num = (t.order // pdata.classes.sizes[cid]
-                       * pdata.intersections[full ^ mask_i].get(cid, 0))
-                order = pdata.subgroup_orders[full ^ mask_i]
-                assert num % order == 0, (sym, cid, mask_i)
-                dense[bin(mask_i).count("1")] += num // order
+        classes = conjugacy_classes(t)
+        pdata = ParabolicData(t, classes)
+        for cid in range(classes.n_classes):
+            dense = _dense_fixed_counts(t, classes, cid)
             assert list(pdata.fixed_counts(cid)) == dense, (sym, cid)
             assert (cid in pdata.nontrivial_counts) == any(dense[1:]), \
                 (sym, cid)
-            rep = pdata.classes.reps[cid]
+            rep = classes.reps[cid]
             sub = fixed_subcomplex(cs, rep)
             explicit = {k: v for k, v in enumerate(sub.f_vector())}
             counted = {k - 1: v for k, v in enumerate(pdata.fixed_counts(cid))
