@@ -14,8 +14,7 @@ from .group import (CapExceeded, CosetPartition, GroupTable, conjugacy_classes,
 from .complexes import (ChamberSystem, TypedComplex, export_complex, join,
                         milnor_fiber_complex, monomial_flag_complex)
 from .homology import BettiResult, reduced_betti
-from .isomorphism import (find_isomorphism, find_model_isomorphism,
-                          verify_isomorphism)
+from .isomorphism import find_isomorphism, verify_isomorphism
 from .walls import (MilnorWallCertificate, ParabolicData, RecognitionVerdict,
                     chamber_count_check, fixed_subcomplex,
                     milnor_wall_search, recognize_milnor_fiber)

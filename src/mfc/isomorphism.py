@@ -1,23 +1,19 @@
-"""Simplicial isomorphism: a general search, and a faster one onto a
-Milnor fiber complex.
+"""Simplicial isomorphism onto a Milnor fiber complex.
 
-The general search (``find_isomorphism``) is for complexes of any shape.
-They are small but extremely symmetric, so it leans on (a) joint color
-refinement over incident-simplex structure, (b) candidate generation
-through images of already-mapped neighbors, and (c) forward/backward
-simplex checks at every extension.  The backtracking is one loop over
-the vertex order with an explicit stack of candidate iterators, so no
-recursion grows with the vertex count.  A caller that knows which type
-of a goes to which type of b passes that map (``type_map``), and every
-vertex must then go to a vertex of the mapped type; the search does not
-look for one (refine-then-backtrack as in McKay-Piperno, Practical graph
-isomorphism, II, 2014).
-
-The search onto a model (``find_model_isomorphism``) uses what is known
-about a coset complex: its group acts simply transitively on its
-chambers, so one chamber can be pinned to the identity chamber and the
-rest of the map follows panel by panel (Tits, A local approach to
-buildings, 1981).
+The one search (``find_isomorphism``) maps a complex onto a model, a
+complex built by ``milnor_fiber_complex``.  It uses what is known about
+a coset complex: its group acts simply transitively on its chambers by
+type-preserving automorphisms, so one chamber can be pinned to the
+identity chamber and the rest of the map follows panel by panel (Tits,
+A local approach to buildings, 1981).  A caller that knows which type
+of a goes to which type of the model passes that map (``type_map``),
+and every vertex must then go to a vertex of the mapped type.  An
+extension that backtracks more often than a has chambers starts again
+from refined colors (``_refine``, refine-then-backtrack as in
+McKay-Piperno, Practical graph isomorphism, II, 2014).  Maps whose
+isomorphism is known from the structure of the groups (the monomial
+certificate, the walls of a join) are built directly and re-checked by
+``verify_isomorphism``.
 
 An isomorphism is its vertex map, a dict from a's vertex ids to b's.
 All orderings are explicit, so results are deterministic.
@@ -25,7 +21,6 @@ All orderings are explicit, so results are deterministic.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
 from itertools import permutations
 
 from .complexes import TypedComplex
@@ -51,24 +46,6 @@ def verify_isomorphism(a: TypedComplex, b: TypedComplex,
         return all(type_map.get(a.vertex_types[v]) == b.vertex_types[w]
                    for v, w in vertex_map.items())
     return True
-
-
-def _incidence(c: TypedComplex):
-    """Per vertex: list of incident simplices of dim >= 1."""
-    inc = [[] for _ in range(c.n_vertices)]
-    for k in range(1, c.dim + 1):
-        for s in c.simplices(k):
-            for v in s:
-                inc[v].append(s)
-    return inc
-
-
-def _adjacency(c: TypedComplex):
-    adj = [set() for _ in range(c.n_vertices)]
-    for (u, v) in c.simplices(1):
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
 
 
 def _refine(colors_a, colors_b, a: TypedComplex, b: TypedComplex):
@@ -122,154 +99,43 @@ def _initial_colors(a: TypedComplex, b: TypedComplex, tmap=None):
     return col(a, tmap.get), col(b, lambda t: t)
 
 
-def find_isomorphism(a: TypedComplex, b: TypedComplex,
+def find_isomorphism(a: TypedComplex, model: TypedComplex,
                      type_map: dict | None = None) -> dict[int, int] | None:
-    """The vertex map of a simplicial isomorphism a -> b, or None; the
-    empty complexes' map is {}, so test the result with ``is None``.
-
-    With a type map (a dict from each of a's type labels to one of b's),
-    every vertex must go to a vertex of the mapped type.
-    """
-    if a.f_vector() != b.f_vector() or a.dim != b.dim:
-        return None
-    if a.n_vertices == 0:
-        return {}
-    return _search(a, b, type_map)
-
-
-def _vertex_order(adj, class_size) -> list[int]:
-    """The search order: connectivity-first, starting from the rarest
-    color.  Each next vertex has the most already-ordered neighbours, then
-    the smallest color class, then the smallest id; it comes off a lazy
-    heap of (-ordered neighbours, class size, id) entries, where an entry
-    is stale once its vertex is ordered or has gained a neighbour."""
-    n = len(adj)
-    mapped_nbrs = [0] * n
-    placed = [False] * n
-    heap = [(0, class_size[v], v) for v in range(n)]
-    heapify(heap)
-    order = []
-    while heap:
-        neg, _size, v = heappop(heap)
-        if placed[v] or -neg != mapped_nbrs[v]:
-            continue
-        order.append(v)
-        placed[v] = True
-        for u in adj[v]:
-            if not placed[u]:
-                mapped_nbrs[u] += 1
-                heappush(heap, (-mapped_nbrs[u], class_size[u], u))
-    return order
-
-
-def _search(a: TypedComplex, b: TypedComplex, tmap
-            ) -> dict[int, int] | None:
-    """A vertex map a -> b (taking each vertex to its type under tmap, if
-    given), or None.
-
-    Depth-first over the vertex order with an explicit stack: entry i is
-    the iterator over the remaining candidates for the i-th vertex, so the
-    depth is limited by memory, not by the interpreter's recursion limit.
-    """
-    inc_a, inc_b = _incidence(a), _incidence(b)
-    adj_a, adj_b = _adjacency(a), _adjacency(b)
-    colors_a, colors_b = _initial_colors(a, b, tmap)
-    colors_a, colors_b = _refine(colors_a, colors_b, a, b)
-
-    classes_a: dict[int, list[int]] = {}
-    classes_b: dict[int, list[int]] = {}
-    for v, c in enumerate(colors_a):
-        classes_a.setdefault(c, []).append(v)
-    for w, c in enumerate(colors_b):
-        classes_b.setdefault(c, []).append(w)
-    if sorted((c, len(vs)) for c, vs in classes_a.items()) != \
-       sorted((c, len(vs)) for c, vs in classes_b.items()):
-        return None
-
-    n = a.n_vertices
-    order = _vertex_order(adj_a, [len(classes_a[c]) for c in colors_a])
-
-    # incident simplices of v whose other vertices come earlier in the order
-    pos = {v: i for i, v in enumerate(order)}
-    ready = [[s for s in inc_a[v] if all(pos[u] <= pos[v] for u in s)]
-             for v in range(n)]
-
-    phi = {}
-    phi_inv = {}
-    sets_b = b._simplex_sets()
-    sets_a = a._simplex_sets()
-
-    def candidates(v):
-        """The images of v that fit the partial map, in increasing order.
-        Each is a common neighbour of the images of v's mapped neighbours,
-        so adjacency from a to b holds by construction."""
-        cv = colors_a[v]
-        image_nbrs = [adj_b[phi[u]] for u in adj_a[v] if u in phi]
-        if image_nbrs:
-            cands = sorted(w for w in set.intersection(*image_nbrs)
-                           if w not in phi_inv and colors_b[w] == cv)
-        else:
-            cands = [w for w in classes_b[cv] if w not in phi_inv]
-        for w in cands:
-            # adjacency from b back to a, against all mapped vertices
-            if any(wb in phi_inv and phi_inv[wb] not in adj_a[v]
-                   for wb in adj_b[w]):
-                continue
-            # forward: mapped a-simplices at v must land in b
-            if any(tuple(sorted(phi[u] if u != v else w for u in s))
-                   not in sets_b.get(len(s) - 1, ()) for s in ready[v]):
-                continue
-            # backward: fully mapped b-simplices at w must pull back
-            if any(all(x == w or x in phi_inv for x in sb)
-                   and tuple(sorted(phi_inv[x] if x != w else v for x in sb))
-                   not in sets_a.get(len(sb) - 1, ()) for sb in inc_b[w]):
-                continue
-            yield w
-
-    stack = [candidates(order[0])]
-    while stack:
-        v = order[len(stack) - 1]
-        if v in phi:                    # back here: v's last image failed
-            del phi_inv[phi.pop(v)]
-        w = next(stack[-1], None)
-        if w is None:
-            stack.pop()
-            continue
-        phi[v] = w
-        phi_inv[w] = v
-        if len(stack) == n:
-            return phi
-        stack.append(candidates(order[len(stack)]))
-    return None
-
-
-def find_model_isomorphism(a: TypedComplex, model: TypedComplex
-                           ) -> dict[int, int] | None:
     """The vertex map of a simplicial isomorphism from a onto ``model``, a
     complex built by ``milnor_fiber_complex``, or None; the empty
     complexes' map is {}, and 0-dimensional ones take any bijection.
+    With a type map (a dict from each of a's type labels to one of the
+    model's), every vertex must go to a vertex of the mapped type; at
+    dimension 0 that is the model's one type.
 
-    The model's group acts simply transitively on its chambers, so if any
-    isomorphism exists, one of them takes a's first chamber c0 onto the
-    model's first chamber C0, the identity chamber, whose type-r vertex
-    is the first id of type r.  Each bijection c0 -> C0 that keeps the
-    initial colors (``incidence_counts``) is extended across a's panels
-    (``_extend``), backtracking at most once per chamber of a.  An
-    extension that needs more, as on thick rank-2 models with long
-    cycles such as G17's, starts again from colors refined with c0's
-    vertices and their images set apart (``_refine``), which seldom leave
-    it a choice, and runs to the end.  A map that ``_extend`` accepts is
-    injective and sends every chamber of a onto a chamber of the model;
-    with equal f-vectors and every model simplex a face of a chamber,
-    that is an isomorphism.  The search is complete, so None is exact.
+    The model's group acts simply transitively on its chambers by
+    type-preserving automorphisms, so if any isomorphism exists, one of
+    them takes a's first chamber c0 onto the model's first chamber C0,
+    the identity chamber, whose type-r vertex is the first id of type r;
+    with a type map, so does one that respects it.  Each bijection
+    c0 -> C0 that keeps the initial colors (``incidence_counts``, and
+    the mapped type) is extended across a's panels (``_extend``),
+    backtracking at most once per chamber of a.  An extension that needs
+    more, as on thick rank-2 models with long cycles such as G17's,
+    starts again from colors refined with c0's vertices and their images
+    set apart (``_refine``), which seldom leave it a choice, and runs to
+    the end.  A map that ``_extend`` accepts is injective and sends every
+    chamber of a onto a chamber of the model; with equal f-vectors and
+    every model simplex a face of a chamber, that is an isomorphism.  The
+    search is complete, so None is exact.
     """
     if a.f_vector() != model.f_vector():
         return None
     if a.n_vertices == 0:
         return {}
     if a.dim == 0:
+        # a 0-dimensional model is a rank-1 group's: one vertex type
+        if type_map is not None and any(
+                type_map.get(t) != u
+                for t, u in zip(a.vertex_types, model.vertex_types)):
+            return None
         return {v: v for v in range(a.n_vertices)}
-    base_a, base_b = _initial_colors(a, model)
+    base_a, base_b = _initial_colors(a, model, type_map)
     chambers = a.simplices(a.dim)
     c0, anchor = chambers[0], model.simplices(model.dim)[0]
     star: list[list[int]] = [[] for _ in range(a.n_vertices)]

@@ -22,8 +22,7 @@ from .diagram import (Diagram, DiagramError, basic_degrees, classify,
 from .group import (DEFAULT_CAP, CapExceeded, ConjugacyClasses, _check_rank,
                     conjugacy_classes, enumerate_group, reflection_classes)
 from .homology import reduced_betti
-from .isomorphism import (find_isomorphism, find_model_isomorphism,
-                          verify_isomorphism)
+from .isomorphism import find_isomorphism, verify_isomorphism
 from .walls import (MilnorWallCertificate, ParabolicData, RecognitionVerdict,
                     THEOREM_A_FORBIDDEN, THEOREM_B_FORBIDDEN, _detail_rows,
                     _model_complex, chamber_count_check, fixed_subcomplex,
@@ -354,7 +353,7 @@ def verify_monomial(ctx: GroupContext) -> TheoremReport:
         model = _model_complex(parse_symbol("G(%d,1,%d)" % (m, n - 1)))
         rows = []
         for rep in ctx.refl_classes:
-            iso = find_model_isomorphism(ctx.fixed_of(rep), model)
+            iso = find_isomorphism(ctx.fixed_of(rep), model)
             rows.append({"rep": rep, "isomorphic": iso is not None})
             if iso is None:
                 recursion_ok = False
@@ -380,7 +379,16 @@ def verify_join(ctx: GroupContext) -> TheoremReport:
     wall; the Milnor-wall property matches factorwise.  Every join is
     taken over the factors in order, so one type map serves them all: it
     sends factor i's type t, tagged (i, t) by ``join``, to the union's
-    generator index of t, and each isomorphism must respect it."""
+    generator index of t, and each isomorphism must respect it.
+
+    The whole join is found by the search onto the union's complex, a
+    model.  A wall needs no search: the group is the direct product of
+    its factors, so the union's type-r vertex, the coset x G_{R - {r}}
+    with r factor i's type t, is factor i's coset h (G_i)_{R_i - {t}},
+    where h, x's projection onto factor i, is x's word with the letters
+    of the other factors left out.  That map, restricted to the union
+    wall's vertices (named by their union ids), is re-checked by
+    ``verify_isomorphism``, so a wrong map can only give disagree."""
     sym = diagram_name(ctx.diagram)
     comps = components_with_indices(ctx.diagram)
     details = {}
@@ -394,6 +402,23 @@ def verify_join(ctx: GroupContext) -> TheoremReport:
     if iso is None:
         ok = False
 
+    # each element's projection onto each factor, its stored word with
+    # the other factors' letters left out, read along the parent links;
+    # then each union vertex's factor i and its vertex id there
+    home = {r: it for it, r in type_map.items()}
+    table = ctx.table
+    proj = [[0] * table.order for _ in comps]
+    for x in range(1, table.order):
+        y = table.parent[x]
+        for col in proj:
+            col[x] = col[y]
+        i, u = home[table.last_letter[x]]
+        proj[i][x] = factor_ctx[i].table.right[u][proj[i][y]]
+    image = []
+    for r, x in zip(ctx.chambers.vertex_types, ctx.chambers.vertex_reps):
+        i, u = home[r]
+        image.append((i, factor_ctx[i].chambers.chamber[u][proj[i][x]]))
+
     # walls: a reflection in factor i embeds via its word over that
     # factor's generators
     wall_rows = []
@@ -404,13 +429,24 @@ def verify_join(ctx: GroupContext) -> TheoremReport:
             g_union = 0
             for letter in fctx.table.word(rep):
                 g_union = ctx.table.right[idx[letter]][g_union]
-            expected = join(*(fctx.fixed_of(rep) if fj == fi else f.complex
-                              for fj, f in enumerate(factor_ctx)))
-            iso_w = find_isomorphism(expected, ctx.fixed_of(g_union),
-                                     type_map)
+            parts = [fctx.fixed_of(rep) if fj == fi else f.complex
+                     for fj, f in enumerate(factor_ctx)]
+            # per factor, its vertex ids (a wall's: its names) to join ids
+            place, off = [], 0
+            for p in parts:
+                names = p.vertex_names or range(p.n_vertices)
+                place.append(dict(zip(names, range(off, off + len(names)))))
+                off += len(names)
+            wall = ctx.fixed_of(g_union)
+            vmap = {}
+            for k, u in enumerate(wall.vertex_names):
+                i, v = image[u]
+                if v in place[i]:
+                    vmap[k] = place[i][v]
+            iso_w = verify_isomorphism(wall, join(*parts), vmap, home)
             wall_rows.append({"factor": fi, "rep": rep,
-                              "isomorphic": iso_w is not None})
-            if iso_w is None:
+                              "isomorphic": iso_w})
+            if not iso_w:
                 ok = False
             # Milnor-wall property transfers between union and factor
             cert_union = ctx.certificate_of(g_union) is not None

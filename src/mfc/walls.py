@@ -27,7 +27,7 @@ from .diagram import (Diagram, basic_degrees, classify, diagram_name,
 from .group import (DEFAULT_CAP, ConjugacyClasses, GroupTable, _subgroup_tree,
                     enumerate_group)
 from .homology import _n_components, reduced_betti
-from .isomorphism import find_model_isomorphism
+from .isomorphism import find_isomorphism
 
 THEOREM_A_FORBIDDEN = ("D4", "F4", "H4", "G25", "G26")
 THEOREM_B_FORBIDDEN = ("D4", "F4", "H4")
@@ -211,9 +211,9 @@ def recognize_milnor_fiber(s: TypedComplex, rank: int) -> RecognitionVerdict:
     bouquet count that differs from s's is a betti-mismatch, and
     otherwise the candidate is isomorphism-failed when its f-vector or
     vertex profile, from group orders, differs from s's, and else
-    ``find_model_isomorphism``, an exact type-free search that pins s's
-    first chamber to the model's identity chamber and extends the map
-    panel by panel, gives matched or isomorphism-failed.  s's incidence
+    ``find_isomorphism`` with no type map, an exact search that pins
+    s's first chamber to the model's identity chamber and extends the
+    map panel by panel, gives matched or isomorphism-failed.  s's incidence
     counts are computed once, for its profile and that search's colors.
     The verdict's diagram is the first match, and its certificate that
     match's vertex map."""
@@ -244,7 +244,7 @@ def recognize_milnor_fiber(s: TypedComplex, rank: int) -> RecognitionVerdict:
             status = "betti-mismatch"
         else:
             reason = "isomorphism-failed-all"
-            iso = (find_model_isomorphism(s, _model_complex(d))
+            iso = (find_isomorphism(s, _model_complex(d))
                    if _may_match(s, d, profile) else None)
             if iso is None:
                 status = "isomorphism-failed"

@@ -8,9 +8,9 @@ from mfc.complexes import (TypedComplex, join, milnor_fiber_complex,
                            monomial_flag_complex)
 from mfc.diagram import parse_symbol
 from mfc.group import enumerate_group
-from mfc.isomorphism import (_adjacency, _incidence, _initial_colors, _refine,
-                             _vertex_order, find_isomorphism,
-                             find_model_isomorphism, verify_isomorphism)
+from mfc.isomorphism import (_initial_colors, _refine, find_isomorphism,
+                             verify_isomorphism)
+from general_search import general_isomorphism, incidence
 from strategies import admissible_unions
 from test_homology import _random_complexes
 
@@ -43,43 +43,8 @@ def test_relabeled_copy():
     perm = [(7 * v + 3) % n for v in range(n)]
     assert sorted(perm) == list(range(n))
     b = _relabeled(a, perm)
-    iso = find_isomorphism(a, b)
-    assert iso is not None and verify_isomorphism(a, b, iso)
-
-
-def _rescan_order(adj, class_size):
-    """Reference search order: rescan every unordered vertex for the most
-    ordered neighbours, then the smallest class, then the smallest id."""
-    n = len(adj)
-    mapped = [0] * n
-    order = []
-    rest = set(range(n))
-    while rest:
-        v = max(rest, key=lambda u: (mapped[u], -class_size[u], -u))
-        order.append(v)
-        rest.discard(v)
-        for u in adj[v]:
-            mapped[u] += 1
-    return order
-
-
-def test_vertex_order_matches_rescan():
-    # connected complexes, a join, a disjoint union (two components) and
-    # a vertex-only complex; class sizes from the refined colors
-    b3, h3 = build("B3"), build("H3")
-    two = TypedComplex(b3.vertex_types + h3.vertex_types,
-                       {k: b3.simplices(k) + tuple(
-                           tuple(v + b3.n_vertices for v in s)
-                           for s in h3.simplices(k)) for k in (0, 1, 2)})
-    points = TypedComplex([0] * 5, {0: [(v,) for v in range(5)]})
-    for c in (b3, h3, build("G(3,1,2)"), build("G25"),
-              join(build("I2(5)"), build("Z3")), two, points):
-        colors, _ = _refine(*_initial_colors(c, c), c, c)
-        size = [colors.count(col) for col in colors]
-        adj = _adjacency(c)
-        order = _vertex_order(adj, size)
-        assert order == _rescan_order(adj, size), c.f_vector()
-        assert sorted(order) == list(range(c.n_vertices))
+    iso = find_isomorphism(b, a)
+    assert iso is not None and verify_isomorphism(b, a, iso)
 
 
 def test_eight_cycle_vs_b2():
@@ -98,7 +63,7 @@ def test_same_f_vector_non_isomorphic():
     two_triangles = TypedComplex.from_facets(
         [0] * 6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     assert hexagon.f_vector() == two_triangles.f_vector() == (6, 6)
-    assert find_isomorphism(hexagon, two_triangles) is None
+    assert general_isomorphism(hexagon, two_triangles) is None
 
 
 def test_respect_types_needs_consistent_bijection():
@@ -124,20 +89,23 @@ def test_wrong_type_map_finds_nothing():
 
 
 def test_typed_vs_untyped():
-    # a 4-cycle with alternating types vs uniform types: untyped match
-    # exists, typed match needs matching class sizes
-    alt = TypedComplex.from_facets([0, 1, 0, 1],
-                                   [(0, 1), (1, 2), (2, 3), (0, 3)])
-    uni = TypedComplex.from_facets([0, 0, 0, 0],
-                                   [(0, 1), (1, 2), (2, 3), (0, 3)])
-    assert find_isomorphism(alt, uni) is not None
-    assert find_isomorphism(alt, uni, {0: 0, 1: 1}) is None
-    assert find_isomorphism(uni, alt, {0: 0}) is None
-    # a typed match that swaps the two types: a rotation by one
-    swap = find_isomorphism(alt, alt, {0: 1, 1: 0})
+    # 2 + 2's model is a 4-cycle, types 0, 0, 1, 1; the same cycle with
+    # alternating types matches it, and with one type only untyped
+    square = build("2 + 2")
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    alt = TypedComplex.from_facets([0, 1, 0, 1], edges)
+    uni = TypedComplex.from_facets([0, 0, 0, 0], edges)
+    assert find_isomorphism(uni, square) is not None
+    assert find_isomorphism(uni, square, {0: 0}) is None
+    assert find_isomorphism(alt, square, {0: 0, 1: 0}) is None
+    same = find_isomorphism(alt, square, {0: 0, 1: 1})
+    assert same is not None
+    assert verify_isomorphism(alt, square, same, {0: 0, 1: 1})
+    # a typed match that swaps the two types
+    swap = find_isomorphism(alt, square, {0: 1, 1: 0})
     assert swap is not None
-    assert verify_isomorphism(alt, alt, swap, {0: 1, 1: 0})
-    assert not verify_isomorphism(alt, alt, swap, {0: 0, 1: 1})
+    assert verify_isomorphism(alt, square, swap, {0: 1, 1: 0})
+    assert not verify_isomorphism(alt, square, swap, {0: 0, 1: 1})
 
 
 def test_verify_rejects_wrong_map():
@@ -158,11 +126,10 @@ def test_empty_complexes():
 
 
 def test_long_cycle_needs_no_recursion():
-    # both searches are loops with explicit stacks: a 3,000-vertex cycle
-    # is matched with a relabelled copy, and onto I2(1500)'s model, under
-    # a recursion limit just above the caller's stack depth
+    # the search is a loop with explicit stacks: a 3,000-vertex cycle is
+    # matched onto I2(1500)'s model under a recursion limit just above
+    # the caller's stack depth
     n = 3000
-    a = TypedComplex.from_facets([0] * n, [(v, (v + 1) % n) for v in range(n)])
     b = TypedComplex.from_facets(
         [0] * n, [((7 * v + 3) % n, (7 * v + 10) % n) for v in range(n)])
     model = build("I2(1500)")
@@ -173,12 +140,10 @@ def test_long_cycle_needs_no_recursion():
         depth, frame = depth + 1, frame.f_back
     sys.setrecursionlimit(depth + 50)
     try:
-        iso = find_isomorphism(a, b)
-        onto_model = find_model_isomorphism(b, model)
+        onto_model = find_isomorphism(b, model)
         assert sys.getrecursionlimit() == depth + 50
     finally:
         sys.setrecursionlimit(limit)
-    assert iso is not None and verify_isomorphism(a, b, iso)
     assert onto_model is not None and \
         verify_isomorphism(b, model, onto_model)
 
@@ -200,12 +165,13 @@ def _relabeled_pairs(draw):
 @settings(max_examples=200, deadline=None)
 @given(_relabeled_pairs())
 def test_isomorphism_survives_relabeling(pair):
+    # the reference search, on complexes of any shape
     a, b = pair
-    iso = find_isomorphism(a, b)
+    iso = general_isomorphism(a, b)
     assert iso is not None
     assert verify_isomorphism(a, b, iso)
     same = {t: t for t in a.vertex_types}
-    typed = find_isomorphism(a, b, same)
+    typed = general_isomorphism(a, b, same)
     assert typed is not None
     assert verify_isomorphism(a, b, typed, same)
 
@@ -236,7 +202,7 @@ def _refine_per_vertex(colors_a, colors_b, inc_a, inc_b):
 def _assert_refine_matches_reference(a, b, tmap=None):
     start = _initial_colors(a, b, tmap)
     assert _refine(*start, a, b) == \
-        _refine_per_vertex(*start, _incidence(a), _incidence(b))
+        _refine_per_vertex(*start, incidence(a), incidence(b))
 
 
 @settings(max_examples=200, deadline=None)
@@ -285,18 +251,18 @@ def test_model_search_fixed_cases():
     two_triangles = TypedComplex.from_facets(
         [0] * 6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     assert hexagon.f_vector() == two_triangles.f_vector() == a2.f_vector()
-    assert find_model_isomorphism(two_triangles, a2) is None
-    iso = find_model_isomorphism(hexagon, a2)
+    assert find_isomorphism(two_triangles, a2) is None
+    iso = find_isomorphism(hexagon, a2)
     assert iso is not None and verify_isomorphism(hexagon, a2, iso)
     # 0-dimensional: any bijection, and a wrong vertex count fails
     points = TypedComplex([0] * 5, {0: [(v,) for v in range(5)]})
-    iso = find_model_isomorphism(points, build("Z5"))
+    iso = find_isomorphism(points, build("Z5"))
     assert iso is not None and verify_isomorphism(points, build("Z5"), iso)
-    assert find_model_isomorphism(points, build("Z4")) is None
+    assert find_isomorphism(points, build("Z4")) is None
     # the empty complex
-    assert find_model_isomorphism(build("1"), build("1")) == {}
+    assert find_isomorphism(build("1"), build("1")) == {}
     # equal f-vectors (72 chambers), not isomorphic
-    assert find_model_isomorphism(build("3[4]3"), build("2[4]6")) is None
+    assert find_isomorphism(build("3[4]3"), build("2[4]6")) is None
     # two graphs with equal f-vectors, not isomorphic: a chamber is
     # completed before it is read, and only its completion check rejects
     # the map that the extension builds
@@ -306,8 +272,20 @@ def test_model_search_fixed_cases():
     b = TypedComplex.from_facets([0] * 6, [
         (0, 1), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (2, 5),
         (3, 4), (4, 5)])
+    assert general_isomorphism(a, b) is None
     assert find_isomorphism(a, b) is None
-    assert find_model_isomorphism(a, b) is None
+
+
+def test_typed_search_on_points():
+    # a two-type point set onto Z5's model, whose five vertices have type
+    # 0: a bijection only when both types go to 0
+    z5 = build("Z5")
+    points = TypedComplex([0, 0, 1, 1, 1], {0: [(v,) for v in range(5)]})
+    both = {0: 0, 1: 0}
+    iso = find_isomorphism(points, z5, both)
+    assert iso is not None and verify_isomorphism(points, z5, iso, both)
+    assert find_isomorphism(points, z5, {0: 0, 1: 1}) is None
+    assert find_isomorphism(points, z5, {0: 0}) is None
 
 
 @settings(max_examples=30, deadline=None)
@@ -321,8 +299,11 @@ def test_model_search_finds_relabeled_models(d, rnd):
     perm = list(range(model.n_vertices))
     rnd.shuffle(perm)
     copy = _relabeled(model, perm)
-    iso = find_model_isomorphism(copy, model)
+    iso = find_isomorphism(copy, model)
     assert iso is not None and verify_isomorphism(copy, model, iso)
+    same = {r: r for r in range(d.rank)}
+    iso = find_isomorphism(copy, model, same)
+    assert iso is not None and verify_isomorphism(copy, model, iso, same)
     if copy.dim == 1:
         # a switch of two edges keeps every degree, so the f-vector and
         # the colors, and mostly breaks the isomorphism; any map found
@@ -335,7 +316,7 @@ def test_model_search_finds_relabeled_models(d, rnd):
         if len(edges) == len(copy.simplices(1)):
             switched = TypedComplex(copy.vertex_types,
                                     {0: copy.simplices(0), 1: edges})
-            iso = find_model_isomorphism(switched, model)
+            iso = find_isomorphism(switched, model)
             assert iso is None or verify_isomorphism(switched, model, iso)
 
 
@@ -356,6 +337,6 @@ def test_model_search_restarts_from_refined_colors(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(mfc.isomorphism, "_refine", spy)
-    iso = find_model_isomorphism(copy, model)
+    iso = find_isomorphism(copy, model)
     assert refined
     assert iso is not None and verify_isomorphism(copy, model, iso)

@@ -3,6 +3,8 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mfc.cli
 import mfc.complexes
@@ -10,10 +12,13 @@ import mfc.group
 import mfc.verify
 import mfc.walls
 from mfc.cli import main
-from mfc.diagram import parse_symbol, symbol_rank
+from mfc.diagram import (components_with_indices, diagram_name, group_order,
+                         parse_symbol, symbol_rank)
 from mfc.verify import (DEFAULT_CAP, GroupContext, SuiteError, default_suite,
-                        run_entry, run_suite, verify_counts, verify_monomial,
-                        verify_orlik, verify_theorem_A, verify_theorem_B)
+                        run_entry, run_suite, verify_counts, verify_join,
+                        verify_monomial, verify_orlik, verify_theorem_A,
+                        verify_theorem_B)
+from strategies import admissible_unions
 
 SMALL_SUITE = {
     "mfc_suite": 1,
@@ -277,6 +282,81 @@ def test_join_with_a_missing_facet_disagrees(monkeypatch):
     assert (rep.status, rep.computed) == ("disagree", False)
     assert rep.details["join_isomorphism"] is False
     assert not any(row["isomorphic"] for row in rep.details["walls"])
+
+
+JOIN_FIXTURES = ("2[3]2 + 3", "3[3]3 + 2[3]2", "G25 + 2")
+
+
+def test_join_wall_with_a_missing_facet_disagrees():
+    # each union wall loses one facet: its transported map then fails the
+    # re-check, while the whole join still matches
+    def drop_last_facet(c):
+        return mfc.complexes.TypedComplex(
+            c.vertex_types, {k: c.simplices(k)[:-1] if k == c.dim
+                             else c.simplices(k) for k in range(c.dim + 1)},
+            c.vertex_names)
+
+    for sym in JOIN_FIXTURES:
+        ctx = context(sym)
+        real = ctx.fixed_of
+        ctx.fixed_of = lambda g, real=real: drop_last_facet(real(g))
+        rep = verify_join(ctx)
+        assert (rep.status, rep.computed) == ("disagree", False), sym
+        assert rep.details["join_isomorphism"] is True, sym
+        assert not any(row["isomorphic"] for row in rep.details["walls"]), sym
+
+
+def test_join_wall_with_two_images_swapped_disagrees(monkeypatch):
+    # swapping the images of two vertices of one type whose neighbours
+    # differ makes the transported map wrong; each such map fails its
+    # re-check, and the entry disagrees
+    real = mfc.verify.verify_isomorphism
+    swapped = []
+
+    def swap(a, b, vmap, type_map):
+        nbrs = [set() for _ in range(a.n_vertices)]
+        for u, v in a.simplices(1):
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        pair = next(((u, v) for v in range(a.n_vertices) for u in range(v)
+                     if a.vertex_types[u] == a.vertex_types[v]
+                     and nbrs[u] != nbrs[v]), None)
+        swapped.append(pair is not None)
+        if pair is not None:
+            u, v = pair
+            vmap = {**vmap, u: vmap[v], v: vmap[u]}
+        return real(a, b, vmap, type_map)
+
+    monkeypatch.setattr(mfc.verify, "verify_isomorphism", swap)
+    for sym in JOIN_FIXTURES:
+        swapped.clear()
+        (rep,) = run_entry({"symbol": sym, "checks": ["join"]}, DEFAULT_CAP)
+        assert any(swapped) and rep.status == "disagree", sym
+        assert [not row["isomorphic"] for row in rep.details["walls"]] \
+            == swapped, sym
+
+
+@st.composite
+def _two_or_more_components(draw):
+    """A union of admissible rows of rank <= 2 and order <= 50, followed
+    by one of rank <= 3 in all and order <= 300 in all; the second is
+    never empty, since a row of rank 1 or 2 and order 6 fits any budget
+    of 6 or more."""
+    first = draw(admissible_unions(max_rank=2, max_order=50))
+    return first + draw(admissible_unions(
+        max_rank=3 - first.rank, max_order=300 // group_order(first)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_two_or_more_components())
+def test_join_check_agrees_on_random_unions(d):
+    # every union of two or more admissible rows (rank <= 3) is the join
+    # of its factors, wall by wall; order <= 300 bounds the factors'
+    # reflection classes, each of which is a wall row
+    assert len(components_with_indices(d)) > 1
+    rep = verify_join(GroupContext(d))
+    assert rep.status == "agree", diagram_name(d)
+    assert all(row["isomorphic"] for row in rep.details["walls"])
 
 
 def test_counts_on_a_reducible_diagram():
@@ -678,11 +758,22 @@ def test_join_entry_reuses_its_context(monkeypatch):
     assert [d.rank for d in built] == [3, 2, 1]
 
 
-def test_three_factor_joins_agree():
+def test_three_factor_joins_agree(monkeypatch):
     # all factors are joined at once, so factor i's type t is tagged
-    # (i, t) in the type map; every wall of every factor is checked
+    # (i, t) in the type map; every wall of every factor is checked, by
+    # its transported map: the entry makes one search, for the whole join
+    real = mfc.verify.find_isomorphism
+    searches = []
+
+    def counted(*args):
+        searches.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mfc.verify, "find_isomorphism", counted)
     for sym, n_walls in (("2 + 3 + 4", 1 + 2 + 3), ("A2 + B2 + 3", 1 + 2 + 2)):
+        searches.clear()
         (rep,) = run_entry({"symbol": sym, "checks": ["join"]}, DEFAULT_CAP)
+        assert len(searches) == 1, sym
         assert rep.status == "agree", sym
         assert rep.details["join_isomorphism"] is True, sym
         walls = rep.details["walls"]
@@ -691,9 +782,9 @@ def test_three_factor_joins_agree():
 
 
 def test_joins_with_thick_rank2_factors_agree():
-    # the untyped general search stalls on relabelled models of G17 and
-    # G21; the join check passes its type map, and these finish in well
-    # under a second each
+    # an untyped search can stall on relabelled models of G17 and G21;
+    # the join check's one search is typed and anchored, and its walls
+    # need none, so these finish in well under a second each
     for sym in ("2[6]5 + 2", "2[10]3 + 3"):
         (rep,) = run_entry({"symbol": sym, "checks": ["join"]}, DEFAULT_CAP)
         assert rep.status == "agree", sym

@@ -1,11 +1,14 @@
 from collections import Counter
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfc.complexes import TypedComplex, _face_closure, milnor_fiber_complex
-from mfc.diagram import diagram_name, enumerate_admissible, parse_symbol
+from mfc.complexes import (ChamberSystem, TypedComplex, _face_closure,
+                           milnor_fiber_complex)
+from mfc.diagram import (basic_degrees, components_with_indices, diagram_name,
+                         enumerate_admissible, group_order, parse_symbol)
 from mfc.group import (_subgroup_tree, conjugacy_classes, enumerate_group,
                        parabolic_cosets, reflection_classes)
 from mfc.homology import reduced_betti
@@ -16,6 +19,7 @@ from mfc.walls import (ParabolicData, RecognitionVerdict,
                        chamber_count_check, fixed_subcomplex,
                        milnor_wall_search, predicted_bouquet_count,
                        recognize_milnor_fiber)
+from general_search import general_isomorphism
 from strategies import admissible_unions
 
 # groups for the property tests of walls and parabolic data: real,
@@ -79,7 +83,6 @@ def test_g25_wall_counts_and_betti(g25):
 
 
 def test_walls_of_conjugate_reflections_isomorphic():
-    from mfc.isomorphism import find_isomorphism
     t, cx, cs = setup("G(3,1,2)")
     class_of = conjugacy_classes(t).class_of
     for rep in reflection_classes(t):
@@ -87,7 +90,7 @@ def test_walls_of_conjugate_reflections_isomorphic():
         w0 = fixed_subcomplex(cs, rep)
         for other in members[:2]:
             w1 = fixed_subcomplex(cs, other)
-            assert find_isomorphism(w0, w1) is not None
+            assert general_isomorphism(w0, w1) is not None
 
 
 def test_conjugate_wall_is_translated_wall():
@@ -195,6 +198,38 @@ def test_fixed_subcomplex_is_induced_on_random_diagrams(d, data):
                               min_size=1, max_size=3, unique=True))
     for g in reps:
         _assert_induced_on_fixed_vertices(cx, cs, g, diagram_name(d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(admissible_unions(), st.data())
+def test_coset_oracle_on_random_diagrams(d, data):
+    # K_I, the elements whose chamber shares the identity chamber's
+    # type-r vertex for every r in I, is the parabolic G_{R - I}; on an
+    # irreducible draw, the wall of each of a few reflection classes,
+    # built from the chambers, has the parabolic coset counts as its
+    # f-vector, and d_1...d_{n-1} chambers (Eq. (8))
+    name, n = diagram_name(d), d.rank
+    t = enumerate_group(d)
+    cs = ChamberSystem(t)
+    shared = Counter(sum(1 << r for r in range(n)
+                         if cs.chamber[r][x] == cs.chamber[r][0])
+                     for x in range(t.order))
+    for mask in range(1, 1 << n):
+        k_order = sum(c for m, c in shared.items() if m & mask == mask)
+        rest = d.induced(r for r in range(n) if not mask >> r & 1)
+        assert k_order == group_order(rest), (name, mask)
+    if len(components_with_indices(d)) > 1:
+        return
+    classes = conjugacy_classes(t)
+    pdata = ParabolicData(t, classes)
+    wall_chambers = prod(basic_degrees(d)[:-1])
+    reps = data.draw(st.lists(st.sampled_from(reflection_classes(t, classes)),
+                              min_size=1, max_size=3, unique=True))
+    for rep in reps:
+        fv = fixed_subcomplex(cs, rep).f_vector()
+        counts = (1,) + fv + (0,) * (n - len(fv))
+        assert counts == pdata.fixed_counts(classes.class_of[rep]), name
+        assert counts[n - 1] == wall_chambers, name
 
 
 def test_fixed_subcomplex_reads_no_chambers_without_a_fixed_edge(
@@ -630,7 +665,6 @@ def test_chamber_count_check_examples():
 def test_wall_join_reduction():
     # walls of a product: the factor's wall joined with the other factors
     from mfc.complexes import join
-    from mfc.isomorphism import find_isomorphism
     t, cx, cs = setup("2[3]2 + 2")
     ta, ca, csa = setup("2[3]2")
     tb, cb, csb = setup("2")
@@ -640,7 +674,7 @@ def test_wall_join_reduction():
     expected = join(fixed_subcomplex(csa, rep), cb)
     # joined types (0, t) and (1, 0) are the union's generators t and 2
     type_map = {(0, 0): 0, (0, 1): 1, (1, 0): 2}
-    assert find_isomorphism(expected, w_union, type_map) is not None
+    assert general_isomorphism(expected, w_union, type_map) is not None
 
 
 # every rank >= 3 group of the default suite; D4, F4, H4, G25 and G26
@@ -668,7 +702,6 @@ def test_order_filter_never_rejects_a_match(monkeypatch):
     # and every verdict and certificate, on the walls and on the type
     # families the wall search recognizes, is the one of the full search
     import mfc.walls
-    from mfc.isomorphism import find_isomorphism
     real = mfc.walls._may_match
     rejected = []
 
@@ -684,7 +717,7 @@ def test_order_filter_never_rejects_a_match(monkeypatch):
     # the walls of D4, F4 and H4, and the order-3 walls of G26
     assert {"Z2+I2(8)", "Z2+I2(24)", "Z2+I2(120)", "G5", "G(6,1,2)"} <= names
     for s, d in rejected:
-        assert find_isomorphism(s, _model_complex(d)) is None, \
+        assert general_isomorphism(s, _model_complex(d)) is None, \
             diagram_name(d)
     monkeypatch.setattr(mfc.walls, "_may_match", lambda s, d, profile: True)
     assert _wall_outcomes(RANK345_SUITE) == filtered
@@ -695,18 +728,17 @@ def test_model_search_agrees_with_general_search(monkeypatch):
     # count fits a wall or a type family reaches the anchored search; the
     # general search must agree on each, and every map found must verify
     import mfc.walls
-    from mfc.isomorphism import find_isomorphism
-    real = mfc.walls.find_model_isomorphism
+    real = mfc.walls.find_isomorphism
     found = []
 
     def both(a, model):
         iso = real(a, model)
-        assert (iso is None) == (find_isomorphism(a, model) is None)
+        assert (iso is None) == (general_isomorphism(a, model) is None)
         assert iso is None or verify_isomorphism(a, model, iso)
         found.append(iso is not None)
         return iso
 
     monkeypatch.setattr(mfc.walls, "_may_match", lambda s, d, profile: True)
-    monkeypatch.setattr(mfc.walls, "find_model_isomorphism", both)
+    monkeypatch.setattr(mfc.walls, "find_isomorphism", both)
     _wall_outcomes(RANK345_SUITE)
     assert True in found and False in found
