@@ -15,8 +15,8 @@ from .diagram import (DiagramError, basic_degrees, classify, diagram_name,
                       diagram_symbol, group_order, parse_symbol)
 from .group import CapExceeded
 from .homology import reduced_betti
-from .verify import (DEFAULT_CAP, GroupContext, SuiteError, _parse_entry,
-                     run_suite)
+from .verify import (_CHECKS, DEFAULT_CAP, GroupContext, SuiteError,
+                     _parse_entry, run_suite)
 
 
 class UsageError(ValueError):
@@ -65,7 +65,7 @@ def main(argv=None) -> int:
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
 
     p = sub.add_parser("verify", help="run one theorem check")
-    p.add_argument("theorem", choices=["A", "B", "counts", "orlik", "monomial"])
+    p.add_argument("theorem", choices=list(_CHECKS))
     p.add_argument("symbol",
                    help="diagram symbol; for 'monomial' use m,n like 3,2")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)

@@ -98,13 +98,6 @@ class TypedComplex:
                     strict_faces.add(tuple(x for x in s if x != v))
         return tuple(sorted(out, key=lambda s: (len(s), s)))
 
-    # -- derived complexes ---------------------------------------------------
-
-    @classmethod
-    def from_facets(cls, vertex_types, facets) -> "TypedComplex":
-        return cls(vertex_types,
-                   _face_closure((tuple(sorted(f)), 0) for f in facets))
-
 
 def _reindexed(by_dim, vertex_types, vertex_names) -> TypedComplex:
     """The complex of the simplices by_dim, given in the ids of a complex
@@ -189,6 +182,13 @@ class ChamberSystem:
         chamber = self.chamber
         return [chamber[r][left[h]]
                 for r, h in zip(self.vertex_types, self.vertex_reps)]
+
+    def fixed_vertices(self, g: int) -> tuple[int, ...]:
+        """The ids of the vertices g fixes, ascending, read off
+        ``vertex_perm(g)``.  They name g's wall, the full subcomplex on
+        them, which g shares with every element that fixes the same
+        vertices (its powers, say)."""
+        return tuple(v for v, w in enumerate(self.vertex_perm(g)) if v == w)
 
     def f_vector(self) -> tuple[int, ...]:
         """(f_0, ..., f_{n-1}) of the complex, without building it: f_k is

@@ -84,14 +84,6 @@ class Diagram:
             tuple((pos[i], pos[j], m) for (i, j, m) in self.edges
                   if i in pos and j in pos))
 
-    def relabeled(self, perm) -> "Diagram":
-        """Apply vertex relabeling old->new given as a sequence perm[new] = old."""
-        pos = {old: new for new, old in enumerate(perm)}
-        return Diagram(
-            tuple(self.orders[old] for old in perm),
-            tuple((min(pos[i], pos[j]), max(pos[i], pos[j]), m)
-                  for (i, j, m) in self.edges))
-
     def __add__(self, other: "Diagram") -> "Diagram":
         """Disjoint union."""
         off = self.rank

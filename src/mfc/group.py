@@ -161,20 +161,6 @@ def _relators(d: Diagram) -> list[list[int]]:
             for lhs, rhs in _relations(d)]
 
 
-def check_relations(d: Diagram, perms: list[list[int]]) -> bool:
-    """True when the permutations (one per generator, acting on the right)
-    satisfy every defining relation of d at every point."""
-    points = list(range(len(perms[0]))) if perms else []
-
-    def image(word):
-        img = points
-        for i in word:
-            img = list(map(perms[i].__getitem__, img))
-        return img
-
-    return all(image(lhs) == image(rhs) for lhs, rhs in _relations(d))
-
-
 def todd_coxeter(d: Diagram, cap: int, subgroup=()) -> list[list[int]]:
     """HLT coset enumeration of the right cosets of the subgroup generated
     by the generators in ``subgroup``; coset 0 is the subgroup itself.

@@ -62,13 +62,16 @@ class TheoremReport:
 class GroupContext:
     """Everything verifiers need for one diagram, built once: the table,
     its chamber system, its conjugacy classes and reflection classes, the
-    parabolic data, and per element its fixed subcomplex, and for a
-    reflection its wall's verdict and certificate.  The fixed subcomplexes
-    and the f-vector come from the chambers; the full complex is built
-    only when a check reads ``complex`` (orlik, monomial, join, ``mfc
-    build``), and only then is the simplex cap checked; the parabolic
-    data, a walk of every proper parabolic, only when counts or orlik
-    reads ``pdata``; the order cap is checked before any table."""
+    parabolic data, and the walls.  A wall is named by the ids of the
+    vertices its elements fix (``fixed_vertices``), read once per
+    element; the wall, and for a reflection's wall its verdict and
+    certificate, are computed once per name, so the powers of a
+    reflection, often in other classes, share them.  The walls and the
+    f-vector come from the chambers; the full complex is built only when
+    a check reads ``complex`` (orlik, monomial, join, ``mfc build``), and
+    only then is the simplex cap checked; the parabolic data, a walk of
+    every proper parabolic, only when counts or orlik reads ``pdata``;
+    the order cap is checked before any table."""
 
     def __init__(self, d: Diagram, cap: int = DEFAULT_CAP):
         self.diagram = d
@@ -76,7 +79,8 @@ class GroupContext:
         self.table = enumerate_group(d, cap=cap)
         self.order = self.table.order
         self.chambers = ChamberSystem(self.table)
-        self._fixed = {}
+        self._fixed_vertices = {}   # element -> the name of its wall
+        self._walls = {}            # these three by the wall's name
         self._verdicts = {}
         self._certificates = {}
 
@@ -98,27 +102,36 @@ class GroupContext:
         """The representatives of the reflection classes, in class order."""
         return reflection_classes(self.table, self.classes)
 
+    def fixed_vertices(self, g: int) -> tuple[int, ...]:
+        """The ids of the vertices element g fixes, the name of its wall."""
+        if g not in self._fixed_vertices:
+            self._fixed_vertices[g] = self.chambers.fixed_vertices(g)
+        return self._fixed_vertices[g]
+
     def fixed_of(self, g: int) -> TypedComplex:
-        """The fixed subcomplex of element g, built once."""
-        if g not in self._fixed:
-            self._fixed[g] = fixed_subcomplex(self.chambers, g)
-        return self._fixed[g]
+        """The fixed subcomplex of element g, built once per wall."""
+        key = self.fixed_vertices(g)
+        if key not in self._walls:
+            self._walls[key] = fixed_subcomplex(self.chambers, key)
+        return self._walls[key]
 
     def verdict_of(self, r: int) -> RecognitionVerdict:
         """Whether the wall of reflection r is a Milnor fiber complex of
-        rank n-1, decided once."""
-        if r not in self._verdicts:
-            self._verdicts[r] = recognize_milnor_fiber(
+        rank n-1, decided once per wall."""
+        key = self.fixed_vertices(r)
+        if key not in self._verdicts:
+            self._verdicts[key] = recognize_milnor_fiber(
                 self.fixed_of(r), self.table.ngens - 1)
-        return self._verdicts[r]
+        return self._verdicts[key]
 
     def certificate_of(self, r: int) -> MilnorWallCertificate | None:
         """The Milnor-wall certificate of reflection r's wall (None when
-        no type family has one), searched once."""
-        if r not in self._certificates:
-            self._certificates[r] = milnor_wall_search(
-                self.fixed_of(r), self.table.ngens, r, self.verdict_of(r))
-        return self._certificates[r]
+        no type family has one), searched once per wall."""
+        key = self.fixed_vertices(r)
+        if key not in self._certificates:
+            self._certificates[key] = milnor_wall_search(
+                self.fixed_of(r), self.table.ngens, self.verdict_of(r))
+        return self._certificates[key]
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +186,8 @@ def verify_theorem_B(ctx: GroupContext) -> TheoremReport:
             # dimension n-2 = -1: a non-proper certificate for every class
             return True, {"certificate": {"diagram": diagram_name(cert.diagram),
                                           "proper": cert.proper}}
-        return True, {"certificate": cert.to_jsonable()}
+        return True, {"certificate": {"reflection": rep,
+                                      **cert.to_jsonable()}}
     return _wall_theorem(ctx, "B", THEOREM_B_FORBIDDEN, wall_row)
 
 

@@ -40,31 +40,36 @@ DETAIL_ROW_LIMIT = 16
 # fixed subcomplexes
 # ---------------------------------------------------------------------------
 
-def fixed_subcomplex(chambers: ChamberSystem, g: int) -> TypedComplex:
-    """All simplices with g(sigma) = sigma setwise; vertex ids as in the
-    full subcomplex of the built complex on g's fixed vertices, whose ids
-    in the built complex are the subcomplex's ``vertex_names``.
+def fixed_subcomplex(chambers: ChamberSystem,
+                     fixed: tuple[int, ...]) -> TypedComplex:
+    """The full subcomplex of the built complex on the vertex ids
+    ``fixed``, ascending: the wall of any element g that fixes exactly
+    these vertices (``chambers.fixed_vertices(g)``), the simplices with
+    g(sigma) = sigma setwise.  Its vertex ids are fresh, and its
+    ``vertex_names`` are their ids in the built complex.
 
     The action preserves types and the vertices of a simplex have
-    distinct types, so setwise is pointwise.  g fixes the vertex v iff
-    ``chambers.vertex_perm(g)[v] == v``, and a fixed simplex lies on
-    fixed vertices.  An element g != 1 moves every chamber, so it fixes
-    no edge at rank n <= 2, where the edges are the chambers, nor with
-    fewer than two fixed vertices: then the fixed subcomplex is its
-    fixed vertices alone, and the chambers are not read.
+    distinct types, so setwise is pointwise, and a fixed simplex lies on
+    fixed vertices.  The action on vertices is faithful, so g != 1 iff g
+    moves a vertex.  Such a g moves every chamber, so it fixes no edge at
+    rank n <= 2, where the edges are the chambers, nor with fewer than
+    two fixed vertices: then the wall is its vertices alone, and the
+    chambers are not read.
 
     Otherwise every simplex is a restriction of a chamber, so the fixed
     simplices are the faces of the chambers restricted to their fixed
     vertices: each chamber is read once as a tuple with None at its
     moved vertices, and the distinct tuples, stripped of the Nones,
-    close to the fixed subcomplex.
+    close to the wall.
     """
-    perm = chambers.vertex_perm(g)
-    fixed = [v for v, w in enumerate(perm) if v == w]
-    if g and (len(fixed) < 2 or chambers.table.ngens < 3):
+    n_vertices = len(chambers.vertex_types)
+    if len(fixed) < n_vertices and (len(fixed) < 2
+                                    or chambers.table.ngens < 3):
         return TypedComplex(map(chambers.vertex_types.__getitem__, fixed),
                             {0: [(i,) for i in range(len(fixed))]}, fixed)
-    keep = [v if w == v else None for v, w in enumerate(perm)]
+    keep = [None] * n_vertices
+    for v in fixed:
+        keep[v] = v
     restricted = set(zip(*(map(keep.__getitem__, col)
                            for col in chambers.chamber)))
     return _reindexed(_face_closure((tuple(v for v in s if v is not None), 0)
@@ -267,15 +272,14 @@ def recognize_milnor_fiber(s: TypedComplex, rank: int) -> RecognitionVerdict:
 
 @dataclass
 class MilnorWallCertificate:
-    reflection: int
+    """A type family of a wall that is a Milnor fiber complex."""
     missing_types: tuple[int, ...]    # F = {R - {s} : s in this tuple}
     diagram: Diagram
     verdict: RecognitionVerdict
     proper: bool                      # True when F is not the full family
 
     def to_jsonable(self):
-        return {"reflection": self.reflection,
-                "missing_types": list(self.missing_types),
+        return {"missing_types": list(self.missing_types),
                 "diagram": diagram_name(self.diagram),
                 "proper": self.proper,
                 "verdict": self.verdict.to_jsonable()}
@@ -316,12 +320,13 @@ def _type_families(wall_cx: TypedComplex, n: int):
                                       for k, ms in masks.items()})
 
 
-def milnor_wall_search(wall_cx: TypedComplex, n: int, r: int,
+def milnor_wall_search(wall_cx: TypedComplex, n: int,
                        wall_verdict: RecognitionVerdict
                        ) -> MilnorWallCertificate | None:
-    """First certificate for the wall of reflection r of a rank-n complex,
-    over all 2^n type families, descending by family size (so non-proper
-    Milnor walls are found first), lexicographic within a size.
+    """First certificate for a wall of a rank-n complex, over all 2^n
+    type families, descending by family size (so non-proper Milnor walls
+    are found first), lexicographic within a size.  It depends on the
+    wall alone, so every reflection with that wall shares it.
 
     ``wall_verdict`` is the wall's own recognition at rank n-1; the family
     whose f-vector is the wall's generates the whole wall and takes it (at
@@ -341,7 +346,7 @@ def milnor_wall_search(wall_cx: TypedComplex, n: int, r: int,
             continue
         if verdict.recognized:
             return MilnorWallCertificate(
-                r, missing, verdict.diagram, verdict,
+                missing, verdict.diagram, verdict,
                 proper=len(missing) != n)
     return None
 

@@ -1,10 +1,42 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies and small constructors shared by the test
+modules."""
 
 from functools import cache
 
 from hypothesis import strategies as st
 
-from mfc.diagram import EMPTY_DIAGRAM, _irreducible_ids, diagram_of
+from mfc.complexes import TypedComplex, _face_closure
+from mfc.diagram import EMPTY_DIAGRAM, Diagram, _irreducible_ids, diagram_of
+from mfc.group import _relations
+
+
+def check_relations(d: Diagram, perms: list[list[int]]) -> bool:
+    """True when the permutations (one per generator, acting on the right)
+    satisfy every defining relation of d at every point."""
+    points = list(range(len(perms[0]))) if perms else []
+
+    def image(word):
+        img = points
+        for i in word:
+            img = list(map(perms[i].__getitem__, img))
+        return img
+
+    return all(image(lhs) == image(rhs) for lhs, rhs in _relations(d))
+
+
+def from_facets(vertex_types, facets) -> TypedComplex:
+    """The complex the facets generate, on vertices with these types."""
+    return TypedComplex(vertex_types,
+                        _face_closure((tuple(sorted(f)), 0) for f in facets))
+
+
+def relabeled(d: Diagram, perm) -> Diagram:
+    """d with its vertices relabeled old -> new, given as perm[new] = old."""
+    pos = {old: new for new, old in enumerate(perm)}
+    return Diagram(
+        tuple(d.orders[old] for old in perm),
+        tuple((min(pos[i], pos[j]), max(pos[i], pos[j]), m)
+              for (i, j, m) in d.edges))
 
 
 @cache

@@ -273,3 +273,11 @@ def test_criterion_9_deep_g32():
     assert ra.predicted is False and ra.computed is False
     assert rb.computed is True and rb.status == "agree"
     assert cert_diagrams == {"G26"}
+    # G32's reflections have order 3, and r and r^2 lie in the two
+    # classes: both fix the same vertices, so they share one wall, one
+    # verdict and one certificate, and each row names its own class
+    assert len(classes) == 2
+    assert len({ctx.fixed_vertices(rep) for rep in classes}) == 1
+    assert ctx.certificate_of(classes[0]) is ctx.certificate_of(classes[1])
+    assert [row["certificate"]["reflection"]
+            for row in rb.details["classes"]] == classes

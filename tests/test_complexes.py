@@ -18,7 +18,7 @@ from mfc.group import _subgroup_tree, enumerate_group, parabolic_cosets
 from mfc.homology import reduced_betti
 from mfc.isomorphism import find_isomorphism, verify_isomorphism
 from mfc.walls import predicted_bouquet_count
-from strategies import admissible_unions
+from strategies import admissible_unions, from_facets, relabeled
 
 
 def build(sym, **kw):
@@ -405,7 +405,7 @@ def test_export_import_roundtrip(tmp_path, a3):
     assert verts == [["v:", str(v), str(r)]
                      for v, r in enumerate(cx.vertex_types)]
     assert tuple(facets) == cx.chambers()
-    assert TypedComplex.from_facets(cx.vertex_types, facets).by_dim == cx.by_dim
+    assert from_facets(cx.vertex_types, facets).by_dim == cx.by_dim
 
 
 def test_export_import_tagged_types(tmp_path):
@@ -424,7 +424,7 @@ def test_export_import_tagged_types(tmp_path):
 
 
 def test_from_facets_closes_faces():
-    c = TypedComplex.from_facets([0, 1, 2], [(0, 1, 2)])
+    c = from_facets([0, 1, 2], [(0, 1, 2)])
     assert c.f_vector() == (3, 3, 1)
     assert c.chambers() == ((0, 1, 2),)
 
@@ -449,7 +449,7 @@ def _dfs_closure(simplices) -> set:
                 max_size=6),
        st.data())
 def test_face_closure_matches_dfs(facets, data):
-    c = TypedComplex.from_facets([v % 3 for v in range(8)], facets)
+    c = from_facets([v % 3 for v in range(8)], facets)
     closed = _dfs_closure(facets)
     assert {s for ss in c.by_dim.values() for s in ss} == closed
     assert all(len(s) == k + 1 for k, ss in c.by_dim.items() for s in ss)
@@ -491,7 +491,7 @@ def test_order_level_oracle_on_random_diagrams(d, rnd):
     # degrees and the bouquet count all match the built complex
     perm = list(range(d.rank))
     rnd.shuffle(perm)
-    d = d.relabeled(perm)
+    d = relabeled(d, perm)
     name = diagram_name(d)
     cx = milnor_fiber_complex(enumerate_group(d))[0]
     assert order_f_vector(d) == cx.f_vector(), name

@@ -6,9 +6,10 @@ from mfc.diagram import (_irreducible_ids, basic_degrees,
                          components_with_indices, diagram_of,
                          enumerate_admissible, group_order, parse_symbol)
 from mfc.group import (DEFAULT_CAP, CapExceeded, GroupTable, _induced_right,
-                       _invert, _subgroup_tree, check_relations,
-                       conjugacy_classes, enumerate_group, parabolic_cosets,
-                       reflection_classes, todd_coxeter)
+                       _invert, _subgroup_tree, conjugacy_classes,
+                       enumerate_group, parabolic_cosets, reflection_classes,
+                       todd_coxeter)
+from strategies import check_relations
 
 FIXTURES = ["1", "2", "Z6", "2[3]2", "I2(5)", "I2(8)", "3[3]3", "2[4]3",
             "A3", "B3", "H3", "G25", "3[4]3", "2[4]6", "2[3]2 + 4", "D4"]

@@ -12,6 +12,7 @@ from mfc.homology import (_coreduced, _dense_diagonalize, rank_and_factors,
                           reduced_betti)
 from mfc.verify import GroupContext
 from mfc.walls import predicted_bouquet_count
+from strategies import from_facets
 
 
 def build(sym):
@@ -92,7 +93,7 @@ def test_h3_sphere():
 
 
 def test_single_vertex_contractible():
-    c = TypedComplex.from_facets([0], [(0,)])
+    c = from_facets([0], [(0,)])
     b = reduced_betti(c)
     assert all(v == 0 for v in b.betti.values())
 
@@ -103,7 +104,7 @@ def test_empty_simplex_only():
 
 
 def test_points():
-    c = TypedComplex.from_facets([0, 0, 0], [(0,), (1,), (2,)])
+    c = from_facets([0, 0, 0], [(0,), (1,), (2,)])
     assert reduced_betti(c).get(0) == 2
 
 
@@ -113,7 +114,7 @@ RP2_FACETS = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
 
 
 def _rp2(shift=0):
-    return TypedComplex.from_facets(
+    return from_facets(
         [0] * (6 + shift), [tuple(v + shift for v in f) for f in RP2_FACETS])
 
 
@@ -172,7 +173,7 @@ def test_projective_plane_torsion():
 
 def test_suspended_projective_plane_moves_torsion_up():
     # the join with two points: H_2 = Z/2, from the boundary out of degree 3
-    c = join(_rp2(), TypedComplex.from_facets([0, 0], [(0,), (1,)]))
+    c = join(_rp2(), from_facets([0, 0], [(0,), (1,)]))
     assert c.dim == 3
     b = _assert_matches_reference(c)
     assert b.betti == {-1: 0, 0: 0, 1: 0, 2: 0, 3: 0}
@@ -184,14 +185,14 @@ def test_disconnected_complex():
     facets = [f for base in (0, 4) for f in
               ((base, base + 1, base + 2), (base, base + 1, base + 3),
                (base, base + 2, base + 3), (base + 1, base + 2, base + 3))]
-    b = _assert_matches_reference(TypedComplex.from_facets([0] * 8, facets))
+    b = _assert_matches_reference(from_facets([0] * 8, facets))
     assert b.betti == {-1: 0, 0: 1, 1: 0, 2: 2}
     assert b.torsion_free
 
 
 def test_isolated_first_vertex():
     # vertex 0 pairs with the empty simplex and no coreduction follows
-    c = TypedComplex.from_facets([0] * 7, [(0,), *_rp2(shift=1).chambers()])
+    c = from_facets([0] * 7, [(0,), *_rp2(shift=1).chambers()])
     b = _assert_matches_reference(c)
     assert b.betti == {-1: 0, 0: 1, 1: 0, 2: 0}
     assert b.invariant_factors[2] == [2]
@@ -202,7 +203,7 @@ def test_torus_betti():
     facets = [(0, 1, 3), (1, 3, 4), (1, 2, 4), (2, 4, 5), (2, 3, 5),
               (3, 5, 6), (3, 4, 6), (4, 6, 0), (4, 5, 0), (5, 0, 1),
               (5, 6, 1), (6, 1, 2), (6, 0, 2), (0, 3, 2)]
-    c = TypedComplex.from_facets([0] * 7, facets)
+    c = from_facets([0] * 7, facets)
     assert c.f_vector() == (7, 21, 14)
     b = reduced_betti(c)
     assert b.betti == {-1: 0, 0: 0, 1: 2, 2: 1}
@@ -269,7 +270,7 @@ def _random_complexes(draw):
     n = draw(st.integers(1, 7))
     facets = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1,
                                    max_size=4), max_size=6))
-    return TypedComplex.from_facets(
+    return from_facets(
         [0] * n, [(v,) for v in range(n)] + [tuple(f) for f in facets])
 
 

@@ -11,7 +11,7 @@ from mfc.group import enumerate_group
 from mfc.isomorphism import (_initial_colors, _refine, find_isomorphism,
                              verify_isomorphism)
 from general_search import general_isomorphism, incidence
-from strategies import admissible_unions
+from strategies import admissible_unions, from_facets
 from test_homology import _random_complexes
 
 
@@ -58,9 +58,9 @@ def test_g5_vs_g612_not_isomorphic():
 
 
 def test_same_f_vector_non_isomorphic():
-    hexagon = TypedComplex.from_facets(
+    hexagon = from_facets(
         [0] * 6, [(i, (i + 1) % 6) for i in range(6)])
-    two_triangles = TypedComplex.from_facets(
+    two_triangles = from_facets(
         [0] * 6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     assert hexagon.f_vector() == two_triangles.f_vector() == (6, 6)
     assert general_isomorphism(hexagon, two_triangles) is None
@@ -93,8 +93,8 @@ def test_typed_vs_untyped():
     # alternating types matches it, and with one type only untyped
     square = build("2 + 2")
     edges = [(0, 1), (1, 2), (2, 3), (0, 3)]
-    alt = TypedComplex.from_facets([0, 1, 0, 1], edges)
-    uni = TypedComplex.from_facets([0, 0, 0, 0], edges)
+    alt = from_facets([0, 1, 0, 1], edges)
+    uni = from_facets([0, 0, 0, 0], edges)
     assert find_isomorphism(uni, square) is not None
     assert find_isomorphism(uni, square, {0: 0}) is None
     assert find_isomorphism(alt, square, {0: 0, 1: 0}) is None
@@ -130,7 +130,7 @@ def test_long_cycle_needs_no_recursion():
     # matched onto I2(1500)'s model under a recursion limit just above
     # the caller's stack depth
     n = 3000
-    b = TypedComplex.from_facets(
+    b = from_facets(
         [0] * n, [((7 * v + 3) % n, (7 * v + 10) % n) for v in range(n)])
     model = build("I2(1500)")
     limit = sys.getrecursionlimit()
@@ -157,7 +157,7 @@ def _relabeled_pairs(draw):
     types = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
     facets = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1,
                                    max_size=4), max_size=6))
-    a = TypedComplex.from_facets(
+    a = from_facets(
         types, [(v,) for v in range(n)] + [tuple(f) for f in facets])
     return a, _relabeled(a, draw(st.permutations(range(n))))
 
@@ -246,9 +246,9 @@ def test_model_search_fixed_cases():
     # the hexagon is A2's model; two triangles have its f-vector but are
     # not gallery connected
     a2 = build("A2")
-    hexagon = TypedComplex.from_facets(
+    hexagon = from_facets(
         [0] * 6, [(i, (i + 1) % 6) for i in range(6)])
-    two_triangles = TypedComplex.from_facets(
+    two_triangles = from_facets(
         [0] * 6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     assert hexagon.f_vector() == two_triangles.f_vector() == a2.f_vector()
     assert find_isomorphism(two_triangles, a2) is None
@@ -266,10 +266,10 @@ def test_model_search_fixed_cases():
     # two graphs with equal f-vectors, not isomorphic: a chamber is
     # completed before it is read, and only its completion check rejects
     # the map that the extension builds
-    a = TypedComplex.from_facets([0] * 6, [
+    a = from_facets([0] * 6, [
         (0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (1, 5), (2, 3),
         (2, 5), (3, 5)])
-    b = TypedComplex.from_facets([0] * 6, [
+    b = from_facets([0] * 6, [
         (0, 1), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (2, 5),
         (3, 4), (4, 5)])
     assert general_isomorphism(a, b) is None

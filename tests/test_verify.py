@@ -18,7 +18,7 @@ from mfc.verify import (DEFAULT_CAP, GroupContext, SuiteError, default_suite,
                         run_entry, run_suite, verify_counts, verify_join,
                         verify_monomial, verify_orlik, verify_theorem_A,
                         verify_theorem_B)
-from strategies import admissible_unions
+from strategies import admissible_unions, from_facets
 
 SMALL_SUITE = {
     "mfc_suite": 1,
@@ -274,8 +274,7 @@ def test_join_with_a_missing_facet_disagrees(monkeypatch):
 
     def broken(*factors):
         c = real(*factors)
-        return mfc.complexes.TypedComplex.from_facets(c.vertex_types,
-                                                      c.chambers()[:-1])
+        return from_facets(c.vertex_types, c.chambers()[:-1])
 
     monkeypatch.setattr(mfc.verify, "join", broken)
     (rep,) = run_entry({"symbol": "2[3]2 + 3", "checks": ["join"]}, DEFAULT_CAP)
@@ -457,6 +456,17 @@ def test_cli_verify(capsys):
     assert blob["theorem"] == "counts" and blob["status"] == "agree"
     assert main(["verify", "monomial", "3,2"]) == 0
     assert main(["verify", "A", "E8"]) == 3
+
+
+def test_cli_verify_join(capsys):
+    # the command's check names are the suite's, join included
+    assert main(["verify", "join", "2[3]2 + 3"]) == 0
+    assert capsys.readouterr().out == \
+        "join A2+Z3: predicted=True computed=True -> agree\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "Z", "A3"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'Z'" in capsys.readouterr().err
 
 
 def test_cli_suite(tmp_path, capsys):
@@ -670,20 +680,23 @@ def test_cli_suite_allow_skip_string_exit_2(tmp_path, capsys):
 
 def test_fixed_subcomplexes_built_once(monkeypatch):
     # counts, A and B build the walls; orlik reuses them for the
-    # reflection classes and adds the other classes
+    # reflection classes and adds the other classes.  Classes that fix
+    # the same vertices (several fix none) share one build
     built = []
     real = mfc.verify.fixed_subcomplex
 
-    def counting(chambers, g):
-        built.append(g)
-        return real(chambers, g)
+    def counting(chambers, fixed):
+        built.append(fixed)
+        return real(chambers, fixed)
 
     monkeypatch.setattr(mfc.verify, "fixed_subcomplex", counting)
     ctx = context("B3")
     for check in (verify_counts, verify_theorem_A, verify_theorem_B,
                   verify_orlik):
         assert check(ctx).status == "agree"
-    assert len(built) == len(set(built)) == ctx.classes.n_classes - 1
+    walls = {ctx.chambers.fixed_vertices(g) for g in ctx.classes.reps[1:]}
+    assert len(walls) < ctx.classes.n_classes - 1
+    assert len(built) == len(set(built)) and set(built) == walls
     rep = ctx.refl_classes[0]
     assert ctx.certificate_of(rep).verdict is ctx.verdict_of(rep)
 
@@ -721,8 +734,9 @@ def test_wall_checks_build_no_parabolic_data(monkeypatch):
 
 
 def test_walls_recognized_once(monkeypatch):
-    # A recognizes every wall; B's search takes that verdict for the
-    # family that generates the whole wall instead of recognizing it again
+    # A recognizes every distinct wall once; B's search takes that verdict
+    # for the family that generates the whole wall instead of recognizing
+    # it again
     seen = []
     real = mfc.walls.recognize_milnor_fiber
 
@@ -737,10 +751,63 @@ def test_walls_recognized_once(monkeypatch):
         ctx = context(sym)
         verify_theorem_A(ctx)
         verify_theorem_B(ctx)
-        # G25's two reflection classes have walls with equal simplices
-        walls = [ctx.fixed_of(rep).by_dim for rep in ctx.refl_classes]
-        for w in walls:
-            assert seen.count(w) == walls.count(w), sym
+        # G25's two reflection classes fix the same vertices
+        walls = {ctx.fixed_vertices(rep): ctx.fixed_of(rep).by_dim
+                 for rep in ctx.refl_classes}
+        assert len(walls) == (1 if sym == "G25" else 2)
+        for w in walls.values():
+            assert seen.count(w) == list(walls.values()).count(w), sym
+
+
+@pytest.mark.parametrize("sym", ["G25", "G26", "G(5,1,3)"])
+def test_walls_keyed_by_fixed_vertices(monkeypatch, sym):
+    # a reflection and its powers lie in different classes but fix the
+    # same vertices: their wall is built, recognized and searched once.
+    # A wall's vertex names are the vertices it is built on
+    calls = {}
+
+    def counting(name, wall_name):
+        real = getattr(mfc.verify, name)
+
+        def counted(*args):
+            calls.setdefault(name, []).append(wall_name(*args))
+            return real(*args)
+        monkeypatch.setattr(mfc.verify, name, counted)
+
+    counting("fixed_subcomplex", lambda chambers, fixed: fixed)
+    for name in ("recognize_milnor_fiber", "milnor_wall_search"):
+        counting(name, lambda wall, *rest: wall.vertex_names)
+    ctx = context(sym)
+    reports = [verify_theorem_A(ctx), verify_theorem_B(ctx)]
+    walls = {ctx.chambers.fixed_vertices(rep) for rep in ctx.refl_classes}
+    assert (len(ctx.refl_classes), len(walls)) == \
+        {"G25": (2, 1), "G26": (3, 2), "G(5,1,3)": (5, 2)}[sym]
+    assert len(calls) == 3
+    for name, keys in calls.items():
+        assert sorted(keys) == sorted(walls), name
+    rows = reports[1].details["classes"]
+    assert [row["rep"] for row in rows] == ctx.refl_classes
+    for row in rows:
+        if row["certificate"] is not None:
+            assert row["certificate"]["reflection"] == row["rep"]
+    assert any(row["certificate"] for row in rows)
+
+
+def test_join_union_walls_recognized_once(monkeypatch):
+    # the 199 reflections of Z200 fix the same vertices of the union
+    # 200 + 2, and of the factor: with Z2's reflection, four walls in all,
+    # each recognized once (one per reflection class made 400)
+    seen = []
+    real = mfc.verify.recognize_milnor_fiber
+
+    def counting(s, rank):
+        seen.append(rank)
+        return real(s, rank)
+
+    monkeypatch.setattr(mfc.verify, "recognize_milnor_fiber", counting)
+    (rep,) = run_entry({"symbol": "200 + 2", "checks": ["join"]}, DEFAULT_CAP)
+    assert rep.status == "agree" and len(rep.details["milnor"]) == 200
+    assert sorted(seen) == [0, 0, 1, 1]
 
 
 def test_join_entry_reuses_its_context(monkeypatch):

@@ -20,7 +20,7 @@ from mfc.walls import (ParabolicData, RecognitionVerdict,
                        milnor_wall_search, predicted_bouquet_count,
                        recognize_milnor_fiber)
 from general_search import general_isomorphism
-from strategies import admissible_unions
+from strategies import admissible_unions, from_facets
 
 # groups for the property tests of walls and parabolic data: real,
 # complex, monomial and dihedral, ranks 2 and 3
@@ -40,6 +40,11 @@ def generated(c, simplices):
                       c.vertex_types, c.vertex_names)
 
 
+def wall_of(cs, g):
+    """The wall of element g: the full subcomplex on its fixed vertices."""
+    return fixed_subcomplex(cs, cs.fixed_vertices(g))
+
+
 def euler(c):
     return sum((-1) ** k * len(v) for k, v in c.by_dim.items())
 
@@ -56,8 +61,8 @@ def g26():
 
 def test_fixed_subcomplex_identity_and_reflection():
     t, cx, cs = setup("2[3]2")
-    assert fixed_subcomplex(cs, 0).f_vector() == cx.f_vector()
-    w = fixed_subcomplex(cs, t.gen_elements[0])
+    assert wall_of(cs, 0).f_vector() == cx.f_vector()
+    w = wall_of(cs, t.gen_elements[0])
     assert w.f_vector() == (2,)
 
 
@@ -77,7 +82,7 @@ def test_fixed_setwise_implies_pointwise():
 def test_g25_wall_counts_and_betti(g25):
     t, cx, cs = g25
     for rep in reflection_classes(t):
-        w = fixed_subcomplex(cs, rep)
+        w = wall_of(cs, rep)
         assert w.f_vector()[1] == 54
         assert reduced_betti(w).concentrated_value(1) == 25
 
@@ -87,9 +92,9 @@ def test_walls_of_conjugate_reflections_isomorphic():
     class_of = conjugacy_classes(t).class_of
     for rep in reflection_classes(t):
         members = [x for x in range(t.order) if class_of[x] == class_of[rep]]
-        w0 = fixed_subcomplex(cs, rep)
+        w0 = wall_of(cs, rep)
         for other in members[:2]:
-            w1 = fixed_subcomplex(cs, other)
+            w1 = wall_of(cs, other)
             assert general_isomorphism(w0, w1) is not None
 
 
@@ -103,19 +108,19 @@ def test_conjugate_wall_is_translated_wall():
                 for k in range(w.dim + 1) for s in w.simplices(k)}
 
     for rep in reflection_classes(t):
-        w_r = ambient_simplices(fixed_subcomplex(cs, rep))
+        w_r = ambient_simplices(wall_of(cs, rep))
         for h in (t.gen_elements[0], t.gen_elements[1], 5):
             h_inv = next(y for y in range(t.order) if t.mul(h, y) == 0)
             conj = t.mul(t.mul(h, rep), h_inv)
             perm = cs.vertex_perm(h)
             translated = {tuple(sorted(perm[v] for v in s)) for s in w_r}
-            assert translated == ambient_simplices(fixed_subcomplex(cs, conj))
+            assert translated == ambient_simplices(wall_of(cs, conj))
 
 
 def test_fixed_space_dim(g25):
     # dim V^g is the dimension of the fixed subcomplex plus one
     def fixed_space_dim(cs, g):
-        return fixed_subcomplex(cs, g).dim + 1
+        return wall_of(cs, g).dim + 1
 
     t, cx, cs = g25
     assert fixed_space_dim(cs, 0) == 3
@@ -145,7 +150,7 @@ def test_fixed_subcomplex_matches_setwise_filter():
             for s in fixed:
                 want.setdefault(len(s) - 1, []).append(
                     tuple(sorted(new_id[v] for v in s)))
-            sub = fixed_subcomplex(cs, g)
+            sub = wall_of(cs, g)
             assert sub.by_dim == {k: tuple(sorted(v))
                                   for k, v in want.items()}, (sym, g)
             assert sub.vertex_types == tuple(cx.vertex_types[v]
@@ -154,14 +159,13 @@ def test_fixed_subcomplex_matches_setwise_filter():
 
 
 def _assert_induced_on_fixed_vertices(cx, cs, g, label):
-    """fixed_subcomplex(cs, g) is the full subcomplex of cx on the
-    vertices that g's permutation fixes, with cx's types, named by their
-    ids in cx."""
+    """wall_of(cs, g) is the full subcomplex of cx on the vertices that
+    g's permutation fixes, with cx's types, named by their ids in cx."""
     perm = cs.vertex_perm(g)
     keep = {v for v, w in enumerate(perm) if v == w}
     want = generated(cx, (s for k in range(cx.dim + 1)
                           for s in cx.simplices(k) if keep.issuperset(s)))
-    got = fixed_subcomplex(cs, g)
+    got = wall_of(cs, g)
     assert got.by_dim == want.by_dim, (label, g)
     assert got.vertex_types == want.vertex_types, (label, g)
     assert got.vertex_names == want.vertex_names, (label, g)
@@ -200,6 +204,40 @@ def test_fixed_subcomplex_is_induced_on_random_diagrams(d, data):
         _assert_induced_on_fixed_vertices(cx, cs, g, diagram_name(d))
 
 
+@settings(max_examples=25, deadline=None)
+@given(admissible_unions(max_order=700))
+def test_reflections_fixing_the_same_vertices_share_their_wall(d):
+    # why a wall may be named by its fixed vertices: two reflections that
+    # fix the same vertices (in a Shephard group, r and its powers, often
+    # in other classes) fix the same simplices, so the wall built from
+    # those vertices is, by the definition, the wall of each of them, and
+    # each gets the same verdict
+    t = enumerate_group(d)
+    cx, cs = milnor_fiber_complex(t)
+    classes = conjugacy_classes(t)
+    refl = {classes.class_of[r] for r in reflection_classes(t, classes)}
+    sharing = {}
+    for g in range(t.order):
+        if classes.class_of[g] in refl:
+            sharing.setdefault(cs.fixed_vertices(g), []).append(g)
+    for fixed, rs in sharing.items():
+        if len(rs) < 2:
+            continue
+        w = fixed_subcomplex(cs, fixed)
+        verdicts = set()
+        for r in rs:
+            perm = cs.vertex_perm(r)
+            setwise = generated(cx, (s for k in range(cx.dim + 1)
+                                     for s in cx.simplices(k)
+                                     if tuple(sorted(map(perm.__getitem__,
+                                                         s))) == s))
+            assert (setwise.by_dim, setwise.vertex_names) == \
+                (w.by_dim, w.vertex_names), (diagram_name(d), r)
+            verdicts.add(repr(recognize_milnor_fiber(
+                setwise, d.rank - 1).to_jsonable()))
+        assert len(verdicts) == 1, (diagram_name(d), fixed)
+
+
 @settings(max_examples=40, deadline=None)
 @given(admissible_unions(), st.data())
 def test_coset_oracle_on_random_diagrams(d, data):
@@ -226,7 +264,7 @@ def test_coset_oracle_on_random_diagrams(d, data):
     reps = data.draw(st.lists(st.sampled_from(reflection_classes(t, classes)),
                               min_size=1, max_size=3, unique=True))
     for rep in reps:
-        fv = fixed_subcomplex(cs, rep).f_vector()
+        fv = wall_of(cs, rep).f_vector()
         counts = (1,) + fv + (0,) * (n - len(fv))
         assert counts == pdata.fixed_counts(classes.class_of[rep]), name
         assert counts[n - 1] == wall_chambers, name
@@ -242,22 +280,22 @@ def test_fixed_subcomplex_reads_no_chambers_without_a_fixed_edge(
     for sym in ("Z7", "I2(17)", "G8", "G(20,1,2)", "H3"):
         t, cx, cs = setup(sym)
         for g in range(1, t.order):
-            fixed = [v for v, w in enumerate(cs.vertex_perm(g)) if v == w]
+            fixed = cs.fixed_vertices(g)
             if t.ngens <= 2 or len(fixed) < 2:
-                cases.append((cs, g, fixed))
-    assert any(len(fixed) == 2 for _cs, _g, fixed in cases)
+                cases.append((cs, fixed))
+    assert any(len(fixed) == 2 for _cs, fixed in cases)
 
     def chamber_pass(*args):
         raise AssertionError("the chambers were read")
 
     monkeypatch.setattr(mfc.walls, "_face_closure", chamber_pass)
     monkeypatch.setattr(mfc.walls, "_reindexed", chamber_pass)
-    for cs, g, fixed in cases:
-        w = fixed_subcomplex(cs, g)
+    for cs, fixed in cases:
+        w = fixed_subcomplex(cs, fixed)
         assert w.by_dim == ({0: tuple((i,) for i in range(len(fixed)))}
                             if fixed else {})
         assert w.vertex_types == tuple(cs.vertex_types[v] for v in fixed)
-        assert w.vertex_names == tuple(fixed)
+        assert w.vertex_names == fixed
 
 
 def _dense_fixed_counts(t, classes, cid):
@@ -315,7 +353,7 @@ def test_count_formula_matches_explicit_subcomplexes():
             assert (cid in pdata.nontrivial_counts) == any(dense[1:]), \
                 (sym, cid)
             rep = classes.reps[cid]
-            sub = fixed_subcomplex(cs, rep)
+            sub = wall_of(cs, rep)
             explicit = {k: v for k, v in enumerate(sub.f_vector())}
             counted = {k - 1: v for k, v in enumerate(pdata.fixed_counts(cid))
                        if k and v}
@@ -339,7 +377,7 @@ def test_generated_subcomplex():
 def test_recognize_g25_wall(g25):
     t, cx, cs = g25
     rep = reflection_classes(t)[0]
-    v = recognize_milnor_fiber(fixed_subcomplex(cs, rep), 2)
+    v = recognize_milnor_fiber(wall_of(cs, rep), 2)
     assert v.outcome == "not-mfc"
     assert v.reason == "betti-mismatch-all"
     assert sorted(c.name for c in v.candidates) == \
@@ -351,7 +389,7 @@ def test_recognize_g26_order3_wall(g26):
     # G5 and G(6,1,2), both eliminated by isomorphism (degree-4 vertex)
     t, cx, cs = g26
     rep = t.gen_elements[0]
-    w = fixed_subcomplex(cs, rep)
+    w = wall_of(cs, rep)
     v = recognize_milnor_fiber(w, 2)
     assert v.outcome == "not-mfc" and v.reason == "isomorphism-failed-all"
     survivors = sorted(c.name for c in v.candidates
@@ -393,7 +431,7 @@ def test_g26_order3_wall_families(g26):
     order3 = [r for r in reflection_classes(t) if t.element_order(r) == 3]
     assert len(order3) == 2
     for rep in order3:
-        w = fixed_subcomplex(cs, rep)
+        w = wall_of(cs, rep)
         assert w.f_vector() == (48, 72)
         by_type = Counter(frozenset(w.vertex_types[v] for v in e)
                           for e in w.simplices(1))
@@ -423,7 +461,7 @@ def test_recognize_g26_order2_wall(g26):
     # G(6,1,2) naming in the sources this build follows
     t, cx, cs = g26
     rep = [r for r in reflection_classes(t) if t.element_order(r) == 2][0]
-    w = fixed_subcomplex(cs, rep)
+    w = wall_of(cs, rep)
     v = recognize_milnor_fiber(w, 2)
     assert v.recognized and diagram_name(v.diagram) == "G5"
     assert verify_isomorphism(w, _model_complex(v.diagram), v.certificate)
@@ -432,7 +470,7 @@ def test_recognize_g26_order2_wall(g26):
 def test_recognize_monomial_wall_recursion():
     t, cx, cs = setup("G(3,1,3)")
     for rep in reflection_classes(t):
-        w = fixed_subcomplex(cs, rep)
+        w = wall_of(cs, rep)
         v = recognize_milnor_fiber(w, 2)
         assert v.recognized and diagram_name(v.diagram) == "G(3,1,2)"
         assert verify_isomorphism(w, _model_complex(v.diagram),
@@ -441,7 +479,7 @@ def test_recognize_monomial_wall_recursion():
 
 def test_recognition_dimension_mismatch_is_count_reason():
     # a 0-dimensional complex offered at rank 2 has no 1-chambers
-    pts = TypedComplex.from_facets([0, 0], [(0,), (1,)])
+    pts = from_facets([0, 0], [(0,), (1,)])
     v = recognize_milnor_fiber(pts, 2)
     assert v.outcome == "not-mfc"
     assert v.reason == "no-admissible-factorization"
@@ -454,7 +492,7 @@ def test_candidates_named_only_when_read(monkeypatch):
     monkeypatch.setattr(mfc.walls, "diagram_name",
                         lambda d: named.append(d) or real(d))
     t, cx, cs = setup("B3")
-    w = fixed_subcomplex(cs, reflection_classes(t)[0])
+    w = wall_of(cs, reflection_classes(t)[0])
     v = recognize_milnor_fiber(w, 2)
     assert v.recognized and len(v.candidates) > 1 and named == []
     assert [c.name for c in v.candidates] == \
@@ -488,7 +526,7 @@ def test_candidates_in_enumeration_order():
             reasons.add(v.reason)
     assert reasons == {None, "betti-mismatch-all", "isomorphism-failed-all"}
     # four disjoint edges: the disconnected early return
-    v = recognize_milnor_fiber(TypedComplex.from_facets(
+    v = recognize_milnor_fiber(from_facets(
         [0, 1] * 4, [(0, 1), (2, 3), (4, 5), (6, 7)]), 2)
     assert v.reason == "betti-mismatch-all" and v.betti == {0: 3}
     assert names(v) == enumerated(v) == ["Z2+Z2"]
@@ -548,7 +586,7 @@ def test_walls_are_their_full_family_subcomplex():
         t, cx, cs = setup(sym)
         n = t.ngens
         for rep in reflection_classes(t):
-            w = fixed_subcomplex(cs, rep)
+            w = wall_of(cs, rep)
             full = generated(w, family_facets(w, n, range(n)))
             assert full.by_dim == w.by_dim, (sym, rep)
             assert full.vertex_types == w.vertex_types, (sym, rep)
@@ -565,7 +603,7 @@ def test_type_families_are_subcomplexes_of_their_facets():
         order = [m for size in range(n, 0, -1)
                  for m in combinations(range(n), size)]
         for rep in reflection_classes(t):
-            w = fixed_subcomplex(cs, rep)
+            w = wall_of(cs, rep)
             families = list(_type_families(w, n))
             assert [m for m, _fv, _faces in families] == order, (sym, rep)
             for missing, fv, faces in families:
@@ -586,13 +624,13 @@ def test_milnor_wall_search_impure_wall():
     # makes the wall disconnected, and the full family still certifies
     t, cx, cs = setup("B3")
     rep = reflection_classes(t)[0]
-    w = fixed_subcomplex(cs, rep)
+    w = wall_of(cs, rep)
     impure = TypedComplex(w.vertex_types + (0,),
                           {0: w.simplices(0) + ((w.n_vertices,),),
                            1: w.simplices(1)})
     wall_verdict = recognize_milnor_fiber(impure, 2)
     assert not wall_verdict.recognized
-    cert = milnor_wall_search(impure, 3, rep, wall_verdict)
+    cert = milnor_wall_search(impure, 3, wall_verdict)
     assert cert is not None and not cert.proper
     assert cert.verdict is not wall_verdict and cert.verdict.recognized
     family = generated(impure, family_facets(impure, 3, cert.missing_types))
@@ -622,9 +660,9 @@ def test_family_filter_is_exact(monkeypatch):
         t, cx, cs = setup(sym)
         n = t.ngens
         for rep in reflection_classes(t):
-            w = fixed_subcomplex(cs, rep)
+            w = wall_of(cs, rep)
             built.clear()
-            assert milnor_wall_search(w, n, rep, unrecognized) is None
+            assert milnor_wall_search(w, n, unrecognized) is None
             for size in range(1, n + 1):
                 for missing in combinations(range(n), size):
                     sub = generated(w, family_facets(w, n, missing))
@@ -670,8 +708,8 @@ def test_wall_join_reduction():
     tb, cb, csb = setup("2")
     rep = ta.gen_elements[0]
     g_union = t.right[0][0]  # same generator embeds as index 0
-    w_union = fixed_subcomplex(cs, g_union)
-    expected = join(fixed_subcomplex(csa, rep), cb)
+    w_union = wall_of(cs, g_union)
+    expected = join(wall_of(csa, rep), cb)
     # joined types (0, t) and (1, 0) are the union's generators t and 2
     type_map = {(0, 0): 0, (0, 1): 1, (1, 0): 2}
     assert general_isomorphism(expected, w_union, type_map) is not None
