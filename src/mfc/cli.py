@@ -115,7 +115,7 @@ def _dispatch(args) -> int:
 
     if args.command == "build":
         cx = ctx.complex
-        print("group order: %d" % ctx.order)
+        print("group order: %d" % ctx.table.order)
         print("f-vector:    %s" % (list(cx.f_vector()),))
         b = reduced_betti(cx)
         print("reduced Betti: %s (torsion-free: %s)"

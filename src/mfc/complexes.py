@@ -4,9 +4,10 @@ A TypedComplex stores every simplex explicitly (the empty simplex is
 implicit) as a sorted tuple of vertex ids; each vertex carries a type
 label and the type of a simplex is the set of types of its vertices.
 A coset complex numbers its vertices by type, then by coset block, so
-identical builds produce identical complexes and a vertex's id is its
-name; only a flag model, and a subcomplex (the ids it had in its
-complex), carry ``vertex_names``.
+identical builds produce identical complexes; a vertex is named by its
+id alone.  A subcomplex on fresh ids (``_reindexed``, a wall) keeps the
+order of the old ones, and the flag model's identity flag E_k is its
+first vertex of type k.
 """
 
 from __future__ import annotations
@@ -27,10 +28,9 @@ class SimplexCapExceeded(CapExceeded):
 
 
 class TypedComplex:
-    def __init__(self, vertex_types, simplices_by_dim, vertex_names=None):
+    def __init__(self, vertex_types, simplices_by_dim):
         self.vertex_types = tuple(vertex_types)
         self.by_dim = {k: tuple(sorted(v)) for k, v in simplices_by_dim.items() if v}
-        self.vertex_names = tuple(vertex_names) if vertex_names is not None else None
         self._sets = None
         self._counts = None
         self._panels = None
@@ -99,19 +99,17 @@ class TypedComplex:
         return tuple(sorted(out, key=lambda s: (len(s), s)))
 
 
-def _reindexed(by_dim, vertex_types, vertex_names) -> TypedComplex:
+def _reindexed(by_dim, vertex_types) -> TypedComplex:
     """The complex of the simplices by_dim, given in the ids of a complex
-    with these vertex types and names (None for a complex whose ids are
-    its names), on fresh ids 0, 1, ... in the order of the old ones;
-    vertex_names record the old names, or the old ids when None."""
+    with these vertex types, on fresh ids 0, 1, ... in the order of the
+    old ones: its vertex k is the k-th smallest old id among its
+    vertices."""
     # the remap preserves vertex order, so sorted tuples stay sorted
     old_ids = sorted(s[0] for s in by_dim.get(0, ()))
     new_id = dict(zip(old_ids, range(len(old_ids)))).__getitem__
-    names = [vertex_names[v] if vertex_names else v for v in old_ids]
     return TypedComplex([vertex_types[v] for v in old_ids],
                         {k: [tuple(map(new_id, s)) for s in ss]
-                         for k, ss in by_dim.items()},
-                        vertex_names=names)
+                         for k, ss in by_dim.items()})
 
 
 def _face_closure(simplices) -> dict[int, dict]:
@@ -282,9 +280,8 @@ def milnor_fiber_complex(t: GroupTable,
     with group elements.  The action is left translation.  Every vertex
     lies in a chamber, so the 0-simplices are the vertex ids, and only
     the type sets I of two or more types are read off the chambers.  The
-    complex carries no vertex names: the coset in block b of type r's
-    ``parabolic_cosets`` has id b plus the number of vertices of the types
-    below r.
+    coset in block b of type r's ``parabolic_cosets`` has id b plus the
+    number of vertices of the types below r.
     """
     simplex_count(t.diagram, DEFAULT_SIMPLEX_CAP)
     if chambers is None:
@@ -326,7 +323,9 @@ def monomial_flag_complex(m: int,
 
     Vertices are sets {(coord, label)} with distinct coords, sizes
     1..n; type of a size-k set is k-1 (matching generator indexing of
-    the 2[3]...2[4]m chain).  Simplices are chains under inclusion.
+    the 2[3]...2[4]m chain).  The ids follow the sets by size, then as
+    sorted lists, so the identity flag E_k = {(0, 0), ..., (k, 0)} is
+    the first vertex of type k.  Simplices are chains under inclusion.
     Returns the complex and the vertex permutations of the n standard
     monomial generators (adjacent transpositions; last one rotates the
     label on the last coordinate).  It has the f-vector of G(m,1,n)'s
@@ -365,8 +364,7 @@ def monomial_flag_complex(m: int,
         by_dim.setdefault(len(chain) - 1, []).append(chain)
         for j in supersets[chain[-1]]:
             stack.append(chain + (j,))
-    cx = TypedComplex(types, by_dim,
-                      vertex_names=[tuple(sorted(s)) for s in verts])
+    cx = TypedComplex(types, by_dim)
 
     def act(gen: int, s: frozenset) -> frozenset:
         out = []

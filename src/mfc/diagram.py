@@ -11,8 +11,8 @@ diagram from the parameters; ``_EXCEPTIONAL`` gives each exceptional
 row's diagram and degrees.  Every row is a path or a fork (one vertex
 of degree 3), so ``classify_component`` reads a diagram's shape off in
 linear time (``_reading``) and matches it against the rows; parsing
-and enumeration read the same tables.  ``canonical_key``, which orders
-enumerated diagrams, is built from the classified rows' keys.
+and enumeration read the same tables.  Enumerated diagrams are ordered
+by their rows' keys (``_row_key``).
 """
 
 from __future__ import annotations
@@ -398,13 +398,6 @@ def _component_key(d: Diagram) -> tuple:
 def _row_key(gid: GroupId) -> tuple:
     """The key of a table row: ``_component_key`` of its diagram."""
     return _component_key(diagram_of(gid))
-
-
-def canonical_key(d: Diagram) -> tuple:
-    """Canonical encoding of an admissible diagram up to vertex
-    relabeling: its components' row keys, sorted.  Raises NotAdmissible
-    for a diagram that is not admissible."""
-    return tuple(sorted(_row_key(gid) for gid in classify(d)))
 
 
 def diagram_name(d: Diagram) -> str:

@@ -33,21 +33,21 @@ from .complexes import TypedComplex
 
 @dataclass
 class BettiResult:
-    """Reduced Betti numbers by degree (-1..dim) and a torsion certificate."""
+    """Reduced Betti numbers by degree (-1..dim) and the torsion: per
+    degree k, the non-unit invariant factors of the boundary out of k."""
 
     betti: dict[int, int]
-    torsion_free: bool
     invariant_factors: dict[int, list[int]]
 
-    def get(self, k: int) -> int:
-        return self.betti.get(k, 0)
+    @property
+    def torsion_free(self) -> bool:
+        return not any(self.invariant_factors.values())
 
     def concentrated_value(self, degree: int) -> int | None:
         """The value in ``degree`` if all other reduced degrees vanish."""
-        for k, v in self.betti.items():
-            if k != degree and v != 0:
-                return None
-        return self.get(degree)
+        if any(v for k, v in self.betti.items() if k != degree):
+            return None
+        return self.betti.get(degree, 0)
 
 
 def _dense_diagonalize(rows: list[list[int]]) -> list[int]:
@@ -271,14 +271,14 @@ def reduced_betti(c: TypedComplex) -> BettiResult:
     """
     dim = c.dim
     if dim < 0:
-        return BettiResult({-1: 1}, True, {})
+        return BettiResult({-1: 1}, {})
     f0 = len(c.simplices(0))
     if dim == 0:
-        return BettiResult({-1: 0, 0: f0 - 1}, True, {})
+        return BettiResult({-1: 0, 0: f0 - 1}, {})
     if dim == 1:
         comps = _n_components(c)
         f1 = len(c.simplices(1))
-        return BettiResult({-1: 0, 0: comps - 1, 1: f1 - f0 + comps}, True, {})
+        return BettiResult({-1: 0, 0: comps - 1, 1: f1 - f0 + comps}, {})
 
     residue = _coreduced(c)
     ranks = {-1: 0, dim + 1: 0}
@@ -289,5 +289,4 @@ def reduced_betti(c: TypedComplex) -> BettiResult:
         all_factors[k] = sorted(f for f in factors if f != 1)
     betti = {k: len(residue[k]) - ranks[k] - ranks[k + 1]
              for k in range(-1, dim + 1)}
-    torsion_free = all(not fs for fs in all_factors.values())
-    return BettiResult(betti, torsion_free, all_factors)
+    return BettiResult(betti, all_factors)

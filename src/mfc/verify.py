@@ -77,7 +77,6 @@ class GroupContext:
         self.diagram = d
         self.cap = cap
         self.table = enumerate_group(d, cap=cap)
-        self.order = self.table.order
         self.chambers = ChamberSystem(self.table)
         self._fixed_vertices = {}   # element -> the name of its wall
         self._walls = {}            # these three by the wall's name
@@ -275,7 +274,7 @@ def verify_orlik(ctx: GroupContext) -> TheoremReport:
     if irreducible and 2 <= n <= 3:
         d1 = basic_degrees(d)[0]
         classes = ctx.classes
-        explicit_all = n >= 3 or ctx.order <= EXPLICIT_ORLIK_ORDER
+        explicit_all = n >= 3 or ctx.table.order <= EXPLICIT_ORLIK_ORDER
 
         def row(cid: int) -> tuple[bool, dict]:
             rep = classes.reps[cid]
@@ -325,12 +324,14 @@ def verify_monomial(ctx: GroupContext) -> TheoremReport:
     parse_symbol gives it: n is its rank, m its last generator's order.
 
     The certificate sends each coset vertex to its identity flag moved by
-    its representative's word in the flag generators.  It must be an
-    isomorphism (``verify_isomorphism``, f-vectors included) that carries
-    each generator's vertex permutation onto its flag permutation; the
-    flag generators are then the coset action conjugated by a bijection,
-    so the relations and stabilizers follow.  On failure,
-    "simplex_transport" or "equivariance" names the half that failed."""
+    its representative's word in the flag generators (E_k, the flag
+    model's first vertex of type k).  It must be an isomorphism
+    (``verify_isomorphism``, f-vectors included) that carries each
+    generator's vertex permutation onto its flag permutation; the flag
+    generators are then the coset action conjugated by a bijection, so
+    the relations and stabilizers follow.  On failure,
+    "simplex_transport" or "equivariance" names the half that failed.
+    The wall recursion searches each distinct wall once."""
     d = ctx.diagram
     n = d.rank
     m = d.orders[-1] if n else 0
@@ -340,9 +341,8 @@ def verify_monomial(ctx: GroupContext) -> TheoremReport:
     fc, perms = monomial_flag_complex(m, n)
     cx = ctx.complex
     t = ctx.table
-    name_to_id = {nm: i for i, nm in enumerate(fc.vertex_names)}
     # identity chamber: type-k coset vertex -> standard flag {e_0..e_k}
-    base = [name_to_id[tuple((i, 0) for i in range(k + 1))] for k in range(n)]
+    base = [fc.vertex_types.index(k) for k in range(n)]
     # a type-k vertex: transport its coset's representative element
     # through the flag action, starting from the identity flag E_k
     vmap = {}
@@ -365,12 +365,15 @@ def verify_monomial(ctx: GroupContext) -> TheoremReport:
     recursion_ok = True
     if n >= 2:
         model = _model_complex(parse_symbol("G(%d,1,%d)" % (m, n - 1)))
+        isomorphic = {}             # by the wall's fixed vertices
         rows = []
         for rep in ctx.refl_classes:
-            iso = find_isomorphism(ctx.fixed_of(rep), model)
-            rows.append({"rep": rep, "isomorphic": iso is not None})
-            if iso is None:
-                recursion_ok = False
+            key = ctx.fixed_vertices(rep)
+            if key not in isomorphic:
+                isomorphic[key] = find_isomorphism(ctx.fixed_of(rep),
+                                                   model) is not None
+            rows.append({"rep": rep, "isomorphic": isomorphic[key]})
+        recursion_ok = all(isomorphic.values())
         details["wall_recursion"] = rows
     else:
         for rep in ctx.refl_classes:
@@ -401,20 +404,16 @@ def verify_join(ctx: GroupContext) -> TheoremReport:
     with r factor i's type t, is factor i's coset h (G_i)_{R_i - {t}},
     where h, x's projection onto factor i, is x's word with the letters
     of the other factors left out.  That map, restricted to the union
-    wall's vertices (named by their union ids), is re-checked by
+    wall's vertices (the k-th is its key's k-th id), is re-checked by
     ``verify_isomorphism``, so a wrong map can only give disagree."""
     sym = diagram_name(ctx.diagram)
     comps = components_with_indices(ctx.diagram)
-    details = {}
-    ok = True
     factor_ctx = [GroupContext(cd, ctx.cap) for cd, _idx in comps]
     type_map = {(i, t): r for i, (_cd, idx) in enumerate(comps)
                 for t, r in enumerate(idx)}
-    iso = find_isomorphism(join(*(f.complex for f in factor_ctx)),
-                           ctx.complex, type_map)
-    details["join_isomorphism"] = iso is not None
-    if iso is None:
-        ok = False
+    ok = find_isomorphism(join(*(f.complex for f in factor_ctx)),
+                          ctx.complex, type_map) is not None
+    details = {"join_isomorphism": ok}
 
     # each element's projection onto each factor, its stored word with
     # the other factors' letters left out, read along the parent links;
@@ -445,19 +444,20 @@ def verify_join(ctx: GroupContext) -> TheoremReport:
                 g_union = ctx.table.right[idx[letter]][g_union]
             parts = [fctx.fixed_of(rep) if fj == fi else f.complex
                      for fj, f in enumerate(factor_ctx)]
-            # per factor, its vertex ids (a wall's: its names) to join ids
+            # each part's vertex ids (a wall's: its key) to join ids
             place, off = [], 0
-            for p in parts:
-                names = p.vertex_names or range(p.n_vertices)
-                place.append(dict(zip(names, range(off, off + len(names)))))
-                off += len(names)
-            wall = ctx.fixed_of(g_union)
+            for fj, p in enumerate(parts):
+                ids = (fctx.fixed_vertices(rep) if fj == fi
+                       else range(p.n_vertices))
+                place.append(dict(zip(ids, range(off, off + len(ids)))))
+                off += len(ids)
             vmap = {}
-            for k, u in enumerate(wall.vertex_names):
+            for k, u in enumerate(ctx.fixed_vertices(g_union)):
                 i, v = image[u]
                 if v in place[i]:
                     vmap[k] = place[i][v]
-            iso_w = verify_isomorphism(wall, join(*parts), vmap, home)
+            iso_w = verify_isomorphism(ctx.fixed_of(g_union), join(*parts),
+                                       vmap, home)
             wall_rows.append({"factor": fi, "rep": rep,
                               "isomorphic": iso_w})
             if not iso_w:

@@ -45,8 +45,8 @@ def fixed_subcomplex(chambers: ChamberSystem,
     """The full subcomplex of the built complex on the vertex ids
     ``fixed``, ascending: the wall of any element g that fixes exactly
     these vertices (``chambers.fixed_vertices(g)``), the simplices with
-    g(sigma) = sigma setwise.  Its vertex ids are fresh, and its
-    ``vertex_names`` are their ids in the built complex.
+    g(sigma) = sigma setwise.  Its vertex k is ``fixed[k]``: fixed
+    vertices lie in chambers, and the ids keep their order.
 
     The action preserves types and the vertices of a simplex have
     distinct types, so setwise is pointwise, and a fixed simplex lies on
@@ -66,7 +66,7 @@ def fixed_subcomplex(chambers: ChamberSystem,
     if len(fixed) < n_vertices and (len(fixed) < 2
                                     or chambers.table.ngens < 3):
         return TypedComplex(map(chambers.vertex_types.__getitem__, fixed),
-                            {0: [(i,) for i in range(len(fixed))]}, fixed)
+                            {0: [(i,) for i in range(len(fixed))]})
     keep = [None] * n_vertices
     for v in fixed:
         keep[v] = v
@@ -74,7 +74,7 @@ def fixed_subcomplex(chambers: ChamberSystem,
                            for col in chambers.chamber)))
     return _reindexed(_face_closure((tuple(v for v in s if v is not None), 0)
                                     for s in restricted),
-                      chambers.vertex_types, None)
+                      chambers.vertex_types)
 
 
 # ---------------------------------------------------------------------------
@@ -140,20 +140,37 @@ class CandidateReport:
 
 @dataclass
 class RecognitionVerdict:
-    outcome: str           # "recognized" | "not-mfc"
+    """What recognition computed; the rest is read off the candidates."""
     rank: int
     chambers: int
-    betti: dict[int, int] | None
-    diagram: Diagram | None
-    reason: str | None     # "no-admissible-factorization" | "betti-mismatch-all"
-                           # | "isomorphism-failed-all"
+    betti: dict[int, int] | None          # None without candidates
     candidates: list[CandidateReport] = field(default_factory=list)
-    certificate: dict[int, int] | None = None   # vertex map onto the model
-    matches: list[Diagram] = field(default_factory=list)
+    certificate: dict[int, int] | None = None   # first match's vertex map
+
+    @property
+    def matches(self) -> list[Diagram]:
+        return [cr.diagram for cr in self.candidates if cr.status == "matched"]
 
     @property
     def recognized(self) -> bool:
-        return self.outcome == "recognized"
+        return bool(self.matches)
+
+    @property
+    def outcome(self) -> str:           # "recognized" | "not-mfc"
+        return "recognized" if self.recognized else "not-mfc"
+
+    @property
+    def diagram(self) -> Diagram | None:
+        return next(iter(self.matches), None)
+
+    @property
+    def reason(self) -> str | None:
+        """Why no candidate matched; None when one did."""
+        statuses = {cr.status for cr in self.candidates}
+        return (None if "matched" in statuses else
+                "no-admissible-factorization" if not statuses else
+                "betti-mismatch-all" if statuses == {"betti-mismatch"} else
+                "isomorphism-failed-all")
 
     def to_jsonable(self):
         return {
@@ -220,50 +237,38 @@ def recognize_milnor_fiber(s: TypedComplex, rank: int) -> RecognitionVerdict:
     s's first chamber to the model's identity chamber and extends the
     map panel by panel, gives matched or isomorphism-failed.  s's incidence
     counts are computed once, for its profile and that search's colors.
-    The verdict's diagram is the first match, and its certificate that
-    match's vertex map."""
+    The verdict's certificate is the first match's vertex map."""
     # the chambers are the (rank-1)-simplices, or the empty simplex alone
     chambers = 1 if rank == 0 and s.dim == -1 else len(s.simplices(rank - 1))
     candidates = enumerate_admissible(rank, chambers)
     if not candidates:
-        return RecognitionVerdict("not-mfc", rank, chambers, None, None,
-                                  "no-admissible-factorization")
+        return RecognitionVerdict(rank, chambers, None)
     comps = _n_components(s) if rank >= 2 else 1
     if comps != 1:
         # every Milnor fiber complex of rank >= 2 is connected (chamber
         # complexes are gallery connected), so reduced b_0 > 0 rejects all
         # candidates without running the boundary matrices
         reports = [CandidateReport(d, "betti-mismatch") for d in candidates]
-        return RecognitionVerdict("not-mfc", rank, chambers,
-                                  {0: comps - 1}, None,
-                                  "betti-mismatch-all", reports)
+        return RecognitionVerdict(rank, chambers, {0: comps - 1}, reports)
     betti = reduced_betti(s)
     bouquet = betti.concentrated_value(rank - 1)
     profile = cache(lambda: vertex_profile(s))     # read once, if at all
     reports = []
-    matches = []
     certificate = None
-    reason = "betti-mismatch-all"
     for d in candidates:
         if bouquet != predicted_bouquet_count(d):
             status = "betti-mismatch"
         else:
-            reason = "isomorphism-failed-all"
             iso = (find_isomorphism(s, _model_complex(d))
                    if _may_match(s, d, profile) else None)
             if iso is None:
                 status = "isomorphism-failed"
             else:
                 status = "matched"
-                matches.append(d)
                 if certificate is None:     # the empty complex's map is {}
                     certificate = iso
         reports.append(CandidateReport(d, status))
-    if not matches:
-        return RecognitionVerdict("not-mfc", rank, chambers, betti.betti, None,
-                                  reason, reports)
-    return RecognitionVerdict("recognized", rank, chambers, betti.betti,
-                              matches[0], None, reports, certificate, matches)
+    return RecognitionVerdict(rank, chambers, betti.betti, reports, certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +279,15 @@ def recognize_milnor_fiber(s: TypedComplex, rank: int) -> RecognitionVerdict:
 class MilnorWallCertificate:
     """A type family of a wall that is a Milnor fiber complex."""
     missing_types: tuple[int, ...]    # F = {R - {s} : s in this tuple}
-    diagram: Diagram
     verdict: RecognitionVerdict
-    proper: bool                      # True when F is not the full family
+
+    @property
+    def diagram(self) -> Diagram:
+        return self.verdict.diagram
+
+    @property
+    def proper(self) -> bool:           # F is not the full family
+        return len(self.missing_types) != self.verdict.rank + 1
 
     def to_jsonable(self):
         return {"missing_types": list(self.missing_types),
@@ -340,14 +351,11 @@ def milnor_wall_search(wall_cx: TypedComplex, n: int,
             verdict = wall_verdict
         elif any(fv) and fv in _model_f_vectors(n - 1, fv[-1]):
             verdict = recognize_milnor_fiber(
-                _reindexed(faces(), wall_cx.vertex_types,
-                           wall_cx.vertex_names), n - 1)
+                _reindexed(faces(), wall_cx.vertex_types), n - 1)
         else:
             continue
         if verdict.recognized:
-            return MilnorWallCertificate(
-                missing, verdict.diagram, verdict,
-                proper=len(missing) != n)
+            return MilnorWallCertificate(missing, verdict)
     return None
 
 

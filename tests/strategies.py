@@ -6,7 +6,8 @@ from functools import cache
 from hypothesis import strategies as st
 
 from mfc.complexes import TypedComplex, _face_closure
-from mfc.diagram import EMPTY_DIAGRAM, Diagram, _irreducible_ids, diagram_of
+from mfc.diagram import (EMPTY_DIAGRAM, Diagram, _irreducible_ids, _row_key,
+                         classify, diagram_of)
 from mfc.group import _relations
 
 
@@ -28,6 +29,13 @@ def from_facets(vertex_types, facets) -> TypedComplex:
     """The complex the facets generate, on vertices with these types."""
     return TypedComplex(vertex_types,
                         _face_closure((tuple(sorted(f)), 0) for f in facets))
+
+
+def canonical_key(d: Diagram) -> tuple:
+    """Canonical encoding of an admissible diagram up to vertex
+    relabeling: its components' row keys, sorted.  Raises NotAdmissible
+    for a diagram that is not admissible."""
+    return tuple(sorted(_row_key(gid) for gid in classify(d)))
 
 
 def relabeled(d: Diagram, perm) -> Diagram:

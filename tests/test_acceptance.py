@@ -11,9 +11,7 @@ import time
 
 import pytest
 
-from mfc.complexes import milnor_fiber_complex
-from mfc.diagram import diagram_name, parse_symbol
-from mfc.group import enumerate_group, reflection_classes
+from mfc.diagram import parse_symbol
 from mfc.homology import reduced_betti
 from mfc.verify import GroupContext, run_suite, verify_theorem_A, verify_theorem_B
 
@@ -246,7 +244,7 @@ def test_default_report_bytes_pinned(suite):
 def test_criterion_9_deep_g32():
     t0 = time.monotonic()
     ctx = GroupContext(parse_symbol("G32"))
-    assert ctx.order == 155520
+    assert ctx.table.order == 155520
     assert ctx.complex.f_vector()[3] == 155520
     classes = ctx.refl_classes
     walls_ok = True

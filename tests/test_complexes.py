@@ -174,7 +174,7 @@ def test_link_of_vertex_is_parabolic_complex():
             link = _reindexed(_face_closure(
                 (tuple(x for x in s if x != v), 0)
                 for k in range(1, cx.dim + 1) for s in cx.simplices(k)
-                if v in s), cx.vertex_types, cx.vertex_names)
+                if v in s), cx.vertex_types)
             # the link's types R - {r}, ascending, are the parabolic's
             type_map = {x: i for i, x in
                         enumerate(x for x in range(d.rank) if x != r)}
@@ -197,7 +197,8 @@ def test_monomial_flag_examples():
 
 def _all_pairs_flag_complex(m, n):
     """The flag complex and generator permutations of G(m,1,n) as first
-    written: every pair of sets is tested for strict inclusion."""
+    written, and its sets in id order: every pair of sets is tested for
+    strict inclusion."""
     verts = sorted((frozenset(zip(coords, labels))
                     for k in range(1, n + 1)
                     for coords in combinations(range(n), k)
@@ -218,18 +219,32 @@ def _all_pairs_flag_complex(m, n):
         return frozenset((c, (a + 1) % m if c == n - 1 else a) for c, a in s)
 
     perms = [[vid[act(gen, s)] for s in verts] for gen in range(n)]
-    return TypedComplex([len(s) - 1 for s in verts], by_dim,
-                        vertex_names=[tuple(sorted(s)) for s in verts]), perms
+    return TypedComplex([len(s) - 1 for s in verts], by_dim), perms, verts
 
 
 def test_monomial_flag_complex_matches_all_pairs_reference():
     for m, n in ((2, 1), (5, 1), (2, 2), (3, 2), (2, 3), (3, 3), (2, 4)):
         fc, perms = monomial_flag_complex(m, n)
-        want, want_perms = _all_pairs_flag_complex(m, n)
+        want, want_perms, _verts = _all_pairs_flag_complex(m, n)
         assert fc.by_dim == want.by_dim, (m, n)
         assert fc.vertex_types == want.vertex_types, (m, n)
-        assert fc.vertex_names == want.vertex_names, (m, n)
         assert perms == want_perms, (m, n)
+
+
+def test_identity_flag_is_first_vertex_of_its_type():
+    # the sets run by size, then as sorted lists, so E_k = {(0, 0), ...,
+    # (k, 0)} is the first set of size k + 1; every generator but the
+    # k-th fixes it, as the identity chamber's stabilizers fix its
+    # type-k vertex
+    for m in range(2, 6):
+        for n in range(1, 4):
+            fc, perms = monomial_flag_complex(m, n)
+            _want, _perms, verts = _all_pairs_flag_complex(m, n)
+            for k in range(n):
+                e_k = fc.vertex_types.index(k)
+                assert verts[e_k] == frozenset((i, 0) for i in range(k + 1))
+                assert [perms[j][e_k] == e_k for j in range(n)] == \
+                    [j != k for j in range(n)], (m, n, k)
 
 
 def test_flag_cap_checked_before_build():
@@ -277,9 +292,8 @@ def test_complex_matches_per_coset_construction():
         want, perms = _per_coset_complex(t)
         assert cx.by_dim == want.by_dim, sym
         assert cx.vertex_types == want.vertex_types, sym
-        # the coset in block b of type r is the vertex id offsets[r] + b,
-        # in both: the ids are the names
-        assert cx.vertex_names is None, sym
+        # the coset in block b of type r is the vertex id offsets[r] + b
+        # in both
         assert [cs.vertex_perm(g) for g in t.gen_elements] == perms, sym
 
 
@@ -297,7 +311,6 @@ def test_complex_matches_restriction_of_every_type_set():
                           if mask >> r & 1))))
         assert cx.by_dim == TypedComplex(cs.vertex_types, by_dim).by_dim, sym
         assert cx.vertex_types == cs.vertex_types, sym
-        assert cx.vertex_names is None, sym
 
 
 def test_simplex_cap(monkeypatch):
@@ -456,11 +469,10 @@ def test_face_closure_matches_dfs(facets, data):
     # a subfamily's closure, renumbered in the order of the old vertex ids
     family = data.draw(st.lists(st.sampled_from(sorted(closed)), max_size=5)
                        if closed else st.just([]))
-    sub = _reindexed(_face_closure((s, 0) for s in family), c.vertex_types,
-                     c.vertex_names)
+    sub = _reindexed(_face_closure((s, 0) for s in family), c.vertex_types)
     want = _dfs_closure(family)
+    # vertex k of sub is the k-th smallest old id among its vertices
     old_ids = sorted({v for s in want for v in s})
-    assert sub.vertex_names == tuple(old_ids)
     assert sub.vertex_types == tuple(v % 3 for v in old_ids)
     assert {tuple(old_ids[v] for v in s)
             for ss in sub.by_dim.values() for s in ss} == want

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 import mfc.diagram
 from mfc.diagram import (EMPTY_DIAGRAM, Diagram, DiagramError, NotAdmissible,
                          _FAMILIES, _component_key, _irreducible_ids,
-                         basic_degrees, canonical_key, classify,
-                         classify_component, components_with_indices,
-                         diagram_name, diagram_of, diagram_symbol,
-                         enumerate_admissible, group_id, group_order,
-                         has_forbidden_subdiagram, parse_symbol)
-from strategies import relabeled
+                         basic_degrees, classify, classify_component,
+                         components_with_indices, diagram_name, diagram_of,
+                         diagram_symbol, enumerate_admissible, group_id,
+                         group_order, has_forbidden_subdiagram, parse_symbol)
+from strategies import canonical_key, relabeled
 
 
 def names(diagrams):

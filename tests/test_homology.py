@@ -105,7 +105,7 @@ def test_empty_simplex_only():
 
 def test_points():
     c = from_facets([0, 0, 0], [(0,), (1,), (2,)])
-    assert reduced_betti(c).get(0) == 2
+    assert reduced_betti(c).betti[0] == 2
 
 
 # minimal 6-vertex triangulation of RP^2: H_1 = Z/2
@@ -229,8 +229,8 @@ def test_dim1_shortcut_matches_matrix_route():
         r0, _f0 = rank_and_factors(boundary_columns(cx, 0))
         r1, _f1 = rank_and_factors(boundary_columns(cx, 1))
         f_0, f_1 = cx.f_vector()
-        assert b.get(0) == f_0 - r0 - r1
-        assert b.get(1) == f_1 - r1
+        assert b.betti[0] == f_0 - r0 - r1
+        assert b.betti[1] == f_1 - r1
 
 
 # small integer matrices as sparse columns; entries up to 4 in absolute

@@ -1,6 +1,8 @@
 """Every public name of the package has a user outside the tests: the
-package exports it, or the library, the benchmark scripts or the README
-refer to it.  A public name that only tests use belongs in the tests."""
+package exports it, the code of the library or of the benchmark scripts
+refers to it, or the README names it.  In the code only references
+count (names, attributes, imported names), not words in docstrings or
+comments.  A public name that only tests use belongs in the tests."""
 
 import ast
 import re
@@ -10,7 +12,8 @@ import mfc
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "mfc").glob("*.py"))
-USERS = SOURCES + sorted((ROOT / "bench").glob("*.py")) + [ROOT / "README.md"]
+CODE_USERS = SOURCES + sorted((ROOT / "bench").glob("*.py"))
+README = ROOT / "README.md"
 DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -29,25 +32,31 @@ def _public_names():
                                    path.name, True)
 
 
-def _definition_lines():
-    """(path, line) of every def and class statement of the package."""
-    return {(path, node.lineno) for path in SOURCES
-            for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, DEFINITION)}
+def code_references(path) -> set[str]:
+    """Every name the code of a module refers to: the names it reads or
+    binds, the attributes it reads, and each part of the names it
+    imports."""
+    refs = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.update(node.name.split("."))
+    return refs
 
 
 def test_every_public_name_has_a_user():
-    defs = _definition_lines()
-    lines = [(path, i, text) for path in USERS
-             for i, text in enumerate(path.read_text().splitlines(), 1)]
+    used = set().union(*map(code_references, CODE_USERS))
+    readme = README.read_text()
     exported = set(vars(mfc))
     unused = []
     for name, where, is_method in _public_names():
         short = name.rsplit(".", 1)[-1]
         if not is_method and short in exported:
             continue
-        word = re.compile(r"\b%s\b" % re.escape(short))
-        if not any(word.search(text) for path, i, text in lines
-                   if (path, i) not in defs):
-            unused.append("%s: %s" % (where, name))
+        if short in used or re.search(r"\b%s\b" % re.escape(short), readme):
+            continue
+        unused.append("%s: %s" % (where, name))
     assert unused == []

@@ -233,6 +233,27 @@ def test_monomial_wider_range():
             verify_monomial(context(sym))
 
 
+def test_monomial_searches_each_wall_once(monkeypatch):
+    # the classes of a reflection and of its powers share one wall: the
+    # wall recursion searches each distinct wall once, and still reports
+    # one row per reflection class
+    real = mfc.verify.find_isomorphism
+    searches = []
+
+    def counted(*args):
+        searches.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mfc.verify, "find_isomorphism", counted)
+    for m, n, n_classes in ((8, 3, 8), (6, 2, 6), (3, 3, 3)):
+        searches.clear()
+        (rep,) = run_entry({"monomial": [m, n]}, DEFAULT_CAP)
+        assert rep.status == "agree", (m, n)
+        assert len(searches) == 2, (m, n)
+        rows = rep.details["wall_recursion"]
+        assert len(rows) == n_classes and all(r["isomorphic"] for r in rows)
+
+
 def test_monomial_mutated_generator_disagrees(monkeypatch):
     # a flag generator with two images swapped, or acting trivially, is no
     # longer conjugate to the coset action: the check names which half of
@@ -292,8 +313,7 @@ def test_join_wall_with_a_missing_facet_disagrees():
     def drop_last_facet(c):
         return mfc.complexes.TypedComplex(
             c.vertex_types, {k: c.simplices(k)[:-1] if k == c.dim
-                             else c.simplices(k) for k in range(c.dim + 1)},
-            c.vertex_names)
+                             else c.simplices(k) for k in range(c.dim + 1)})
 
     for sym in JOIN_FIXTURES:
         ctx = context(sym)
@@ -763,28 +783,34 @@ def test_walls_recognized_once(monkeypatch):
 def test_walls_keyed_by_fixed_vertices(monkeypatch, sym):
     # a reflection and its powers lie in different classes but fix the
     # same vertices: their wall is built, recognized and searched once.
-    # A wall's vertex names are the vertices it is built on
     calls = {}
 
-    def counting(name, wall_name):
+    def counting(name, arg):
         real = getattr(mfc.verify, name)
 
         def counted(*args):
-            calls.setdefault(name, []).append(wall_name(*args))
+            calls.setdefault(name, []).append(args[arg])
             return real(*args)
         monkeypatch.setattr(mfc.verify, name, counted)
 
-    counting("fixed_subcomplex", lambda chambers, fixed: fixed)
-    for name in ("recognize_milnor_fiber", "milnor_wall_search"):
-        counting(name, lambda wall, *rest: wall.vertex_names)
+    counting("fixed_subcomplex", 1)         # (chambers, fixed): the key
+    counting("recognize_milnor_fiber", 0)   # (wall, rank)
+    counting("milnor_wall_search", 0)       # (wall, n, verdict)
     ctx = context(sym)
     reports = [verify_theorem_A(ctx), verify_theorem_B(ctx)]
     walls = {ctx.chambers.fixed_vertices(rep) for rep in ctx.refl_classes}
     assert (len(ctx.refl_classes), len(walls)) == \
         {"G25": (2, 1), "G26": (3, 2), "G(5,1,3)": (5, 2)}[sym]
-    assert len(calls) == 3
-    for name, keys in calls.items():
-        assert sorted(keys) == sorted(walls), name
+    # a wall is named by the key of the reflection whose wall it is
+    key_of = [(ctx.fixed_of(rep), ctx.fixed_vertices(rep))
+              for rep in ctx.refl_classes]
+
+    def key(wall):
+        return next(k for w, k in key_of if w is wall)
+
+    assert sorted(calls["fixed_subcomplex"]) == sorted(walls)
+    for name in ("recognize_milnor_fiber", "milnor_wall_search"):
+        assert sorted(map(key, calls[name])) == sorted(walls), name
     rows = reports[1].details["classes"]
     assert [row["rep"] for row in rows] == ctx.refl_classes
     for row in rows:

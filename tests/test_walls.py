@@ -35,14 +35,27 @@ def setup(sym):
 
 def generated(c, simplices):
     """The closure of some simplices of c, on fresh vertex ids in the
-    order of the old ones; vertex_names record c's names (or ids)."""
+    order of the old ones."""
     return _reindexed(_face_closure((s, 0) for s in simplices),
-                      c.vertex_types, c.vertex_names)
+                      c.vertex_types)
 
 
 def wall_of(cs, g):
     """The wall of element g: the full subcomplex on its fixed vertices."""
     return fixed_subcomplex(cs, cs.fixed_vertices(g))
+
+
+def ambient(w, fixed):
+    """The simplices of the wall w on the vertices ``fixed``, in the ids
+    of the built complex: the wall's vertex k is fixed[k]."""
+    return {tuple(map(fixed.__getitem__, s))
+            for k in range(w.dim + 1) for s in w.simplices(k)}
+
+
+def simplices_within(cx, keep):
+    """The simplices of cx whose vertices all lie in keep."""
+    return {s for k in range(cx.dim + 1) for s in cx.simplices(k)
+            if keep.issuperset(s)}
 
 
 def euler(c):
@@ -102,19 +115,18 @@ def test_conjugate_wall_is_translated_wall():
     # the fixed simplices of h r h^{-1} are exactly h applied to those of r
     t, cx, cs = setup("3[3]3")
 
-    def ambient_simplices(w):
-        # a wall's vertex names are their ids in the built complex
-        return {tuple(sorted(w.vertex_names[v] for v in s))
-                for k in range(w.dim + 1) for s in w.simplices(k)}
+    def ambient_simplices(g):
+        fixed = cs.fixed_vertices(g)
+        return ambient(fixed_subcomplex(cs, fixed), fixed)
 
     for rep in reflection_classes(t):
-        w_r = ambient_simplices(wall_of(cs, rep))
+        w_r = ambient_simplices(rep)
         for h in (t.gen_elements[0], t.gen_elements[1], 5):
             h_inv = next(y for y in range(t.order) if t.mul(h, y) == 0)
             conj = t.mul(t.mul(h, rep), h_inv)
             perm = cs.vertex_perm(h)
             translated = {tuple(sorted(perm[v] for v in s)) for s in w_r}
-            assert translated == ambient_simplices(wall_of(cs, conj))
+            assert translated == ambient_simplices(conj)
 
 
 def test_fixed_space_dim(g25):
@@ -155,20 +167,20 @@ def test_fixed_subcomplex_matches_setwise_filter():
                                   for k, v in want.items()}, (sym, g)
             assert sub.vertex_types == tuple(cx.vertex_types[v]
                                              for v in old_ids)
-            assert sub.vertex_names == tuple(old_ids)
+            assert cs.fixed_vertices(g) == tuple(old_ids), (sym, g)
 
 
 def _assert_induced_on_fixed_vertices(cx, cs, g, label):
     """wall_of(cs, g) is the full subcomplex of cx on the vertices that
-    g's permutation fixes, with cx's types, named by their ids in cx."""
+    g's permutation fixes, with cx's types, its vertex k the k-th."""
     perm = cs.vertex_perm(g)
     keep = {v for v, w in enumerate(perm) if v == w}
-    want = generated(cx, (s for k in range(cx.dim + 1)
-                          for s in cx.simplices(k) if keep.issuperset(s)))
+    fixed = cs.fixed_vertices(g)
+    assert fixed == tuple(sorted(keep)), (label, g)
     got = wall_of(cs, g)
-    assert got.by_dim == want.by_dim, (label, g)
-    assert got.vertex_types == want.vertex_types, (label, g)
-    assert got.vertex_names == want.vertex_names, (label, g)
+    assert ambient(got, fixed) == simplices_within(cx, keep), (label, g)
+    assert got.vertex_types == tuple(cx.vertex_types[v] for v in fixed), \
+        (label, g)
     return got
 
 
@@ -227,14 +239,13 @@ def test_reflections_fixing_the_same_vertices_share_their_wall(d):
         verdicts = set()
         for r in rs:
             perm = cs.vertex_perm(r)
-            setwise = generated(cx, (s for k in range(cx.dim + 1)
-                                     for s in cx.simplices(k)
-                                     if tuple(sorted(map(perm.__getitem__,
-                                                         s))) == s))
-            assert (setwise.by_dim, setwise.vertex_names) == \
-                (w.by_dim, w.vertex_names), (diagram_name(d), r)
+            fixed_setwise = [s for k in range(cx.dim + 1)
+                             for s in cx.simplices(k)
+                             if tuple(sorted(map(perm.__getitem__, s))) == s]
+            assert set(fixed_setwise) == ambient(w, fixed), \
+                (diagram_name(d), r)
             verdicts.add(repr(recognize_milnor_fiber(
-                setwise, d.rank - 1).to_jsonable()))
+                generated(cx, fixed_setwise), d.rank - 1).to_jsonable()))
         assert len(verdicts) == 1, (diagram_name(d), fixed)
 
 
@@ -282,20 +293,21 @@ def test_fixed_subcomplex_reads_no_chambers_without_a_fixed_edge(
         for g in range(1, t.order):
             fixed = cs.fixed_vertices(g)
             if t.ngens <= 2 or len(fixed) < 2:
-                cases.append((cs, fixed))
-    assert any(len(fixed) == 2 for _cs, fixed in cases)
+                cases.append((cs, fixed, simplices_within(cx, set(fixed))))
+    assert any(len(fixed) == 2 for _cs, fixed, _want in cases)
 
     def chamber_pass(*args):
         raise AssertionError("the chambers were read")
 
     monkeypatch.setattr(mfc.walls, "_face_closure", chamber_pass)
     monkeypatch.setattr(mfc.walls, "_reindexed", chamber_pass)
-    for cs, fixed in cases:
+    for cs, fixed, want in cases:
         w = fixed_subcomplex(cs, fixed)
         assert w.by_dim == ({0: tuple((i,) for i in range(len(fixed)))}
                             if fixed else {})
         assert w.vertex_types == tuple(cs.vertex_types[v] for v in fixed)
-        assert w.vertex_names == fixed
+        # vertex k is fixed[k], and the fixed vertices span no edge
+        assert ambient(w, fixed) == want
 
 
 def _dense_fixed_counts(t, classes, cid):
@@ -594,7 +606,7 @@ def test_walls_are_their_full_family_subcomplex():
 
 def test_type_families_are_subcomplexes_of_their_facets():
     # the faces whose mask meets a family's types are the closure of the
-    # family's facets: same simplices, vertex types and names, and the
+    # family's facets: same simplices and vertex types, and the
     # f-vector read off the mask histograms
     from itertools import combinations
     for sym in PROPERTY_GROUPS + ("D4", "F4", "G26"):
@@ -608,13 +620,11 @@ def test_type_families_are_subcomplexes_of_their_facets():
             assert [m for m, _fv, _faces in families] == order, (sym, rep)
             for missing, fv, faces in families:
                 want = generated(w, family_facets(w, n, missing))
-                got = _reindexed(faces(), w.vertex_types, w.vertex_names)
+                got = _reindexed(faces(), w.vertex_types)
                 assert fv == tuple(len(want.simplices(k))
                                    for k in range(n - 1)), (sym, rep, missing)
                 assert got.by_dim == want.by_dim, (sym, rep, missing)
                 assert got.vertex_types == want.vertex_types, \
-                    (sym, rep, missing)
-                assert got.vertex_names == want.vertex_names, \
                     (sym, rep, missing)
 
 
@@ -646,8 +656,7 @@ def test_family_filter_is_exact(monkeypatch):
     from itertools import combinations
     import mfc.walls
     built = []
-    unrecognized = RecognitionVerdict("not-mfc", 0, 0, None, None,
-                                      "no-admissible-factorization")
+    unrecognized = RecognitionVerdict(0, 0, None)
 
     def spy(s, rank):
         built.append(s.by_dim)
