@@ -185,7 +185,11 @@ class ChamberSystem:
         """The ids of the vertices g fixes, ascending, read off
         ``vertex_perm(g)``.  They name g's wall, the full subcomplex on
         them, which g shares with every element that fixes the same
-        vertices (its powers, say)."""
+        vertices (its powers, say).  At rank 1 the vertices are the
+        chambers, the cosets of the trivial group, and an element g != 1
+        moves every one of them, so none is read."""
+        if g and self.table.ngens == 1:
+            return ()
         return tuple(v for v, w in enumerate(self.vertex_perm(g)) if v == w)
 
     def f_vector(self) -> tuple[int, ...]:

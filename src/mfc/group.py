@@ -14,7 +14,9 @@ every construction below ends in the same canonical table.
   pairs (h, coset).  H's table is built the same way, down to rank 1.
 * A reducible diagram is the direct product of its component groups.
 * Cyclic and dihedral diagrams use direct constructions, because their
-  braid relators have length ~|G|.
+  braid relators have length ~|G|.  These are born canonical, with their
+  breadth-first tree; the induced and product tables are renumbered by
+  one breadth-first pass (``GroupTable._standardize``).
 
 The table keeps only the generators' right actions and the
 breadth-first tree; left multiplication, inverses and conjugation are
@@ -49,14 +51,23 @@ class GroupTable:
     indices) with value x, and left_translation(g) gives g * x for every
     x.  Nothing else is stored: no left action, inverse right action or
     table of element inverses.
+
+    Given no ``parent``, the table renumbers ``right`` into canonical order
+    and builds the tree; a builder that passes the tree vouches that
+    ``right`` is canonical already.
     """
 
-    def __init__(self, diagram: Diagram, right: list[list[int]]):
+    def __init__(self, diagram: Diagram, right: list[list[int]],
+                 parent: list[int] | None = None,
+                 last_letter: list[int] | None = None):
         self.diagram = diagram
         self.ngens = diagram.rank
         self.right = right
         self.order = len(right[0]) if right else 1
-        self._standardize()
+        if parent is None:
+            self._standardize()
+        else:
+            self.parent, self.last_letter = parent, last_letter
         self.gen_elements = [self.right[i][0] for i in range(self.ngens)]
 
     # -- construction -----------------------------------------------------
@@ -284,23 +295,26 @@ def todd_coxeter(d: Diagram, cap: int, subgroup=()) -> list[list[int]]:
 # direct constructions for families with |G|-length relators
 # ---------------------------------------------------------------------------
 
-def _cyclic_right(m: int) -> list[list[int]]:
-    return [[(x + 1) % m for x in range(m)]]
+def _cyclic(m: int):
+    """Z_m in canonical order: element x is r^x, with parent x - 1."""
+    ids = list(range(m))
+    return [ids[1:] + ids[:1]], [0] + ids[:-1], [0] * m
 
 
-def _dihedral_right(q: int, first: int) -> list[list[int]]:
-    """Regular action of I2(q) = <s0, s1>; element (eps, k) = s_first^eps t^k
-    with t = s0 s1 the rotation, indexed eps*q + k."""
+def _dihedral(q: int):
+    """I2(q) = <s0, s1> in canonical order.  For 0 < k < q the alternating
+    word of length k that starts with s0 is 2k - 1 and the one that starts
+    with s1 is 2k; the longest element is 2q - 1.  So x's parent is x - 2
+    (0 for x < 2) and its last letter is bit 1 of x.  Right multiplication
+    by s1 swaps 4j <-> 4j+2 and 4j+1 <-> 4j+3, by s0 swaps 0 <-> 1,
+    4j+2 <-> 4j+4 and 4j+3 <-> 4j+5; at the top, s_{q mod 2} swaps
+    2q-2 <-> 2q-1, where those blocks run past the group."""
     n = 2 * q
-    r0 = [0] * n
-    r1 = [0] * n
-    for eps in (0, 1):
-        for k in range(q):
-            x = eps * q + k
-            # x * s0: s^eps t^k s0 -> s^(1-eps) t^(-k) when first=0
-            r0[x] = (1 - eps) * q + (-k) % q
-            r1[x] = (1 - eps) * q + (1 - k) % q
-    return [r0, r1] if first == 0 else [r1, r0]
+    right = [[1, 0] + [((x - 2) ^ 2) + 2 for x in range(2, n)],
+             [x ^ 2 for x in range(n)]]
+    col = right[q % 2]
+    col[n - 2], col[n - 1] = n - 1, n - 2
+    return right, [0, 0] + list(range(n - 2)), [x >> 1 & 1 for x in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -331,18 +345,17 @@ def _check_rank(rank: int, cap: int) -> None:
 def _build(d: Diagram, cap: int, expected: int) -> GroupTable:
     n = d.rank
     if n == 0:
-        right = []
+        t = GroupTable(d, [])
     elif n == 1:
-        right = _cyclic_right(d.orders[0])
+        t = GroupTable(d, *_cyclic(d.orders[0]))
     elif n == 2 and d.orders == (2, 2):
-        right = _dihedral_right(d.m(0, 1), 0)
+        t = GroupTable(d, *_dihedral(d.m(0, 1)))
     else:
         comps = components_with_indices(d)
         if len(comps) > 1:
-            right = _product_right(d, comps, cap)
+            t = GroupTable(d, _product_right(d, comps, cap))
         else:
-            right = _induced_right(d, cap)
-    t = GroupTable(d, right)
+            t = GroupTable(d, _induced_right(d, cap))
     if t.order != expected:
         raise RuntimeError("enumerated order %d != classified order %d for %s"
                            % (t.order, expected, diagram_name(d)))
@@ -572,13 +585,20 @@ class ConjugacyClasses:
 
 
 def conjugacy_classes(t: GroupTable) -> ConjugacyClasses:
-    """Orbits of conjugation; representatives are the smallest element ids."""
+    """Orbits of conjugation; representatives are the smallest element ids.
+
+    When the generators commute pairwise, the group is abelian, so every
+    class is one element and no conjugation is computed."""
     n = t.order
+    gens, right = t.gen_elements, t.right
+    if all(right[j][gens[i]] == right[i][gens[j]]
+           for i in range(t.ngens) for j in range(i)):
+        return ConjugacyClasses(list(range(n)), list(range(n)), [1] * n)
     # per generator i, the table x -> r_i^{-1} x r_i: the left translation
     # by r_i^{-1} read through right multiplication by r_i.  r_i^{-1} is
     # the last power of r_i before the identity on r_i's column
     conj = []
-    for g, col in zip(t.gen_elements, t.right):
+    for g, col in zip(gens, right):
         while col[g] != 0:
             g = col[g]
         conj.append(list(map(col.__getitem__, t.left_translation(g))))
@@ -609,9 +629,15 @@ def reflection_classes(t: GroupTable,
     """The representative of each conjugacy class of reflections, in
     class-id order (the order of the representatives): the classes that
     hold a non-identity power of a generator.  ``classes.sizes`` gives
-    each class's size and ``classes.class_of`` its members."""
+    each class's size and ``classes.class_of`` its members.
+
+    At rank 1 the powers of the generator are the whole group, and each
+    is its own class, so every class but the identity's is a reflection
+    class."""
     if classes is None:
         classes = conjugacy_classes(t)
+    if t.ngens == 1:
+        return classes.reps[1:]
     class_of = classes.class_of
     found = set()
     for i in range(t.ngens):

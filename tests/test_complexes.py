@@ -136,6 +136,17 @@ def test_vertex_perm_is_word_composition():
             assert perm == want, (sym, g)
 
 
+def test_rank1_fixed_vertices_match_vertex_perm():
+    # at rank 1 fixed_vertices answers without a translation; it must
+    # agree with the vertices that vertex_perm leaves in place
+    for m in range(2, 41):
+        t = enumerate_group(parse_symbol("Z%d" % m))
+        cs = ChamberSystem(t)
+        for g in range(m):
+            assert cs.fixed_vertices(g) == tuple(
+                v for v, w in enumerate(cs.vertex_perm(g)) if v == w), (m, g)
+
+
 def test_join_with_trivial_is_identity():
     _t, cx, _cs = build("2[3]2")
     _t2, triv, _cs2 = build("1")

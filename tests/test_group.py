@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -252,8 +253,65 @@ def test_fast_paths_match_todd_coxeter():
         fast = enumerate_group(d)
         slow = GroupTable(d, todd_coxeter(d, 10_000))
         assert fast.right == slow.right, sym
+        assert fast.parent == slow.parent, sym
+        assert fast.last_letter == slow.last_letter, sym
         assert [fast.word(x) for x in range(fast.order)] == \
             [slow.word(x) for x in range(slow.order)], sym
+
+
+def test_prebuilt_tables_are_canonical():
+    # the cyclic and dihedral builders skip the breadth-first renumbering;
+    # renumbering a random relabelling that fixes the identity must give
+    # back their table and tree exactly
+    rng = random.Random(28)
+    symbols = (["Z%d" % m for m in range(2, 301)] + ["Z1997", "2 + 2"]
+               + ["I2(%d)" % q for q in range(3, 301)] + ["I2(994)"])
+    for sym in symbols:
+        d = parse_symbol(sym)
+        t = enumerate_group(d)
+        perm = [0] + rng.sample(range(1, t.order), t.order - 1)
+        relabelled = []
+        for col in t.right:
+            new = [0] * t.order
+            for x, y in enumerate(col):
+                new[perm[x]] = perm[y]
+            relabelled.append(new)
+        std = GroupTable(d, relabelled)
+        assert std.right == t.right, sym
+        assert std.parent == t.parent, sym
+        assert std.last_letter == t.last_letter, sym
+
+
+def _conjugation_orbits(t):
+    """The conjugacy classes by brute force: x's class is every g x g^-1,
+    with products from mul and each inverse found by search."""
+    n = t.order
+    inv = [next(y for y in range(n) if t.mul(g, y) == 0) for g in range(n)]
+    return {frozenset(t.mul(t.mul(g, x), inv[g]) for g in range(n))
+            for x in range(n)}
+
+
+def test_class_rules_match_brute_force():
+    # commuting generators give singleton classes with no conjugation
+    # computed; the rest still take the orbits of conjugation
+    for sym, abelian in (("Z2", True), ("Z7", True), ("2 + 2", True),
+                         ("2 + 3", True), ("3 + 4 + 2", True),
+                         ("I2(5)", False), ("2[3]2 + 4", False)):
+        t = enumerate_group(parse_symbol(sym))
+        classes = conjugacy_classes(t)
+        orbits = _conjugation_orbits(t)
+        assert (len(orbits) == t.order) == abelian, sym
+        assert classes.n_classes == len(orbits), sym
+        members = {}
+        for x, cid in enumerate(classes.class_of):
+            members.setdefault(cid, set()).add(x)
+        assert set(map(frozenset, members.values())) == orbits, sym
+        assert classes.reps == sorted(map(min, orbits)), sym
+        assert classes.sizes == [len(members[c])
+                                 for c in range(classes.n_classes)], sym
+    for m in (2, 3, 7, 12, 40):
+        t = enumerate_group(parse_symbol("Z%d" % m))
+        assert reflection_classes(t) == list(range(1, m)), m
 
 
 def _regular_equivalence_diagrams():

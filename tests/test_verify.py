@@ -779,6 +779,24 @@ def test_walls_recognized_once(monkeypatch):
             assert seen.count(w) == list(walls.values()).count(w), sym
 
 
+def test_rank1_entry_translates_nothing(monkeypatch):
+    # a cyclic group's classes, reflections and walls are known without
+    # any left translation
+    calls = []
+    translate = mfc.group.GroupTable.left_translation
+
+    def counted(self, g):
+        calls.append(g)
+        return translate(self, g)
+
+    monkeypatch.setattr(mfc.group.GroupTable, "left_translation", counted)
+    reports = run_entry({"symbol": "Z7",
+                         "checks": ["counts", "orlik", "A", "B"]},
+                        DEFAULT_CAP)
+    assert [r.status for r in reports] == ["agree"] * 4
+    assert calls == []
+
+
 @pytest.mark.parametrize("sym", ["G25", "G26", "G(5,1,3)"])
 def test_walls_keyed_by_fixed_vertices(monkeypatch, sym):
     # a reflection and its powers lie in different classes but fix the
