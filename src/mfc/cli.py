@@ -129,20 +129,20 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "walls":
-        classes = ctx.classes
-        n_refl = len(ctx.refl_classes)
+        refl = ctx.reflections
+        n_refl = len(refl.reps)
         if args.klass is not None and not 0 <= args.klass < n_refl:
             raise UsageError("--class must be at least 0 and below %d, the "
                              "number of reflection classes, got %d"
                              % (n_refl, args.klass))
-        for idx, rep in enumerate(ctx.refl_classes):
+        for idx, (rep, size) in enumerate(zip(refl.reps, refl.sizes)):
             if args.klass is not None and idx != args.klass:
                 continue
             w = ctx.fixed_of(rep)
             v = ctx.verdict_of(rep)
             cert = ctx.certificate_of(rep)
             print("class %d: rep=%d size=%d order=%d" %
-                  (idx, rep, classes.sizes[classes.class_of[rep]],
+                  (idx, rep, size,
                    ctx.table.element_order(rep)))
             print("  wall f-vector: %s" % (list(w.f_vector()),))
             print("  recognized as: %s" %

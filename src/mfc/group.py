@@ -21,10 +21,12 @@ every construction below ends in the same canonical table.
 The table keeps only the generators' right actions and the
 breadth-first tree; left multiplication, inverses and conjugation are
 derived from them when needed.  ``GroupTable.left_translation`` gives
-g * x for every x in one pass along the tree.  ``parabolic_cosets``
-walks a standard parabolic G_I once, as a tree from the identity, and
-reads each left coset sG_I off that tree's image under s, one lookup per
-element.
+g * x for every x in one pass along the tree; ``left_multiplier`` gives
+it for the x asked for, along their ancestors only, which is what
+``element_order`` and the walk of the reflection classes read.
+``parabolic_cosets`` walks a standard parabolic G_I once, as a tree from
+the identity, and reads each left coset sG_I off that tree's image
+under s, one lookup per element.
 """
 
 from __future__ import annotations
@@ -114,12 +116,6 @@ class GroupTable:
 
     # -- arithmetic --------------------------------------------------------
 
-    def mul(self, a: int, b: int) -> int:
-        """Product a*b via the stored word of b."""
-        for letter in self.word(b):
-            a = self.right[letter][a]
-        return a
-
     def left_translation(self, g: int) -> list[int]:
         """g * x for every element x, in one pass along the parent links:
         x = p * r_l gives g * x = (g * p) * r_l, and parents come first."""
@@ -129,10 +125,34 @@ class GroupTable:
             out[x] = right[last[x]][out[parent[x]]]
         return out
 
+    def left_multiplier(self, g: int):
+        """The map x -> g * x, read along the parent links as in
+        ``left_translation``, but only for the x asked for: each call
+        climbs from x to its nearest ancestor already computed, then
+        computes and remembers the path back down.  The cost is the
+        number of distinct ancestors of the arguments, at most |G|."""
+        memo = {0: g}
+        right, parent, last = self.right, self.parent, self.last_letter
+
+        def times(x: int) -> int:
+            path = []
+            while x not in memo:
+                path.append(x)
+                x = parent[x]
+            y = memo[x]
+            for x in reversed(path):
+                y = memo[x] = right[last[x]][y]
+            return y
+        return times
+
     def element_order(self, g: int) -> int:
+        """The least k >= 1 with g^k = 1.  The powers g^k = g * g^(k-1)
+        are read through one ``left_multiplier``, so the cost is the
+        number of distinct ancestors of g's powers, at most |G|."""
+        times_g = self.left_multiplier(g)
         k, x = 1, g
         while x != 0:
-            x = self.mul(x, g)
+            x = times_g(x)
             k += 1
         return k
 
@@ -584,6 +604,25 @@ class ConjugacyClasses:
         return len(self.reps)
 
 
+@dataclass
+class ReflectionClasses:
+    """The conjugacy classes that hold a reflection, in class-id order."""
+
+    reps: list[int]          # smallest element of each class
+    sizes: list[int]
+
+
+def _generator_inverses(t: GroupTable) -> list[int]:
+    """r_i^-1 for each generator: the last power of r_i before the
+    identity on r_i's column."""
+    out = []
+    for g, col in zip(t.gen_elements, t.right):
+        while col[g] != 0:
+            g = col[g]
+        out.append(g)
+    return out
+
+
 def conjugacy_classes(t: GroupTable) -> ConjugacyClasses:
     """Orbits of conjugation; representatives are the smallest element ids.
 
@@ -595,13 +634,9 @@ def conjugacy_classes(t: GroupTable) -> ConjugacyClasses:
            for i in range(t.ngens) for j in range(i)):
         return ConjugacyClasses(list(range(n)), list(range(n)), [1] * n)
     # per generator i, the table x -> r_i^{-1} x r_i: the left translation
-    # by r_i^{-1} read through right multiplication by r_i.  r_i^{-1} is
-    # the last power of r_i before the identity on r_i's column
-    conj = []
-    for g, col in zip(gens, right):
-        while col[g] != 0:
-            g = col[g]
-        conj.append(list(map(col.__getitem__, t.left_translation(g))))
+    # by r_i^{-1} read through right multiplication by r_i
+    conj = [list(map(col.__getitem__, t.left_translation(g)))
+            for g, col in zip(_generator_inverses(t), right)]
     class_of = [-1] * n
     reps, sizes = [], []
     for x in range(n):
@@ -624,25 +659,51 @@ def conjugacy_classes(t: GroupTable) -> ConjugacyClasses:
     return ConjugacyClasses(class_of, reps, sizes)
 
 
-def reflection_classes(t: GroupTable,
-                       classes: ConjugacyClasses | None = None) -> list[int]:
-    """The representative of each conjugacy class of reflections, in
-    class-id order (the order of the representatives): the classes that
-    hold a non-identity power of a generator.  ``classes.sizes`` gives
-    each class's size and ``classes.class_of`` its members.
+def reflection_classes(t: GroupTable, classes: ConjugacyClasses | None = None
+                       ) -> ReflectionClasses:
+    """The conjugacy classes of reflections, the classes that hold a
+    non-identity power of a generator: each class's representative (its
+    smallest element id, as in ``conjugacy_classes``) and size, in
+    class-id order, which is the order of the representatives.
 
-    At rank 1 the powers of the generator are the whole group, and each
-    is its own class, so every class but the identity's is a reflection
-    class."""
-    if classes is None:
-        classes = conjugacy_classes(t)
+    Given ``classes``, they are read off.  Otherwise only the reflections
+    are walked: from each power, its closure under x -> r_j^-1 x r_j for
+    every generator j.  That closure is a whole conjugacy class, since
+    conjugation by r_j^-1 is a power of conjugation by r_j (a permutation
+    of finite order) and the r_j generate the group.  Each r_j^-1 x is
+    read through a ``left_multiplier``, so the walk costs about n times
+    the number of ancestors of the reflections, never n |G|.
+
+    At rank 1 the powers of the generator are the whole group, which is
+    abelian, so every element but the identity is a class of its own and
+    nothing is read or walked."""
     if t.ngens == 1:
-        return classes.reps[1:]
-    class_of = classes.class_of
-    found = set()
-    for i in range(t.ngens):
-        x = t.gen_elements[i]
-        while x != 0:
-            found.add(class_of[x])
-            x = t.right[i][x]
-    return [classes.reps[cid] for cid in sorted(found)]
+        return ReflectionClasses(list(range(1, t.order)), [1] * (t.order - 1))
+    powers = []
+    for g, col in zip(t.gen_elements, t.right):
+        while g != 0:
+            powers.append(g)
+            g = col[g]
+    if classes is not None:
+        found = sorted({classes.class_of[x] for x in powers})
+        return ReflectionClasses([classes.reps[cid] for cid in found],
+                                 [classes.sizes[cid] for cid in found])
+    conj = [(t.left_multiplier(g), col)
+            for g, col in zip(_generator_inverses(t), t.right)]
+    seen = set()
+    orbits = []
+    for x in powers:
+        if x in seen:
+            continue
+        seen.add(x)
+        orbit = [x]
+        for y in orbit:
+            for times, col in conj:
+                z = col[times(y)]
+                if z not in seen:
+                    seen.add(z)
+                    orbit.append(z)
+        orbits.append((min(orbit), len(orbit)))
+    orbits.sort()
+    return ReflectionClasses([rep for rep, _ in orbits],
+                             [size for _, size in orbits])

@@ -19,8 +19,9 @@ from .complexes import (ChamberSystem, TypedComplex, join,
 from .diagram import (Diagram, DiagramError, basic_degrees, classify,
                       components_with_indices, diagram_name,
                       has_forbidden_subdiagram, parse_symbol, symbol_rank)
-from .group import (DEFAULT_CAP, CapExceeded, ConjugacyClasses, _check_rank,
-                    conjugacy_classes, enumerate_group, reflection_classes)
+from .group import (DEFAULT_CAP, CapExceeded, ConjugacyClasses,
+                    ReflectionClasses, _check_rank, conjugacy_classes,
+                    enumerate_group, reflection_classes)
 from .homology import reduced_betti
 from .isomorphism import find_isomorphism, verify_isomorphism
 from .walls import (MilnorWallCertificate, ParabolicData, RecognitionVerdict,
@@ -48,7 +49,8 @@ class TheoremReport:
     computed: object
     status: str                   # "agree" | "disagree" | "skipped"
     details: dict = field(default_factory=dict)
-    timing_ms: int | None = None
+    timing_ms: int | None = None      # this check's own time
+    context_ms: int | None = None     # its entry's GroupContext build
 
     def to_jsonable(self):
         out = {"symbol": self.symbol, "theorem": self.theorem,
@@ -56,18 +58,23 @@ class TheoremReport:
                "status": self.status, "details": self.details}
         if self.timing_ms is not None:
             out["timing_ms"] = self.timing_ms
+        if self.context_ms is not None:
+            out["context_ms"] = self.context_ms
         return out
 
 
 class GroupContext:
     """Everything verifiers need for one diagram, built once: the table,
     its chamber system, its conjugacy classes and reflection classes, the
-    parabolic data, and the walls.  A wall is named by the ids of the
-    vertices its elements fix (``fixed_vertices``), read once per
-    element; the wall, and for a reflection's wall its verdict and
-    certificate, are computed once per name, so the powers of a
-    reflection, often in other classes, share them.  The walls and the
-    f-vector come from the chambers; the full complex is built only when
+    parabolic data, and the walls.  The reflection classes are read off
+    the conjugacy classes when those are built already (counts builds
+    them), and are otherwise walked alone (``reflection_classes``), so
+    A, B, monomial and join never build every class.  A wall is named
+    by the ids of the vertices its elements fix (``fixed_vertices``),
+    read once per element; the wall, and for a reflection's wall its
+    verdict and certificate, are computed once per name, so the powers
+    of a reflection, often in other classes, share them.  The walls and
+    the f-vector come from the chambers; the full complex is built only when
     a check reads ``complex`` (orlik, monomial, join, ``mfc build``), and
     only then is the simplex cap checked; the parabolic data, a walk of
     every proper parabolic, only when counts or orlik reads ``pdata``;
@@ -97,9 +104,14 @@ class GroupContext:
         return ParabolicData(self.table, self.classes)
 
     @cached_property
+    def reflections(self) -> ReflectionClasses:
+        """The reflection classes' representatives and sizes."""
+        return reflection_classes(self.table, self.__dict__.get("classes"))
+
+    @property
     def refl_classes(self) -> list[int]:
         """The representatives of the reflection classes, in class order."""
-        return reflection_classes(self.table, self.classes)
+        return self.reflections.reps
 
     def fixed_vertices(self, g: int) -> tuple[int, ...]:
         """The ids of the vertices element g fixes, the name of its wall."""
@@ -558,7 +570,9 @@ def _parse_entry(sym: str, cap: int) -> Diagram:
 def _run_entry(entry, cap, timings, parsed) -> list[TheoremReport]:
     """run_entry on a checked entry, given its report symbol and diagram
     when run_suite's check has them; a symbol entry is named by
-    diagram_name, which classifies it."""
+    diagram_name, which classifies it.  With ``timings``, each report
+    gets its check's time and the time the entry's context took to
+    build."""
     if "monomial" in entry:
         sym = "G(%d,1,%d)" % tuple(entry["monomial"])
         checks = entry.get("checks", ["monomial"])
@@ -566,6 +580,7 @@ def _run_entry(entry, cap, timings, parsed) -> list[TheoremReport]:
         sym = entry["symbol"]
         checks = entry.get("checks", ["counts", "A", "B"])
     skip = None
+    t0 = time.monotonic()
     try:
         # a rank skip keeps the symbol as written
         if parsed is None:
@@ -575,6 +590,7 @@ def _run_entry(entry, cap, timings, parsed) -> list[TheoremReport]:
         ctx = GroupContext(d, cap)
     except CapExceeded as e:
         skip = e                    # every check reports this skip
+    context_ms = int((time.monotonic() - t0) * 1000)
     reports = []
     for c in checks:
         t0 = time.monotonic()
@@ -586,6 +602,7 @@ def _run_entry(entry, cap, timings, parsed) -> list[TheoremReport]:
             rep = TheoremReport(sym, c, None, None, "skipped", {"cap": str(e)})
         if timings:
             rep.timing_ms = int((time.monotonic() - t0) * 1000)
+            rep.context_ms = context_ms
         reports.append(rep)
     return reports
 

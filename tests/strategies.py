@@ -25,6 +25,13 @@ def check_relations(d: Diagram, perms: list[list[int]]) -> bool:
     return all(image(lhs) == image(rhs) for lhs, rhs in _relations(d))
 
 
+def mul(t, a: int, b: int) -> int:
+    """The product a * b in table t, through the stored word of b."""
+    for letter in t.word(b):
+        a = t.right[letter][a]
+    return a
+
+
 def from_facets(vertex_types, facets) -> TypedComplex:
     """The complex the facets generate, on vertices with these types."""
     return TypedComplex(vertex_types,

@@ -18,7 +18,7 @@ from mfc.group import _subgroup_tree, enumerate_group, parabolic_cosets
 from mfc.homology import reduced_betti
 from mfc.isomorphism import find_isomorphism, verify_isomorphism
 from mfc.walls import predicted_bouquet_count
-from strategies import admissible_unions, from_facets, relabeled
+from strategies import admissible_unions, from_facets, mul, relabeled
 
 
 def build(sym, **kw):
@@ -110,7 +110,7 @@ def test_left_translation_is_left_multiplication():
         t, _cx, cs = build(sym)
         for g in (0, t.order - 1, t.order // 2):
             left = t.left_translation(g)
-            assert left == [t.mul(g, x) for x in range(t.order)], (sym, g)
+            assert left == [mul(t, g, x) for x in range(t.order)], (sym, g)
         for g in t.gen_elements:
             left = t.left_translation(g)
             perm = cs.vertex_perm(g)
@@ -290,7 +290,7 @@ def _per_coset_complex(t):
             bl = vmaps[r].block_of
             for g in vmaps[r].reps:
                 perm[offsets[r] + bl[g]] = \
-                    offsets[r] + bl[t.mul(t.gen_elements[i], g)]
+                    offsets[r] + bl[mul(t, t.gen_elements[i], g)]
         perms.append(perm)
     return TypedComplex(types, by_dim), perms
 

@@ -1,16 +1,18 @@
 import hashlib
 import random
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
 
 from mfc.diagram import (_irreducible_ids, basic_degrees,
                          components_with_indices, diagram_of,
                          enumerate_admissible, group_order, parse_symbol)
-from mfc.group import (DEFAULT_CAP, CapExceeded, GroupTable, _induced_right,
-                       _invert, _subgroup_tree, conjugacy_classes,
-                       enumerate_group, parabolic_cosets, reflection_classes,
-                       todd_coxeter)
-from strategies import check_relations
+from mfc.group import (DEFAULT_CAP, CapExceeded, GroupTable,
+                       ReflectionClasses, _induced_right, _invert,
+                       _subgroup_tree, conjugacy_classes, enumerate_group,
+                       parabolic_cosets, reflection_classes, todd_coxeter)
+from strategies import admissible_unions, check_relations, mul
 
 FIXTURES = ["1", "2", "Z6", "2[3]2", "I2(5)", "I2(8)", "3[3]3", "2[4]3",
             "A3", "B3", "H3", "G25", "3[4]3", "2[4]6", "2[3]2 + 4", "D4"]
@@ -59,7 +61,7 @@ def test_regular_action_is_faithful(tables):
     for sym in ("2[3]2", "3[3]3", "Z6", "I2(5)"):
         t = tables[sym]
         for g in range(1, t.order):
-            assert all(t.mul(g, x) != x for x in range(t.order)), (sym, g)
+            assert all(mul(t, g, x) != x for x in range(t.order)), (sym, g)
 
 
 def test_enumerate_examples():
@@ -146,9 +148,7 @@ def test_parabolic_cosets_match_orbit_definition(tables):
 
 
 def n_reflections(t):
-    classes = conjugacy_classes(t)
-    return sum(classes.sizes[classes.class_of[rep]]
-               for rep in reflection_classes(t, classes))
+    return sum(reflection_classes(t, conjugacy_classes(t)).sizes)
 
 
 def test_reflection_counts(tables):
@@ -201,15 +201,68 @@ def test_reflection_classes_match_conjugation_closure():
         for x, cid in enumerate(classes.class_of):
             members.setdefault(cid, []).append(x)
         got = [(rep, members[classes.class_of[rep]])
-               for rep in reflection_classes(t, classes)]
+               for rep in reflection_classes(t, classes).reps]
         assert got == _closure_reflection_classes(t, classes), d
 
 
+# every group of a test or benchmark fixture of order <= 20,000, ranks 0-5,
+# products included
+WALK_FIXTURES = FIXTURES + [
+    "Z1000", "I2(997)", "2 + 2", "3 + 4 + 2", "G4", "G5", "G6", "G8", "G9",
+    "G10", "G14", "G16", "G17", "G18", "G20", "G21", "G(31,1,2)", "A4", "B4",
+    "F4", "H4", "G26", "G(3,1,3)", "G(4,1,3)", "G(3,1,4)", "G(5,1,3)", "A5",
+    "B5", "D5", "2[3]2 + 3", "3 + 2[4]3", "2[3]2[3]2 + 3", "3[3]3 + 2[3]2"]
+
+
+def _assert_walk_reads_the_classes(t, name):
+    assert reflection_classes(t) == \
+        reflection_classes(t, conjugacy_classes(t)), name
+
+
+def test_reflection_walk_matches_conjugacy_classes(tables):
+    ranks = set()
+    for sym in WALK_FIXTURES:
+        t = tables.get(sym) or enumerate_group(parse_symbol(sym))
+        assert t.order <= 20_000, sym
+        ranks.add(t.ngens)
+        _assert_walk_reads_the_classes(t, sym)
+    assert ranks == set(range(6))
+
+
+@settings(max_examples=50, deadline=None)
+@given(admissible_unions())
+def test_reflection_walk_matches_conjugacy_classes_on_unions(d):
+    _assert_walk_reads_the_classes(enumerate_group(d), d)
+
+
+@pytest.mark.deep
+@pytest.mark.parametrize("sym", ["E6", "G32"])
+def test_reflection_walk_matches_conjugacy_classes_deep(sym):
+    _assert_walk_reads_the_classes(enumerate_group(parse_symbol(sym)), sym)
+
+
+def test_element_order_of_cyclic_group():
+    m = 1000
+    t = enumerate_group(parse_symbol("Z%d" % m))
+    assert [t.element_order(x) for x in range(m)] == \
+        [m // gcd(m, x) for x in range(m)]
+
+
+def test_element_order_matches_repeated_products(tables):
+    for sym, t in tables.items():
+        for g in range(t.order):
+            k, x = 1, g
+            while x != 0:
+                x = mul(t, x, g)
+                k += 1
+            assert t.element_order(g) == k, (sym, g)
+
+
 def test_reflection_class_examples(tables):
-    assert len(reflection_classes(tables["2[4]3"])) == 3  # G(3,1,2): m classes
-    assert len(reflection_classes(tables["2[3]2"])) == 1
+    assert len(reflection_classes(tables["2[4]3"]).reps) == 3  # G(3,1,2)
+    assert len(reflection_classes(tables["2[3]2"]).reps) == 1
     t26 = enumerate_group(parse_symbol("G26"))
-    rc = reflection_classes(t26)
+    rc = reflection_classes(t26).reps
     orders = sorted(t26.element_order(rep) for rep in rc)
     assert orders == [2, 3, 3]
 
@@ -234,11 +287,11 @@ def test_conjugacy_classes_match_conjugation_by_every_element(tables):
     for sym in small:
         t = tables[sym]
         n = t.order
-        inv = [next(y for y in range(n) if t.mul(g, y) == 0)
+        inv = [next(y for y in range(n) if mul(t, g, y) == 0)
                for g in range(n)]
         classes = conjugacy_classes(t)
         for x in range(n):
-            orbit = {t.mul(t.mul(g, x), inv[g]) for g in range(n)}
+            orbit = {mul(t, mul(t, g, x), inv[g]) for g in range(n)}
             assert {y for y in range(n)
                     if classes.class_of[y] == classes.class_of[x]} == orbit, \
                 (sym, x)
@@ -286,8 +339,8 @@ def _conjugation_orbits(t):
     """The conjugacy classes by brute force: x's class is every g x g^-1,
     with products from mul and each inverse found by search."""
     n = t.order
-    inv = [next(y for y in range(n) if t.mul(g, y) == 0) for g in range(n)]
-    return {frozenset(t.mul(t.mul(g, x), inv[g]) for g in range(n))
+    inv = [next(y for y in range(n) if mul(t, g, y) == 0) for g in range(n)]
+    return {frozenset(mul(t, mul(t, g, x), inv[g]) for g in range(n))
             for x in range(n)}
 
 
@@ -311,7 +364,8 @@ def test_class_rules_match_brute_force():
                                  for c in range(classes.n_classes)], sym
     for m in (2, 3, 7, 12, 40):
         t = enumerate_group(parse_symbol("Z%d" % m))
-        assert reflection_classes(t) == list(range(1, m)), m
+        assert reflection_classes(t) == ReflectionClasses(
+            list(range(1, m)), [1] * (m - 1)), m
 
 
 def _regular_equivalence_diagrams():
@@ -399,8 +453,8 @@ def test_words_and_inverses(tables):
             h = 0
             for letter in reversed(t.word(g)):
                 h = right_inv[letter][h]
-            assert t.mul(g, h) == 0, (sym, g)
-            assert t.mul(h, g) == 0, (sym, g)
+            assert mul(t, g, h) == 0, (sym, g)
+            assert mul(t, h, g) == 0, (sym, g)
 
 
 def test_e6_enumerates_within_default_cap():

@@ -93,6 +93,16 @@ def test_run_suite_bad_alias():
 def test_timings_flag():
     _c, bundle = run_suite(dict(SMALL_SUITE), timings=True)
     assert all("timing_ms" in r for r in bundle["entries"])
+    # each report of an entry carries the same context build time
+    by_symbol = {}
+    for r in bundle["entries"]:
+        assert isinstance(r["context_ms"], int) and r["context_ms"] >= 0
+        by_symbol.setdefault(r["symbol"], set()).add(r["context_ms"])
+    assert len(by_symbol) == 4
+    assert all(len(times) == 1 for times in by_symbol.values())
+    _c, bundle = run_suite(dict(SMALL_SUITE))
+    assert not any("timing_ms" in r or "context_ms" in r
+                   for r in bundle["entries"])
 
 
 def test_default_suite_contents():
@@ -461,6 +471,16 @@ def test_cli_walls(capsys):
     assert "Milnor wall: yes, G(3,1,2)" in out
 
 
+def test_cli_walls_bytes_pinned(capsys):
+    # the walls of G26, B3 and Z5 as printed when the class sizes were
+    # read off the full conjugacy classes
+    for sym in ("G26", "B3", "Z5"):
+        assert main(["walls", sym]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == \
+        "2843f4ff59b7ecfe82c85022854b2c731f1c7724fad0304f5d396cdcac3e9b0e"
+
+
 def test_cli_walls_class_filter(capsys):
     assert main(["walls", "G26", "--class", "1"]) == 0
     out = capsys.readouterr().out
@@ -795,6 +815,45 @@ def test_rank1_entry_translates_nothing(monkeypatch):
                         DEFAULT_CAP)
     assert [r.status for r in reports] == ["agree"] * 4
     assert calls == []
+
+
+def test_only_counts_and_orlik_build_every_class(monkeypatch, capsys):
+    # A, B, monomial, join and `mfc walls` walk the reflection classes
+    # alone; an entry with counts builds the conjugacy classes once, and
+    # its A and B read the reflection classes off them
+    calls = []
+    build = mfc.group.conjugacy_classes
+    walks = []
+    reflections = mfc.verify.reflection_classes
+
+    def counted(t):
+        calls.append(t.order)
+        return build(t)
+
+    def counted_reflections(t, classes):
+        walks.append(classes is None)
+        return reflections(t, classes)
+
+    monkeypatch.setattr(mfc.group, "conjugacy_classes", counted)
+    monkeypatch.setattr(mfc.verify, "conjugacy_classes", counted)
+    monkeypatch.setattr(mfc.verify, "reflection_classes",
+                        counted_reflections)
+    for entry in ({"symbol": "G26", "checks": ["A", "B"]},
+                  {"symbol": "B3", "checks": ["A", "B"]},
+                  {"monomial": [3, 2], "checks": ["monomial"]},
+                  {"symbol": "3 + 2[4]3", "checks": ["join"]}):
+        reports = run_entry(entry, DEFAULT_CAP)
+        assert all(r.status != "skipped" for r in reports), entry
+    assert main(["walls", "G26"]) == 0
+    capsys.readouterr()
+    assert calls == []
+    assert walks and all(walks)
+    walks.clear()
+    reports = run_entry({"symbol": "B3", "checks": ["counts", "A", "B"]},
+                        DEFAULT_CAP)
+    assert [r.status for r in reports] == ["agree"] * 3
+    assert calls == [48]
+    assert walks == [False]
 
 
 @pytest.mark.parametrize("sym", ["G25", "G26", "G(5,1,3)"])

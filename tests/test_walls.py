@@ -20,7 +20,7 @@ from mfc.walls import (ParabolicData, RecognitionVerdict,
                        milnor_wall_search, predicted_bouquet_count,
                        recognize_milnor_fiber)
 from general_search import general_isomorphism
-from strategies import admissible_unions, from_facets
+from strategies import admissible_unions, from_facets, mul
 
 # groups for the property tests of walls and parabolic data: real,
 # complex, monomial and dihedral, ranks 2 and 3
@@ -94,7 +94,7 @@ def test_fixed_setwise_implies_pointwise():
 
 def test_g25_wall_counts_and_betti(g25):
     t, cx, cs = g25
-    for rep in reflection_classes(t):
+    for rep in reflection_classes(t).reps:
         w = wall_of(cs, rep)
         assert w.f_vector()[1] == 54
         assert reduced_betti(w).concentrated_value(1) == 25
@@ -103,7 +103,7 @@ def test_g25_wall_counts_and_betti(g25):
 def test_walls_of_conjugate_reflections_isomorphic():
     t, cx, cs = setup("G(3,1,2)")
     class_of = conjugacy_classes(t).class_of
-    for rep in reflection_classes(t):
+    for rep in reflection_classes(t).reps:
         members = [x for x in range(t.order) if class_of[x] == class_of[rep]]
         w0 = wall_of(cs, rep)
         for other in members[:2]:
@@ -119,11 +119,11 @@ def test_conjugate_wall_is_translated_wall():
         fixed = cs.fixed_vertices(g)
         return ambient(fixed_subcomplex(cs, fixed), fixed)
 
-    for rep in reflection_classes(t):
+    for rep in reflection_classes(t).reps:
         w_r = ambient_simplices(rep)
         for h in (t.gen_elements[0], t.gen_elements[1], 5):
-            h_inv = next(y for y in range(t.order) if t.mul(h, y) == 0)
-            conj = t.mul(t.mul(h, rep), h_inv)
+            h_inv = next(y for y in range(t.order) if mul(t, h, y) == 0)
+            conj = mul(t, mul(t, h, rep), h_inv)
             perm = cs.vertex_perm(h)
             translated = {tuple(sorted(perm[v] for v in s)) for s in w_r}
             assert translated == ambient_simplices(conj)
@@ -136,7 +136,7 @@ def test_fixed_space_dim(g25):
 
     t, cx, cs = g25
     assert fixed_space_dim(cs, 0) == 3
-    rep = reflection_classes(t)[0]
+    rep = reflection_classes(t).reps[0]
     assert fixed_space_dim(cs, rep) == 2
     # H3 central -1 fixes only the empty simplex
     t, cx, cs = setup("H3")
@@ -227,7 +227,7 @@ def test_reflections_fixing_the_same_vertices_share_their_wall(d):
     t = enumerate_group(d)
     cx, cs = milnor_fiber_complex(t)
     classes = conjugacy_classes(t)
-    refl = {classes.class_of[r] for r in reflection_classes(t, classes)}
+    refl = {classes.class_of[r] for r in reflection_classes(t, classes).reps}
     sharing = {}
     for g in range(t.order):
         if classes.class_of[g] in refl:
@@ -272,8 +272,9 @@ def test_coset_oracle_on_random_diagrams(d, data):
     classes = conjugacy_classes(t)
     pdata = ParabolicData(t, classes)
     wall_chambers = prod(basic_degrees(d)[:-1])
-    reps = data.draw(st.lists(st.sampled_from(reflection_classes(t, classes)),
-                              min_size=1, max_size=3, unique=True))
+    reps = data.draw(st.lists(
+        st.sampled_from(reflection_classes(t, classes).reps),
+        min_size=1, max_size=3, unique=True))
     for rep in reps:
         fv = wall_of(cs, rep).f_vector()
         counts = (1,) + fv + (0,) * (n - len(fv))
@@ -388,7 +389,7 @@ def test_generated_subcomplex():
 
 def test_recognize_g25_wall(g25):
     t, cx, cs = g25
-    rep = reflection_classes(t)[0]
+    rep = reflection_classes(t).reps[0]
     v = recognize_milnor_fiber(wall_of(cs, rep), 2)
     assert v.outcome == "not-mfc"
     assert v.reason == "betti-mismatch-all"
@@ -440,7 +441,7 @@ def test_g26_order3_wall_families(g26):
     # of two types; the family missing type 0 is three 12-cycles, and the
     # family missing type 1 is two disjoint G(3,1,2) complexes
     t, cx, cs = g26
-    order3 = [r for r in reflection_classes(t) if t.element_order(r) == 3]
+    order3 = [r for r in reflection_classes(t).reps if t.element_order(r) == 3]
     assert len(order3) == 2
     for rep in order3:
         w = wall_of(cs, rep)
@@ -472,7 +473,7 @@ def test_recognize_g26_order2_wall(g26):
     # the one of G5 (3-regular of girth 8); see the notes about the
     # G(6,1,2) naming in the sources this build follows
     t, cx, cs = g26
-    rep = [r for r in reflection_classes(t) if t.element_order(r) == 2][0]
+    rep = [r for r in reflection_classes(t).reps if t.element_order(r) == 2][0]
     w = wall_of(cs, rep)
     v = recognize_milnor_fiber(w, 2)
     assert v.recognized and diagram_name(v.diagram) == "G5"
@@ -481,7 +482,7 @@ def test_recognize_g26_order2_wall(g26):
 
 def test_recognize_monomial_wall_recursion():
     t, cx, cs = setup("G(3,1,3)")
-    for rep in reflection_classes(t):
+    for rep in reflection_classes(t).reps:
         w = wall_of(cs, rep)
         v = recognize_milnor_fiber(w, 2)
         assert v.recognized and diagram_name(v.diagram) == "G(3,1,2)"
@@ -504,7 +505,7 @@ def test_candidates_named_only_when_read(monkeypatch):
     monkeypatch.setattr(mfc.walls, "diagram_name",
                         lambda d: named.append(d) or real(d))
     t, cx, cs = setup("B3")
-    w = wall_of(cs, reflection_classes(t)[0])
+    w = wall_of(cs, reflection_classes(t).reps[0])
     v = recognize_milnor_fiber(w, 2)
     assert v.recognized and len(v.candidates) > 1 and named == []
     assert [c.name for c in v.candidates] == \
@@ -597,7 +598,7 @@ def test_walls_are_their_full_family_subcomplex():
     for sym in PROPERTY_GROUPS + ("D4", "F4"):
         t, cx, cs = setup(sym)
         n = t.ngens
-        for rep in reflection_classes(t):
+        for rep in reflection_classes(t).reps:
             w = wall_of(cs, rep)
             full = generated(w, family_facets(w, n, range(n)))
             assert full.by_dim == w.by_dim, (sym, rep)
@@ -614,7 +615,7 @@ def test_type_families_are_subcomplexes_of_their_facets():
         n = t.ngens
         order = [m for size in range(n, 0, -1)
                  for m in combinations(range(n), size)]
-        for rep in reflection_classes(t):
+        for rep in reflection_classes(t).reps:
             w = wall_of(cs, rep)
             families = list(_type_families(w, n))
             assert [m for m, _fv, _faces in families] == order, (sym, rep)
@@ -633,7 +634,7 @@ def test_milnor_wall_search_impure_wall():
     # not given the wall's verdict: an isolated vertex added to a B3 wall
     # makes the wall disconnected, and the full family still certifies
     t, cx, cs = setup("B3")
-    rep = reflection_classes(t)[0]
+    rep = reflection_classes(t).reps[0]
     w = wall_of(cs, rep)
     impure = TypedComplex(w.vertex_types + (0,),
                           {0: w.simplices(0) + ((w.n_vertices,),),
@@ -668,7 +669,7 @@ def test_family_filter_is_exact(monkeypatch):
                 "G(3,1,4)"):
         t, cx, cs = setup(sym)
         n = t.ngens
-        for rep in reflection_classes(t):
+        for rep in reflection_classes(t).reps:
             w = wall_of(cs, rep)
             built.clear()
             assert milnor_wall_search(w, n, unrecognized) is None
