@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import chain, combinations, compress, product
+from itertools import chain, combinations, product
+from math import gcd
 
 from .diagram import (Diagram, components_with_indices, group_order,
                       parse_symbol)
@@ -140,7 +141,8 @@ class ChamberSystem:
     chamber restricted to some types, read in type order, is a sorted
     vertex tuple.
 
-    Nothing else of the complex is stored.  The simplex of a coset
+    Of the rest of the complex only the members of each G_{R - {r}} are
+    kept, as ``parabolic_cosets`` walked them.  The simplex of a coset
     x<R - I> is x's chamber restricted to the types in I, and two elements
     x, y restrict to the same simplex iff x^-1 y lies in
     K_I = ∩_{r in I} G_{R - {r}}, the elements whose chamber shares the
@@ -151,7 +153,9 @@ class ChamberSystem:
     ``vertex_reps[v]`` is the smallest element of the coset v, so g maps
     a type-r vertex v to the type-r vertex of the chamber of
     g * vertex_reps[v]; ``vertex_perm(g)`` reads that off the table's
-    left translation by g.
+    left translation by g.  The vertices an element fixes, the name of
+    its wall, are remembered for every generator of its cyclic subgroup
+    (``fixed_vertices``).
     """
 
     def __init__(self, t: GroupTable):
@@ -159,6 +163,7 @@ class ChamberSystem:
         n = t.ngens
         R = range(n)
         self.chamber: list[list[int]] = []
+        self._members: list[list[int]] = []     # of each G_{R - {r}}
         types: list[int] = []
         reps: list[int] = []
         for r in R:
@@ -167,40 +172,62 @@ class ChamberSystem:
             ids = list(range(len(types), len(types) + part.n_blocks))
             col = list(map(ids.__getitem__, part.block_of))
             self.chamber.append(col)
+            self._members.append(part.members)
             types.extend([r] * part.n_blocks)
             reps.extend(part.reps)
         self.vertex_types = tuple(types)
         self.vertex_reps = reps
+        self._fixed: dict[int, tuple[int, ...]] = {}   # element -> its wall
 
     def vertex_perm(self, g: int) -> list[int]:
         """g's permutation of the vertex ids: the type-r vertex v goes to
         the type-r vertex of g * vertex_reps[v]'s chamber (one pass over
         the elements, whatever the length of g's word)."""
-        left = self.table.left_translation(g)
+        return self._permutation(self.table.left_translation(g))
+
+    def _permutation(self, left: list[int]) -> list[int]:
+        """The vertex permutation of the element whose left translation
+        is ``left``."""
         chamber = self.chamber
         return [chamber[r][left[h]]
                 for r, h in zip(self.vertex_types, self.vertex_reps)]
 
     def fixed_vertices(self, g: int) -> tuple[int, ...]:
-        """The ids of the vertices g fixes, ascending, read off
-        ``vertex_perm(g)``.  They name g's wall, the full subcomplex on
+        """The ids of the vertices g fixes, ascending, read off g's
+        vertex permutation.  They name g's wall, the full subcomplex on
         them, which g shares with every element that fixes the same
-        vertices (its powers, say).  At rank 1 the vertices are the
-        chambers, the cosets of the trivial group, and an element g != 1
-        moves every one of them, so none is read."""
+        vertices (its powers, say).  Each power g^k with k prime to
+        ord(g) generates <g>, so g and g^k are powers of each other and
+        fix the same vertices: one left translation by g answers for all
+        of them, and its powers are read off it, g^(k+1) = g * g^k, up
+        to the identity.  At rank 1 the vertices are the chambers, the
+        cosets of the trivial group, and an element g != 1 moves every
+        one of them, so none is read."""
         if g and self.table.ngens == 1:
             return ()
-        return tuple(v for v, w in enumerate(self.vertex_perm(g)) if v == w)
+        if g not in self._fixed:
+            left = self.table.left_translation(g)
+            fixed = tuple(v for v, w in enumerate(self._permutation(left))
+                          if v == w)
+            powers = [g]                    # g^1, ..., g^ord(g) = 1
+            while powers[-1]:
+                powers.append(left[powers[-1]])
+            order = len(powers)
+            for k, x in enumerate(powers, 1):
+                if gcd(k, order) == 1:
+                    self._fixed[x] = fixed
+        return self._fixed[g]
 
     def f_vector(self) -> tuple[int, ...]:
         """(f_0, ..., f_{n-1}) of the complex, without building it: f_k is
         the sum of |G| / |K_I| over the type sets I with k + 1 types."""
         n = self.table.ngens
         # the types r whose vertex each element's chamber shares with the
-        # identity chamber; only elements of some G_{R - {r}} have any
+        # identity chamber: x shares the type-r vertex iff x lies in
+        # G_{R - {r}}, so only the members of these are read
         shared: dict[int, int] = {}
-        for r, col in enumerate(self.chamber):
-            for x in compress(range(len(col)), map(col[0].__eq__, col)):
+        for r, members in enumerate(self._members):
+            for x in members:
                 shared[x] = shared.get(x, 0) | 1 << r
         by_mask = Counter(shared.values())
         fv = [0] * n

@@ -537,6 +537,7 @@ class CosetPartition:
 
     block_of: list[int]
     reps: list[int]          # smallest element of each block, block 0 = <I>
+    members: list[int]       # the elements of <I>, in the order walked
 
     @property
     def n_blocks(self) -> int:
@@ -573,7 +574,7 @@ def parabolic_cosets(t: GroupTable, I) -> CosetPartition:
     I = tuple(sorted(set(I)))
     n = t.order
     if not I:
-        return CosetPartition(list(range(n)), list(range(n)))
+        return CosetPartition(list(range(n)), list(range(n)), [0])
     members, tree = _subgroup_tree(t, I)
     block_of = [-1] * n
     reps = []
@@ -590,7 +591,7 @@ def parabolic_cosets(t: GroupTable, I) -> CosetPartition:
     # blocks that overlapped would leave more of them than |G| / |G_I|
     if len(reps) * len(members) != n:
         raise RuntimeError("parabolic blocks of unequal size")
-    return CosetPartition(block_of, reps)
+    return CosetPartition(block_of, reps, members)
 
 
 @dataclass

@@ -70,11 +70,12 @@ class GroupContext:
     the conjugacy classes when those are built already (counts builds
     them), and are otherwise walked alone (``reflection_classes``), so
     A, B, monomial and join never build every class.  A wall is named
-    by the ids of the vertices its elements fix (``fixed_vertices``),
-    read once per element; the wall, and for a reflection's wall its
-    verdict and certificate, are computed once per name, so the powers
-    of a reflection, often in other classes, share them.  The walls and
-    the f-vector come from the chambers; the full complex is built only when
+    by the ids of the vertices its elements fix
+    (``chambers.fixed_vertices``, read once per cyclic subgroup); the
+    wall, and for a reflection's wall its verdict and certificate, are
+    computed once per name, so the powers of a reflection, often in
+    other classes, share them.  The walls and the f-vector come from the
+    chambers; the full complex is built only when
     a check reads ``complex`` (orlik, monomial, join, ``mfc build``), and
     only then is the simplex cap checked; the parabolic data, a walk of
     every proper parabolic, only when counts or orlik reads ``pdata``;
@@ -85,7 +86,6 @@ class GroupContext:
         self.cap = cap
         self.table = enumerate_group(d, cap=cap)
         self.chambers = ChamberSystem(self.table)
-        self._fixed_vertices = {}   # element -> the name of its wall
         self._walls = {}            # these three by the wall's name
         self._verdicts = {}
         self._certificates = {}
@@ -113,15 +113,9 @@ class GroupContext:
         """The representatives of the reflection classes, in class order."""
         return self.reflections.reps
 
-    def fixed_vertices(self, g: int) -> tuple[int, ...]:
-        """The ids of the vertices element g fixes, the name of its wall."""
-        if g not in self._fixed_vertices:
-            self._fixed_vertices[g] = self.chambers.fixed_vertices(g)
-        return self._fixed_vertices[g]
-
     def fixed_of(self, g: int) -> TypedComplex:
         """The fixed subcomplex of element g, built once per wall."""
-        key = self.fixed_vertices(g)
+        key = self.chambers.fixed_vertices(g)
         if key not in self._walls:
             self._walls[key] = fixed_subcomplex(self.chambers, key)
         return self._walls[key]
@@ -129,7 +123,7 @@ class GroupContext:
     def verdict_of(self, r: int) -> RecognitionVerdict:
         """Whether the wall of reflection r is a Milnor fiber complex of
         rank n-1, decided once per wall."""
-        key = self.fixed_vertices(r)
+        key = self.chambers.fixed_vertices(r)
         if key not in self._verdicts:
             self._verdicts[key] = recognize_milnor_fiber(
                 self.fixed_of(r), self.table.ngens - 1)
@@ -138,7 +132,7 @@ class GroupContext:
     def certificate_of(self, r: int) -> MilnorWallCertificate | None:
         """The Milnor-wall certificate of reflection r's wall (None when
         no type family has one), searched once per wall."""
-        key = self.fixed_vertices(r)
+        key = self.chambers.fixed_vertices(r)
         if key not in self._certificates:
             self._certificates[key] = milnor_wall_search(
                 self.fixed_of(r), self.table.ngens, self.verdict_of(r))
@@ -380,7 +374,7 @@ def verify_monomial(ctx: GroupContext) -> TheoremReport:
         isomorphic = {}             # by the wall's fixed vertices
         rows = []
         for rep in ctx.refl_classes:
-            key = ctx.fixed_vertices(rep)
+            key = ctx.chambers.fixed_vertices(rep)
             if key not in isomorphic:
                 isomorphic[key] = find_isomorphism(ctx.fixed_of(rep),
                                                    model) is not None
@@ -459,12 +453,12 @@ def verify_join(ctx: GroupContext) -> TheoremReport:
             # each part's vertex ids (a wall's: its key) to join ids
             place, off = [], 0
             for fj, p in enumerate(parts):
-                ids = (fctx.fixed_vertices(rep) if fj == fi
+                ids = (fctx.chambers.fixed_vertices(rep) if fj == fi
                        else range(p.n_vertices))
                 place.append(dict(zip(ids, range(off, off + len(ids)))))
                 off += len(ids)
             vmap = {}
-            for k, u in enumerate(ctx.fixed_vertices(g_union)):
+            for k, u in enumerate(ctx.chambers.fixed_vertices(g_union)):
                 i, v = image[u]
                 if v in place[i]:
                     vmap[k] = place[i][v]

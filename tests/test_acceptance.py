@@ -275,7 +275,7 @@ def test_criterion_9_deep_g32():
     # classes: both fix the same vertices, so they share one wall, one
     # verdict and one certificate, and each row names its own class
     assert len(classes) == 2
-    assert len({ctx.fixed_vertices(rep) for rep in classes}) == 1
+    assert len({ctx.chambers.fixed_vertices(rep) for rep in classes}) == 1
     assert ctx.certificate_of(classes[0]) is ctx.certificate_of(classes[1])
     assert [row["certificate"]["reflection"]
             for row in rb.details["classes"]] == classes

@@ -147,6 +147,27 @@ def test_rank1_fixed_vertices_match_vertex_perm():
                 v for v, w in enumerate(cs.vertex_perm(g)) if v == w), (m, g)
 
 
+@pytest.mark.parametrize("sym", ["I2(8)", "I2(9)", "G(6,1,2)", "G(12,1,2)",
+                                 "G4", "B3", "G26", "G(3,1,3)", "2 + 3"])
+def test_coprime_powers_share_fixed_vertices(sym):
+    # one translation answers for every generator of <g>; whichever of
+    # g and its powers is asked first, on a fresh chamber system, every
+    # answer is the set of vertices that vertex_perm leaves in place
+    t = enumerate_group(parse_symbol(sym))
+    truth = ChamberSystem(t)
+    want = [tuple(v for v, w in enumerate(truth.vertex_perm(x)) if v == w)
+            for x in range(t.order)]
+    for g in range(t.order):
+        left = t.left_translation(g)
+        powers = [g]                        # g, g^2, ..., g^ord(g) = 1
+        while powers[-1]:
+            powers.append(left[powers[-1]])
+        for order in (powers, powers[::-1]):
+            cs = ChamberSystem(t)
+            for x in order:
+                assert cs.fixed_vertices(x) == want[x], (sym, g, x)
+
+
 def test_join_with_trivial_is_identity():
     _t, cx, _cs = build("2[3]2")
     _t2, triv, _cs2 = build("1")
@@ -363,7 +384,8 @@ def _suite_symbols(deep=False):
 # every default-suite group of rank >= 3, and a spread of rank <= 2
 SPREAD = [s for s in _suite_symbols() if parse_symbol(s).rank >= 3] + [
     "1", "Z2", "Z3", "Z97", "Z1000", "I2(3)", "I2(8)", "I2(31)", "I2(500)",
-    "G(2,1,2)", "G(5,1,2)", "G(12,1,2)", "G(31,1,2)", "G4", "G8", "G21"]
+    "G(2,1,2)", "G(5,1,2)", "G(12,1,2)", "G(31,1,2)", "G4", "G8", "G21",
+    "2 + 3", "A2 + B2"]
 
 
 def test_chamber_f_vector_matches_complex():

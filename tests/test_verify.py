@@ -792,8 +792,8 @@ def test_walls_recognized_once(monkeypatch):
         verify_theorem_A(ctx)
         verify_theorem_B(ctx)
         # G25's two reflection classes fix the same vertices
-        walls = {ctx.fixed_vertices(rep): ctx.fixed_of(rep).by_dim
-                 for rep in ctx.refl_classes}
+        walls = {ctx.chambers.fixed_vertices(rep):
+                 ctx.fixed_of(rep).by_dim for rep in ctx.refl_classes}
         assert len(walls) == (1 if sym == "G25" else 2)
         for w in walls.values():
             assert seen.count(w) == list(walls.values()).count(w), sym
@@ -815,6 +815,24 @@ def test_rank1_entry_translates_nothing(monkeypatch):
                         DEFAULT_CAP)
     assert [r.status for r in reports] == ["agree"] * 4
     assert calls == []
+
+
+def test_fixed_vertices_translate_once_per_cyclic_subgroup(monkeypatch):
+    # the union reflections of 200 + 2 are Z200's 199 non-identity
+    # elements and Z2's one: a wall name is read once per cyclic
+    # subgroup they generate, one per divisor of 200 but 1, and Z2's
+    calls = []
+    translate = mfc.group.GroupTable.left_translation
+
+    def counted(self, g):
+        calls.append(g)
+        return translate(self, g)
+
+    monkeypatch.setattr(mfc.group.GroupTable, "left_translation", counted)
+    reports = run_entry({"symbol": "200 + 2", "checks": ["join", "A", "B"]},
+                        DEFAULT_CAP)
+    assert [r.status for r in reports] == ["agree"] * 3
+    assert len(calls) == 12
 
 
 def test_only_counts_and_orlik_build_every_class(monkeypatch, capsys):
@@ -879,7 +897,7 @@ def test_walls_keyed_by_fixed_vertices(monkeypatch, sym):
     assert (len(ctx.refl_classes), len(walls)) == \
         {"G25": (2, 1), "G26": (3, 2), "G(5,1,3)": (5, 2)}[sym]
     # a wall is named by the key of the reflection whose wall it is
-    key_of = [(ctx.fixed_of(rep), ctx.fixed_vertices(rep))
+    key_of = [(ctx.fixed_of(rep), ctx.chambers.fixed_vertices(rep))
               for rep in ctx.refl_classes]
 
     def key(wall):
