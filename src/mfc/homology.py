@@ -170,13 +170,14 @@ def rank_and_factors(cols: list[dict]) -> tuple[int, list[int]]:
     return rank, factors
 
 
-def _n_components(c: TypedComplex) -> int:
-    """Connected components of the 1-skeleton (0 for no vertices), by
-    union-find with path halving: each edge that joins two roots merges
-    two components."""
-    comps = c.n_vertices
+def _n_components(n_vertices: int, edges) -> int:
+    """Connected components of the graph on the vertex ids
+    range(n_vertices) with these edges (0 for no vertices), by union-find
+    with path halving: each edge that joins two roots merges two
+    components."""
+    comps = n_vertices
     parent = list(range(comps))
-    for u, v in c.simplices(1):
+    for u, v in edges:
         while parent[u] != u:
             parent[u] = parent[parent[u]]
             u = parent[u]
@@ -187,6 +188,22 @@ def _n_components(c: TypedComplex) -> int:
             parent[u] = v
             comps -= 1
     return comps
+
+
+def _graph_betti(n_vertices: int, edges, n_edges: int) -> BettiResult:
+    """Reduced Betti numbers of the graph on the vertex ids
+    range(n_vertices) with ``edges``, n_edges distinct pairs of them: b_0
+    is one less than the components (``_n_components``), b_1 = f_1 - f_0
+    + components, and graph homology is free.  With no edges the graph
+    is f_0 points, of dimension 0, and has no degree 1; with no vertices
+    it is the empty complex, {empty}, of dimension -1."""
+    if not n_vertices:
+        return BettiResult({-1: 1}, {})
+    if not n_edges:
+        return BettiResult({-1: 0, 0: n_vertices - 1}, {})
+    comps = _n_components(n_vertices, edges)
+    return BettiResult({-1: 0, 0: comps - 1,
+                        1: n_edges - n_vertices + comps}, {})
 
 
 def _coreduced(c: TypedComplex) -> dict[int, list[dict]]:
@@ -260,7 +277,7 @@ def _coreduced(c: TypedComplex) -> dict[int, list[dict]]:
 def reduced_betti(c: TypedComplex) -> BettiResult:
     """Reduced Betti numbers and the integral torsion of c.
 
-    Dimension <= 1 uses exact combinatorial formulas (component counts);
+    Dimension <= 1 uses exact combinatorial formulas (``_graph_betti``);
     graph homology is free, so the certificate is immediate there.  From
     dimension 2 up, a coreduction pass (``_coreduced``) shrinks the
     augmented chain complex, and ``rank_and_factors`` eliminates each
@@ -270,15 +287,9 @@ def reduced_betti(c: TypedComplex) -> BettiResult:
     sorted, give the torsion of degree k-1.
     """
     dim = c.dim
-    if dim < 0:
-        return BettiResult({-1: 1}, {})
-    f0 = len(c.simplices(0))
-    if dim == 0:
-        return BettiResult({-1: 0, 0: f0 - 1}, {})
-    if dim == 1:
-        comps = _n_components(c)
-        f1 = len(c.simplices(1))
-        return BettiResult({-1: 0, 0: comps - 1, 1: f1 - f0 + comps}, {})
+    if dim <= 1:
+        edges = c.simplices(1)
+        return _graph_betti(len(c.simplices(0)), edges, len(edges))
 
     residue = _coreduced(c)
     ranks = {-1: 0, dim + 1: 0}

@@ -22,7 +22,7 @@ from .diagram import (Diagram, DiagramError, basic_degrees, classify,
 from .group import (DEFAULT_CAP, CapExceeded, ConjugacyClasses,
                     ReflectionClasses, _check_rank, conjugacy_classes,
                     enumerate_group, reflection_classes)
-from .homology import reduced_betti
+from .homology import BettiResult, _graph_betti, reduced_betti
 from .isomorphism import find_isomorphism, verify_isomorphism
 from .walls import (MilnorWallCertificate, ParabolicData, RecognitionVerdict,
                     THEOREM_A_FORBIDDEN, THEOREM_B_FORBIDDEN, _detail_rows,
@@ -35,6 +35,9 @@ from .walls import (MilnorWallCertificate, ParabolicData, RecognitionVerdict,
 # non-identity class fixes a complex of dimension <= 0 whose homology the
 # exact coset counts already determine (cross-checked in the tests)
 EXPLICIT_ORLIK_ORDER = 240
+
+# the fixed subcomplex of a class that fixes no vertex
+_EMPTY_COMPLEX = TypedComplex((), {})
 
 
 class SuiteError(ValueError):
@@ -74,12 +77,13 @@ class GroupContext:
     (``chambers.fixed_vertices``, read once per cyclic subgroup); the
     wall, and for a reflection's wall its verdict and certificate, are
     computed once per name, so the powers of a reflection, often in
-    other classes, share them.  The walls and the f-vector come from the
-    chambers; the full complex is built only when
-    a check reads ``complex`` (orlik, monomial, join, ``mfc build``), and
-    only then is the simplex cap checked; the parabolic data, a walk of
-    every proper parabolic, only when counts or orlik reads ``pdata``;
-    the order cap is checked before any table."""
+    other classes, share them.  The walls, the f-vector and, at rank
+    <= 2, Delta's homology (``delta_betti``) come from the chambers; the
+    full complex is built only when a check reads ``complex`` (orlik from
+    rank 3 up, monomial, join, ``mfc build``), and only then is the
+    simplex cap checked; the parabolic data, a walk of every proper
+    parabolic, only when counts or orlik reads ``pdata``; the order cap
+    is checked before any table."""
 
     def __init__(self, d: Diagram, cap: int = DEFAULT_CAP):
         self.diagram = d
@@ -94,6 +98,20 @@ class GroupContext:
     def complex(self) -> TypedComplex:
         """The full Milnor fiber complex, built once from the chambers."""
         return milnor_fiber_complex(self.table, chambers=self.chambers)[0]
+
+    @cached_property
+    def delta_betti(self) -> BettiResult:
+        """The reduced homology of Delta, the full complex.  At rank <= 2
+        Delta is a graph: its vertices are the vertex ids, and its edges,
+        if any, are the chambers, one per element.  They are distinct,
+        since K_R, the intersection of every G_{R - {r}}, is trivial, so
+        one union-find over the chambers gives b_0 and b_1 with no
+        complex built.  From rank 3 up, ``reduced_betti`` of ``complex``."""
+        if self.table.ngens >= 3:
+            return reduced_betti(self.complex)
+        cs = self.chambers
+        n_edges = self.table.order if self.table.ngens == 2 else 0
+        return _graph_betti(len(cs.vertex_types), zip(*cs.chamber), n_edges)
 
     @cached_property
     def classes(self) -> ConjugacyClasses:
@@ -263,7 +281,14 @@ def verify_orlik(ctx: GroupContext) -> TheoremReport:
     """Reduced Betti of Delta^g concentrated in degree p-1 with value
     (d_1 - 1)^p (irreducible groups of rank 2 and 3, every class; the
     product formula for Delta itself in general), plus torsion-freeness
-    wherever the homology ran."""
+    wherever the homology ran.
+
+    Delta's homology is ``ctx.delta_betti``: read off the chambers at
+    rank <= 2, where no complex is built, and off the built complex from
+    rank 3 up.  A class's exact counts (``ctx.pdata.fixed_counts``) give
+    p; a class they show to fix no vertex fixes the empty simplex alone,
+    so its explicit row is the empty complex's, with no wall named or
+    built."""
     d = ctx.diagram
     sym = diagram_name(d)
     n = ctx.table.ngens
@@ -271,7 +296,7 @@ def verify_orlik(ctx: GroupContext) -> TheoremReport:
     want_top = predicted_bouquet_count(d)
     details = {"bouquet": want_top, "classes": []}
     computed = True
-    bt = reduced_betti(ctx.complex)
+    bt = ctx.delta_betti
     delta_ok = bt.concentrated_value(n - 1) == want_top and bt.torsion_free
     details["delta"] = {"betti": {str(k): v for k, v in sorted(bt.betti.items())},
                         "torsion_free": bt.torsion_free}
@@ -288,7 +313,9 @@ def verify_orlik(ctx: GroupContext) -> TheoremReport:
             p = max(k for k in range(n + 1) if counts[k])
             want = (d1 - 1) ** p
             if explicit_all or p >= 2:
-                sub = ctx.fixed_of(rep)
+                # a fixed simplex has fixed vertices: with none, only the
+                # empty simplex is fixed
+                sub = ctx.fixed_of(rep) if counts[1] else _EMPTY_COMPLEX
                 b = reduced_betti(sub)
                 ok = (b.concentrated_value(p - 1) == want
                       and sub.dim + 1 == p and b.torsion_free)
@@ -438,16 +465,19 @@ def verify_join(ctx: GroupContext) -> TheoremReport:
         i, u = home[r]
         image.append((i, factor_ctx[i].chambers.chamber[u][proj[i][x]]))
 
-    # walls: a reflection in factor i embeds via its word over that
-    # factor's generators
+    # walls: factor i's elements embed into the union in one pass along
+    # that factor's parent links, x = p * r_l giving emb(x) = emb(p) * r
+    # with r the union's generator of type l
     wall_rows = []
     milnor_rows = []
     for fi, (cd, idx) in enumerate(comps):
         fctx = factor_ctx[fi]
+        ft = fctx.table
+        emb = [0] * ft.order
+        for x in range(1, ft.order):
+            emb[x] = table.right[idx[ft.last_letter[x]]][emb[ft.parent[x]]]
         for rep in fctx.refl_classes:
-            g_union = 0
-            for letter in fctx.table.word(rep):
-                g_union = ctx.table.right[idx[letter]][g_union]
+            g_union = emb[rep]
             parts = [fctx.fixed_of(rep) if fj == fi else f.complex
                      for fj, f in enumerate(factor_ctx)]
             # each part's vertex ids (a wall's: its key) to join ids
@@ -546,10 +576,11 @@ _CHECKS = {"counts": "verify_counts", "orlik": "verify_orlik",
 def run_entry(entry: dict, cap: int,
               timings: bool = False) -> list[TheoremReport]:
     """Build the entry's GroupContext once and run each of its checks on
-    it.  A check that meets a cap (CapExceeded) is reported skipped and
-    the others still run: all of them for a group over the order cap, one
-    for a complex over the simplex cap.  A monomial entry [m, n] is the
-    group G(m,1,n)."""
+    it.  A check that meets a cap (CapExceeded) or runs out of memory
+    (MemoryError) is reported skipped and the others still run: all of
+    them for a group over the order cap or a context that ran out of
+    memory, one for a complex over the simplex cap.  A monomial entry
+    [m, n] is the group G(m,1,n)."""
     _check_entry(entry)
     return _run_entry(entry, cap, timings, None)
 
@@ -582,23 +613,36 @@ def _run_entry(entry, cap, timings, parsed) -> list[TheoremReport]:
             parsed = (sym if "monomial" in entry else diagram_name(d)), d
         sym, d = parsed
         ctx = GroupContext(d, cap)
-    except CapExceeded as e:
-        skip = e                    # every check reports this skip
+    except (CapExceeded, MemoryError) as e:
+        # every check reports this skip.  Only the reason is kept: the
+        # exception's traceback holds the frames, and so the memory, of
+        # the build that failed
+        skip = _skip_reason(e)
     context_ms = int((time.monotonic() - t0) * 1000)
     reports = []
     for c in checks:
         t0 = time.monotonic()
-        try:
-            if skip is not None:
-                raise skip
-            rep = globals()[_CHECKS[c]](ctx)
-        except CapExceeded as e:
-            rep = TheoremReport(sym, c, None, None, "skipped", {"cap": str(e)})
+        reason = skip
+        if reason is None:
+            try:
+                rep = globals()[_CHECKS[c]](ctx)
+            except (CapExceeded, MemoryError) as e:
+                reason = _skip_reason(e)
+        if reason is not None:
+            rep = TheoremReport(sym, c, None, None, "skipped", reason)
         if timings:
             rep.timing_ms = int((time.monotonic() - t0) * 1000)
             rep.context_ms = context_ms
         reports.append(rep)
     return reports
+
+
+def _skip_reason(e: CapExceeded | MemoryError) -> dict:
+    """The details of a skipped report: the cap it met, or that it ran
+    out of memory (a MemoryError, often with no message)."""
+    if isinstance(e, MemoryError):
+        return {"memory": "out of memory"}
+    return {"cap": str(e)}
 
 
 def _run_entry_star(args):

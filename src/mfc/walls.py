@@ -243,7 +243,7 @@ def recognize_milnor_fiber(s: TypedComplex, rank: int) -> RecognitionVerdict:
     candidates = enumerate_admissible(rank, chambers)
     if not candidates:
         return RecognitionVerdict(rank, chambers, None)
-    comps = _n_components(s) if rank >= 2 else 1
+    comps = _n_components(s.n_vertices, s.simplices(1)) if rank >= 2 else 1
     if comps != 1:
         # every Milnor fiber complex of rank >= 2 is connected (chamber
         # complexes are gallery connected), so reduced b_0 > 0 rejects all

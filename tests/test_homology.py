@@ -12,7 +12,7 @@ from mfc.homology import (_coreduced, _dense_diagonalize, rank_and_factors,
                           reduced_betti)
 from mfc.verify import GroupContext
 from mfc.walls import predicted_bouquet_count
-from strategies import from_facets
+from strategies import admissible_unions, from_facets
 
 
 def build(sym):
@@ -286,6 +286,14 @@ def test_euler_characteristic_is_alternating_betti_sum(c):
 @given(_random_complexes())
 def test_reduced_betti_matches_full_boundary_maps(c):
     _assert_matches_reference(c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(admissible_unions(max_rank=3, max_order=400))
+def test_reduced_betti_matches_full_boundary_maps_on_random_unions(d):
+    # the coreduced route against the full boundary maps, on Milnor fiber
+    # complexes of random unions: joins, cycles and rank-3 bouquets
+    _assert_matches_reference(milnor_fiber_complex(enumerate_group(d))[0])
 
 
 @pytest.mark.parametrize("sym", ["A3", "B4", "B5", "D5", "F4", "G25", "G26",

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 
 import pytest
@@ -12,8 +16,10 @@ import mfc.group
 import mfc.verify
 import mfc.walls
 from mfc.cli import main
+from mfc.complexes import milnor_fiber_complex
 from mfc.diagram import (components_with_indices, diagram_name, group_order,
                          parse_symbol, symbol_rank)
+from mfc.homology import reduced_betti
 from mfc.verify import (DEFAULT_CAP, GroupContext, SuiteError, default_suite,
                         run_entry, run_suite, verify_counts, verify_join,
                         verify_monomial, verify_orlik, verify_theorem_A,
@@ -721,7 +727,8 @@ def test_cli_suite_allow_skip_string_exit_2(tmp_path, capsys):
 def test_fixed_subcomplexes_built_once(monkeypatch):
     # counts, A and B build the walls; orlik reuses them for the
     # reflection classes and adds the other classes.  Classes that fix
-    # the same vertices (several fix none) share one build
+    # the same vertices share one build, and the classes that fix none
+    # (several) are read off the exact counts, with no wall built
     built = []
     real = mfc.verify.fixed_subcomplex
 
@@ -735,8 +742,8 @@ def test_fixed_subcomplexes_built_once(monkeypatch):
                   verify_orlik):
         assert check(ctx).status == "agree"
     walls = {ctx.chambers.fixed_vertices(g) for g in ctx.classes.reps[1:]}
-    assert len(walls) < ctx.classes.n_classes - 1
-    assert len(built) == len(set(built)) and set(built) == walls
+    assert len(walls) < ctx.classes.n_classes - 1 and () in walls
+    assert len(built) == len(set(built)) and set(built) == walls - {()}
     rep = ctx.refl_classes[0]
     assert ctx.certificate_of(rep).verdict is ctx.verdict_of(rep)
 
@@ -755,6 +762,103 @@ def test_counts_and_walls_never_build_the_complex(monkeypatch):
         assert [r.status for r in reports] == \
             ["agree", "agree", "disagree" if sym == "G26" else "agree"]
         assert "complex" not in vars(ctx)
+
+
+# Delta of rank 1 and 2: points, a cycle, graphs with torsion-free b_1,
+# and a union
+RANK2_FIXTURES = ("Z5", "I2(7)", "I2(8)", "G(4,1,2)", "G5", "2 + 3")
+
+
+def _assert_delta_betti_is_the_complex_homology(d):
+    ctx = GroupContext(d)
+    want = reduced_betti(milnor_fiber_complex(ctx.table)[0])
+    got = ctx.delta_betti
+    assert (got.betti, got.invariant_factors) == \
+        (want.betti, want.invariant_factors), diagram_name(d)
+
+
+@pytest.mark.parametrize("sym", RANK2_FIXTURES)
+def test_delta_betti_off_the_chambers(sym):
+    _assert_delta_betti_is_the_complex_homology(parse_symbol(sym))
+
+
+@settings(max_examples=60, deadline=None)
+@given(admissible_unions(max_rank=2))
+def test_delta_betti_off_the_chambers_on_random_unions(d):
+    _assert_delta_betti_is_the_complex_homology(d)
+
+
+def test_rank2_orlik_builds_no_complex(monkeypatch):
+    # at rank <= 2, Delta's homology is read off the chambers
+    def no_complex(*args, **kwargs):
+        raise AssertionError("full complex built")
+
+    monkeypatch.setattr(mfc.verify, "milnor_fiber_complex", no_complex)
+    for sym in RANK2_FIXTURES:
+        ctx = context(sym)
+        assert verify_orlik(ctx).status == "agree", sym
+        assert "complex" not in vars(ctx), sym
+
+
+def test_out_of_memory_is_a_skip(monkeypatch):
+    # a MemoryError in a check skips that check, and one in the context
+    # build every check of the entry, as a cap does
+    def no_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(mfc.verify, "verify_orlik", no_memory)
+    reports = run_entry({"symbol": "A3", "checks": ["counts", "orlik", "A"]},
+                        DEFAULT_CAP)
+    assert [(r.theorem, r.status) for r in reports] == \
+        [("counts", "agree"), ("orlik", "skipped"), ("A", "agree")]
+    assert reports[1].details == {"memory": "out of memory"}
+    monkeypatch.setattr(mfc.verify, "GroupContext", no_memory)
+    reports = run_entry({"symbol": "A3", "checks": ["counts", "A"]},
+                        DEFAULT_CAP)
+    assert [(r.status, r.details) for r in reports] == \
+        [("skipped", {"memory": "out of memory"})] * 2
+
+
+# an address-space limit, set in a child process only, under which
+# Python and mfc load (about 20 MB) but D7's table (322,560 elements)
+# does not fit
+MEMORY_LIMIT = 80 * 2 ** 20
+
+
+def _run_limited(args):
+    """Run the mfc command line with these arguments in a child process
+    whose address space is limited to MEMORY_LIMIT bytes."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+    src = os.path.dirname(os.path.dirname(mfc.__file__))
+    return subprocess.run([sys.executable, "-m", "mfc.cli", *args],
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=limit,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
+def test_cli_out_of_memory_exits_3():
+    proc = _run_limited(["verify", "counts", "D7", "--cap", "1000000"])
+    assert (proc.returncode, proc.stderr) == (3, "")
+    assert proc.stdout == \
+        "counts D7: predicted=None computed=None -> skipped\n"
+
+
+def test_suite_out_of_memory_still_writes_its_report(tmp_path):
+    # H3's verdict is kept, and D7's counts is skipped
+    spec = tmp_path / "suite.json"
+    spec.write_text(json.dumps({"mfc_suite": 1, "entries": [
+        {"symbol": "H3", "checks": ["A"]},
+        {"symbol": "D7", "checks": ["counts"]}]}))
+    proc = _run_limited(["suite", str(spec), "--cap", "1000000",
+                         "--out", str(tmp_path / "out")])
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "out" / "mfc-report.json").read_text())
+    assert [(r["symbol"], r["theorem"], r["status"], r["details"].get(
+        "memory")) for r in report["entries"]] == \
+        [("H3", "A", "agree", None), ("D7", "counts", "skipped",
+                                      "out of memory")]
 
 
 def test_wall_checks_build_no_parabolic_data(monkeypatch):

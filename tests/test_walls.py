@@ -20,7 +20,7 @@ from mfc.walls import (ParabolicData, RecognitionVerdict,
                        milnor_wall_search, predicted_bouquet_count,
                        recognize_milnor_fiber)
 from general_search import general_isomorphism
-from strategies import admissible_unions, from_facets, mul
+from strategies import _rows, admissible_unions, from_facets, mul
 
 # groups for the property tests of walls and parabolic data: real,
 # complex, monomial and dihedral, ranks 2 and 3
@@ -375,6 +375,26 @@ def test_count_formula_matches_explicit_subcomplexes():
                 assert sub.dim == -1
                 seen_empty = True
     assert seen_empty  # a rotation of I2(6) fixes only the empty simplex
+
+
+def test_classes_that_fix_no_vertex_agree_on_both_routes():
+    # orlik reads a class whose exact count of fixed vertices is 0 as the
+    # empty complex, with no wall built: on every class of these groups,
+    # and of every rank-2 row of order <= 240, that count is 0 exactly
+    # when the built fixed subcomplex is the empty complex
+    syms = ["A3", "B3", "H3", "G25", "G26", "G(3,1,3)", "G(4,1,3)"]
+    diagrams = [parse_symbol(sym) for sym in syms]
+    diagrams += [d for family in _rows(2, 240) for _order, d in family]
+    seen = Counter()
+    for d in diagrams:
+        ctx = GroupContext(d)
+        classes = ctx.classes
+        for cid, rep in enumerate(classes.reps):
+            none_fixed = ctx.pdata.fixed_counts(cid)[1] == 0
+            assert none_fixed == (ctx.fixed_of(rep).dim == -1), \
+                (diagram_name(d), rep)
+            seen[none_fixed] += 1
+    assert seen[True] and seen[False]
 
 
 def test_generated_subcomplex():
